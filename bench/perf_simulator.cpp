@@ -58,15 +58,17 @@ void BM_ConvertNominalFast(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvertNominalFast)->Arg(1 << 10)->Arg(1 << 13);
 
-// The batch engine on the same workload: one full die-block (8 dies, one
-// per SIMD lane) through the SoA kernel at the runtime-selected ISA tier.
-// Items = samples x dies, so items_per_second compares directly against
-// BM_ConvertNominalFast — the ratio is the batch engine's aggregate speedup
-// (tools/compare_bench.py reports it as a scalar/batch pair).
+// The batch engine on the same workload: one die-block through the SoA
+// kernel at the runtime-selected ISA tier, at 8 dies (the narrowest kernel
+// pass, one AVX-512 vector per lane temporary) and at adc::batch::kLanes = 32
+// dies (the widest pass, four independent vectors). Items = samples x dies,
+// so items_per_second compares directly against BM_ConvertNominalFast — the
+// ratio is the batch engine's aggregate speedup (tools/compare_bench.py
+// reports it as a scalar/batch pair).
 void BM_ConvertNominalFastBatch(benchmark::State& state) {
   auto config = adc::pipeline::nominal_design();
   config.fidelity = adc::common::FidelityProfile::kFast;
-  std::vector<std::uint64_t> seeds(adc::batch::kLanes);
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(state.range(1)));
   for (std::size_t d = 0; d < seeds.size(); ++d) {
     seeds[d] = adc::pipeline::kNominalSeed + d;
   }
@@ -79,7 +81,8 @@ void BM_ConvertNominalFastBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * seeds.size()));
 }
-BENCHMARK(BM_ConvertNominalFastBatch)->Arg(1 << 10)->Arg(1 << 13);
+constexpr std::int64_t kWidestBlock = adc::batch::kLanes;
+BENCHMARK(BM_ConvertNominalFastBatch)->ArgsProduct({{1 << 10, 1 << 13}, {8, kWidestBlock}});
 
 // The Philox + Box-Muller noise fill in isolation — the term that was
 // 41-58% of batch conversion time under fast contract v1 and the direct

@@ -1,11 +1,12 @@
 /// \file batch_api.hpp
 /// POD kernel interface of the batch conversion engine.
 ///
-/// The batch engine marches S samples × 8 dies through the fast-profile
-/// stage chain in structure-of-arrays form, one *die per SIMD lane*. The
-/// serial cross-sample state of a die (reference droop, random-walk jitter)
-/// stays inside its lane, so lanes are fully independent and every per-stage
-/// invariant is hoisted once per die-block into the PlanView below.
+/// The batch engine marches S samples × W dies (W = 8, 16 or 32) through
+/// the fast-profile stage chain in structure-of-arrays form, one *die per
+/// SIMD lane*. The serial cross-sample state of a die (reference droop,
+/// random-walk jitter) stays inside its lane, so lanes are fully independent
+/// and every per-stage invariant is hoisted once per die-block into the
+/// PlanView below.
 ///
 /// The kernel is compiled three times — baseline SSE2, AVX2, AVX-512 — from
 /// one implementation header (batch_kernel_impl.hpp). To keep wide-ISA code
@@ -27,28 +28,43 @@
 
 namespace adc::batch {
 
-/// Dies per die-block: one per SIMD lane of the widest tier (AVX-512 holds
-/// 8 doubles). Fixed at compile time so every lane temporary is a stack
-/// array with a constant trip count — the shape the auto-vectorizer wants.
-/// Ragged blocks are padded by replicating a real die; pad results are
-/// discarded (lanes are independent, so padding cannot perturb real lanes).
-inline constexpr std::size_t kLanes = 8;
+/// Most dies per die-block: one kernel pass marches up to 32 dies, one per
+/// lane. The lane count W of a pass is a kernel template parameter (see
+/// kLaneWidths), so every lane temporary is a stack array with a constant trip
+/// count — the shape the auto-vectorizer wants. At W = 32 the AVX-512 tier
+/// holds each lane temporary in four independent 8-double vectors, whose
+/// dependency chains through the stage chain the out-of-order core runs side
+/// by side. Ragged blocks are padded by replicating a real die; pad results
+/// are discarded (lanes are independent, so padding cannot perturb real
+/// lanes).
+inline constexpr std::size_t kLanes = 32;
 
-/// Samples per noise-plane chunk. 256 samples × 36 slots × 8 lanes ≈ 590 KB
-/// for the plane plus the same for the fill scratch — inside L2. Chunking is
-/// value-neutral: draws are positional.
-inline constexpr std::size_t kChunkSamples = 256;
+/// The instantiated kernel widths, narrowest first. A block runs at the
+/// narrowest width that holds its dies.
+inline constexpr std::size_t kLaneWidths[] = {8, 16, 32};
+
+/// Samples per noise-plane chunk. 8 samples × 36 slots × 32 lanes ≈ 74 KB for
+/// the plane. Small on purpose: the allocator's per-thread arenas keep a
+/// pool thread's peak for the rest of the process, so a larger workspace
+/// shows up in peak RSS, at no speed benefit. Chunking is value-neutral:
+/// draws are positional.
+inline constexpr std::size_t kChunkSamples = 8;
+
+/// Dies whose chunk the kernel fills into scratch before transposing them
+/// into the plane: one 64-byte store per plane row, from 18 KB of scratch
+/// instead of a whole block's 74 KB.
+inline constexpr std::size_t kFillGroup = 8;
 
 /// Stage-count ceiling (sizes the kernel's stack arrays). The nominal
 /// pipeline has 10 stages; BatchConverter rejects configs above this.
 inline constexpr std::size_t kMaxBatchStages = 16;
 
 /// Minimum dies in a group before routing it through the batch engine pays.
-/// A ragged block still runs a full kLanes-wide kernel pass (pad lanes do
-/// real work whose codes are discarded), so a group of g dies costs about
-/// one 8-lane capture — ~2-3x a *single* scalar die. Measured on the dev
-/// box the crossover sits between 3 and 4 dies; callers below this fall
-/// back to per-die scalar conversion.
+/// A ragged block still runs a full kernel pass of the narrowest width that
+/// holds it (pad lanes do real work whose codes are discarded), so a group
+/// of g dies costs about one 8-lane capture — ~2-3x a *single* scalar die.
+/// Measured on the dev box the crossover sits between 3 and 4 dies; callers
+/// below this fall back to per-die scalar conversion.
 inline constexpr std::size_t kMinBatchDies = 4;
 
 /// One stimulus tone, pre-hoisted exactly as the scalar fast path computes
@@ -63,9 +79,10 @@ struct ToneView {
 
 /// Everything the kernel reads and never writes: block-uniform scalars,
 /// per-lane die parameters, and per-(stage, lane) hoisted invariants.
-/// All arrays are lane-minor (`[i * kLanes + lane]`), sized as annotated.
+/// All arrays are lane-minor (`[i * lanes + lane]`), sized as annotated.
 struct PlanView {
   // --- geometry ---
+  std::size_t lanes = 0;        ///< kernel width W of this block, one of kLaneWidths
   std::size_t num_stages = 0;   ///< 1.5b stages (≤ kMaxBatchStages)
   std::size_t flash_count = 0;  ///< backend flash comparators
   std::size_t slots = 0;        ///< noise-plane slots per sample
@@ -104,13 +121,13 @@ struct PlanView {
   std::size_t tone_count = 0;
   const long long* weights = nullptr; ///< [num_stages] correction weights
 
-  // --- per-lane die parameters [kLanes] ---
+  // --- per-lane die parameters [lanes] ---
   const std::uint64_t* noise_key = nullptr;  ///< noise-plane Philox keys
   const double* nominal_vref = nullptr;      ///< bandgap-coupled references
   const double* level_error = nullptr;       ///< static reference level error
   const double* ripple_sigma = nullptr;      ///< per-sample gain ripple sigma
 
-  // --- per-(stage, lane) invariants [num_stages * kLanes] ---
+  // --- per-(stage, lane) invariants [num_stages * lanes] ---
   const double* sigma_sample = nullptr;   ///< kT/C sampling noise sigma
   const double* off_hi = nullptr;         ///< +VREF/4 comparator offsets
   const double* off_lo = nullptr;         ///< -VREF/4 comparator offsets
@@ -130,7 +147,7 @@ struct PlanView {
   const double* gm_compression = nullptr; ///< opamp large-signal params
   const double* output_swing = nullptr;
 
-  // --- per-(flash comparator, lane) [flash_count * kLanes] ---
+  // --- per-(flash comparator, lane) [flash_count * lanes] ---
   const double* flash_off = nullptr;
   const double* flash_noise = nullptr;
   const double* flash_meta = nullptr;
@@ -150,14 +167,15 @@ struct PlanView {
 /// reused across captures, chunks and die-blocks (hot-path-alloc contract:
 /// nothing below is ever grown inside the sample loop).
 struct StateView {
-  double* scratch = nullptr;  ///< [kLanes * kChunkSamples * slots] die-major fill
-  double* plane = nullptr;    ///< [kChunkSamples * slots * kLanes] lane-minor rows
-  int* const* out = nullptr;  ///< [kLanes] per-die code buffers, length >= n
+  double* scratch = nullptr;  ///< [kFillGroup * kChunkSamples * slots] die-major fill
+  double* plane = nullptr;    ///< [kChunkSamples * slots * lanes] lane-minor rows
+  int* const* out = nullptr;  ///< [lanes] per-die code buffers, length >= n
 };
 
 /// Per-ISA entry points (one strong symbol per tier; see the kernel TUs).
-/// `convert_capture` runs one full capture of `n` samples for all kLanes
-/// dies; `normal_fill`/`exp_span`/`sincos_span` are the SoA math ports,
+/// `convert_capture` runs one full capture of `n` samples for the
+/// `plan.lanes` dies of a block, through the kernel instantiated at that
+/// width; `normal_fill`/`exp_span`/`sincos_span` are the SoA math ports,
 /// exported so tests can pin cross-tier bit-identity directly.
 namespace sse2 {
 void convert_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,

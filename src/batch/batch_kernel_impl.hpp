@@ -23,11 +23,18 @@
 ///
 /// Lanes are dies: the two serial per-die recurrences (reference droop,
 /// random-walk jitter) live in lane-indexed registers, and all sample math
-/// runs on `double[kLanes]` stack arrays with constant trip counts — the
-/// pattern GCC's vectorizer converts wholesale. Noise is generated per die
-/// (contiguous positional fill) into `scratch`, then interleave-transposed
-/// into lane-minor rows in `plane` so every draw load in the sample loop is
-/// contiguous.
+/// runs on `double[kL]` stack arrays with constant trip counts — the pattern
+/// GCC's vectorizer converts wholesale. The lane count kL is a template
+/// parameter instantiated at every width of kLaneWidths; `convert_capture`
+/// switches on the block's `PlanView::lanes`. Wider passes do not change
+/// what a lane computes, only how many independent lanes each vector
+/// instruction sequence carries: the stage chain is a long serial
+/// dependency per sample (decide, amplify, settle, next stage), so at 8
+/// lanes on AVX-512 every step waits on one vector's latency, while at 32
+/// lanes four vectors' chains overlap in the out-of-order core. Noise is
+/// generated per die (contiguous positional fill) into `scratch`, a group of
+/// dies at a time, then interleave-transposed into lane-minor rows in
+/// `plane` so every draw load in the sample loop is contiguous.
 
 #ifndef ADC_BATCH_ISA_NS
 #error "batch_kernel_impl.hpp: define ADC_BATCH_ISA_NS before including"
@@ -46,8 +53,6 @@
 namespace adc::batch {
 namespace ADC_BATCH_ISA_NS {
 namespace {
-
-constexpr std::size_t kL = kLanes;
 
 namespace fl = adc::pipeline::fast_layout;
 namespace fm = adc::common::fastmath;
@@ -71,6 +76,7 @@ ADC_ALWAYS_INLINE inline bool decide_draw(double v, double threshold, double off
 /// Clenshaw recurrence over the lanes for one Chebyshev surrogate — the
 /// exact operation sequence of adc::common::Chebyshev::operator(), with the
 /// coefficient loop outermost so each step is a flat lane loop.
+template <std::size_t kL>
 ADC_ALWAYS_INLINE inline void clenshaw_lanes(const double* coef, std::size_t count, double mid,
                                              double inv_half, const double* z, double* out) {
   double y[kL];
@@ -97,8 +103,10 @@ ADC_ALWAYS_INLINE inline void clenshaw_lanes(const double* coef, std::size_t cou
   }
 }
 
+template <std::size_t kL>
 void convert_capture_impl(const PlanView& p, const StateView& st, std::uint64_t epoch,
                           std::size_t n) {
+  static_assert(kL % kFillGroup == 0, "a block's lanes split into whole fill groups");
   const std::size_t slots = p.slots;
   const std::size_t nstages = p.num_stages;
   // Per-capture lane state, reset exactly like reset_state() + convert_fast:
@@ -109,15 +117,19 @@ void convert_capture_impl(const PlanView& p, const StateView& st, std::uint64_t 
     const std::size_t count = (n - base < kChunkSamples) ? (n - base) : kChunkSamples;
     const std::size_t rows = count * slots;
     // Per-die positional noise fill (same (key, epoch, sample*slots + slot)
-    // indexing as NoisePlane::generate), then transpose to lane-minor rows.
-    for (std::size_t l = 0; l < kL; ++l) {
-      adc::common::tile::philox_normal_fill_ptr(
-          p.noise_key[l], epoch, static_cast<std::uint64_t>(base) * slots,
-          st.scratch + l * rows, rows);
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t l = 0; l < kL; ++l) {
-        st.plane[r * kL + l] = st.scratch[l * rows + r];
+    // indexing as NoisePlane::generate), kFillGroup dies at a time, each
+    // group then transposed into its lanes of the lane-minor plane (one
+    // contiguous kFillGroup-double store per row).
+    for (std::size_t g = 0; g < kL; g += kFillGroup) {
+      for (std::size_t l = 0; l < kFillGroup; ++l) {
+        adc::common::tile::philox_normal_fill_ptr(
+            p.noise_key[g + l], epoch, static_cast<std::uint64_t>(base) * slots,
+            st.scratch + l * rows, rows);
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t l = 0; l < kFillGroup; ++l) {
+          st.plane[r * kL + g + l] = st.scratch[l * rows + r];
+        }
       }
     }
     for (std::size_t s = 0; s < count; ++s) {
@@ -176,9 +188,9 @@ void convert_capture_impl(const PlanView& p, const StateView& st, std::uint64_t 
         double tau[kL];
         double inj[kL];
         for (std::size_t l = 0; l < kL; ++l) z[l] = v[l] * v[l];
-        clenshaw_lanes(p.tau_coef, p.tau_count, p.tau_mid, p.tau_inv_half, z, tau);
+        clenshaw_lanes<kL>(p.tau_coef, p.tau_count, p.tau_mid, p.tau_inv_half, z, tau);
         if (p.injection_on) {
-          clenshaw_lanes(p.inj_coef, p.inj_count, p.inj_mid, p.inj_inv_half, z, inj);
+          clenshaw_lanes<kL>(p.inj_coef, p.inj_count, p.inj_mid, p.inj_inv_half, z, inj);
         } else {
           for (std::size_t l = 0; l < kL; ++l) inj[l] = 0.0;
         }
@@ -314,9 +326,8 @@ void convert_capture_impl(const PlanView& p, const StateView& st, std::uint64_t 
         }
         // Slew test, reduced across the lanes: a settled pipeline is linear
         // (mag <= sr_tau) on nearly every sample, and the all-linear path
-        // drops the slew-time division — the kernel is divider-port-bound
-        // (fill log/sqrt + settle divides), so one less vdivpd per stage is
-        // a real win, not noise.
+        // drops the slew-time division and the selects around it from the
+        // stage's dependency chain.
         double max_excess = mag[0] - sr_tau[0];
         for (std::size_t l = 1; l < kL; ++l) {
           const double ex = mag[l] - sr_tau[l];
@@ -418,7 +429,19 @@ void convert_capture_impl(const PlanView& p, const StateView& st, std::uint64_t 
 
 void convert_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,
                      std::size_t n) {
-  convert_capture_impl(plan, state, epoch, n);
+  static_assert(kLaneWidths[0] == 8 && kLaneWidths[1] == 16 && kLaneWidths[2] == 32,
+                "convert_capture instantiates exactly the kLaneWidths");
+  switch (plan.lanes) {
+    case 32:
+      convert_capture_impl<32>(plan, state, epoch, n);
+      return;
+    case 16:
+      convert_capture_impl<16>(plan, state, epoch, n);
+      return;
+    default:  // 8: BatchConverter only builds kLaneWidths blocks
+      convert_capture_impl<8>(plan, state, epoch, n);
+      return;
+  }
 }
 
 void normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t first, double* out,

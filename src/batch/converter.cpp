@@ -9,8 +9,10 @@
 /// kernel consumes the *same doubles* the scalar path would.
 #include "batch/converter.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <numbers>
 
 #include "analog/switches.hpp"
@@ -30,7 +32,7 @@ using adc::common::require;
 }
 
 // Field-major layout of DieBlock::stage_lane / flash_lane: one contiguous
-// [num_stages][kLanes] (resp. [flash_count][kLanes]) matrix per field.
+// [num_stages][lanes] (resp. [flash_count][lanes]) matrix per field.
 enum StageField : std::size_t {
   kFSigmaSample,
   kFOffHi,
@@ -70,7 +72,23 @@ double inj_fallback_thunk(const void* ctx, double v) {
       v);
 }
 
+/// The narrowest kernel width that holds a block of `dies` (<= kLanes) dies.
+std::size_t block_lanes(std::size_t dies) {
+  for (const std::size_t w : kLaneWidths) {
+    if (dies <= w) return w;
+  }
+  return kLanes;
+}
+
 }  // namespace
+
+std::size_t unit_lanes(std::size_t dies, std::size_t threads) {
+  const std::size_t workers = std::max<std::size_t>(threads, 1);
+  for (auto w = std::rbegin(kLaneWidths); w != std::rend(kLaneWidths); ++w) {
+    if ((dies + *w - 1) / *w >= workers) return *w;
+  }
+  return kLaneWidths[0];
+}
 
 BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
                                std::span<const std::uint64_t> seeds,
@@ -159,14 +177,16 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
   proto_.flash_frac = flash_frac_.data();
   proto_.weights = weights_.data();
 
-  // --- per-die plan arrays, one block per kLanes dies ---
+  // --- per-die plan arrays, one block per kLanes dies, each at the
+  // narrowest kernel width that holds it ---
   const std::size_t die_count = seeds_.size();
   blocks_.resize((die_count + kLanes - 1) / kLanes);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     DieBlock& blk = blocks_[b];
     blk.dies = std::min(kLanes, die_count - b * kLanes);
-    blk.stage_lane.assign(kStageFieldCount * proto_.num_stages * kLanes, 0.0);
-    blk.flash_lane.assign(kFlashFieldCount * proto_.flash_count * kLanes, 0.0);
+    blk.lanes = block_lanes(blk.dies);
+    blk.stage_lane.assign(kStageFieldCount * proto_.num_stages * blk.lanes, 0.0);
+    blk.flash_lane.assign(kFlashFieldCount * proto_.flash_count * blk.lanes, 0.0);
   }
   extract_die(*ref_adc_, blocks_[0], 0);
   for (std::size_t d = 1; d < die_count; ++d) {
@@ -178,25 +198,28 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
   // Ragged blocks: replicate lane 0 into the padding lanes. Lanes are
   // independent, so the replicas cannot perturb the real dies; their codes
   // land in pad_ and are discarded.
+  std::size_t widest = 0;
   for (DieBlock& blk : blocks_) {
-    for (std::size_t l = blk.dies; l < kLanes; ++l) {
+    widest = std::max(widest, blk.lanes);
+    for (std::size_t l = blk.dies; l < blk.lanes; ++l) {
       blk.noise_key[l] = blk.noise_key[0];
       blk.nominal_vref[l] = blk.nominal_vref[0];
       blk.level_error[l] = blk.level_error[0];
       blk.ripple_sigma[l] = blk.ripple_sigma[0];
       for (std::size_t row = 0; row < kStageFieldCount * proto_.num_stages; ++row) {
-        blk.stage_lane[row * kLanes + l] = blk.stage_lane[row * kLanes];
+        blk.stage_lane[row * blk.lanes + l] = blk.stage_lane[row * blk.lanes];
       }
       for (std::size_t row = 0; row < kFlashFieldCount * proto_.flash_count; ++row) {
-        blk.flash_lane[row * kLanes + l] = blk.flash_lane[row * kLanes];
+        blk.flash_lane[row * blk.lanes + l] = blk.flash_lane[row * blk.lanes];
       }
     }
   }
 
-  // One chunk workspace for the whole converter (reused by every block of
-  // every capture; the kernel never allocates).
-  scratch_.assign(kLanes * kChunkSamples * proto_.slots, 0.0);
-  plane_.assign(kLanes * kChunkSamples * proto_.slots, 0.0);
+  // One chunk workspace for the whole converter, the plane sized for its
+  // widest block (reused by every block of every capture; the kernel never
+  // allocates).
+  scratch_.assign(kFillGroup * kChunkSamples * proto_.slots, 0.0);
+  plane_.assign(widest * kChunkSamples * proto_.slots, 0.0);
 }
 
 bool BatchConverter::supports_config(const adc::pipeline::AdcConfig& config) {
@@ -221,7 +244,7 @@ void BatchConverter::extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock
   block.level_error[lane] = adc.reference_buffer().level_error();
   block.ripple_sigma[lane] = adc.fast_ripple_sigma();
 
-  const std::size_t stride = proto_.num_stages * kLanes;
+  const std::size_t stride = proto_.num_stages * block.lanes;
   double* sl = block.stage_lane.data();
   for (std::size_t i = 0; i < proto_.num_stages; ++i) {
     const adc::pipeline::PipelineStage& st = adc.stage(i);
@@ -229,7 +252,7 @@ void BatchConverter::extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock
     const adc::analog::Comparator& lo = st.low_comparator();
     const adc::analog::Opamp::SettleCoeffs& sc = st.fast_settle();
     const adc::analog::OpampParams& op = st.opamp().params();
-    const std::size_t at = i * kLanes + lane;
+    const std::size_t at = i * block.lanes + lane;
     sl[kFSigmaSample * stride + at] = st.sample_noise_rms();
     sl[kFOffHi * stride + at] = hi.offset();
     sl[kFOffLo * stride + at] = lo.offset();
@@ -250,11 +273,11 @@ void BatchConverter::extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock
     sl[kFOutputSwing * stride + at] = op.output_swing;
   }
 
-  const std::size_t fstride = proto_.flash_count * kLanes;
+  const std::size_t fstride = proto_.flash_count * block.lanes;
   double* fb = block.flash_lane.data();
   for (std::size_t k = 0; k < proto_.flash_count; ++k) {
     const adc::analog::Comparator& cmp = adc.flash().comparator(k);
-    const std::size_t at = k * kLanes + lane;
+    const std::size_t at = k * block.lanes + lane;
     fb[kFFlashOff * fstride + at] = cmp.offset();
     fb[kFFlashNoise * fstride + at] = cmp.noise_rms();
     fb[kFFlashMeta * fstride + at] = cmp.metastable_window();
@@ -317,12 +340,13 @@ void BatchConverter::check_uniform(const adc::pipeline::PipelineAdc& adc) const 
 
 PlanView BatchConverter::block_view(const DieBlock& block) const {
   PlanView p = proto_;
+  p.lanes = block.lanes;
   p.noise_key = block.noise_key.data();
   p.nominal_vref = block.nominal_vref.data();
   p.level_error = block.level_error.data();
   p.ripple_sigma = block.ripple_sigma.data();
 
-  const std::size_t stride = proto_.num_stages * kLanes;
+  const std::size_t stride = proto_.num_stages * block.lanes;
   const double* sl = block.stage_lane.data();
   p.sigma_sample = sl + kFSigmaSample * stride;
   p.off_hi = sl + kFOffHi * stride;
@@ -343,7 +367,7 @@ PlanView BatchConverter::block_view(const DieBlock& block) const {
   p.gm_compression = sl + kFGmCompression * stride;
   p.output_swing = sl + kFOutputSwing * stride;
 
-  const std::size_t fstride = proto_.flash_count * kLanes;
+  const std::size_t fstride = proto_.flash_count * block.lanes;
   const double* fb = block.flash_lane.data();
   p.flash_off = fb + kFFlashOff * fstride;
   p.flash_noise = fb + kFFlashNoise * fstride;
@@ -383,7 +407,7 @@ std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& si
   proto_.tone_count = tones_.size();
 
   std::vector<std::vector<int>> results(seeds_.size());
-  const bool any_pad = seeds_.size() % kLanes != 0;
+  const bool any_pad = blocks_.back().dies < blocks_.back().lanes;
   if (any_pad && pad_.size() < n) pad_.resize(n);
 
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
@@ -395,7 +419,7 @@ std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& si
       codes.resize(n);
       out[l] = codes.data();
     }
-    for (std::size_t l = blk.dies; l < kLanes; ++l) out[l] = pad_.data();
+    for (std::size_t l = blk.dies; l < blk.lanes; ++l) out[l] = pad_.data();
     const StateView st{scratch_.data(), plane_.data(), out.data()};
     ops_->convert_capture(p, st, epoch, n);
   }

@@ -3,8 +3,9 @@
 ///
 /// A BatchConverter fabricates D dies from one base configuration plus a
 /// seed list, hoists every per-sample invariant of the fast profile into
-/// structure-of-arrays die-blocks of kLanes lanes, and runs whole captures
-/// through the ISA-dispatched kernel (batch_api.hpp). Results are
+/// structure-of-arrays die-blocks of at most kLanes dies, and runs whole
+/// captures through the ISA-dispatched kernel (batch_api.hpp), each block at
+/// the narrowest kernel width that holds it. Results are
 /// byte-identical to calling `PipelineAdc::convert()` die by die under the
 /// same fast profile — the engine is a throughput optimization, never a
 /// fidelity knob.
@@ -28,6 +29,14 @@
 #include "pipeline/adc.hpp"
 
 namespace adc::batch {
+
+/// Dies per execute unit when `dies` batchable dies are spread over a pool of
+/// `threads` workers, one unit per pool job: the widest kernel width that
+/// still cuts the dies into at least one unit per worker, so wide passes
+/// never idle a worker (on 4 workers a 64-die run gets 4 units of 16, a
+/// 2000-die run 62 units of 32 and a ragged one of 16). Falls back to the
+/// narrowest width.
+[[nodiscard]] std::size_t unit_lanes(std::size_t dies, std::size_t threads);
 
 /// Converts captures for a set of dies that share one configuration and
 /// differ only in their Monte-Carlo seed. Construction is the expensive
@@ -68,6 +77,9 @@ class BatchConverter {
   [[nodiscard]] std::size_t die_count() const { return seeds_.size(); }
   [[nodiscard]] std::span<const std::uint64_t> seeds() const { return seeds_; }
   [[nodiscard]] adc::common::BatchIsa isa() const { return isa_; }
+  /// Die-blocks, in seed order, and the kernel width each one runs at.
+  [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
+  [[nodiscard]] std::size_t block_width(std::size_t b) const { return blocks_[b].lanes; }
   [[nodiscard]] int resolution_bits() const { return ref_adc_->resolution_bits(); }
   /// The normalized configuration shared by every die (seed = seeds()[0]).
   [[nodiscard]] const adc::pipeline::AdcConfig& config() const { return ref_adc_->config(); }
@@ -79,15 +91,17 @@ class BatchConverter {
 
  private:
   /// Per-lane and per-(stage|flash, lane) plan arrays of one die block.
-  /// Lane-minor layout, ragged blocks padded by replicating lane 0.
+  /// Lane-minor layout with a stride of `lanes`, ragged blocks padded by
+  /// replicating lane 0.
   struct DieBlock {
-    std::size_t dies = 0;  ///< real dies in this block (1..kLanes)
+    std::size_t dies = 0;   ///< real dies in this block (1..lanes)
+    std::size_t lanes = 0;  ///< kernel width: block_lanes(dies)
     std::array<std::uint64_t, kLanes> noise_key{};
     std::array<double, kLanes> nominal_vref{};
     std::array<double, kLanes> level_error{};
     std::array<double, kLanes> ripple_sigma{};
-    std::vector<double> stage_lane;  ///< [kStageFieldCount][num_stages][kLanes]
-    std::vector<double> flash_lane;  ///< [kFlashFieldCount][flash_count][kLanes]
+    std::vector<double> stage_lane;  ///< [kStageFieldCount][num_stages][lanes]
+    std::vector<double> flash_lane;  ///< [kFlashFieldCount][flash_count][lanes]
   };
 
   void extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock& block, std::size_t lane);
@@ -110,7 +124,7 @@ class BatchConverter {
   std::vector<long long> weights_;
   std::vector<ToneView> tones_;  ///< rebuilt per convert() from the stimulus
 
-  std::vector<DieBlock> blocks_;
+  std::vector<DieBlock> blocks_;  ///< kLanes dies each, but the last
 
   // Chunk workspace, allocated once and reused across captures, chunks and
   // die-blocks (hot-path-alloc contract: never grown inside the kernel).

@@ -1,6 +1,5 @@
 #include "scenario/cache.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -260,21 +259,24 @@ std::optional<ClaimInfo> parse_claim(const std::string& text) {
   }
 }
 
+/// Write the claim document for `info` to a fresh pid-unique temporary next
+/// to the claim path `path`, and return the temporary's path.
+fs::path write_claim_temp(const fs::path& path, const ClaimInfo& info) {
+  const fs::path tmp = path.string() + unique_tmp_suffix();
+  const std::string text = json::dump_compact(claim_document(info));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  adc::common::require(out.good(), "ResultCache: cannot open claim temp " + tmp.string());
+  out << text;
+  out.flush();
+  adc::common::require(out.good(), "ResultCache: claim write failed for " + tmp.string());
+  return tmp;
+}
+
 }  // namespace
 
 void ResultCache::write_claim(const std::string& hash, const ClaimInfo& info) {
   const fs::path path = claim_path(hash);
-  const fs::path tmp = path.string() + unique_tmp_suffix();
-  const std::string text = json::dump_compact(claim_document(info));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    adc::common::require(out.good(),
-                         "ResultCache: cannot open claim temp " + tmp.string());
-    out << text;
-    out.flush();
-    adc::common::require(out.good(),
-                         "ResultCache: claim write failed for " + tmp.string());
-  }
+  const fs::path tmp = write_claim_temp(path, info);
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
@@ -292,23 +294,19 @@ ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& 
   adc::common::require(!ec, "ResultCache::try_claim: cannot create " +
                                path.parent_path().string() + ": " + ec.message());
 
-  // Fast path: exclusive creation. Exactly one of N racing owners wins.
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd >= 0) {
-    const std::string text = json::dump_compact(claim_document({owner, now_ms}));
-    const ssize_t written = ::write(fd, text.data(), text.size());
-    ::close(fd);
-    if (written != static_cast<ssize_t>(text.size())) {
-      // A torn claim would read as corrupt (= stale) to everyone; remove it
-      // and report the claim as not acquired.
-      fs::remove(path, ec);
-      throw ConfigError("ResultCache::try_claim: short write for " + path.string());
-    }
-    return ClaimOutcome::kAcquired;
-  }
-  if (errno != EEXIST) {
-    throw ConfigError("ResultCache::try_claim: cannot create " + path.string() +
-                      ": " + std::strerror(errno));
+  // Fast path: publish a complete claim document under the claim name with
+  // link(2), which fails with EEXIST when any claim is already there.
+  // Exactly one of N racing owners wins, and no racer can ever read a claim
+  // that exists but is not yet written — it would parse as corrupt, count
+  // as stale, and be stolen, leaving two owners.
+  const fs::path tmp = write_claim_temp(path, {owner, now_ms});
+  const int linked = ::link(tmp.c_str(), path.c_str());
+  const int link_errno = errno;
+  fs::remove(tmp, ec);
+  if (linked == 0) return ClaimOutcome::kAcquired;
+  if (link_errno != EEXIST) {
+    throw ConfigError("ResultCache::try_claim: cannot create " + path.string() + ": " +
+                      std::strerror(link_errno));
   }
 
   const auto existing = read_claim(hash);

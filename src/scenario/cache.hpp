@@ -28,9 +28,10 @@
 ///
 /// Claim protocol (the fleet coordination substrate, docs/FLEET.md):
 /// a *claim* is a sidecar `<root>/<xx>/<hash>.claim` file recording an owner
-/// id and a heartbeat timestamp. `try_claim` creates it with O_CREAT|O_EXCL,
-/// so exactly one of N racing processes acquires a fresh claim; a claim
-/// whose heartbeat is older than the caller's lease is *stale* (its owner
+/// id and a heartbeat timestamp. `try_claim` writes the claim document to a
+/// temporary and publishes it with link(2), so exactly one of N racing
+/// processes acquires a fresh claim and nobody reads a half-written one; a
+/// claim whose heartbeat is older than the caller's lease is *stale* (its owner
 /// crashed or stalled) and is stolen by atomically renaming a replacement
 /// over it. Claims are an optimization that minimizes duplicate computation
 /// — correctness never depends on them: jobs are pure and content-addressed,

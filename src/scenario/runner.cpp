@@ -135,7 +135,7 @@ void write_text_file(const std::string& path, const std::string& text) {
 }
 
 /// A maximal run of consecutive candidate cache misses the execute phase
-/// computes as one pool job. Batched units hold up to adc::batch::kLanes
+/// computes as one pool job. Batched units hold up to adc::batch::unit_lanes
 /// jobs that differ only in seed and route through one BatchConverter
 /// die-block.
 struct MissUnit {
@@ -331,16 +331,19 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
   // Group the misses into execute units. For single-tone dynamic/yield
   // sweeps under the fast profile, consecutive misses at the same grid
   // point differ only in seed (seeds are innermost in the expansion), so up
-  // to adc::batch::kLanes of them form one die-block for the batch
-  // conversion engine. Everything else — exact profile, two-tone, static,
-  // power, ramp — stays one job per unit, exactly the pre-batch behavior.
+  // to `lanes` of them form one die-block for the batch conversion engine:
+  // the widest kernel pass that still leaves every pool worker a unit.
+  // Everything else — exact profile, two-tone, static, power, ramp — stays
+  // one job per unit, exactly the pre-batch behavior.
   std::vector<MissUnit> units;
   units.reserve(misses.size());
   if (batchable_shape(spec)) {
+    const std::size_t lanes = adc::batch::unit_lanes(
+        misses.size(), adc::runtime::effective_thread_count(options.threads));
     std::size_t k = 0;
     while (k < misses.size()) {
       std::size_t j = k + 1;
-      while (j < misses.size() && j - k < adc::batch::kLanes &&
+      while (j < misses.size() && j - k < lanes &&
              same_grid_point(jobs[misses[j]], jobs[misses[k]])) {
         ++j;
       }

@@ -65,42 +65,49 @@ std::vector<DynamicTestResult> run_block_scalar(const adc::pipeline::AdcConfig& 
 /// line (same coherent snap, same amplitude, same spectrum options), and the
 /// capture sequence per die matches the scalar averages loop — each
 /// convert() advances every die's noise epoch exactly once, like repeated
-/// scalar convert() calls on a per-die converter would.
+/// scalar convert() calls on a per-die converter would. Every capture is
+/// taken, and the converter (its plan and kernel workspace) released,
+/// before the DSP runs: a pool thread's malloc arena keeps its peak for the
+/// rest of the process, so that peak should hold the converter or the DSP
+/// buffers, not both.
 std::vector<DynamicTestResult> run_block_batched(const adc::pipeline::AdcConfig& base,
                                                  std::span<const std::uint64_t> seeds,
                                                  const DynamicTestOptions& options) {
-  adc::batch::BatchConverter conv(base, seeds);
-  const double fs = conv.conversion_rate();
   const std::size_t n = options.record_length;
-  const adc::dsp::CoherentTone coherent =
-      adc::dsp::coherent_frequency(options.target_fin_hz, fs, n);
-  const double amplitude = options.amplitude_fraction * conv.full_scale_vpp() / 2.0;
-  const adc::dsp::SineSignal tone(amplitude, coherent.frequency_hz);
+  double fs = 0.0;
+  double full_scale = 0.0;
+  int bits = 0;
+  adc::dsp::CoherentTone coherent;
+  // captures[r][d]: die d's codes in capture r.
+  std::vector<std::vector<std::vector<int>>> captures;
+  captures.reserve(static_cast<std::size_t>(options.averages));
+  {
+    adc::batch::BatchConverter conv(base, seeds);
+    fs = conv.conversion_rate();
+    full_scale = conv.full_scale_vpp();
+    bits = conv.resolution_bits();
+    coherent = adc::dsp::coherent_frequency(options.target_fin_hz, fs, n);
+    const double amplitude = options.amplitude_fraction * full_scale / 2.0;
+    const adc::dsp::SineSignal tone(amplitude, coherent.frequency_hz);
+    for (int r = 0; r < options.averages; ++r) captures.push_back(conv.convert(tone, n));
+  }
 
   adc::dsp::SpectrumOptions spec = options.spectrum;
   spec.fundamental_bin = coherent.cycles;
 
   std::vector<DynamicTestResult> out(seeds.size());
-  for (auto& r : out) r.tone = coherent;
-  if (options.averages == 1) {
-    const auto codes = conv.convert(tone, n);
-    for (std::size_t d = 0; d < seeds.size(); ++d) {
-      const auto volts =
-          adc::dsp::codes_to_volts(codes[d], conv.resolution_bits(), conv.full_scale_vpp());
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    out[d].tone = coherent;
+    if (options.averages == 1) {
+      const auto volts = adc::dsp::codes_to_volts(captures[0][d], bits, full_scale);
       out[d].metrics = adc::dsp::analyze_tone(volts, fs, spec);
-    }
-  } else {
-    std::vector<std::vector<std::vector<double>>> records(seeds.size());
-    for (auto& r : records) r.reserve(static_cast<std::size_t>(options.averages));
-    for (int r = 0; r < options.averages; ++r) {
-      const auto codes = conv.convert(tone, n);
-      for (std::size_t d = 0; d < seeds.size(); ++d) {
-        records[d].push_back(
-            adc::dsp::codes_to_volts(codes[d], conv.resolution_bits(), conv.full_scale_vpp()));
+    } else {
+      std::vector<std::vector<double>> records;
+      records.reserve(captures.size());
+      for (const auto& capture : captures) {
+        records.push_back(adc::dsp::codes_to_volts(capture[d], bits, full_scale));
       }
-    }
-    for (std::size_t d = 0; d < seeds.size(); ++d) {
-      out[d].metrics = adc::dsp::analyze_tone_averaged(records[d], fs, spec);
+      out[d].metrics = adc::dsp::analyze_tone_averaged(records, fs, spec);
     }
   }
   return out;
@@ -136,22 +143,23 @@ std::vector<DynamicTestResult> run_dynamic_test_dies(const adc::pipeline::AdcCon
                                                      int threads) {
   adc::common::require(!seeds.empty(), "run_dynamic_test_dies: need at least one seed");
 
-  constexpr std::size_t kLanes = adc::batch::kLanes;
-  const std::size_t num_blocks = (seeds.size() + kLanes - 1) / kLanes;
-
   adc::runtime::BatchOptions pool;
   pool.threads = threads > 0 ? static_cast<unsigned>(threads) : 0;
+  const std::size_t lanes =
+      adc::batch::unit_lanes(seeds.size(), adc::runtime::effective_thread_count(pool.threads));
+  const std::size_t num_blocks = (seeds.size() + lanes - 1) / lanes;
 
-  // One job per kLanes-aligned die block. Blocks are independent, so the
+  // One job per `lanes`-aligned die block: the widest kernel pass that still
+  // leaves every pool worker a block. Blocks are independent, so the
   // runtime's determinism contract keeps the flattened result in seed order
-  // and bit-identical at any thread count. The trailing ragged block (and
-  // every block when the profile is not fast) takes the scalar fallback
-  // inside run_dynamic_test_block.
+  // and bit-identical at any thread count. A trailing block below
+  // kMinBatchDies (and every block when the profile is not fast) takes the
+  // scalar fallback inside run_dynamic_test_block.
   const auto blocks = adc::runtime::parallel_map<std::vector<DynamicTestResult>>(
       num_blocks,
-      [&base, &seeds, &options](std::size_t b) {
-        const std::size_t lo = b * adc::batch::kLanes;
-        const std::size_t count = std::min(adc::batch::kLanes, seeds.size() - lo);
+      [&base, &seeds, &options, lanes](std::size_t b) {
+        const std::size_t lo = b * lanes;
+        const std::size_t count = std::min(lanes, seeds.size() - lo);
         return run_dynamic_test_block(base, seeds.subspan(lo, count), options);
       },
       pool);

@@ -49,10 +49,11 @@ struct DynamicTestResult {
 
 /// Run the same dynamic measurement on many fabricated dies (each seed
 /// overrides base.seed). Dies are partitioned into blocks of
-/// adc::batch::kLanes and the blocks distributed over the runtime pool; a
-/// block routes through the batch conversion engine when the configuration
-/// is inside its contract (fast fidelity profile) and the block holds at
-/// least adc::batch::kMinBatchDies dies — otherwise it converts die by die.
+/// adc::batch::unit_lanes dies and the blocks distributed over the runtime
+/// pool; a block routes through the batch conversion engine when the
+/// configuration is inside its contract (fast fidelity profile) and the
+/// block holds at least adc::batch::kMinBatchDies dies — otherwise it
+/// converts die by die.
 /// Either way each entry of the result is byte-identical to calling
 /// run_dynamic_test on a fresh PipelineAdc fabricated with that seed, in
 /// seed order, at any thread count (0 = runtime default).
@@ -61,7 +62,7 @@ struct DynamicTestResult {
     const DynamicTestOptions& options = {}, int threads = 0);
 
 /// The synchronous building block of run_dynamic_test_dies: measure the
-/// given seeds on the calling thread, kLanes dies at a time, routing each
+/// given seeds on the calling thread, adc::batch::kLanes dies at a time, routing each
 /// chunk through the batch engine when supported and large enough. Exposed
 /// so callers that already sit inside a runtime-pool job (the scenario
 /// runner's execute phase) can batch without nesting parallel_map.

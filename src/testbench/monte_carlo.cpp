@@ -71,7 +71,7 @@ MonteCarloResult run_monte_carlo_dynamic(const adc::pipeline::AdcConfig& base,
   adc::common::require(static_cast<bool>(metric), "run_monte_carlo_dynamic: empty metric");
 
   // The per-die work (capture + FFT) lives in run_dynamic_test_dies, which
-  // blocks the dies by adc::batch::kLanes and hoists die fabrication, plan
+  // blocks the dies by adc::batch::unit_lanes and hoists die fabrication, plan
   // extraction and the noise-plane workspace out of the per-die loop — one
   // BatchConverter per block instead of one PipelineAdc (plus its plane
   // buffers) per die.

@@ -5,15 +5,16 @@
 /// for every die, every sample and every ISA tier, its codes must be
 /// byte-identical to PipelineAdc::convert() under the fast profile. These
 /// tests pin that contract across batch shapes (single die, ragged blocks,
-/// multi-block), capture sequences (the shared noise epoch), stimulus kinds,
-/// and instruction tiers (forced SSE2 vs the runtime-selected one), plus the
-/// golden fast codes of the characterized nominal die through the batch
-/// entry point.
+/// multi-block, every kernel width), capture sequences (the shared noise
+/// epoch), stimulus kinds, and instruction tiers (every tier the CPU
+/// executes), plus the golden fast codes of the characterized nominal die
+/// through the batch entry point.
 #include "batch/converter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,6 +52,16 @@ std::vector<std::uint64_t> make_seeds(std::size_t dies) {
     seeds.push_back(adc::pipeline::kNominalSeed + d);
   }
   return seeds;
+}
+
+/// The batch tiers this CPU executes, baseline first.
+std::vector<BatchIsa> supported_tiers() {
+  const BatchIsa top = adc::common::detect_batch_isa();
+  std::vector<BatchIsa> tiers;
+  for (const BatchIsa isa : {BatchIsa::kSse2, BatchIsa::kAvx2, BatchIsa::kAvx512}) {
+    if (isa <= top) tiers.push_back(isa);
+  }
+  return tiers;
 }
 
 /// Scalar reference: a fresh die per seed, `captures` sequential convert()
@@ -154,18 +165,109 @@ TEST(Batch, IdealAndPartialNonidealitiesBitIdentical) {
   }
 }
 
-TEST(Batch, ForcedSse2MatchesRuntimeTier) {
-  // The cross-tier contract: the baseline kernel and whatever tier runtime
-  // detection picked produce byte-identical codes. On an AVX-512 machine
-  // this pins sse2 == avx512; on an SSE2-only machine it degenerates to
-  // self-comparison (still a valid run, just not a cross check).
-  const auto seeds = make_seeds(9);  // one full block + a 1-die ragged block
-  BatchConverter forced(fast_nominal(), seeds, BatchIsa::kSse2);
-  BatchConverter native(fast_nominal(), seeds);
-  const auto a = forced.convert(golden_tone(), 100);
-  const auto b = native.convert(golden_tone(), 100);
-  for (std::size_t d = 0; d < seeds.size(); ++d) {
-    EXPECT_EQ(a[d], b[d]) << "die " << d;
+TEST(Batch, EveryDieCountBitIdenticalOnEveryTier) {
+  // Die counts on both sides of every kernel width (8, 16, 32) and of the
+  // 32-die block ceiling, through every tier this CPU executes — so every
+  // tier also equals every other (under ADC_BATCH_ISA too: the tiers are
+  // forced here). 37 samples cross four noise-chunk boundaries and end on a
+  // ragged chunk.
+  constexpr std::size_t kSamples = 37;
+  const auto all = make_seeds(65);
+  const auto want = scalar_reference(fast_nominal(), all, golden_tone(), kSamples);
+  for (const std::size_t dies : {1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 65}) {
+    const std::vector<std::uint64_t> seeds(all.begin(),
+                                           all.begin() + static_cast<std::ptrdiff_t>(dies));
+    for (const BatchIsa isa : supported_tiers()) {
+      SCOPED_TRACE(testing::Message() << dies << " dies, " << adc::common::to_string(isa));
+      BatchConverter batch(fast_nominal(), seeds, isa);
+      const auto got = batch.convert(golden_tone(), kSamples);
+      ASSERT_EQ(got.size(), dies);
+      for (std::size_t d = 0; d < dies; ++d) {
+        EXPECT_EQ(got[d], want[d]) << "die " << d;
+      }
+    }
+  }
+}
+
+TEST(Batch, BlocksRunAtTheNarrowestWidthThatHoldsThem) {
+  const struct {
+    std::size_t dies;
+    std::vector<std::size_t> widths;
+  } cases[] = {
+      {1, {8}},
+      {8, {8}},
+      {9, {16}},
+      {16, {16}},
+      {17, {32}},
+      {32, {32}},
+      {33, {32, 8}},
+      {50, {32, 32}},
+      {65, {32, 32, 8}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.dies << " dies");
+    const BatchConverter batch(fast_nominal(), make_seeds(c.dies));
+    ASSERT_EQ(batch.block_count(), c.widths.size());
+    for (std::size_t b = 0; b < c.widths.size(); ++b) {
+      EXPECT_EQ(batch.block_width(b), c.widths[b]) << "block " << b;
+    }
+  }
+}
+
+TEST(Batch, EveryKernelWidthGivesTheSameCodes) {
+  // One shared die set, the first 8 dies, run through each kernel
+  // instantiation: a block of W dies runs at width W, and the shared dies'
+  // codes must not depend on which width carried them.
+  constexpr std::size_t kShared = adc::batch::kLaneWidths[0];
+  for (const BatchIsa isa : supported_tiers()) {
+    std::vector<std::vector<int>> narrowest;
+    for (const std::size_t lanes : adc::batch::kLaneWidths) {
+      SCOPED_TRACE(testing::Message() << "W=" << lanes << ", " << adc::common::to_string(isa));
+      BatchConverter batch(fast_nominal(), make_seeds(lanes), isa);
+      ASSERT_EQ(batch.block_count(), 1u);
+      EXPECT_EQ(batch.block_width(0), lanes);
+      auto got = batch.convert(golden_tone(), 100);
+      got.resize(kShared);
+      if (narrowest.empty()) narrowest = got;
+      for (std::size_t d = 0; d < kShared; ++d) {
+        EXPECT_EQ(got[d], narrowest[d]) << "die " << d;
+      }
+    }
+  }
+}
+
+TEST(Batch, UnitLanesTable) {
+  // dies x pool threads -> dies per execute unit: the widest kernel width
+  // that still cuts the dies into at least one unit per thread.
+  const struct {
+    std::size_t dies;
+    std::size_t threads;
+    std::size_t lanes;
+  } table[] = {
+      {0, 4, 8},
+      {3, 4, 8},
+      {48, 4, 8},
+      {49, 4, 16},
+      {64, 4, 16},
+      {96, 4, 16},
+      {97, 4, 32},
+      {128, 4, 32},
+      {2000, 4, 32},
+      {64, 8, 8},
+      {1000, 2, 32},
+      {31, 1, 32},
+      {1, 1, 32},
+      {1, 0, 32},
+      {64, 2, 32},
+      {33, 2, 32},
+      {32, 2, 16},
+      {16, 2, 8},
+      {2000, 64, 16},
+      {2000, 251, 8},
+  };
+  for (const auto& row : table) {
+    EXPECT_EQ(adc::batch::unit_lanes(row.dies, row.threads), row.lanes)
+        << row.dies << " dies on " << row.threads << " threads";
   }
 }
 

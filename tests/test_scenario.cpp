@@ -9,8 +9,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
@@ -515,28 +518,38 @@ TEST_F(ScenarioTest, ClaimLifecycleAndStaleSteal) {
 }
 
 TEST_F(ScenarioTest, ClaimContentionHasExactlyOneWinner) {
-  // N threads race try_claim on the same hash with distinct owners: the
-  // O_CREAT|O_EXCL discipline admits exactly one.
+  // N threads race try_claim on the same hash with distinct owners, released
+  // together: the link(2) publish admits exactly one. A claim that became
+  // visible before its owner document was written would read as corrupt (=
+  // stale) to a racer, which would steal it: a second winner. One round
+  // hits that window rarely, so the race runs 200 rounds on fresh hashes.
   ResultCache cache(path("cache"));
   cache.ensure_writable();
-  const std::string hash = "00000000deadbeef";
+  constexpr int kRounds = 200;
   constexpr int kRacers = 8;
-  std::atomic<int> winners{0};
-  std::vector<std::thread> racers;
-  racers.reserve(kRacers);
-  for (int r = 0; r < kRacers; ++r) {
-    racers.emplace_back([&cache, &winners, &hash, r] {
-      if (cache.try_claim(hash, "owner" + std::to_string(r), 1000, 60000) ==
-          ClaimOutcome::kAcquired) {
-        winners.fetch_add(1);
-      }
-    });
+  for (int round = 0; round < kRounds; ++round) {
+    std::ostringstream hash;
+    hash << std::hex << std::setw(16) << std::setfill('0') << 0xc1a10000 + round;
+    std::atomic<bool> go{false};
+    std::atomic<int> winners{0};
+    std::vector<std::thread> racers;
+    racers.reserve(kRacers);
+    for (int r = 0; r < kRacers; ++r) {
+      racers.emplace_back([&cache, &go, &winners, key = hash.str(), r] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        if (cache.try_claim(key, "owner" + std::to_string(r), 1000, 60000) ==
+            ClaimOutcome::kAcquired) {
+          winners.fetch_add(1);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : racers) t.join();
+    ASSERT_EQ(winners.load(), 1) << "round " << round;
   }
-  for (auto& t : racers) t.join();
-  EXPECT_EQ(winners.load(), 1);
-  const auto claims = cache.claims();
-  ASSERT_EQ(claims.size(), 1u);
-  EXPECT_EQ(claims[0].hash, hash);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(stats.tmp_files, 0u);
 }
 
 TEST_F(ScenarioTest, RacingRunnersComputeEachJobExactlyOnce) {

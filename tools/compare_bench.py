@@ -21,7 +21,9 @@ table moves to stderr.
 
 Besides the regression check, the report surfaces *scalar/batch throughput
 pairs*: a benchmark named `<Base>Batch[/arg]` is paired with `<Base>[/arg]`
-and their items_per_second ratio is printed (and emitted under
+(or, when the batch row carries extra trailing arguments such as a die
+count, with the scalar row named by the longest argument prefix) and their
+items_per_second ratio is printed (and emitted under
 "throughput_pairs" with --json) for both files. This is the batch
 conversion engine's speedup trajectory — CI uploads it with every bench
 artifact. A `*Batch` benchmark with no scalar twin (or with no
@@ -69,6 +71,24 @@ def load_benchmarks(path: str) -> dict[str, dict] | None:
     return out
 
 
+def scalar_twin(base: str, arg: str, benchmarks: dict[str, dict]) -> str:
+    """Name of the scalar twin of batch row `<base>Batch/<arg>`.
+
+    The exact `<base>/<arg>` when it exists; otherwise the longest argument
+    prefix that names a benchmark, so a batch row with an extra trailing
+    argument (`BM_ConvertNominalFastBatch/<samples>/<dies>`) pairs with
+    `BM_ConvertNominalFast/<samples>`. Falls back to the exact name, which
+    the caller then reports as missing.
+    """
+    exact = base + (f"/{arg}" if arg else "")
+    parts = arg.split("/") if arg else []
+    for k in range(len(parts), 0, -1):
+        candidate = base + "".join(f"/{p}" for p in parts[:k])
+        if candidate in benchmarks:
+            return candidate
+    return exact
+
+
 def throughput_pairs(benchmarks: dict[str, dict]) -> tuple[list[dict], list[str]]:
     """Pair `<Base>Batch[/arg]` rows with `<Base>[/arg]` by items_per_second.
 
@@ -85,7 +105,7 @@ def throughput_pairs(benchmarks: dict[str, dict]) -> tuple[list[dict], list[str]
         head, _, arg = name.partition("/")
         if not head.endswith("Batch"):
             continue
-        scalar_name = head[: -len("Batch")] + (f"/{arg}" if arg else "")
+        scalar_name = scalar_twin(head[: -len("Batch")], arg, benchmarks)
         scalar = benchmarks.get(scalar_name)
         if scalar is None:
             warnings.append(f"{name}: no scalar twin {scalar_name!r} — pair skipped")
