@@ -18,9 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/fidelity.hpp"
+#include "digital/codes.hpp"
+#include "digital/correction.hpp"
 #include "dsp/signal.hpp"
 #include "pipeline/adc.hpp"
 #include "pipeline/design.hpp"
@@ -29,6 +33,7 @@
 namespace {
 
 using adc::common::FidelityProfile;
+using adc::digital::StageCode;
 using adc::pipeline::AdcConfig;
 using adc::pipeline::PipelineAdc;
 
@@ -42,6 +47,18 @@ AdcConfig fast_nominal(std::uint64_t seed = adc::pipeline::kNominalSeed) {
   AdcConfig config = adc::pipeline::nominal_design(seed);
   config.fidelity = FidelityProfile::kFast;
   return config;
+}
+
+/// One raw conversion as text: the stage codes MSB first ('+', '0', '-'),
+/// a colon, then the flash code.
+std::string raw_text(const adc::digital::RawConversion& raw) {
+  std::string s;
+  for (const StageCode c : raw.stage_codes) {
+    s += c == StageCode::kPlus ? '+' : (c == StageCode::kMinus ? '-' : '0');
+  }
+  s += ':';
+  s += std::to_string(raw.flash_code);
+  return s;
 }
 
 // Golden vectors generated from the fast kernel at the commit introducing
@@ -74,6 +91,33 @@ const std::vector<int> kFastIdeal32 = {
 
 const std::vector<int> kFastDc5 = {182, 1406, 2047, 2611, 4016};
 
+// Tables of the entry points below, generated from the fast kernel before
+// its scalar stage chain became the one-lane instance of the shared chain
+// (pipeline/fast_chain.hpp), each with the call sequence of its test.
+const std::vector<std::string> kFastRaw32 = {
+    "000000-+00:1", "+00+-0+-0+:1", "++++-000-+:1", "++++++0+-0:2",
+    "++0000+-+0:1", "+-0+-00+-+:1", "-+00-00+0-:2", "--00000-+0:1",
+    "------0-+0:1", "---0-000-+:1", "-00-+-+-+0:2", "00000000-0:2",
+    "+00+-0+0-0:2", "++++-00000:2", "++++++0+-0:2", "++0000+-0+:1",
+    "+-0+-00000:2", "-+00-000+-:2", "--0000-+00:1", "------0-+0:1",
+    "---0-0000-:2", "-00-+-+000:1", "0000000000:2", "+00+-+-000:2",
+    "++++-0000+:1", "++++++0+-0:2", "++00000+-+:1", "+-00+00-+0:1",
+    "-+00-000-+:1", "--0000-+-+:1", "------0-+0:1", "---0-0000+:1",
+};
+
+const std::vector<int> kFastSamples25 = {
+    0, 0, 0, 182, 388, 596, 804, 1010, 1217, 1426, 1632, 1840, 2047, 2255, 2464, 2669, 2878,
+    3084, 3291, 3500, 3706, 3913, 4095, 4095, 4095};
+
+const std::vector<std::string> kFastForced7 = {
+    "000+00000+:1", "00+-00000+:1", "00+00000+0:1", "0+-0000+-0:2",
+    "0+00000+00:1", "+-00000+-+:1", "+-00000+-+:1",
+};
+
+const std::vector<int> kFastInjected32 = {
+    2039, 3071, 3902, 4069, 3596, 2631, 1479, 507, 28, 189, 939, 2044, 3071, 3904, 4068, 3593,
+    2626, 1473, 504, 27, 190, 944, 2049, 3071, 3906, 4067, 3589, 2621, 1469, 501, 26, 193};
+
 TEST(GoldenCodesFast, NominalDieSequence) {
   PipelineAdc converter(fast_nominal());
 
@@ -99,6 +143,61 @@ TEST(GoldenCodesFast, IdealDesign) {
   // two profiles disagree only through transcendental rounding — which this
   // table shows is below a code: it equals the exact-profile kGoldenIdeal32.
   EXPECT_EQ(ideal.convert(golden_tone(), 32), kFastIdeal32);
+}
+
+/// convert_raw: the stage and flash codes behind the pinned capture. The
+/// raws correct to the first 32 codes of kFastConvert64, since both are
+/// capture #1 of a fresh die.
+TEST(GoldenCodesFast, ConvertRawStageAndFlashCodes) {
+  PipelineAdc converter(fast_nominal());
+  const auto raws = converter.convert_raw(golden_tone(), 32);
+  ASSERT_EQ(raws.size(), kFastRaw32.size());
+  const adc::digital::ErrorCorrection correction(10, 2);
+  for (std::size_t k = 0; k < raws.size(); ++k) {
+    EXPECT_EQ(raw_text(raws[k]), kFastRaw32[k]) << "sample " << k;
+    EXPECT_EQ(correction.correct(raws[k]), kFastConvert64[k]) << "sample " << k;
+  }
+}
+
+/// convert_samples over ±1.2 × half-scale: the over-range ends drive the
+/// later stages' residues into the opamp output-swing clamp and saturate
+/// the correction.
+TEST(GoldenCodesFast, ConvertSamplesOverRange) {
+  PipelineAdc converter(fast_nominal());
+  const double half = converter.full_scale_vpp() / 2.0;
+  std::vector<double> ramp;
+  for (int k = 0; k <= 24; ++k) ramp.push_back(1.2 * half * (k - 12) / 12.0);
+  EXPECT_EQ(converter.convert_samples(ramp), kFastSamples25);
+}
+
+/// The foreground-calibration sequence: force_stage_code() then
+/// convert_dc_raw(), stage by stage from the deepest, then one normal DC
+/// conversion after every stage is released.
+TEST(GoldenCodesFast, ForcedStageCodesThroughConvertDcRaw) {
+  PipelineAdc converter(fast_nominal());
+  std::vector<std::string> seen;
+  for (std::size_t i = 3; i-- > 0;) {
+    const double v_test = 0.25 / static_cast<double>(1u << i);
+    for (std::size_t j = 0; j < i; ++j) converter.force_stage_code(j, StageCode::kZero);
+    converter.force_stage_code(i, StageCode::kZero);
+    seen.push_back(raw_text(converter.convert_dc_raw(v_test)));
+    converter.force_stage_code(i, StageCode::kPlus);
+    seen.push_back(raw_text(converter.convert_dc_raw(v_test)));
+    for (std::size_t j = 0; j <= i; ++j) converter.force_stage_code(j, std::nullopt);
+  }
+  seen.push_back(raw_text(converter.convert_dc_raw(0.25)));
+  EXPECT_EQ(seen, kFastForced7);
+}
+
+/// A comparator offset injected through stage_mutable() between two
+/// captures: the second capture sees it (missing codes around 3071, the
+/// stage-1 +VREF/4 decision moved past the redundancy).
+TEST(GoldenCodesFast, ConvertAfterComparatorOffsetInjection) {
+  PipelineAdc converter(fast_nominal());
+  EXPECT_EQ(converter.convert(golden_tone(), 32),
+            std::vector<int>(kFastConvert64.begin(), kFastConvert64.begin() + 32));
+  converter.stage_mutable(0).inject_comparator_offset(1, 0.3);
+  EXPECT_EQ(converter.convert(golden_tone(), 32), kFastInjected32);
 }
 
 /// Positional determinism: a capture's draws are a function of the epoch
