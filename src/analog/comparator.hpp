@@ -54,29 +54,13 @@ class Comparator {
     return margin > 0.0;
   }
 
-  /// `fast`-profile decision: the caller supplies the standard-normal noise
-  /// deviate from this comparator's noise-plane slot instead of the model
-  /// consuming a sequential draw. Metastability resolves from the sign of
-  /// the same deviate (the latch regenerates from its own sampled noise), so
-  /// the decision is a pure function of (v, threshold, draw) — const, and
-  /// positionally deterministic.
-  [[nodiscard]] bool decide_with_threshold_draw(double v, double threshold,
-                                                double draw) const {
-    const double noisy = v + spec_.noise_rms * draw;
-    const double margin = noisy - (threshold + offset_);
-    if (std::abs(margin) < spec_.metastable_window) {
-      return !std::signbit(draw);
-    }
-    return margin > 0.0;
-  }
-
   /// Effective threshold including the drawn offset [V].
   [[nodiscard]] double effective_threshold() const { return spec_.threshold + offset_; }
   /// The drawn offset [V].
   [[nodiscard]] double offset() const { return offset_; }
-  /// Per-decision input noise sigma [V rms] (batch-engine plan hoisting).
+  /// Per-decision input noise sigma [V rms] (fast stage-chain plan).
   [[nodiscard]] double noise_rms() const { return spec_.noise_rms; }
-  /// Metastability half-window [V] (batch-engine plan hoisting).
+  /// Metastability half-window [V] (fast stage-chain plan).
   [[nodiscard]] double metastable_window() const { return spec_.metastable_window; }
 
   /// Force a specific offset (failure injection in tests).

@@ -16,14 +16,9 @@
 ///  * output swing clipping.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 
-#include "common/contracts.hpp"
-#include "common/fastmath.hpp"
 #include "common/fidelity.hpp"
-#include "common/math_util.hpp"
 #include "common/units.hpp"
 
 namespace adc::analog {
@@ -89,65 +84,6 @@ class Opamp {
   /// Compute the settle constants for feedback factor `beta` at bias
   /// `ibias` (construction-time helper for the fast profile).
   [[nodiscard]] SettleCoeffs settle_coeffs(double beta, double ibias) const;
-
-  /// `fast`-profile settle: the settle() physics on precomputed loop
-  /// constants, with the settling exponential routed through the polynomial
-  /// `exp` kernel (common/fastmath.hpp) instead of libm. `sqrt_f` and `f`
-  /// carry the per-sample bias-ripple factor (sqrt(f) and f; both 1.0 when
-  /// ripple is off): tau scales by 1/sqrt(f), slew rate by f. Defined in the
-  /// header so the per-stage call inlines into the conversion loop — as an
-  /// out-of-line call it is the single hottest frame of the fast profile.
-  [[nodiscard]] SettleResult settle_prepared(const SettleCoeffs& coeffs, double target,
-                                             double t_settle, double sqrt_f,
-                                             double f) const {
-    ADC_EXPECT(std::isfinite(target), "Opamp::settle_prepared: non-finite target voltage");
-    ADC_EXPECT(t_settle >= 0.0, "Opamp::settle_prepared: negative settling time");
-    SettleResult r;
-
-    const double final_value = target * coeffs.inv_gain_denom;
-    r.static_error = target - final_value;
-
-    const double mag = std::abs(final_value);
-    const double sign = final_value < 0.0 ? -1.0 : 1.0;
-
-    // gm compression lengthens tau with output amplitude; under bias ripple
-    // tau also scales by 1/sqrt(f) and SR by f, so the linear-regime step
-    // limit SR*tau scales by sqrt(f). Folding the compression factor into
-    // the exponent's denominator keeps the whole path at a single divide.
-    const double swing_frac = std::min(mag * coeffs.inv_swing, 1.0);
-    const double tau_stretch = 1.0 + params_.gm_compression * swing_frac;
-    const double sr_tau = coeffs.sr_tau0 * sqrt_f * tau_stretch;
-
-    double dyn_err_mag = 0.0;
-    if (mag <= sr_tau) {
-      dyn_err_mag = mag * adc::common::math::exp_p<adc::common::FidelityProfile::kFast>(
-                              t_settle * coeffs.neg_inv_tau0 * sqrt_f / tau_stretch);
-    } else {
-      r.slew_limited = true;
-      const double sr_eff = coeffs.sr * f;
-      const double t_slew = (mag - sr_tau) / sr_eff;
-      if (t_settle <= t_slew) {
-        dyn_err_mag = mag - sr_eff * t_settle;  // still slewing at the sample instant
-      } else {
-        dyn_err_mag = sr_tau * adc::common::math::exp_p<adc::common::FidelityProfile::kFast>(
-                                   (t_settle - t_slew) * coeffs.neg_inv_tau0 * sqrt_f /
-                                   tau_stretch);
-      }
-    }
-    r.dynamic_error = sign * dyn_err_mag;
-
-    double out = final_value - r.dynamic_error;
-    if (std::abs(out) > params_.output_swing) {
-      out = adc::common::clamp(out, -params_.output_swing, params_.output_swing);
-      r.clipped = true;
-    }
-    r.output = out;
-    ADC_ENSURE(std::isfinite(r.output), "Opamp::settle_prepared: non-finite output");
-    ADC_ENSURE(
-        adc::common::in_closed_range(r.output, -params_.output_swing, params_.output_swing),
-        "Opamp::settle_prepared: output escaped the swing limit");
-    return r;
-  }
 
   [[nodiscard]] const OpampParams& params() const { return params_; }
 

@@ -18,13 +18,18 @@
 /// Bit-identity contract: for any die, the codes produced through this
 /// interface are byte-identical to `PipelineAdc::convert()` under the fast
 /// profile, on every ISA tier, at any batch shape — pinned by
-/// tests/test_batch.cpp.
+/// tests/test_batch.cpp. The stage chain is one template
+/// (pipeline/fast_chain.hpp) that PipelineAdc instantiates at one lane and
+/// the kernel at `PlanView::lanes`; what the kernel keeps of its own is the
+/// lane form of the front end (jitter, stimulus, sampler surrogates), the
+/// noise fill and the correction.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "common/isa_dispatch.hpp"
+#include "pipeline/fast_chain.hpp"
 
 namespace adc::batch {
 
@@ -55,46 +60,48 @@ inline constexpr std::size_t kChunkSamples = 8;
 /// instead of a whole block's 74 KB.
 inline constexpr std::size_t kFillGroup = 8;
 
-/// Stage-count ceiling (sizes the kernel's stack arrays). The nominal
-/// pipeline has 10 stages; BatchConverter rejects configs above this.
+/// Stage-count ceiling of the batch engine. The nominal pipeline has 10
+/// stages; BatchConverter rejects configs above this.
 inline constexpr std::size_t kMaxBatchStages = 16;
 
 /// Minimum dies in a group before routing it through the batch engine pays.
 /// A ragged block still runs a full kernel pass of the narrowest width that
 /// holds it (pad lanes do real work whose codes are discarded), so a group
-/// of g dies costs about one 8-lane capture — ~2-3x a *single* scalar die.
-/// Measured on the dev box the crossover sits between 3 and 4 dies; callers
-/// below this fall back to per-die scalar conversion.
+/// of g dies costs about one 8-lane capture — ~2-3x a *single* die through
+/// PipelineAdc (the same chain at one lane). Measured on the dev box the
+/// crossover sits between 3 and 4 dies; callers below this convert die by
+/// die through PipelineAdc.
 inline constexpr std::size_t kMinBatchDies = 4;
 
-/// One stimulus tone, pre-hoisted exactly as the scalar fast path computes
+/// One stimulus tone, pre-hoisted exactly as the per-die stimulus computes
 /// it: argument = w·t + phase, value contribution = amp·sin, slope
 /// contribution = slope_coef·cos.
 struct ToneView {
-  double w = 0.0;           ///< 2π·f, left-associated as the scalar path does
+  double w = 0.0;           ///< 2π·f, left-associated as the per-die path does
   double phase = 0.0;
   double amp = 0.0;
   double slope_coef = 0.0;  ///< (amp·2π)·f
 };
 
-/// Everything the kernel reads and never writes: block-uniform scalars,
-/// per-lane die parameters, and per-(stage, lane) hoisted invariants.
-/// All arrays are lane-minor (`[i * lanes + lane]`), sized as annotated.
+/// Everything the kernel reads and never writes: the block's stage-chain
+/// view plus what only a W-die block needs around it (the noise fill, the
+/// stimulus and front end, the correction). All per-lane arrays hold
+/// `lanes` values.
 struct PlanView {
   // --- geometry ---
-  std::size_t lanes = 0;        ///< kernel width W of this block, one of kLaneWidths
-  std::size_t num_stages = 0;   ///< 1.5b stages (≤ kMaxBatchStages)
-  std::size_t flash_count = 0;  ///< backend flash comparators
-  std::size_t slots = 0;        ///< noise-plane slots per sample
+  std::size_t lanes = 0;  ///< kernel width W of this block, one of kLaneWidths
+  std::size_t slots = 0;  ///< noise-plane slots per sample
+
+  /// The stage chain at width `lanes` (pipeline/fast_chain.hpp): ripple,
+  /// reference, per-(stage, lane) and per-(flash comparator, lane)
+  /// invariants. `chain.num_stages` <= kMaxBatchStages; `chain.forced`
+  /// stays null (no stage of a batch die is forced).
+  adc::pipeline::fast_chain::ChainView chain;
 
   // --- block-uniform scalars (config-derived; verified uniform at build) ---
   double period = 0.0;           ///< 1 / f_CR [s]
-  double settle_s = 0.0;         ///< effective settling window [s]
   double jitter_rms = 0.0;       ///< white aperture jitter sigma [s]
   double walk_rms = 0.0;         ///< random-walk jitter step sigma [s]
-  double charge_per_event = 0.0; ///< reference charge per code event [C]
-  double decap = 0.0;            ///< reference decoupling [F]
-  double recharge_factor = 0.0;  ///< exp(-T/(Rout·C)), hoisted at build
   double fit_vmax2 = 0.0;        ///< sampler surrogate span in z = v²
   double tau_mid = 0.0;          ///< Clenshaw midpoint of the tau surrogate
   double tau_inv_half = 0.0;
@@ -105,10 +112,6 @@ struct PlanView {
   long long max_code = 0;        ///< (1 << bits) - 1
   bool tracking_nonlinearity = false;
   bool injection_on = false;     ///< sampler injection_fraction > 0
-  bool thermal_on = false;       ///< per-stage kT/C sampling noise enabled
-  bool ripple_on = false;        ///< bias-ripple gain modulation enabled
-  bool consume_on = false;       ///< reference droop accumulation enabled
-  bool recharge_on = false;      ///< exponential recharge between samples
   bool multi_tone = false;       ///< accumulate tones from 0 (MultiToneSignal)
 
   // --- block-uniform arrays ---
@@ -116,41 +119,12 @@ struct PlanView {
   std::size_t tau_count = 0;
   const double* inj_coef = nullptr;   ///< [inj_count]
   std::size_t inj_count = 0;
-  const double* flash_frac = nullptr; ///< [flash_count] threshold fractions
   const ToneView* tones = nullptr;    ///< [tone_count]
   std::size_t tone_count = 0;
-  const long long* weights = nullptr; ///< [num_stages] correction weights
+  const long long* weights = nullptr; ///< [chain.num_stages] correction weights
 
   // --- per-lane die parameters [lanes] ---
   const std::uint64_t* noise_key = nullptr;  ///< noise-plane Philox keys
-  const double* nominal_vref = nullptr;      ///< bandgap-coupled references
-  const double* level_error = nullptr;       ///< static reference level error
-  const double* ripple_sigma = nullptr;      ///< per-sample gain ripple sigma
-
-  // --- per-(stage, lane) invariants [num_stages * lanes] ---
-  const double* sigma_sample = nullptr;   ///< kT/C sampling noise sigma
-  const double* off_hi = nullptr;         ///< +VREF/4 comparator offsets
-  const double* off_lo = nullptr;         ///< -VREF/4 comparator offsets
-  const double* noise_hi = nullptr;       ///< comparator input noise sigma
-  const double* noise_lo = nullptr;
-  const double* meta_hi = nullptr;        ///< metastability half-windows
-  const double* meta_lo = nullptr;
-  const double* droop_d0 = nullptr;       ///< hold-leakage affine terms
-  const double* droop_d1 = nullptr;
-  const double* gain = nullptr;           ///< realized interstage gain
-  const double* gdac = nullptr;           ///< realized C1/C2 DAC gain
-  const double* inv_gain_denom = nullptr; ///< settle coefficients...
-  const double* neg_inv_tau0 = nullptr;
-  const double* sr = nullptr;
-  const double* sr_tau0 = nullptr;
-  const double* inv_swing = nullptr;
-  const double* gm_compression = nullptr; ///< opamp large-signal params
-  const double* output_swing = nullptr;
-
-  // --- per-(flash comparator, lane) [flash_count * lanes] ---
-  const double* flash_off = nullptr;
-  const double* flash_noise = nullptr;
-  const double* flash_meta = nullptr;
 
   // --- out-of-span sampler fallback ---
   // Lanes whose v² leaves the Chebyshev span re-run the exact surrogate

@@ -3,15 +3,14 @@
 ///
 /// Everything here runs once per converter (die fabrication, invariant
 /// hoisting, uniformity verification); the per-sample work all lives in the
-/// ISA-dispatched kernel. The extraction is the bit-identity linchpin: every
-/// plan value is read back from a fabricated PipelineAdc through the fast-
-/// path introspection accessors, never re-derived from the config, so the
-/// kernel consumes the *same doubles* the scalar path would.
+/// ISA-dispatched kernel. Each die's stage-chain invariants are its own
+/// one-lane view (PipelineAdc::fast_chain_view), scattered into its lane of
+/// a die block — never re-derived from the config, so the kernel consumes
+/// the *same doubles* PipelineAdc's own conversions do.
 #include "batch/converter.hpp"
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <iterator>
 #include <numbers>
 
@@ -31,36 +30,7 @@ using adc::common::require;
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-// Field-major layout of DieBlock::stage_lane / flash_lane: one contiguous
-// [num_stages][lanes] (resp. [flash_count][lanes]) matrix per field.
-enum StageField : std::size_t {
-  kFSigmaSample,
-  kFOffHi,
-  kFOffLo,
-  kFNoiseHi,
-  kFNoiseLo,
-  kFMetaHi,
-  kFMetaLo,
-  kFDroopD0,
-  kFDroopD1,
-  kFGain,
-  kFGdac,
-  kFInvGainDenom,
-  kFNegInvTau0,
-  kFSr,
-  kFSrTau0,
-  kFInvSwing,
-  kFGmCompression,
-  kFOutputSwing,
-  kStageFieldCount,
-};
-
-enum FlashField : std::size_t {
-  kFFlashOff,
-  kFFlashNoise,
-  kFFlashMeta,
-  kFlashFieldCount,
-};
+namespace fc = adc::pipeline::fast_chain;
 
 double tau_fallback_thunk(const void* ctx, double v) {
   return static_cast<const adc::analog::DifferentialSampler*>(ctx)->average_time_constant_fast(
@@ -106,29 +76,18 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
   ref_adc_ = std::make_unique<adc::pipeline::PipelineAdc>(cfg);  // lint-ok: construction-time
   const adc::pipeline::AdcConfig& rc = ref_adc_->config();
 
-  // --- block-uniform plan scalars, read off the reference die ---
+  // --- the chain's die-uniform scalars, read off the reference die ---
+  const fc::ChainView ref_chain = ref_adc_->fast_chain_view();
   proto_ = PlanView{};
-  proto_.num_stages = static_cast<std::size_t>(rc.num_stages);
-  proto_.flash_count = ref_adc_->flash().comparator_count();
+  proto_.chain = ref_chain;  // per-lane pointers are rebound per block
+
+  // --- the front end's and the correction's block-uniform scalars ---
   proto_.slots = ref_adc_->noise_slots_per_sample();
-  // Same bits as both SamplingClock::period() and the droop period: the
-  // normalized clock always runs at the conversion rate.
+  // Same bits as SamplingClock::period(): the normalized clock always runs
+  // at the conversion rate.
   proto_.period = 1.0 / rc.clock.frequency_hz;
-  proto_.settle_s = ref_adc_->fast_settle_window();
   proto_.jitter_rms = rc.clock.jitter_rms_s;
   proto_.walk_rms = rc.clock.random_walk_rms_s;
-
-  const adc::analog::RefBufferSpec& rspec = ref_adc_->reference_buffer().spec();
-  proto_.charge_per_event = rspec.charge_per_event;
-  proto_.decap = rspec.decap_farad;
-  proto_.consume_on = rspec.charge_per_event > 0.0;
-  proto_.recharge_on = rspec.output_resistance > 0.0 && proto_.period > 0.0;
-  if (proto_.recharge_on) {
-    // The exact operation sequence ReferenceBuffer::consume caches, hoisted
-    // to construction (the period never changes within a converter).
-    const double tau = rspec.output_resistance * rspec.decap_farad;
-    proto_.recharge_factor = std::exp(-proto_.period / tau);  // lint-ok: construction-time hoist
-  }
 
   const adc::analog::DifferentialSampler& smp = ref_adc_->sampler();
   proto_.tracking_nonlinearity = rc.enable.tracking_nonlinearity;
@@ -153,28 +112,15 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
   const int bits = ref_adc_->resolution_bits();
   proto_.corr_offset = (1 << (bits - 1)) - (1 << (rc.flash_bits - 1));
   proto_.max_code = (1LL << bits) - 1;
-  weights_.reserve(proto_.num_stages);
-  for (std::size_t i = 0; i < proto_.num_stages; ++i) {
+  weights_.reserve(ref_chain.num_stages);
+  for (std::size_t i = 0; i < ref_chain.num_stages; ++i) {
     weights_.push_back(1LL << (bits - 2 - static_cast<int>(i)));
   }
-
-  flash_frac_.reserve(proto_.flash_count);
-  for (std::size_t k = 0; k < proto_.flash_count; ++k) {
-    flash_frac_.push_back(ref_adc_->flash().threshold_fraction(k));
-  }
-
-  proto_.ripple_on = ref_adc_->fast_ripple_sigma() > 0.0;
-  bool thermal = false;
-  for (std::size_t i = 0; i < proto_.num_stages; ++i) {
-    thermal = thermal || ref_adc_->stage(i).sample_noise_rms() > 0.0;
-  }
-  proto_.thermal_on = thermal;
 
   proto_.tau_coef = tau_coef_.data();
   proto_.tau_count = tau_coef_.size();
   proto_.inj_coef = inj_coef_.data();
   proto_.inj_count = inj_coef_.size();
-  proto_.flash_frac = flash_frac_.data();
   proto_.weights = weights_.data();
 
   // --- per-die plan arrays, one block per kLanes dies, each at the
@@ -185,13 +131,13 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
     DieBlock& blk = blocks_[b];
     blk.dies = std::min(kLanes, die_count - b * kLanes);
     blk.lanes = block_lanes(blk.dies);
-    blk.stage_lane.assign(kStageFieldCount * proto_.num_stages * blk.lanes, 0.0);
-    blk.flash_lane.assign(kFlashFieldCount * proto_.flash_count * blk.lanes, 0.0);
+    blk.stage_lane.assign(fc::kStageFields * ref_chain.num_stages * blk.lanes, 0.0);
+    blk.flash_lane.assign(fc::kFlashFields * ref_chain.flash_count * blk.lanes, 0.0);
   }
   extract_die(*ref_adc_, blocks_[0], 0);
   for (std::size_t d = 1; d < die_count; ++d) {
     cfg.seed = seeds_[d];
-    const adc::pipeline::PipelineAdc die(cfg);
+    adc::pipeline::PipelineAdc die(cfg);
     check_uniform(die);
     extract_die(die, blocks_[d / kLanes], d % kLanes);
   }
@@ -206,10 +152,10 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
       blk.nominal_vref[l] = blk.nominal_vref[0];
       blk.level_error[l] = blk.level_error[0];
       blk.ripple_sigma[l] = blk.ripple_sigma[0];
-      for (std::size_t row = 0; row < kStageFieldCount * proto_.num_stages; ++row) {
+      for (std::size_t row = 0; row * blk.lanes < blk.stage_lane.size(); ++row) {
         blk.stage_lane[row * blk.lanes + l] = blk.stage_lane[row * blk.lanes];
       }
-      for (std::size_t row = 0; row < kFlashFieldCount * proto_.flash_count; ++row) {
+      for (std::size_t row = 0; row * blk.lanes < blk.flash_lane.size(); ++row) {
         blk.flash_lane[row * blk.lanes + l] = blk.flash_lane[row * blk.lanes];
       }
     }
@@ -237,80 +183,53 @@ bool BatchConverter::supports(const adc::pipeline::AdcConfig& config,
   return supports_config(config) && supports_signal(signal);
 }
 
-void BatchConverter::extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock& block,
+void BatchConverter::extract_die(adc::pipeline::PipelineAdc& adc, DieBlock& block,
                                  std::size_t lane) {
+  // A die's one-lane view is one row per field; scatter each row into this
+  // die's lane of the block's [field][stage|comparator][lanes] arrays.
+  const fc::ChainView w1 = adc.fast_chain_view();
   block.noise_key[lane] = adc.noise_plane_key();
-  block.nominal_vref[lane] = adc.reference_buffer().spec().nominal_vref;
-  block.level_error[lane] = adc.reference_buffer().level_error();
-  block.ripple_sigma[lane] = adc.fast_ripple_sigma();
-
-  const std::size_t stride = proto_.num_stages * block.lanes;
-  double* sl = block.stage_lane.data();
-  for (std::size_t i = 0; i < proto_.num_stages; ++i) {
-    const adc::pipeline::PipelineStage& st = adc.stage(i);
-    const adc::analog::Comparator& hi = st.high_comparator();
-    const adc::analog::Comparator& lo = st.low_comparator();
-    const adc::analog::Opamp::SettleCoeffs& sc = st.fast_settle();
-    const adc::analog::OpampParams& op = st.opamp().params();
-    const std::size_t at = i * block.lanes + lane;
-    sl[kFSigmaSample * stride + at] = st.sample_noise_rms();
-    sl[kFOffHi * stride + at] = hi.offset();
-    sl[kFOffLo * stride + at] = lo.offset();
-    sl[kFNoiseHi * stride + at] = hi.noise_rms();
-    sl[kFNoiseLo * stride + at] = lo.noise_rms();
-    sl[kFMetaHi * stride + at] = hi.metastable_window();
-    sl[kFMetaLo * stride + at] = lo.metastable_window();
-    sl[kFDroopD0 * stride + at] = st.droop_d0();
-    sl[kFDroopD1 * stride + at] = st.droop_d1();
-    sl[kFGain * stride + at] = st.gain_realized();
-    sl[kFGdac * stride + at] = st.dac_gain();
-    sl[kFInvGainDenom * stride + at] = sc.inv_gain_denom;
-    sl[kFNegInvTau0 * stride + at] = sc.neg_inv_tau0;
-    sl[kFSr * stride + at] = sc.sr;
-    sl[kFSrTau0 * stride + at] = sc.sr_tau0;
-    sl[kFInvSwing * stride + at] = sc.inv_swing;
-    sl[kFGmCompression * stride + at] = op.gm_compression;
-    sl[kFOutputSwing * stride + at] = op.output_swing;
+  block.nominal_vref[lane] = w1.nominal_vref[0];
+  block.level_error[lane] = w1.level_error[0];
+  block.ripple_sigma[lane] = w1.ripple_sigma[0];
+  for (std::size_t row = 0; row * block.lanes < block.stage_lane.size(); ++row) {
+    block.stage_lane[row * block.lanes + lane] = w1.stage[row];
   }
-
-  const std::size_t fstride = proto_.flash_count * block.lanes;
-  double* fb = block.flash_lane.data();
-  for (std::size_t k = 0; k < proto_.flash_count; ++k) {
-    const adc::analog::Comparator& cmp = adc.flash().comparator(k);
-    const std::size_t at = k * block.lanes + lane;
-    fb[kFFlashOff * fstride + at] = cmp.offset();
-    fb[kFFlashNoise * fstride + at] = cmp.noise_rms();
-    fb[kFFlashMeta * fstride + at] = cmp.metastable_window();
+  for (std::size_t row = 0; row * block.lanes < block.flash_lane.size(); ++row) {
+    block.flash_lane[row * block.lanes + lane] = w1.flash[row];
   }
 }
 
-void BatchConverter::check_uniform(const adc::pipeline::PipelineAdc& adc) const {
+void BatchConverter::check_uniform(adc::pipeline::PipelineAdc& adc) const {
   // Dies share one config, so everything config-derived must come out
   // identical. These checks are cheap insurance that a future seed-dependent
   // parameter cannot silently break the lane-uniform kernel assumptions.
+  const fc::ChainView w1 = adc.fast_chain_view();
+  const fc::ChainView& pc = proto_.chain;
   require(adc.noise_slots_per_sample() == proto_.slots,
           "BatchConverter: die disagrees on noise-plane layout");
-  require(same_bits(adc.fast_settle_window(), proto_.settle_s),
+  require(w1.num_stages == pc.num_stages && w1.flash_count == pc.flash_count &&
+              adc.resolution_bits() == ref_adc_->resolution_bits(),
+          "BatchConverter: die disagrees on the pipeline geometry");
+  require(same_bits(w1.settle_s, pc.settle_s),
           "BatchConverter: die disagrees on the settle window");
-  require((adc.fast_ripple_sigma() > 0.0) == proto_.ripple_on,
-          "BatchConverter: die disagrees on the bias-ripple gate");
-  require(adc.resolution_bits() == ref_adc_->resolution_bits(),
-          "BatchConverter: die disagrees on resolution");
-  require(adc.flash().comparator_count() == proto_.flash_count,
-          "BatchConverter: die disagrees on flash geometry");
+  require(w1.ripple_on == pc.ripple_on && w1.thermal_on == pc.thermal_on,
+          "BatchConverter: die disagrees on the ripple or thermal-noise gate");
+  require(w1.consume_on == pc.consume_on && w1.recharge_on == pc.recharge_on &&
+              same_bits(w1.charge_per_event, pc.charge_per_event) &&
+              same_bits(w1.decap, pc.decap) &&
+              same_bits(w1.recharge_factor, pc.recharge_factor),
+          "BatchConverter: die disagrees on reference-buffer loading");
+  for (std::size_t k = 0; k < pc.flash_count; ++k) {
+    require(same_bits(w1.flash_frac[k], pc.flash_frac[k]),
+            "BatchConverter: die disagrees on flash thresholds");
+  }
   require(adc.config().enable.tracking_nonlinearity == proto_.tracking_nonlinearity,
           "BatchConverter: die disagrees on the tracking gate");
   require(same_bits(adc.config().clock.jitter_rms_s, proto_.jitter_rms) &&
               same_bits(adc.config().clock.random_walk_rms_s, proto_.walk_rms) &&
               same_bits(1.0 / adc.config().clock.frequency_hz, proto_.period),
           "BatchConverter: die disagrees on clocking");
-
-  const adc::analog::RefBufferSpec& rspec = adc.reference_buffer().spec();
-  require(same_bits(rspec.charge_per_event, proto_.charge_per_event) &&
-              same_bits(rspec.decap_farad, proto_.decap) &&
-              same_bits(rspec.output_resistance,
-                        ref_adc_->reference_buffer().spec().output_resistance),
-          "BatchConverter: die disagrees on reference-buffer loading");
 
   const adc::analog::DifferentialSampler& smp = adc.sampler();
   bool sampler_ok = same_bits(smp.fit_vmax2(), proto_.fit_vmax2) &&
@@ -331,57 +250,28 @@ void BatchConverter::check_uniform(const adc::pipeline::PipelineAdc& adc) const 
     sampler_ok = same_bits(ic[i], inj_coef_[i]);
   }
   require(sampler_ok, "BatchConverter: die disagrees on the sampler surrogates");
-
-  for (std::size_t k = 0; k < proto_.flash_count; ++k) {
-    require(same_bits(adc.flash().threshold_fraction(k), flash_frac_[k]),
-            "BatchConverter: die disagrees on flash thresholds");
-  }
 }
 
 PlanView BatchConverter::block_view(const DieBlock& block) const {
   PlanView p = proto_;
   p.lanes = block.lanes;
   p.noise_key = block.noise_key.data();
-  p.nominal_vref = block.nominal_vref.data();
-  p.level_error = block.level_error.data();
-  p.ripple_sigma = block.ripple_sigma.data();
-
-  const std::size_t stride = proto_.num_stages * block.lanes;
-  const double* sl = block.stage_lane.data();
-  p.sigma_sample = sl + kFSigmaSample * stride;
-  p.off_hi = sl + kFOffHi * stride;
-  p.off_lo = sl + kFOffLo * stride;
-  p.noise_hi = sl + kFNoiseHi * stride;
-  p.noise_lo = sl + kFNoiseLo * stride;
-  p.meta_hi = sl + kFMetaHi * stride;
-  p.meta_lo = sl + kFMetaLo * stride;
-  p.droop_d0 = sl + kFDroopD0 * stride;
-  p.droop_d1 = sl + kFDroopD1 * stride;
-  p.gain = sl + kFGain * stride;
-  p.gdac = sl + kFGdac * stride;
-  p.inv_gain_denom = sl + kFInvGainDenom * stride;
-  p.neg_inv_tau0 = sl + kFNegInvTau0 * stride;
-  p.sr = sl + kFSr * stride;
-  p.sr_tau0 = sl + kFSrTau0 * stride;
-  p.inv_swing = sl + kFInvSwing * stride;
-  p.gm_compression = sl + kFGmCompression * stride;
-  p.output_swing = sl + kFOutputSwing * stride;
-
-  const std::size_t fstride = proto_.flash_count * block.lanes;
-  const double* fb = block.flash_lane.data();
-  p.flash_off = fb + kFFlashOff * fstride;
-  p.flash_noise = fb + kFFlashNoise * fstride;
-  p.flash_meta = fb + kFFlashMeta * fstride;
+  p.chain.nominal_vref = block.nominal_vref.data();
+  p.chain.level_error = block.level_error.data();
+  p.chain.ripple_sigma = block.ripple_sigma.data();
+  p.chain.stage = block.stage_lane.data();
+  p.chain.flash = block.flash_lane.data();
+  p.chain.forced = nullptr;
   return p;
 }
 
 std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& signal,
                                                       std::size_t n) {
-  // Captures share one epoch counter across every die, mirroring the scalar
+  // Captures share one epoch counter across every die, mirroring the per-die
   // sequence "fresh die, k-th convert() call" die by die.
   const std::uint64_t epoch = ++epoch_;
 
-  // Hoist the stimulus into tone views with the scalar path's exact
+  // Hoist the stimulus into tone views with the per-die path's exact
   // association: argument (2π·f)·t + φ, slope ((A·2π)·f)·cos.
   constexpr double two_pi = 2.0 * std::numbers::pi;
   tones_.clear();

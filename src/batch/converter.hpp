@@ -59,7 +59,7 @@ class BatchConverter {
   [[nodiscard]] static bool supports_config(const adc::pipeline::AdcConfig& config);
 
   /// True when the stimulus has a batch kernel (SineSignal or
-  /// MultiToneSignal; the scalar path keeps everything else).
+  /// MultiToneSignal; PipelineAdc converts everything else die by die).
   [[nodiscard]] static bool supports_signal(const adc::dsp::Signal& signal);
 
   /// supports_config && supports_signal.
@@ -70,7 +70,7 @@ class BatchConverter {
   /// byte-identical to what `PipelineAdc::convert(signal, n)[k]` returns on
   /// a fresh die fabricated with seed `seeds[d]` after the same number of
   /// prior captures. Captures advance the shared noise epoch exactly like
-  /// repeated scalar convert() calls do.
+  /// repeated PipelineAdc::convert() calls do.
   [[nodiscard]] std::vector<std::vector<int>> convert(const adc::dsp::Signal& signal,
                                                       std::size_t n);
 
@@ -100,27 +100,27 @@ class BatchConverter {
     std::array<double, kLanes> nominal_vref{};
     std::array<double, kLanes> level_error{};
     std::array<double, kLanes> ripple_sigma{};
-    std::vector<double> stage_lane;  ///< [kStageFieldCount][num_stages][lanes]
-    std::vector<double> flash_lane;  ///< [kFlashFieldCount][flash_count][lanes]
+    std::vector<double> stage_lane;  ///< [kStageFields][num_stages][lanes]
+    std::vector<double> flash_lane;  ///< [kFlashFields][flash_count][lanes]
   };
 
-  void extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock& block, std::size_t lane);
-  void check_uniform(const adc::pipeline::PipelineAdc& adc) const;
+  void extract_die(adc::pipeline::PipelineAdc& adc, DieBlock& block, std::size_t lane);
+  void check_uniform(adc::pipeline::PipelineAdc& adc) const;
   [[nodiscard]] PlanView block_view(const DieBlock& block) const;
 
   std::vector<std::uint64_t> seeds_;
   adc::common::BatchIsa isa_;
   const KernelOps* ops_ = nullptr;
 
-  /// First die, kept alive: uniform plan scalars, the sampler context for
-  /// the out-of-span fallbacks, and caller introspection.
+  /// First die, kept alive: uniform plan scalars, the flash ladder the
+  /// chain view points at, the sampler context for the out-of-span
+  /// fallbacks, and caller introspection.
   std::unique_ptr<adc::pipeline::PipelineAdc> ref_adc_;
 
   // Block-uniform plan data (identical across dies; verified at build).
   PlanView proto_;  ///< uniform scalars filled once; per-block/per-call fields patched
   std::vector<double> tau_coef_;
   std::vector<double> inj_coef_;
-  std::vector<double> flash_frac_;
   std::vector<long long> weights_;
   std::vector<ToneView> tones_;  ///< rebuilt per convert() from the stimulus
 

@@ -16,7 +16,11 @@
 ///    Box–Muller transform, pre-generated as contiguous *noise planes*
 ///    indexed by `(sample, draw_slot)` — determinism is positional, not
 ///    sequential — and the hot transcendentals route through the
-///    SIMD-friendly polynomial kernels of `common/fastmath.hpp`.
+///    SIMD-friendly polynomial kernels of `common/fastmath.hpp`. The
+///    per-sample quantizer is one stage chain (`pipeline/fast_chain.hpp`):
+///    `PipelineAdc` runs it one die at a time and the batch engine
+///    (`src/batch/`) W dies at a time, so both honor the contract with the
+///    same code rather than with two copies kept equal by tests.
 ///
 /// Construction-time Monte-Carlo draws (capacitor mismatch, comparator
 /// offsets, reference level errors, ...) always use the exact `Rng` facade
@@ -41,9 +45,10 @@ enum class FidelityProfile {
 };
 
 /// Version of the *fast*-profile determinism contract: the pinned draw math
-/// behind every `kFast` deviate and transcendental. Bump whenever the fast
-/// kernels change their output bits (the exact profile has no version — its
-/// contract *is* bit-identity with the original implementation).
+/// behind every `kFast` deviate and transcendental. Bump whenever the draw
+/// math, the fast transcendentals or the stage chain change their output
+/// bits (the exact profile has no version — its contract *is* bit-identity
+/// with the original implementation).
 ///
 /// The scenario engine folds this constant into the golden-code fingerprint
 /// (src/scenario/hash.cpp), so a contract bump retires every cached fast

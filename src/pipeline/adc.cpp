@@ -12,14 +12,14 @@ using adc::common::require;
 
 namespace {
 
-// Noise-plane slot layout of the fast profile: shared with the batch engine
-// via pipeline/fast_layout.hpp (the batch kernels must consume the same
-// positional draws to stay bit-identical).
+// Noise-plane slot layout of the fast profile: shared with the stage chain
+// and the batch engine via pipeline/fast_layout.hpp.
 using fast_layout::kSlotJitter;
-using fast_layout::kSlotRipple;
-using fast_layout::kSlotsPerStage;
-using fast_layout::kSlotStageBase;
 using fast_layout::kSlotWalk;
+
+static_assert(fast_chain::kMaxStages == adc::digital::StageCodeVec::kCapacity,
+              "the chain's code buffer holds every stage a RawConversion can");
+
 /// Samples per plane generation: bounds the buffer (~1.2 MB at the nominal
 /// 36 slots/sample) while keeping the fill loop long enough to vectorize.
 /// Chunking cannot change any value — draws are positional.
@@ -210,7 +210,7 @@ PipelineAdc::PipelineAdc(const AdcConfig& config)
   // (a hash of the die seed), so distinct dies get independent planes and
   // the key costs nothing the exact profile doesn't already pay.
   const auto noise_slots = static_cast<std::uint32_t>(
-      kSlotStageBase + kSlotsPerStage * stages_.size() + flash_.comparator_count());
+      fast_layout::slots_per_sample(stages_.size(), flash_.comparator_count()));
   noise_plane_ = adc::common::NoisePlane(noise_rng_.seed(), noise_slots);
 }
 
@@ -225,6 +225,14 @@ adc::clocking::PhaseWindows PipelineAdc::phase_windows() const { return windows_
 void PipelineAdc::reset_state() {
   refs_.reset();
   alignment_.reset();
+  fast_droop_ = 0.0;
+}
+
+void PipelineAdc::force_stage_code(std::size_t i, std::optional<adc::digital::StageCode> code) {
+  stages_.at(i).force_code(code);
+  if (!fast_plan_stale_) {
+    fast_forced_[i] = code ? adc::digital::value(*code) : fast_chain::kNotForced;
+  }
 }
 
 adc::digital::RawConversion PipelineAdc::quantize_sample(double sampled) {
@@ -255,39 +263,87 @@ adc::digital::RawConversion PipelineAdc::quantize_sample(double sampled) {
   return raw;
 }
 
-adc::digital::RawConversion PipelineAdc::quantize_sample_fast(double sampled,
+void PipelineAdc::refresh_fast_plan() {
+  using namespace fast_chain;
+  const std::size_t n = stages_.size();
+  const std::size_t nf = flash_.comparator_count();
+  fast_stage_.assign(kStageFields * n, 0.0);
+  fast_forced_.assign(n, kNotForced);
+  bool thermal = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    stages_[i].write_fast_fields(fast_stage_.data() + i, n);
+    thermal = thermal || fast_stage_[kSigmaSample * n + i] > 0.0;
+    if (const auto code = stages_[i].forced_code()) fast_forced_[i] = adc::digital::value(*code);
+  }
+  fast_flash_.assign(kFlashFields * nf, 0.0);
+  flash_.write_fast_fields(fast_flash_.data(), nf);
+
+  const adc::analog::RefBufferSpec& rspec = refs_.spec();
+  fast_nominal_vref_ = rspec.nominal_vref;
+  fast_level_error_ = refs_.level_error();
+
+  ChainView& v = fast_view_;
+  v.num_stages = n;
+  v.flash_count = nf;
+  v.settle_s = settle_s_;
+  v.thermal_on = thermal;
+  v.ripple_on = ripple_sigma_ > 0.0;
+  v.charge_per_event = rspec.charge_per_event;
+  v.decap = rspec.decap_farad;
+  v.consume_on = rspec.charge_per_event > 0.0;
+  v.recharge_on = rspec.output_resistance > 0.0 && inv_rate_ > 0.0;
+  if (v.recharge_on) {
+    // ReferenceBuffer::consume's recharge factor, hoisted: the period never
+    // changes within a converter.
+    const double tau = rspec.output_resistance * rspec.decap_farad;
+    v.recharge_factor = std::exp(-inv_rate_ / tau);  // lint-ok: plan-build hoist
+  }
+  fast_plan_stale_ = false;
+}
+
+fast_chain::ChainView PipelineAdc::fast_chain_view() {
+  if (fast_plan_stale_) refresh_fast_plan();
+  fast_chain::ChainView v = fast_view_;
+  v.flash_frac = flash_.threshold_fractions().data();
+  v.nominal_vref = &fast_nominal_vref_;
+  v.level_error = &fast_level_error_;
+  v.ripple_sigma = &ripple_sigma_;
+  v.stage = fast_stage_.data();
+  v.flash = fast_flash_.data();
+  const bool forced = std::any_of(fast_forced_.begin(), fast_forced_.end(),
+                                  [](int c) { return c != fast_chain::kNotForced; });
+  v.forced = forced ? fast_forced_.data() : nullptr;
+  return v;
+}
+
+adc::digital::RawConversion PipelineAdc::quantize_sample_fast(const fast_chain::ChainView& view,
+                                                              double sampled,
                                                               const double* draws) {
-  const double settle_s = settle_s_;
-
-  // Ripple scales every leg current by the same factor f; instead of
-  // re-deriving each stage's settle constants from its rippled current
-  // (a sqrt + division chain per stage), rescale them analytically:
-  // GBW ~ sqrt(I) so tau /= sqrt(f), SR ~ I so sr *= f. One sqrt per sample
-  // covers all stages.
-  double f = 1.0;
-  double sqrt_f = 1.0;
-  if (ripple_sigma_ > 0.0) {
-    f = std::max(1.0 + ripple_sigma_ * draws[kSlotRipple], 0x1p-20);
-    sqrt_f = std::sqrt(f);
-  }
-
-  const double vref = refs_.vref();
-
+  double x[1] = {sampled};
+  int codes[fast_chain::kMaxStages][1];
+  int flash[1];
+  fast_chain::quantize<1>(view, draws, x, &fast_droop_, codes, flash);
   adc::digital::RawConversion raw;
-  double x = sampled;
-  double activity = 0.0;
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const auto r = stages_[i].process_fast(x, vref, sqrt_f, f, settle_s,
-                                           draws + kSlotStageBase + kSlotsPerStage * i);
-    raw.stage_codes.push_back(r.code);  // lint-ok: StageCodeVec is fixed-capacity inline storage
-    activity += std::abs(static_cast<double>(adc::digital::value(r.code)));
-    x = r.residue;
+  for (std::size_t i = 0; i < view.num_stages; ++i) {
+    raw.stage_codes.push_back(  // lint-ok: StageCodeVec is fixed-capacity inline storage
+        static_cast<adc::digital::StageCode>(codes[i][0]));
   }
-  raw.flash_code =
-      flash_.quantize_fast(x, vref, draws + kSlotStageBase + kSlotsPerStage * stages_.size());
-
-  refs_.consume(activity, inv_rate_);
+  raw.flash_code = static_cast<adc::digital::FlashCode>(flash[0]);
   return raw;
+}
+
+template <class Input, class Sink>
+void PipelineAdc::run_fast(std::size_t n, Input&& input, Sink&& sink) {
+  const fast_chain::ChainView view = fast_chain_view();
+  const std::uint64_t epoch = ++fast_epoch_;
+  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
+    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
+    noise_plane_.generate(epoch, base, count);
+    for (std::size_t k = base; k < base + count; ++k) {
+      const double* draws = noise_plane_.row(k);
+      sink(quantize_sample_fast(view, input(k, draws), draws));
+    }
+  }
 }
 
 double PipelineAdc::tracked_sample_fast(const adc::dsp::Signal& signal, std::size_t k,
@@ -317,91 +373,22 @@ double PipelineAdc::front_end_fast(double v_diff) const {
   return v_diff + sampler_.charge_injection_error_fast(v_diff);
 }
 
-adc::digital::RawConversion PipelineAdc::quantize_dc_fast(double tracked) {
-  // A DC conversion is its own one-sample capture (epoch bump), so repeated
-  // calls see fresh noise exactly like repeated exact-profile calls do.
-  noise_plane_.generate(++fast_epoch_, 0, 1);
-  return quantize_sample_fast(tracked, noise_plane_.row(0));
-}
-
-std::vector<int> PipelineAdc::convert_fast(const adc::dsp::Signal& signal, std::size_t n) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  std::vector<int> codes;
-  codes.reserve(n);
-  double walk_s = 0.0;
-  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      const double tracked = tracked_sample_fast(signal, k, draws, walk_s);
-      codes.push_back(correction_.correct(quantize_sample_fast(tracked, draws)));
-    }
-  }
-  return codes;
-}
-
-StreamResult PipelineAdc::convert_stream_fast(const adc::dsp::Signal& signal, std::size_t n) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  StreamResult result;
-  result.latency_cycles = alignment_.latency_cycles();
-  result.codes.reserve(n);
-  double walk_s = 0.0;
-  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      const double tracked = tracked_sample_fast(signal, k, draws, walk_s);
-      if (auto aligned = alignment_.push(quantize_sample_fast(tracked, draws))) {
-        result.codes.push_back(correction_.correct(*aligned));
-      }
-    }
-  }
-  while (auto aligned = alignment_.flush()) {
-    result.codes.push_back(correction_.correct(*aligned));
-    if (result.codes.size() >= n) break;
-  }
-  return result;
-}
-
-std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw_fast(
-    const adc::dsp::Signal& signal, std::size_t n) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  std::vector<adc::digital::RawConversion> raws;
-  raws.reserve(n);
-  double walk_s = 0.0;
-  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      raws.push_back(quantize_sample_fast(tracked_sample_fast(signal, k, draws, walk_s), draws));
-    }
-  }
-  return raws;
-}
-
-std::vector<int> PipelineAdc::convert_samples_fast(std::span<const double> voltages) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  std::vector<int> codes;
-  codes.reserve(voltages.size());
-  for (std::size_t base = 0; base < voltages.size(); base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, voltages.size() - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      codes.push_back(correction_.correct(
-          quantize_sample_fast(front_end_fast(voltages[k]), noise_plane_.row(k))));
-    }
-  }
-  return codes;
-}
-
 std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_t n) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) return convert_fast(signal, n);
   std::vector<int> codes;
   codes.reserve(n);
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    double walk_s = 0.0;
+    run_fast(
+        n,
+        [&](std::size_t k, const double* draws) {
+          return tracked_sample_fast(signal, k, draws, walk_s);
+        },
+        [&](const adc::digital::RawConversion& raw) {
+          codes.push_back(correction_.correct(raw));
+        });
+    return codes;
+  }
   for (std::size_t k = 0; k < n; ++k) {
     const double t = clock_.sample_instant(k);
     const double v = signal.value(t);
@@ -417,22 +404,32 @@ std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_
 
 StreamResult PipelineAdc::convert_stream(const adc::dsp::Signal& signal, std::size_t n) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return convert_stream_fast(signal, n);
-  }
   StreamResult result;
   result.latency_cycles = alignment_.latency_cycles();
   result.codes.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double t = clock_.sample_instant(k);
-    const double v = signal.value(t);
-    double tracked = v;
-    if (config_.enable.tracking_nonlinearity) {
-      tracked += sampler_.tracking_error(v, signal.slope(t));
-      tracked += sampler_.charge_injection_error(v);
-    }
-    if (auto aligned = alignment_.push(quantize_sample(tracked))) {
+  const auto push = [&](adc::digital::RawConversion raw) {
+    if (auto aligned = alignment_.push(raw)) {
       result.codes.push_back(correction_.correct(*aligned));
+    }
+  };
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    double walk_s = 0.0;
+    run_fast(
+        n,
+        [&](std::size_t k, const double* draws) {
+          return tracked_sample_fast(signal, k, draws, walk_s);
+        },
+        push);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = clock_.sample_instant(k);
+      const double v = signal.value(t);
+      double tracked = v;
+      if (config_.enable.tracking_nonlinearity) {
+        tracked += sampler_.tracking_error(v, signal.slope(t));
+        tracked += sampler_.charge_injection_error(v);
+      }
+      push(quantize_sample(tracked));
     }
   }
   while (auto aligned = alignment_.flush()) {
@@ -444,27 +441,35 @@ StreamResult PipelineAdc::convert_stream(const adc::dsp::Signal& signal, std::si
 
 std::vector<int> PipelineAdc::convert_samples(std::span<const double> voltages) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return convert_samples_fast(voltages);
-  }
   std::vector<int> codes;
   codes.reserve(voltages.size());
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    run_fast(
+        voltages.size(),
+        [&](std::size_t k, const double*) { return front_end_fast(voltages[k]); },
+        [&](const adc::digital::RawConversion& raw) {
+          codes.push_back(correction_.correct(raw));
+        });
+    return codes;
+  }
   for (double v : voltages) {
     codes.push_back(correction_.correct(quantize_sample(front_end(v))));
   }
   return codes;
 }
 
-int PipelineAdc::convert_dc(double v_diff) {
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return correction_.correct(quantize_dc_fast(front_end_fast(v_diff)));
-  }
-  return correction_.correct(quantize_sample(front_end(v_diff)));
-}
+int PipelineAdc::convert_dc(double v_diff) { return correction_.correct(convert_dc_raw(v_diff)); }
 
 adc::digital::RawConversion PipelineAdc::convert_dc_raw(double v_diff) {
   if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return quantize_dc_fast(front_end_fast(v_diff));
+    // A DC conversion is its own one-sample capture (epoch bump), so
+    // repeated calls see fresh noise exactly like repeated exact-profile
+    // calls do. No reset: the reference droop carries across DC calls.
+    adc::digital::RawConversion raw;
+    run_fast(
+        1, [&](std::size_t, const double*) { return front_end_fast(v_diff); },
+        [&](const adc::digital::RawConversion& r) { raw = r; });
+    return raw;
   }
   return quantize_sample(front_end(v_diff));
 }
@@ -472,11 +477,18 @@ adc::digital::RawConversion PipelineAdc::convert_dc_raw(double v_diff) {
 std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw(
     const adc::dsp::Signal& signal, std::size_t n) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return convert_raw_fast(signal, n);
-  }
   std::vector<adc::digital::RawConversion> raws;
   raws.reserve(n);
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    double walk_s = 0.0;
+    run_fast(
+        n,
+        [&](std::size_t k, const double* draws) {
+          return tracked_sample_fast(signal, k, draws, walk_s);
+        },
+        [&](const adc::digital::RawConversion& raw) { raws.push_back(raw); });
+    return raws;
+  }
   for (std::size_t k = 0; k < n; ++k) {
     const double t = clock_.sample_instant(k);
     const double v = signal.value(t);

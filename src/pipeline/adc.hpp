@@ -39,6 +39,7 @@
 #include "digital/alignment.hpp"
 #include "digital/correction.hpp"
 #include "dsp/signal.hpp"
+#include "pipeline/fast_chain.hpp"
 #include "pipeline/flash.hpp"
 #include "pipeline/scaling.hpp"
 #include "pipeline/stage.hpp"
@@ -157,9 +158,7 @@ class PipelineAdc {
 
   /// Force stage `i`'s ADSC decision (foreground calibration); nullopt
   /// restores normal operation.
-  void force_stage_code(std::size_t i, std::optional<adc::digital::StageCode> code) {
-    stages_.at(i).force_code(code);
-  }
+  void force_stage_code(std::size_t i, std::optional<adc::digital::StageCode> code);
 
   // --- introspection ---
 
@@ -172,7 +171,13 @@ class PipelineAdc {
 
   [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
   [[nodiscard]] const PipelineStage& stage(std::size_t i) const { return stages_.at(i); }
-  PipelineStage& stage_mutable(std::size_t i) { return stages_.at(i); }
+  /// Stage `i` for failure injection. The fast profile's stage-chain view
+  /// is rebuilt from the stages at the next conversion after this call, so
+  /// make the edits before converting again.
+  PipelineStage& stage_mutable(std::size_t i) {
+    fast_plan_stale_ = true;
+    return stages_.at(i);
+  }
   [[nodiscard]] const FlashConverter& flash() const { return flash_; }
 
   /// Noise-free residue at the output of stage `stage_index` for DC input
@@ -196,19 +201,19 @@ class PipelineAdc {
   [[nodiscard]] const adc::bias::BiasSource& bias_source() const { return *bias_; }
   [[nodiscard]] const adc::digital::DelayAlignment& alignment() const { return alignment_; }
 
-  // --- fast-path plan introspection (batch engine, src/batch) ---
-  // The hoisted per-capture invariants of the fast profile, exposed so a
-  // BatchConverter can replicate the conversion loop in SoA form. The batch
-  // kernels pin bit-identity against convert(); these accessors are how the
-  // plan is extracted without friending the internals.
+  // --- fast profile (batch engine, src/batch) ---
+
+  /// This die's fast-profile stage chain at one lane: the view
+  /// PipelineAdc's own fast conversions run, and the rows a BatchConverter
+  /// scatters into one lane of a die block. Rebuilt from the stages after
+  /// stage_mutable(); valid until the next stage edit.
+  [[nodiscard]] fast_chain::ChainView fast_chain_view();
+  /// The noise-plane Philox key and row width of the fast profile.
   [[nodiscard]] std::uint64_t noise_plane_key() const { return noise_plane_.key(); }
   [[nodiscard]] std::size_t noise_slots_per_sample() const {
     return noise_plane_.slots_per_sample();
   }
-  [[nodiscard]] double fast_settle_window() const { return settle_s_; }
-  [[nodiscard]] double fast_ripple_sigma() const { return ripple_sigma_; }
   [[nodiscard]] const adc::analog::DifferentialSampler& sampler() const { return sampler_; }
-  [[nodiscard]] const adc::analog::ReferenceBuffer& reference_buffer() const { return refs_; }
 
   /// Reset dynamic state (reference droop, alignment registers) for a fresh
   /// capture; Monte-Carlo draws (mismatch, offsets) are preserved.
@@ -226,19 +231,21 @@ class PipelineAdc {
 
   // --- fast-profile machinery (positional determinism; see
   // common/fidelity.hpp). Each capture bumps `fast_epoch_` and reads its
-  // noise from a freshly generated plane; slot layout in adc.cpp. ---
-  [[nodiscard]] adc::digital::RawConversion quantize_sample_fast(double sampled,
-                                                                 const double* draws);
+  // noise from a freshly generated plane (slot layout in
+  // pipeline/fast_layout.hpp); the quantizer is the stage chain of
+  // pipeline/fast_chain.hpp at one lane. ---
+
+  /// Rebuild the one-lane chain plan from the stages, flash and reference.
+  void refresh_fast_plan();
+  /// One fast capture of `n` samples: `input(k, draws)` yields sample k's
+  /// tracked voltage, `sink(raw)` takes its raw conversion, in order.
+  template <class Input, class Sink>
+  void run_fast(std::size_t n, Input&& input, Sink&& sink);
+  [[nodiscard]] adc::digital::RawConversion quantize_sample_fast(
+      const fast_chain::ChainView& view, double sampled, const double* draws);
   [[nodiscard]] double tracked_sample_fast(const adc::dsp::Signal& signal, std::size_t k,
                                            const double* draws, double& walk_s) const;
   [[nodiscard]] double front_end_fast(double v_diff) const;
-  [[nodiscard]] adc::digital::RawConversion quantize_dc_fast(double tracked);
-  [[nodiscard]] std::vector<int> convert_fast(const adc::dsp::Signal& signal, std::size_t n);
-  [[nodiscard]] StreamResult convert_stream_fast(const adc::dsp::Signal& signal,
-                                                 std::size_t n);
-  [[nodiscard]] std::vector<adc::digital::RawConversion> convert_raw_fast(
-      const adc::dsp::Signal& signal, std::size_t n);
-  [[nodiscard]] std::vector<int> convert_samples_fast(std::span<const double> voltages);
 
   AdcConfig config_;
   adc::common::Rng rng_;
@@ -278,6 +285,19 @@ class PipelineAdc {
   /// fresh noise, mirroring how the exact profile's sequential stream
   /// advances across calls.
   std::uint64_t fast_epoch_ = 0;
+  /// Reference droop of the fast profile (the chain's per-lane state at one
+  /// lane); reset_state() clears it like the exact profile's refs_ droop.
+  double fast_droop_ = 0.0;
+  /// One-lane chain plan: the view's scalars (its pointers are bound per
+  /// call by fast_chain_view()) and the [field][stage] / [field][comparator]
+  /// rows behind it. Built lazily; stage_mutable() marks it stale.
+  fast_chain::ChainView fast_view_{};
+  std::vector<double> fast_stage_;
+  std::vector<double> fast_flash_;
+  std::vector<int> fast_forced_;  ///< [stage] forced code or kNotForced
+  double fast_nominal_vref_ = 0.0;
+  double fast_level_error_ = 0.0;
+  bool fast_plan_stale_ = true;
 };
 
 }  // namespace adc::pipeline

@@ -4,9 +4,10 @@
 /// One row of standard normals per sample, each physical mechanism owning a
 /// fixed slot, so an unconsumed draw (e.g. the low ADSC comparator when the
 /// high one already decided) never shifts another mechanism's noise. The
-/// layout is shared between the scalar fast path (pipeline/adc.cpp) and the
-/// batch engine (src/batch/), which must consume the *same* positional draws
-/// to stay bit-identical.
+/// stage chain (pipeline/fast_chain.hpp) reads the ripple, stage and flash
+/// slots; the front ends around it read the jitter slots — PipelineAdc's
+/// from one die's NoisePlane row, the batch kernel's from lane-minor rows
+/// of the same positional draws.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "pipeline/flash.hpp"
 
 #include "common/error.hpp"
+#include "pipeline/fast_chain.hpp"
 
 namespace adc::pipeline {
 
@@ -34,16 +35,13 @@ adc::digital::FlashCode FlashConverter::quantize(double v, double vref) {
   return static_cast<adc::digital::FlashCode>(count);
 }
 
-adc::digital::FlashCode FlashConverter::quantize_fast(double v, double vref,
-                                                      const double* draws) const {
-  unsigned count = 0;
+void FlashConverter::write_fast_fields(double* out, std::size_t stride) const {
+  using namespace fast_chain;
   for (std::size_t k = 0; k < comparators_.size(); ++k) {
-    if (comparators_[k].decide_with_threshold_draw(v, threshold_fractions_[k] * vref,
-                                                   draws[k])) {
-      ++count;
-    }
+    out[kFlashOff * stride + k] = comparators_[k].offset();
+    out[kFlashNoise * stride + k] = comparators_[k].noise_rms();
+    out[kFlashMeta * stride + k] = comparators_[k].metastable_window();
   }
-  return static_cast<adc::digital::FlashCode>(count);
 }
 
 adc::digital::FlashCode FlashConverter::ideal_quantize(double v) const {

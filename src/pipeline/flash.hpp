@@ -8,6 +8,7 @@
 /// smallest weight.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "analog/comparator.hpp"
@@ -30,24 +31,20 @@ class FlashConverter {
   /// the MDACs in silicon.
   [[nodiscard]] adc::digital::FlashCode quantize(double v, double vref);
 
-  /// `fast`-profile quantization: comparator k reads the standard-normal
-  /// deviate `draws[k]` from its noise-plane slot; const because no
-  /// sequential draws are consumed.
-  [[nodiscard]] adc::digital::FlashCode quantize_fast(double v, double vref,
-                                                      const double* draws) const;
-
   /// Noise-free decision at nominal thresholds.
   [[nodiscard]] adc::digital::FlashCode ideal_quantize(double v) const;
 
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] std::size_t comparator_count() const { return comparators_.size(); }
-  /// Comparator k's threshold as a fraction of the live reference (batch
-  /// plan hoisting: the fast path computes threshold = fraction * vref).
-  [[nodiscard]] double threshold_fraction(std::size_t k) const { return threshold_fractions_[k]; }
-  /// Realized comparator k (batch plan hoisting: offset/noise/metastability).
-  [[nodiscard]] const adc::analog::Comparator& comparator(std::size_t k) const {
-    return comparators_[k];
+  /// Ladder taps as fractions of the live reference (the chain computes
+  /// threshold k = fraction k · vref).
+  [[nodiscard]] const std::vector<double>& threshold_fractions() const {
+    return threshold_fractions_;
   }
+  /// Write every comparator's fast-chain invariants (pipeline/fast_chain.hpp
+  /// FlashField order) into a [field][comparator] view: field f of
+  /// comparator k lands at `out[f * stride + k]`.
+  void write_fast_fields(double* out, std::size_t stride) const;
   [[nodiscard]] double nominal_threshold(std::size_t k) const {
     return threshold_fractions_[k] * vref_nominal_;
   }

@@ -5,6 +5,7 @@
 #include "common/constants.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "pipeline/fast_chain.hpp"
 
 namespace adc::pipeline {
 
@@ -120,42 +121,27 @@ StageResult PipelineStage::process(double v_in, double vref, double ibias, doubl
   return r;
 }
 
-StageResult PipelineStage::process_fast(double v_in, double vref, double sqrt_f, double f,
-                                        double settle_s, const double* draws) {
-  ADC_EXPECT(std::isfinite(v_in), "PipelineStage::process_fast: non-finite input voltage");
-  ADC_EXPECT(std::isfinite(vref) && vref > 0.0, "PipelineStage::process_fast: bad V_REF");
-  ADC_EXPECT(settle_s >= 0.0, "PipelineStage::process_fast: negative phase time");
-  // 1. Sample with thermal noise from this stage's plane slot.
-  double sampled = v_in;
-  if (sigma_sample_ > 0.0) sampled += sigma_sample_ * draws[0];
-
-  // 2. ADSC decision; each comparator reads its own positional deviate.
-  StageCode d = StageCode::kZero;
-  if (forced_code_) {
-    d = *forced_code_;  // calibration mode: the DSB is driven directly
-  } else if (cmp_high_.decide_with_threshold_draw(sampled, vref / 4.0, draws[1])) {
-    d = StageCode::kPlus;
-  } else if (!cmp_low_.decide_with_threshold_draw(sampled, -vref / 4.0, draws[2])) {
-    d = StageCode::kMinus;
-  }
-
-  // 3. Hold-phase droop, as the affine map precomputed for the bound hold
-  //    window (prepare_fast).
-  const double held = sampled - (droop_d0_ + droop_d1_ * sampled);
-
-  // 4.-5. MDAC amplification with realized capacitors and opamp dynamics.
-  //       The ripple factor rescales the precomputed settle constants
-  //       analytically instead of re-deriving them from the bias current.
-  const double target = residue_target(held, d, vref);
-  const auto settled = opamp_.settle_prepared(fast_settle_, target, settle_s, sqrt_f, f);
-
-  StageResult r;
-  r.code = d;
-  r.residue = settled.output;
-  r.slew_limited = settled.slew_limited;
-  r.clipped = settled.clipped;
-  ADC_ENSURE(std::isfinite(r.residue), "PipelineStage::process_fast: non-finite residue");
-  return r;
+void PipelineStage::write_fast_fields(double* out, std::size_t stride) const {
+  using namespace fast_chain;
+  const auto put = [&](StageField field, double value) { out[field * stride] = value; };
+  put(kSigmaSample, sigma_sample_);
+  put(kOffHi, cmp_high_.offset());
+  put(kOffLo, cmp_low_.offset());
+  put(kNoiseHi, cmp_high_.noise_rms());
+  put(kNoiseLo, cmp_low_.noise_rms());
+  put(kMetaHi, cmp_high_.metastable_window());
+  put(kMetaLo, cmp_low_.metastable_window());
+  put(kDroopD0, droop_d0_);
+  put(kDroopD1, droop_d1_);
+  put(kGain, gain_);
+  put(kGdac, gdac_);
+  put(kInvGainDenom, fast_settle_.inv_gain_denom);
+  put(kNegInvTau0, fast_settle_.neg_inv_tau0);
+  put(kSr, fast_settle_.sr);
+  put(kSrTau0, fast_settle_.sr_tau0);
+  put(kInvSwing, fast_settle_.inv_swing);
+  put(kGmCompression, opamp_.params().gm_compression);
+  put(kOutputSwing, opamp_.params().output_swing);
 }
 
 void PipelineStage::inject_comparator_offset(int comparator_index, double offset) {

@@ -19,6 +19,7 @@
 /// converter (Table I DNL/INL).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "analog/capacitor.hpp"
@@ -98,17 +99,10 @@ class PipelineStage {
     }
   }
 
-  /// `fast`-profile processing: identical structure to process(), but noise
-  /// comes from this stage's three noise-plane slots — `draws[0]` thermal,
-  /// `draws[1]` the +V_REF/4 comparator, `draws[2]` the -V_REF/4 comparator
-  /// (a slot is simply unread when redundancy short-circuits the low
-  /// comparator) — the settling exponential uses the polynomial kernel, the
-  /// hold droop is the affine map bound by prepare_fast() (which fixes the
-  /// hold window), and the bias ripple arrives as the analytic rescale
-  /// factors `sqrt_f` and `f` (both 1.0 when ripple is off) applied to the
-  /// settle constants: tau scales by 1/sqrt(f), slew rate by f.
-  [[nodiscard]] StageResult process_fast(double v_in, double vref, double sqrt_f, double f,
-                                         double settle_s, const double* draws);
+  /// Write the invariants the fast stage chain reads per sample
+  /// (pipeline/fast_chain.hpp StageField order) into a [field][stage] view:
+  /// field f lands at `out[f * stride]`. Valid after prepare_fast().
+  void write_fast_fields(double* out, std::size_t stride) const;
 
   /// Noise-free ADSC decision at nominal thresholds (for residue plots and
   /// the ideal transfer).
@@ -127,20 +121,6 @@ class PipelineStage {
   [[nodiscard]] double sample_noise_rms() const { return sigma_sample_; }
   [[nodiscard]] double scale() const { return scale_; }
   [[nodiscard]] const adc::analog::Opamp& opamp() const { return opamp_; }
-
-  // --- fast-path plan introspection (batch engine, src/batch) ---
-  // The invariants process_fast() consumes per sample, exposed so a
-  // BatchConverter can hoist them once per die-block. Values, not handles:
-  // everything here is fixed at construction/prepare_fast().
-  [[nodiscard]] double dac_gain() const { return gdac_; }
-  [[nodiscard]] double gain_realized() const { return gain_; }
-  [[nodiscard]] double droop_d0() const { return droop_d0_; }
-  [[nodiscard]] double droop_d1() const { return droop_d1_; }
-  [[nodiscard]] const adc::analog::Opamp::SettleCoeffs& fast_settle() const {
-    return fast_settle_;
-  }
-  [[nodiscard]] const adc::analog::Comparator& high_comparator() const { return cmp_high_; }
-  [[nodiscard]] const adc::analog::Comparator& low_comparator() const { return cmp_low_; }
 
   /// Force ADSC comparator offsets (failure injection in tests). Index 0 is
   /// the lower (-V_REF/4) comparator, 1 the upper (+V_REF/4).

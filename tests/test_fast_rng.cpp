@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -133,7 +134,9 @@ TEST(PhiloxRng, ChunkedRegenerationAcrossEpochBoundaries) {
   // not shifted copies.
   std::size_t equal = 0;
   for (std::size_t i = 0; i < plane_a.size(); ++i) {
-    if (plane_a[i] == plane_b[i]) ++equal;
+    if (std::bit_cast<std::uint64_t>(plane_a[i]) == std::bit_cast<std::uint64_t>(plane_b[i])) {
+      ++equal;
+    }
   }
   EXPECT_LT(equal, 4u);
 

@@ -219,7 +219,10 @@ TEST_F(FleetTest, MergedReportIsByteIdenticalForAnyWorkerCount) {
       options.cache_dir = path("cache-w" + tag);
       options.shards = workers;
       options.shard = k;
-      options.owner = "w" + std::to_string(k);
+      // Appended piecewise: GCC 12 reports a -Wrestrict false positive on
+      // both "w" + std::to_string(k) and an assignment of the literal.
+      options.owner += "w";
+      options.owner += std::to_string(k);
       const auto result = run_worker(spec, options);
       EXPECT_TRUE(result.manifest.complete);
     }
@@ -258,7 +261,10 @@ TEST_F(FleetTest, ConcurrentWorkersComputeEachJobExactlyOnce) {
       options.cache_dir = cache_dir;
       options.shards = 2;
       options.shard = k;
-      options.owner = "w" + std::to_string(k);
+      // Appended piecewise: GCC 12 reports a -Wrestrict false positive on
+      // both "w" + std::to_string(k) and an assignment of the literal.
+      options.owner += "w";
+      options.owner += std::to_string(k);
       options.lease_ms = 60000;  // no steals: strict exactly-once
       options.poll_ms = 10;
       results[k] = run_worker(spec, options);
