@@ -34,4 +34,11 @@ inline void require(bool ok, const std::string& msg) {
   if (!ok) throw ConfigError(msg);
 }
 
+/// Same, for a literal message: builds no std::string unless `ok` is false
+/// (checks on per-sample paths, such as StageCodeVec::push_back, stay
+/// allocation-free).
+inline void require(bool ok, const char* msg) {
+  if (!ok) throw ConfigError(msg);
+}
+
 }  // namespace adc::common
