@@ -279,7 +279,6 @@ void PipelineAdc::refresh_fast_plan() {
   flash_.write_fast_fields(fast_flash_.data(), nf);
 
   const adc::analog::RefBufferSpec& rspec = refs_.spec();
-  fast_nominal_vref_ = rspec.nominal_vref;
   fast_level_error_ = refs_.level_error();
 
   ChainView& v = fast_view_;
@@ -305,7 +304,7 @@ fast_chain::ChainView PipelineAdc::fast_chain_view() {
   if (fast_plan_stale_) refresh_fast_plan();
   fast_chain::ChainView v = fast_view_;
   v.flash_frac = flash_.threshold_fractions().data();
-  v.nominal_vref = &fast_nominal_vref_;
+  v.nominal_vref = &refs_.spec().nominal_vref;
   v.level_error = &fast_level_error_;
   v.ripple_sigma = &ripple_sigma_;
   v.stage = fast_stage_.data();

@@ -295,7 +295,6 @@ class PipelineAdc {
   std::vector<double> fast_stage_;
   std::vector<double> fast_flash_;
   std::vector<int> fast_forced_;  ///< [stage] forced code or kNotForced
-  double fast_nominal_vref_ = 0.0;
   double fast_level_error_ = 0.0;
   bool fast_plan_stale_ = true;
 };
