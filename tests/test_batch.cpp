@@ -189,6 +189,41 @@ TEST(Batch, EveryDieCountBitIdenticalOnEveryTier) {
   }
 }
 
+TEST(Batch, SurrogateFallbackAndInjectionOffOnEveryTier) {
+  // The front end's rare branches on every tier this CPU executes: a 1.9 V
+  // tone whose crests leave the switch surrogates' span (|v| <= 0.999 x
+  // 1.8 V) and take the out-of-span fallback; a 0.45 V common mode, which
+  // trims that span inside the full scale so the fallback's values reach
+  // the codes; and a die with charge injection off and tracking on.
+  const adc::dsp::SineSignal big(1.9, 10.0037e6);
+  AdcConfig low_cm = fast_nominal();
+  low_cm.refs.common_mode = 0.45;
+  AdcConfig no_injection = fast_nominal();
+  no_injection.input_switch.injection_fraction = 0.0;
+  const struct {
+    const char* name;
+    AdcConfig config;
+    const adc::dsp::Signal& signal;
+  } cases[] = {
+      {"over-span tone", fast_nominal(), big},
+      {"low common mode", low_cm, golden_tone()},
+      {"injection off", no_injection, golden_tone()},
+  };
+  const auto seeds = make_seeds(9);
+  for (const auto& c : cases) {
+    const auto want = scalar_reference(c.config, seeds, c.signal, 40);
+    for (const BatchIsa isa : supported_tiers()) {
+      SCOPED_TRACE(testing::Message() << c.name << ", " << adc::common::to_string(isa));
+      BatchConverter batch(c.config, seeds, isa);
+      const auto got = batch.convert(c.signal, 40);
+      ASSERT_EQ(got.size(), seeds.size());
+      for (std::size_t d = 0; d < seeds.size(); ++d) {
+        EXPECT_EQ(got[d], want[d]) << "die " << d;
+      }
+    }
+  }
+}
+
 TEST(Batch, BlocksRunAtTheNarrowestWidthThatHoldsThem) {
   const struct {
     std::size_t dies;

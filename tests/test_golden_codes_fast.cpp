@@ -118,6 +118,42 @@ const std::vector<int> kFastInjected32 = {
     2039, 3071, 3902, 4069, 3596, 2631, 1479, 507, 28, 189, 939, 2044, 3071, 3904, 4068, 3593,
     2626, 1473, 504, 27, 190, 944, 2049, 3071, 3906, 4067, 3589, 2621, 1469, 501, 26, 193};
 
+// Tables of the front-end paths below, generated from the fast kernel before
+// its sampling instant, stimulus, switch surrogates and correction became
+// the one-lane instances of the batch kernel's, each with the call sequence
+// of its test.
+const std::vector<int> kFastTwoTone48 = {
+    2641, 3409, 3711, 3477, 2811, 1956, 1198, 772,  782,  1181, 1797, 2404,
+    2805, 2906, 2722, 2374, 2012, 1771, 1709, 1798, 1940, 2038, 2025, 1913,
+    1772, 1712, 1812, 2085, 2455, 2778, 2908, 2739, 2280, 1653, 1069, 744,
+    832,  1345, 2148, 2984, 3571, 3689, 3271, 2431, 1430, 595,  213,  415};
+
+const std::vector<int> kFastOverSpan48 = {
+    2032, 4095, 4095, 4095, 4095, 3171, 949,  0,    0,    0,    0,    2041,
+    4095, 4095, 4095, 4095, 3162, 941,  0,    0,    0,    0,    2049, 4095,
+    4095, 4095, 4095, 3152, 932,  0,    0,    0,    0,    2059, 4095, 4095,
+    4095, 4095, 3145, 923,  0,    0,    0,    0,    2068, 4095, 4095, 4095};
+
+const std::vector<std::string> kFastOverSpanRaw24 = {
+    "00000-+000:1", "++++++++++:3", "++++++++++:3", "++++++++++:3", "++++++++++:3",
+    "+00+0-00+0:1", "-00-+0-+0-:2", "----------:0", "----------:0", "----------:0",
+    "----------:0", "0000000-0+:1", "++++++++++:3", "++++++++++:3", "++++++++++:3",
+    "++++++++++:3", "+00+-+0-+-:2", "-00-+-+0-0:2", "----------:0", "----------:0",
+    "----------:0", "----------:0", "00000000+-:2", "++++++++++:3",
+};
+
+const std::vector<int> kFastLowCommonMode48 = {
+    2042, 3144, 3898, 4064, 3589, 2624, 1477, 510,  32,   194,  947,  2047,
+    3148, 3901, 4064, 3587, 2619, 1473, 506,  32,   195,  950,  2051, 3152,
+    3902, 4063, 3583, 2614, 1468, 503,  31,   198,  954,  2057, 3156, 3904,
+    4062, 3580, 2610, 1464, 500,  30,   199,  958,  2061, 3159, 3906, 4061};
+
+const std::vector<int> kFastNoInjection48 = {
+    2039, 3132, 3882, 4047, 3579, 2622, 1485, 524,  48,   208,  952,  2044,
+    3136, 3884, 4048, 3576, 2618, 1481, 520,  48,   210,  956,  2048, 3140,
+    3886, 4047, 3572, 2613, 1476, 518,  47,   213,  960,  2054, 3144, 3888,
+    4046, 3569, 2609, 1472, 515,  46,   214,  963,  2058, 3147, 3890, 4045};
+
 TEST(GoldenCodesFast, NominalDieSequence) {
   PipelineAdc converter(fast_nominal());
 
@@ -198,6 +234,55 @@ TEST(GoldenCodesFast, ConvertAfterComparatorOffsetInjection) {
             std::vector<int>(kFastConvert64.begin(), kFastConvert64.begin() + 32));
   converter.stage_mutable(0).inject_comparator_offset(1, 0.3);
   EXPECT_EQ(converter.convert(golden_tone(), 32), kFastInjected32);
+}
+
+/// A two-tone MultiToneSignal capture: the summed stimulus and its slope.
+TEST(GoldenCodesFast, TwoToneCapture) {
+  PipelineAdc converter(fast_nominal());
+  const adc::dsp::MultiToneSignal two_tone({{0.45, 9.0037e6, 0.0}, {0.45, 11.0013e6, 0.7}});
+  EXPECT_EQ(converter.convert(two_tone, 48), kFastTwoTone48);
+}
+
+/// A 1.9 V tone: the switch surrogates span |v| <= 0.999 x 1.8 V, so the
+/// crests go through the out-of-span fallback (and saturate the codes).
+TEST(GoldenCodesFast, ToneBeyondSurrogateSpan) {
+  PipelineAdc converter(fast_nominal());
+  const adc::dsp::SineSignal big(1.9, 10.0037e6);
+  EXPECT_EQ(converter.convert(big, 48), kFastOverSpan48);
+  const auto raws = converter.convert_raw(big, 24);
+  ASSERT_EQ(raws.size(), kFastOverSpanRaw24.size());
+  for (std::size_t k = 0; k < raws.size(); ++k) {
+    EXPECT_EQ(raw_text(raws[k]), kFastOverSpanRaw24[k]) << "sample " << k;
+  }
+}
+
+TEST(GoldenCodesFast, DcBeyondSurrogateSpan) {
+  PipelineAdc converter(fast_nominal());
+  EXPECT_EQ(converter.convert_dc(1.9), 4095);
+  EXPECT_EQ(converter.convert_dc(-1.9), 0);
+}
+
+/// A 0.45 V input common mode trims the surrogate span to |v| <= 0.899 V,
+/// inside the converter's full scale, so the fallback's values reach the
+/// codes (the tone crests and the first two DC levels).
+TEST(GoldenCodesFast, FallbackInsideFullScale) {
+  AdcConfig config = fast_nominal();
+  config.refs.common_mode = 0.45;
+  PipelineAdc converter(config);
+  EXPECT_EQ(converter.convert(golden_tone(), 48), kFastLowCommonMode48);
+  EXPECT_EQ(converter.convert_dc(0.95), 4011);
+  EXPECT_EQ(converter.convert_dc(-0.93), 125);
+  EXPECT_EQ(converter.convert_dc(0.5), 3081);
+}
+
+/// Charge injection off with tracking on: the tracking surrogate alone.
+TEST(GoldenCodesFast, InjectionOffTrackingOn) {
+  AdcConfig config = fast_nominal();
+  config.input_switch.injection_fraction = 0.0;
+  PipelineAdc converter(config);
+  EXPECT_EQ(converter.convert(golden_tone(), 48), kFastNoInjection48);
+  EXPECT_EQ(converter.convert_dc(0.31), 2682);
+  EXPECT_EQ(converter.convert_dc(-1.9), 0);
 }
 
 /// Positional determinism: a capture's draws are a function of the epoch
