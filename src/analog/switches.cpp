@@ -217,4 +217,24 @@ void DifferentialSampler::prepare_fast(double v_max) {
   fit_vmax2_ = z_max;
 }
 
+void DifferentialSampler::write_fast_fields(SamplerView& view) const {
+  // An unprepared surrogate (span < 0) sends every input through the
+  // fallback; one zero coefficient keeps Clenshaw off an empty table.
+  static constexpr double kNoFit[1] = {0.0};
+  const auto table = [](const adc::common::Chebyshev& fit) {
+    return fit.valid() ? fit.view() : adc::common::fastmath::ChebyshevView{kNoFit, 1};
+  };
+  view.tau = table(tau_fit_);
+  view.inj = table(inj_fit_);
+  view.span_z = fit_vmax2_;
+  view.injection_on = switch_.config().injection_fraction > 0.0;
+  view.ctx = this;
+  view.tau_fallback = [](const void* ctx, double v) {
+    return static_cast<const DifferentialSampler*>(ctx)->average_time_constant_direct_fast(v);
+  };
+  view.inj_fallback = [](const void* ctx, double v) {
+    return static_cast<const DifferentialSampler*>(ctx)->charge_injection_error_direct_fast(v);
+  };
+}
+
 }  // namespace adc::analog

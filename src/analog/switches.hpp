@@ -14,9 +14,14 @@
 /// switch give a tracking error e = tau(v)*dv/dt whose even-order terms
 /// cancel differentially; the surviving odd-order terms grow linearly with
 /// input frequency and are the mechanism behind Fig. 6's SFDR roll-off.
+///
+/// Under the `fast` profile both terms are Chebyshev surrogates in v²
+/// (prepare_fast), handed out as a SamplerView to the one fast front end,
+/// which calls back here only for inputs outside the fitted span.
 #pragma once
 
 #include "analog/mos.hpp"
+#include "analog/sampler_view.hpp"
 #include "common/fidelity.hpp"
 #include "common/math_util.hpp"
 #include "common/units.hpp"
@@ -136,26 +141,6 @@ class DifferentialSampler {
   /// signal-dependent part survives as smooth low-order distortion.
   [[nodiscard]] double charge_injection_error(double v_diff) const;
 
-  /// `fast`-profile variants of the per-sample error terms (see SwitchModel).
-  /// After prepare_fast() these evaluate Chebyshev surrogates inside the
-  /// fitted span and fall back to the direct expressions outside it. In the
-  /// header so a caller evaluating both error terms can interleave the two
-  /// independent Clenshaw recurrences.
-  [[nodiscard]] double average_time_constant_fast(double v_diff) const {
-    const double z = v_diff * v_diff;
-    if (z <= fit_vmax2_) return tau_fit_(z);
-    return average_time_constant_direct_fast(v_diff);
-  }
-  [[nodiscard]] double charge_injection_error_fast(double v_diff) const {
-    if (switch_.config().injection_fraction <= 0.0) return 0.0;
-    const double z = v_diff * v_diff;
-    if (z <= fit_vmax2_) return v_diff * inj_fit_(z);
-    return charge_injection_error_direct_fast(v_diff);
-  }
-  [[nodiscard]] double tracking_error_fast(double v_diff, double dvdt) const {
-    return -average_time_constant_fast(v_diff) * dvdt;
-  }
-
   /// Build the `fast` profile's construction-time surrogates covering
   /// |v_diff| <= v_max (trimmed to the supply-clamp-free span where the
   /// curves are smooth). Both error terms have exact parity — swapping
@@ -166,18 +151,13 @@ class DifferentialSampler {
 
   [[nodiscard]] const SwitchModel& switch_model() const { return switch_; }
 
-  // --- fast-surrogate introspection (batch engine, src/batch) ---
-  // The Chebyshev surrogate tables and their fitted span, exposed so the
-  // batch kernels can run the identical Clenshaw recurrence on raw
-  // coefficient arrays; out-of-span lanes fall back to the public
-  // *_fast getters above through a baseline-compiled callback.
-  [[nodiscard]] const adc::common::Chebyshev& tau_fit() const { return tau_fit_; }
-  [[nodiscard]] const adc::common::Chebyshev& inj_fit() const { return inj_fit_; }
-  [[nodiscard]] double fit_vmax2() const { return fit_vmax2_; }
+  /// The `fast` error terms as a plain view: the surrogates, their span and
+  /// the out-of-span fallbacks. Points into this sampler.
+  void write_fast_fields(SamplerView& view) const;
 
  private:
   /// Direct (surrogate-free) fast evaluations: the construction-time fit
-  /// samples and the out-of-span fallback.
+  /// samples and the out-of-span fallbacks.
   [[nodiscard]] double average_time_constant_direct_fast(double v_diff) const;
   [[nodiscard]] double charge_injection_error_direct_fast(double v_diff) const;
 

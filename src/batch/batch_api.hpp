@@ -2,34 +2,40 @@
 /// POD kernel interface of the batch conversion engine.
 ///
 /// The batch engine marches S samples × W dies (W = 8, 16 or 32) through
-/// the fast-profile stage chain in structure-of-arrays form, one *die per
-/// SIMD lane*. The serial cross-sample state of a die (reference droop,
-/// random-walk jitter) stays inside its lane, so lanes are fully independent
-/// and every per-stage invariant is hoisted once per die-block into the
-/// PlanView below.
+/// the fast profile's front end, stage chain and correction in
+/// structure-of-arrays form, one *die per SIMD lane*. The serial
+/// cross-sample state of a die (reference droop, random-walk jitter) stays
+/// inside its lane, so lanes are fully independent and every per-stage
+/// invariant is hoisted once per die-block into the PlanView below.
 ///
 /// The kernel is compiled three times — baseline SSE2, AVX2, AVX-512 — from
 /// one implementation header (batch_kernel_impl.hpp). To keep wide-ISA code
 /// from leaking into baseline callers (the COMDAT hazard documented in
-/// fastmath.hpp), the interface is deliberately plain-old-data: raw pointers
-/// and scalars only, no std:: templates, no classes with inline members.
+/// common/always_inline.hpp), the interface is deliberately plain-old-data:
+/// raw pointers and scalars only, no std:: templates, no classes with inline
+/// members.
 /// BatchConverter (converter.hpp) owns the arrays and builds the views.
 ///
 /// Bit-identity contract: for any die, the codes produced through this
 /// interface are byte-identical to `PipelineAdc::convert()` under the fast
 /// profile, on every ISA tier, at any batch shape — pinned by
-/// tests/test_batch.cpp. The stage chain is one template
-/// (pipeline/fast_chain.hpp) that PipelineAdc instantiates at one lane and
-/// the kernel at `PlanView::lanes`; what the kernel keeps of its own is the
-/// lane form of the front end (jitter, stimulus, sampler surrogates), the
-/// noise fill and the correction.
+/// tests/test_batch.cpp. Every per-sample step is one template that
+/// PipelineAdc instantiates at one lane and the kernel at `PlanView::lanes`:
+/// the front end (pipeline/fast_front.hpp), the tone stimulus
+/// (dsp/tone_lanes.hpp), the stage chain (pipeline/fast_chain.hpp) and the
+/// correction (digital/correction.hpp). The kernel keeps of its own only
+/// the loop shape of the noise fill: a chunked per-die fill transposed into
+/// lane-minor rows, the same positional draws as NoisePlane::generate.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "common/isa_dispatch.hpp"
+#include "digital/correction.hpp"
+#include "dsp/tone_lanes.hpp"
 #include "pipeline/fast_chain.hpp"
+#include "pipeline/fast_front.hpp"
 
 namespace adc::batch {
 
@@ -73,22 +79,12 @@ inline constexpr std::size_t kMaxBatchStages = 16;
 /// die through PipelineAdc.
 inline constexpr std::size_t kMinBatchDies = 4;
 
-/// One stimulus tone, pre-hoisted exactly as the per-die stimulus computes
-/// it: argument = w·t + phase, value contribution = amp·sin, slope
-/// contribution = slope_coef·cos.
-struct ToneView {
-  double w = 0.0;           ///< 2π·f, left-associated as the per-die path does
-  double phase = 0.0;
-  double amp = 0.0;
-  double slope_coef = 0.0;  ///< (amp·2π)·f
-};
-
-/// Everything the kernel reads and never writes: the block's stage-chain
-/// view plus what only a W-die block needs around it (the noise fill, the
-/// stimulus and front end, the correction). All per-lane arrays hold
-/// `lanes` values.
+/// Everything the kernel reads and never writes. Each per-sample step is a
+/// width-W template PipelineAdc runs at one lane, over the same view:
+/// the front end (`front`), the stimulus (`tones`), the stage chain
+/// (`chain`) and the correction (`correction`). What only a W-die block
+/// needs around them is the noise fill, keyed per lane.
 struct PlanView {
-  // --- geometry ---
   std::size_t lanes = 0;  ///< kernel width W of this block, one of kLaneWidths
   std::size_t slots = 0;  ///< noise-plane slots per sample
 
@@ -97,44 +93,15 @@ struct PlanView {
   /// invariants. `chain.num_stages` <= kMaxBatchStages; `chain.forced`
   /// stays null (no stage of a batch die is forced).
   adc::pipeline::fast_chain::ChainView chain;
+  /// The reference die's front end (pipeline/fast_front.hpp); every die
+  /// of the block was verified to share it.
+  adc::pipeline::fast_front::FrontView front;
+  /// The capture's stimulus (dsp/tone_lanes.hpp).
+  adc::dsp::ToneTable tones;
+  /// The reference die's redundancy correction (digital/correction.hpp).
+  adc::digital::CorrectionView correction;
 
-  // --- block-uniform scalars (config-derived; verified uniform at build) ---
-  double period = 0.0;           ///< 1 / f_CR [s]
-  double jitter_rms = 0.0;       ///< white aperture jitter sigma [s]
-  double walk_rms = 0.0;         ///< random-walk jitter step sigma [s]
-  double fit_vmax2 = 0.0;        ///< sampler surrogate span in z = v²
-  double tau_mid = 0.0;          ///< Clenshaw midpoint of the tau surrogate
-  double tau_inv_half = 0.0;
-  double inj_mid = 0.0;
-  double inj_inv_half = 0.0;
-  double tone_offset = 0.0;      ///< DC offset of a single-sine stimulus
-  long long corr_offset = 0;     ///< correction accumulator start
-  long long max_code = 0;        ///< (1 << bits) - 1
-  bool tracking_nonlinearity = false;
-  bool injection_on = false;     ///< sampler injection_fraction > 0
-  bool multi_tone = false;       ///< accumulate tones from 0 (MultiToneSignal)
-
-  // --- block-uniform arrays ---
-  const double* tau_coef = nullptr;   ///< [tau_count] Chebyshev coefficients
-  std::size_t tau_count = 0;
-  const double* inj_coef = nullptr;   ///< [inj_count]
-  std::size_t inj_count = 0;
-  const ToneView* tones = nullptr;    ///< [tone_count]
-  std::size_t tone_count = 0;
-  const long long* weights = nullptr; ///< [chain.num_stages] correction weights
-
-  // --- per-lane die parameters [lanes] ---
-  const std::uint64_t* noise_key = nullptr;  ///< noise-plane Philox keys
-
-  // --- out-of-span sampler fallback ---
-  // Lanes whose v² leaves the Chebyshev span re-run the exact surrogate
-  // fallback through these baseline-compiled callbacks (the wide TUs must
-  // not instantiate the sampler's code). ctx is a DifferentialSampler,
-  // which is die-independent (no Monte-Carlo draws), so one context serves
-  // every lane.
-  const void* sampler_ctx = nullptr;
-  double (*tau_fallback)(const void*, double) = nullptr;
-  double (*inj_fallback)(const void*, double) = nullptr;
+  const std::uint64_t* noise_key = nullptr;  ///< [lanes] noise-plane Philox keys
 };
 
 /// Mutable per-capture workspace, allocated once per BatchConverter and

@@ -3,18 +3,19 @@
 ///
 /// Everything here runs once per converter (die fabrication, invariant
 /// hoisting, uniformity verification); the per-sample work all lives in the
-/// ISA-dispatched kernel. Each die's stage-chain invariants are its own
-/// one-lane view (PipelineAdc::fast_chain_view), scattered into its lane of
-/// a die block — never re-derived from the config, so the kernel consumes
-/// the *same doubles* PipelineAdc's own conversions do.
+/// ISA-dispatched kernel. Nothing is re-derived from the config, so the
+/// kernel consumes the *same numbers* PipelineAdc's own conversions do:
+/// each die's stage-chain invariants are its one-lane view
+/// (PipelineAdc::fast_chain_view), scattered into its lane of a die block;
+/// the front end and the correction are the reference die's own views
+/// (fast_front_view, ErrorCorrection::view), which every other die is
+/// checked to share; the stimulus is the signal's own tone table.
 #include "batch/converter.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <iterator>
-#include <numbers>
 
-#include "analog/switches.hpp"
 #include "common/error.hpp"
 
 namespace adc::batch {
@@ -32,14 +33,22 @@ using adc::common::require;
 
 namespace fc = adc::pipeline::fast_chain;
 
-double tau_fallback_thunk(const void* ctx, double v) {
-  return static_cast<const adc::analog::DifferentialSampler*>(ctx)->average_time_constant_fast(
-      v);
+[[nodiscard]] bool same_series(const adc::common::fastmath::ChebyshevView& a,
+                               const adc::common::fastmath::ChebyshevView& b) {
+  bool same = a.count == b.count && same_bits(a.mid, b.mid) && same_bits(a.inv_half, b.inv_half);
+  for (std::size_t i = 0; same && i < a.count; ++i) same = same_bits(a.coef[i], b.coef[i]);
+  return same;
 }
 
-double inj_fallback_thunk(const void* ctx, double v) {
-  return static_cast<const adc::analog::DifferentialSampler*>(ctx)->charge_injection_error_fast(
-      v);
+/// Two dies' front ends compute the same bits. Only the sampler context
+/// differs: each die owns its sampler, but its fallbacks are config-derived.
+[[nodiscard]] bool same_front(const adc::pipeline::fast_front::FrontView& a,
+                              const adc::pipeline::fast_front::FrontView& b) {
+  return same_bits(a.period, b.period) && same_bits(a.jitter_rms, b.jitter_rms) &&
+         same_bits(a.walk_rms, b.walk_rms) && a.tracking_on == b.tracking_on &&
+         a.sampler.injection_on == b.sampler.injection_on &&
+         same_bits(a.sampler.span_z, b.sampler.span_z) &&
+         same_series(a.sampler.tau, b.sampler.tau) && same_series(a.sampler.inj, b.sampler.inj);
 }
 
 /// The narrowest kernel width that holds a block of `dies` (<= kLanes) dies.
@@ -74,54 +83,14 @@ BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
   adc::pipeline::AdcConfig cfg = base;
   cfg.seed = seeds_[0];
   ref_adc_ = std::make_unique<adc::pipeline::PipelineAdc>(cfg);  // lint-ok: construction-time
-  const adc::pipeline::AdcConfig& rc = ref_adc_->config();
 
-  // --- the chain's die-uniform scalars, read off the reference die ---
+  // --- the block-uniform views, read off the reference die ---
   const fc::ChainView ref_chain = ref_adc_->fast_chain_view();
   proto_ = PlanView{};
-  proto_.chain = ref_chain;  // per-lane pointers are rebound per block
-
-  // --- the front end's and the correction's block-uniform scalars ---
   proto_.slots = ref_adc_->noise_slots_per_sample();
-  // Same bits as SamplingClock::period(): the normalized clock always runs
-  // at the conversion rate.
-  proto_.period = 1.0 / rc.clock.frequency_hz;
-  proto_.jitter_rms = rc.clock.jitter_rms_s;
-  proto_.walk_rms = rc.clock.random_walk_rms_s;
-
-  const adc::analog::DifferentialSampler& smp = ref_adc_->sampler();
-  proto_.tracking_nonlinearity = rc.enable.tracking_nonlinearity;
-  proto_.injection_on = smp.switch_model().config().injection_fraction > 0.0;
-  proto_.fit_vmax2 = smp.fit_vmax2();
-  tau_coef_ = smp.tau_fit().coefficients();
-  inj_coef_ = smp.inj_fit().coefficients();
-  proto_.tau_mid = smp.tau_fit().mid();
-  proto_.tau_inv_half = smp.tau_fit().inv_half();
-  proto_.inj_mid = smp.inj_fit().mid();
-  proto_.inj_inv_half = smp.inj_fit().inv_half();
-  // An unprepared surrogate (fit_vmax2 < 0) routes every lane through the
-  // fallback; give Clenshaw a harmless coefficient so it never reads an
-  // empty table.
-  if (tau_coef_.empty()) tau_coef_.assign(1, 0.0);
-  if (inj_coef_.empty()) inj_coef_.assign(1, 0.0);
-  proto_.sampler_ctx = &ref_adc_->sampler();
-  proto_.tau_fallback = &tau_fallback_thunk;
-  proto_.inj_fallback = &inj_fallback_thunk;
-
-  // --- digital correction constants (ErrorCorrection::correct) ---
-  const int bits = ref_adc_->resolution_bits();
-  proto_.corr_offset = (1 << (bits - 1)) - (1 << (rc.flash_bits - 1));
-  proto_.max_code = (1LL << bits) - 1;
-  weights_.reserve(ref_chain.num_stages);
-  for (std::size_t i = 0; i < ref_chain.num_stages; ++i) {
-    weights_.push_back(1LL << (bits - 2 - static_cast<int>(i)));
-  }
-
-  proto_.tau_coef = tau_coef_.data();
-  proto_.tau_count = tau_coef_.size();
-  proto_.inj_coef = inj_coef_.data();
-  proto_.inj_count = inj_coef_.size();
-  proto_.weights = weights_.data();
+  proto_.chain = ref_chain;  // per-lane pointers are rebound per block
+  proto_.front = ref_adc_->fast_front_view();
+  proto_.correction = ref_adc_->correction().view();
 
   // --- per-die plan arrays, one block per kLanes dies, each at the
   // narrowest kernel width that holds it ---
@@ -174,8 +143,7 @@ bool BatchConverter::supports_config(const adc::pipeline::AdcConfig& config) {
 }
 
 bool BatchConverter::supports_signal(const adc::dsp::Signal& signal) {
-  return dynamic_cast<const adc::dsp::SineSignal*>(&signal) != nullptr ||
-         dynamic_cast<const adc::dsp::MultiToneSignal*>(&signal) != nullptr;
+  return signal.tone_table().count > 0;
 }
 
 bool BatchConverter::supports(const adc::pipeline::AdcConfig& config,
@@ -224,32 +192,8 @@ void BatchConverter::check_uniform(adc::pipeline::PipelineAdc& adc) const {
     require(same_bits(w1.flash_frac[k], pc.flash_frac[k]),
             "BatchConverter: die disagrees on flash thresholds");
   }
-  require(adc.config().enable.tracking_nonlinearity == proto_.tracking_nonlinearity,
-          "BatchConverter: die disagrees on the tracking gate");
-  require(same_bits(adc.config().clock.jitter_rms_s, proto_.jitter_rms) &&
-              same_bits(adc.config().clock.random_walk_rms_s, proto_.walk_rms) &&
-              same_bits(1.0 / adc.config().clock.frequency_hz, proto_.period),
-          "BatchConverter: die disagrees on clocking");
-
-  const adc::analog::DifferentialSampler& smp = adc.sampler();
-  bool sampler_ok = same_bits(smp.fit_vmax2(), proto_.fit_vmax2) &&
-                    (smp.switch_model().config().injection_fraction > 0.0) ==
-                        proto_.injection_on &&
-                    same_bits(smp.tau_fit().mid(), proto_.tau_mid) &&
-                    same_bits(smp.tau_fit().inv_half(), proto_.tau_inv_half) &&
-                    same_bits(smp.inj_fit().mid(), proto_.inj_mid) &&
-                    same_bits(smp.inj_fit().inv_half(), proto_.inj_inv_half);
-  const std::vector<double>& tc = smp.tau_fit().coefficients();
-  const std::vector<double>& ic = smp.inj_fit().coefficients();
-  sampler_ok = sampler_ok && (tc.empty() ? tau_coef_.size() == 1 : tc.size() == tau_coef_.size());
-  sampler_ok = sampler_ok && (ic.empty() ? inj_coef_.size() == 1 : ic.size() == inj_coef_.size());
-  for (std::size_t i = 0; sampler_ok && i < tc.size(); ++i) {
-    sampler_ok = same_bits(tc[i], tau_coef_[i]);
-  }
-  for (std::size_t i = 0; sampler_ok && i < ic.size(); ++i) {
-    sampler_ok = same_bits(ic[i], inj_coef_[i]);
-  }
-  require(sampler_ok, "BatchConverter: die disagrees on the sampler surrogates");
+  require(same_front(adc.fast_front_view(), proto_.front),
+          "BatchConverter: die disagrees on clocking or the sampler surrogates");
 }
 
 PlanView BatchConverter::block_view(const DieBlock& block) const {
@@ -271,30 +215,8 @@ std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& si
   // sequence "fresh die, k-th convert() call" die by die.
   const std::uint64_t epoch = ++epoch_;
 
-  // Hoist the stimulus into tone views with the per-die path's exact
-  // association: argument (2π·f)·t + φ, slope ((A·2π)·f)·cos.
-  constexpr double two_pi = 2.0 * std::numbers::pi;
-  tones_.clear();
-  if (const auto* sine = dynamic_cast<const adc::dsp::SineSignal*>(&signal)) {
-    proto_.multi_tone = false;
-    proto_.tone_offset = sine->offset();
-    tones_.reserve(1);  // capture boundary, not per-sample
-    tones_.push_back(ToneView{two_pi * sine->frequency(), sine->phase(), sine->amplitude(),
-                              sine->amplitude() * two_pi * sine->frequency()});
-  } else if (const auto* mt = dynamic_cast<const adc::dsp::MultiToneSignal*>(&signal)) {
-    proto_.multi_tone = true;
-    proto_.tone_offset = 0.0;
-    tones_.reserve(mt->tones().size());  // capture boundary, not per-sample
-    for (const adc::dsp::MultiToneSignal::Tone& t : mt->tones()) {
-      tones_.push_back(ToneView{two_pi * t.frequency_hz, t.phase_rad, t.amplitude,
-                                t.amplitude * two_pi * t.frequency_hz});
-    }
-  } else {
-    throw adc::common::ConfigError(
-        "BatchConverter::convert: unsupported stimulus (see supports_signal)");
-  }
-  proto_.tones = tones_.data();
-  proto_.tone_count = tones_.size();
+  const adc::dsp::ToneTable tones = signal.tone_table();
+  require(tones.count > 0, "BatchConverter::convert: unsupported stimulus (see supports_signal)");
 
   std::vector<std::vector<int>> results(seeds_.size());
   const bool any_pad = blocks_.back().dies < blocks_.back().lanes;
@@ -302,7 +224,8 @@ std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& si
 
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const DieBlock& blk = blocks_[b];
-    const PlanView p = block_view(blk);
+    PlanView p = block_view(blk);
+    p.tones = tones;
     std::array<int*, kLanes> out{};
     for (std::size_t l = 0; l < blk.dies; ++l) {
       std::vector<int>& codes = results[b * kLanes + l];

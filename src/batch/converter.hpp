@@ -2,10 +2,12 @@
 /// BatchConverter: the owner side of the batch conversion engine.
 ///
 /// A BatchConverter fabricates D dies from one base configuration plus a
-/// seed list, hoists every per-sample invariant of the fast profile into
-/// structure-of-arrays die-blocks of at most kLanes dies, and runs whole
-/// captures through the ISA-dispatched kernel (batch_api.hpp), each block at
-/// the narrowest kernel width that holds it. Results are
+/// seed list, gathers every per-sample invariant of the fast profile —
+/// each die's one-lane stage-chain view scattered into structure-of-arrays
+/// die-blocks of at most kLanes dies, the shared front-end and correction
+/// views of the first die — and runs whole captures through the
+/// ISA-dispatched kernel (batch_api.hpp), each block at the narrowest
+/// kernel width that holds it. Results are
 /// byte-identical to calling `PipelineAdc::convert()` die by die under the
 /// same fast profile — the engine is a throughput optimization, never a
 /// fidelity knob.
@@ -58,7 +60,7 @@ class BatchConverter {
   /// profile and a stage count within the kernel's compile-time ceiling.
   [[nodiscard]] static bool supports_config(const adc::pipeline::AdcConfig& config);
 
-  /// True when the stimulus has a batch kernel (SineSignal or
+  /// True when the stimulus is a tone table (SineSignal or
   /// MultiToneSignal; PipelineAdc converts everything else die by die).
   [[nodiscard]] static bool supports_signal(const adc::dsp::Signal& signal);
 
@@ -112,17 +114,14 @@ class BatchConverter {
   adc::common::BatchIsa isa_;
   const KernelOps* ops_ = nullptr;
 
-  /// First die, kept alive: uniform plan scalars, the flash ladder the
-  /// chain view points at, the sampler context for the out-of-span
-  /// fallbacks, and caller introspection.
+  /// First die, kept alive: the block-uniform views point into it (the
+  /// flash ladder, the sampler surrogates and their fallback context, the
+  /// correction weights), and it serves caller introspection.
   std::unique_ptr<adc::pipeline::PipelineAdc> ref_adc_;
 
-  // Block-uniform plan data (identical across dies; verified at build).
-  PlanView proto_;  ///< uniform scalars filled once; per-block/per-call fields patched
-  std::vector<double> tau_coef_;
-  std::vector<double> inj_coef_;
-  std::vector<long long> weights_;
-  std::vector<ToneView> tones_;  ///< rebuilt per convert() from the stimulus
+  /// Block-uniform views (identical across dies; verified at build); each
+  /// block and capture patches in its lane pointers and tone table.
+  PlanView proto_;
 
   std::vector<DieBlock> blocks_;  ///< kLanes dies each, but the last
 

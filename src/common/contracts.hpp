@@ -22,9 +22,9 @@
 #pragma once
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <span>
+
+#include "common/always_inline.hpp"
 
 #ifndef ADC_ENABLE_CONTRACTS
 #ifdef NDEBUG
@@ -37,15 +37,10 @@
 namespace adc::common {
 
 /// Backing for the contract macros: report and abort. Not for direct use.
-[[noreturn]] inline void contract_failed(const char* kind, const char* cond, const char* msg,
-                                         const char* file, int line) {
-  // stderr + abort rather than an exception: a broken numerical invariant
-  // means the model state is already garbage, and an abort gives sanitizers
-  // and debuggers the exact faulting frame.
-  std::fprintf(stderr, "%s:%d: %s(%s) failed: %s\n",  // lint-ok: abort-path diagnostic
-               file, line, kind, cond, msg);
-  std::abort();
-}
+/// Out of line (common/contracts.cpp), so no translation unit — the
+/// wide-ISA batch kernels included — carries a copy of its body.
+[[noreturn]] void contract_failed(const char* kind, const char* cond, const char* msg,
+                                  const char* file, int line) noexcept;
 
 /// True when every element of `xs` is finite (no NaN/Inf crept in).
 inline bool all_finite(std::span<const double> xs) {
@@ -55,8 +50,11 @@ inline bool all_finite(std::span<const double> xs) {
   return true;
 }
 
-/// True when `x` lies in the closed interval [lo, hi].
-inline bool in_closed_range(double x, double lo, double hi) { return x >= lo && x <= hi; }
+/// True when `x` lies in the closed interval [lo, hi]. Always inline: the
+/// shared fast stage chain states it in the batch kernels' contracts.
+ADC_ALWAYS_INLINE inline bool in_closed_range(double x, double lo, double hi) {
+  return x >= lo && x <= hi;
+}
 
 /// True when `xs` is sorted ascending (non-strict). Used for transfer-curve
 /// and sweep-grid postconditions.

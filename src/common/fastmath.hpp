@@ -42,25 +42,13 @@
 /// leaves these domains.
 #pragma once
 
-#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 
+#include "common/always_inline.hpp"
 #include "common/contracts.hpp"
 #include "common/fidelity.hpp"
-
-/// Force the kernels below to inline into every caller. Correctness, not just
-/// speed: the batch engine re-compiles its translation units with AVX2 and
-/// AVX-512 enabled, and an ordinary `inline` function used there would be
-/// emitted as a weak out-of-line COMDAT copy built with wide instructions —
-/// which the linker may then select for *baseline* callers, crashing SSE2
-/// hosts. always_inline leaves no out-of-line body to leak.
-#if defined(__GNUC__) || defined(__clang__)
-#define ADC_ALWAYS_INLINE [[gnu::always_inline]]
-#else
-#define ADC_ALWAYS_INLINE
-#endif
 
 namespace adc::common::fastmath {
 
@@ -81,7 +69,7 @@ ADC_ALWAYS_INLINE inline double round_even_small(double x) { return (x + kRoundM
 /// degree-6 Horner chains have no data dependence on each other, halving
 /// the latency of the serial chain for the scalar per-stage settle call.
 ADC_ALWAYS_INLINE inline double exp_fast(double x) {
-  if (x > 709.0) return std::numeric_limits<double>::infinity();
+  if (x > 709.0) return __builtin_inf();
   if (x < -708.0) return 0.0;  // flush-to-zero below the normal range
   constexpr double kInvLn2 = 1.44269504088896340736;
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
@@ -107,7 +95,7 @@ ADC_ALWAYS_INLINE inline double exp_fast(double x) {
   const double p = pe + r * po;
   // k is in [-1021, 1023] after the early-outs, so 2^k is a normal double.
   const auto k = static_cast<int>(kd);
-  const auto scale = std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+  const auto scale = __builtin_bit_cast(double, static_cast<std::uint64_t>(k + 1023) << 52);
   return p * scale;
 }
 
@@ -158,8 +146,8 @@ ADC_ALWAYS_INLINE inline double log_fast(double x) {
   ADC_EXPECT(x >= 0x1p-1022, "log_fast: argument must be a positive normal double");
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  double m = std::bit_cast<double>((bits & 0x000fffffffffffffull) | 0x3fe0000000000000ull);
+  const auto bits = __builtin_bit_cast(std::uint64_t, x);
+  double m = __builtin_bit_cast(double, (bits & 0x000fffffffffffffull) | 0x3fe0000000000000ull);
   // Branchless normalization: when m < sqrt(1/2), double m (m + m is exact)
   // and debit the exponent term. The condition is materialized as 0.0/1.0 by
   // extracting the sign bit of m - sqrt(1/2) — plain arithmetic, because the
@@ -168,7 +156,7 @@ ADC_ALWAYS_INLINE inline double log_fast(double x) {
   // gives +0 (sign 0), matching the strict `<`; small-integer double
   // arithmetic is exact, so `ed` is bit-identical to the integer original.
   const double low_half = static_cast<double>(static_cast<std::int32_t>(
-      std::bit_cast<std::uint64_t>(m - 0.70710678118654752440) >> 63));
+      __builtin_bit_cast(std::uint64_t, m - 0.70710678118654752440) >> 63));
   m += low_half * m;
   const double e_biased = static_cast<double>(
       static_cast<std::int32_t>((bits >> 52) & 0x7ffu));
@@ -203,11 +191,11 @@ ADC_ALWAYS_INLINE inline double log1p_fast(double x) {
 /// Association matters: `(h·y)·y` keeps intermediates normal even at
 /// DBL_MAX, where `h·(y·y)` would round through a subnormal.
 ADC_ALWAYS_INLINE inline double sqrt_fast(double x) {
-  ADC_EXPECT(x == 0.0 || x >= 0x1p-1022,
+  ADC_EXPECT((x >= 0.0 && x <= 0.0) || x >= 0x1p-1022,  // x == 0 without -Wfloat-equal
              "sqrt_fast: argument must be +0 or a positive normal double");
   const double h = 0.5 * x;
-  double y = std::bit_cast<double>(0x5FE6EB50C7B537A9ull -
-                                   (std::bit_cast<std::uint64_t>(x) >> 1));
+  const std::uint64_t seed = 0x5FE6EB50C7B537A9ull - (__builtin_bit_cast(std::uint64_t, x) >> 1);
+  double y = __builtin_bit_cast(double, seed);
   y = y * (1.5 - h * y * y);
   y = y * (1.5 - h * y * y);
   y = y * (1.5 - h * y * y);
@@ -232,7 +220,7 @@ ADC_ALWAYS_INLINE inline void sincos_fast(double x, double& sin_out, double& cos
   // holds 2^51 + n in its significand, and 2^51 ≡ 0 (mod 4), so the two low
   // mantissa bits are n mod 4 even for negative n.
   const double biased = x * kTwoOverPi + kRoundMagic;
-  const auto quadrant = std::bit_cast<std::uint64_t>(biased);
+  const auto quadrant = __builtin_bit_cast(std::uint64_t, biased);
   const double nd = biased - kRoundMagic;
   double r = x - nd * kPio2Hi;
   r -= nd * kPio2Mid;
@@ -261,13 +249,13 @@ ADC_ALWAYS_INLINE inline void sincos_fast(double x, double& sin_out, double& cos
   // Branchless quadrant swap/negate in the bit domain (masks and sign-bit
   // XORs, so the whole function vectorizes): sin picks the cos kernel in odd
   // quadrants and flips sign in quadrants 2 and 3; cos flips in 1 and 2.
-  const auto sr_bits = std::bit_cast<std::uint64_t>(sr);
-  const auto cr_bits = std::bit_cast<std::uint64_t>(cr);
+  const auto sr_bits = __builtin_bit_cast(std::uint64_t, sr);
+  const auto cr_bits = __builtin_bit_cast(std::uint64_t, cr);
   const std::uint64_t swap_mask = 0u - (quadrant & 1u);
   const std::uint64_t smag = (sr_bits & ~swap_mask) | (cr_bits & swap_mask);
   const std::uint64_t cmag = (cr_bits & ~swap_mask) | (sr_bits & swap_mask);
-  sin_out = std::bit_cast<double>(smag ^ ((quadrant & 2u) << 62));
-  cos_out = std::bit_cast<double>(cmag ^ (((quadrant + 1u) & 2u) << 62));
+  sin_out = __builtin_bit_cast(double, smag ^ ((quadrant & 2u) << 62));
+  cos_out = __builtin_bit_cast(double, cmag ^ (((quadrant + 1u) & 2u) << 62));
 }
 
 ADC_ALWAYS_INLINE inline double sin_fast(double x) {
@@ -282,6 +270,41 @@ ADC_ALWAYS_INLINE inline double cos_fast(double x) {
   double c = 0.0;
   sincos_fast(x, s, c);
   return c;
+}
+
+/// A Chebyshev series as plain data (adc::common::Chebyshev::view()): the
+/// argument maps to y = (x - mid)·inv_half on [-1, 1].
+struct ChebyshevView {
+  const double* coef = nullptr;  ///< [count] coefficients, count >= 1
+  std::size_t count = 0;
+  double mid = 0.0;
+  double inv_half = 1.0;
+};
+
+/// The series at the W points `x` by the Clenshaw recurrence, the
+/// coefficient loop outermost so each step is a flat lane loop.
+template <std::size_t W>
+ADC_ALWAYS_INLINE inline void clenshaw(const ChebyshevView& c, const double* x, double* out) {
+  double y[W];
+  double two_y[W];
+  double b1[W];
+  double b2[W];
+  for (std::size_t l = 0; l < W; ++l) {
+    y[l] = (x[l] - c.mid) * c.inv_half;
+    two_y[l] = 2.0 * y[l];
+    b1[l] = 0.0;
+    b2[l] = 0.0;
+  }
+  for (std::size_t k = c.count; k-- > 1;) {
+    const double ck = c.coef[k];
+    for (std::size_t l = 0; l < W; ++l) {
+      const double b0 = two_y[l] * b1[l] - b2[l] + ck;
+      b2[l] = b1[l];
+      b1[l] = b0;
+    }
+  }
+  const double c0 = c.coef[0];
+  for (std::size_t l = 0; l < W; ++l) out[l] = y[l] * b1[l] - b2[l] + c0;
 }
 
 }  // namespace adc::common::fastmath

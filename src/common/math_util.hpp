@@ -8,6 +8,8 @@
 #include <span>
 #include <vector>
 
+#include "common/fastmath.hpp"
+
 namespace adc::common {
 
 /// Chebyshev interpolant of a smooth function on [lo, hi]: fitted once at
@@ -51,24 +53,16 @@ class Chebyshev {
   /// Evaluate at x (callers keep x inside [lo, hi]; outside, the polynomial
   /// extrapolates and accuracy degrades rapidly).
   [[nodiscard]] double operator()(double x) const {
-    const double y = (x - mid_) * inv_half_;
-    const double two_y = 2.0 * y;
-    double b1 = 0.0;
-    double b2 = 0.0;
-    for (std::size_t k = coef_.size(); k-- > 1;) {
-      const double b0 = two_y * b1 - b2 + coef_[k];
-      b2 = b1;
-      b1 = b0;
-    }
-    return y * b1 - b2 + coef_[0];
+    double out = 0.0;
+    fastmath::clenshaw<1>(view(), &x, &out);
+    return out;
   }
 
-  // --- surrogate introspection (batch engine, src/batch) ---
-  // Raw Clenshaw inputs, so SoA kernels can evaluate the identical
-  // recurrence on coefficient arrays without touching this class.
-  [[nodiscard]] const std::vector<double>& coefficients() const { return coef_; }
-  [[nodiscard]] double mid() const { return mid_; }
-  [[nodiscard]] double inv_half() const { return inv_half_; }
+  /// The coefficients and span as plain data, for fastmath::clenshaw at any
+  /// lane width; valid while this object lives unchanged.
+  [[nodiscard]] fastmath::ChebyshevView view() const {
+    return {coef_.data(), coef_.size(), mid_, inv_half_};
+  }
 
   [[nodiscard]] bool valid() const { return !coef_.empty(); }
   [[nodiscard]] double lo() const { return mid_ - half_; }

@@ -15,10 +15,8 @@
 /// and no out-of-line COMDAT copy may leak to baseline callers.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "common/fastmath.hpp"
 
@@ -60,10 +58,10 @@ ADC_ALWAYS_INLINE inline void exp_span(const double* x, double* out, std::size_t
     pe = pe * r2 + 1.0;
     po = po * r2 + 1.0;
     const double p = pe + r * po;
-    const std::uint64_t u = std::bit_cast<std::uint64_t>(kd + fastmath::kRoundMagic);
-    const auto scale = std::bit_cast<double>((u + kScaleBias) << 52);
+    const std::uint64_t u = __builtin_bit_cast(std::uint64_t, kd + fastmath::kRoundMagic);
+    const auto scale = __builtin_bit_cast(double, (u + kScaleBias) << 52);
     double res = p * scale;
-    res = xi > 709.0 ? std::numeric_limits<double>::infinity() : res;
+    res = xi > 709.0 ? __builtin_inf() : res;
     res = xi < -708.0 ? 0.0 : res;
     out[i] = res;
   }

@@ -12,32 +12,28 @@ ErrorCorrection::ErrorCorrection(int num_stages, int flash_bits)
                        "ErrorCorrection: flash must be 1..4 bits");
   adc::common::require(num_stages + flash_bits <= 20,
                        "ErrorCorrection: unreasonable total resolution");
-}
-
-int ErrorCorrection::correct(const RawConversion& raw) const {
-  adc::common::require(static_cast<int>(raw.stage_codes.size()) == num_stages_,
-                       "ErrorCorrection: stage-code count mismatch");
   const int bits = resolution_bits();
   // Offset such that the all-zero decision path with a mid flash code lands
   // at mid-scale: offset = 2^(bits-1) - 2^(flash_bits-1). Derivation: the
   // reconstruction Vin = sum d_i Vref/2^i + (f - (2^F-1)/2) * Vref/2^(i_max)
   // mapped to [0, 2^bits-1] with 0.5 LSB centering.
-  const int offset = (1 << (bits - 1)) - (1 << (flash_bits_ - 1));
-
-  long long acc = offset;
+  offset_ = (1 << (bits - 1)) - (1 << (flash_bits_ - 1));
+  max_code_ = (1LL << bits) - 1;
   for (int i = 0; i < num_stages_; ++i) {
-    const int weight_exp = bits - 2 - i;  // stage 1 (i=0) carries 2^(bits-2)
-    acc += static_cast<long long>(value(raw.stage_codes[static_cast<std::size_t>(i)]))
-           << weight_exp;
+    // Stage 1 (i = 0) carries 2^(bits-2).
+    weights_[static_cast<std::size_t>(i)] = 1LL << (bits - 2 - i);
   }
-  acc += raw.flash_code;
+}
 
-  // The hardware adder saturates on out-of-range decision paths (possible
-  // only when an ADSC error exceeds the redundancy).
-  const long long max_code = (1LL << bits) - 1;
-  if (acc < 0) acc = 0;
-  if (acc > max_code) acc = max_code;
-  return static_cast<int>(acc);
+int ErrorCorrection::correct(const RawConversion& raw) const {
+  adc::common::require(static_cast<int>(raw.stage_codes.size()) == num_stages_,
+                       "ErrorCorrection: stage-code count mismatch");
+  int codes[StageCodeVec::kCapacity][1];
+  for (std::size_t i = 0; i < raw.stage_codes.size(); ++i) codes[i][0] = value(raw.stage_codes[i]);
+  const int flash[1] = {raw.flash_code};
+  int word[1];
+  correct_lanes<1>(view(), codes, flash, word);
+  return word[0];
 }
 
 int ErrorCorrection::mid_code() const { return 1 << (resolution_bits() - 1); }

@@ -5,17 +5,26 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/fastmath.hpp"
 
 namespace adc::dsp {
 
 namespace {
 constexpr double two_pi = 2.0 * std::numbers::pi;
+
+/// One tone hoisted with value()/slope()'s association: (2π·f)·t + φ for
+/// the argument and ((A·2π)·f)·cos for the slope.
+ToneView hoist(double amplitude, double frequency_hz, double phase_rad) {
+  return {two_pi * frequency_hz, phase_rad, amplitude, amplitude * two_pi * frequency_hz};
 }
+}  // namespace
 
 SineSignal::SineSignal(double amplitude, double frequency_hz, double phase_rad,
                        double offset)
-    : amplitude_(amplitude), frequency_(frequency_hz), phase_(phase_rad), offset_(offset) {
+    : amplitude_(amplitude),
+      frequency_(frequency_hz),
+      phase_(phase_rad),
+      offset_(offset),
+      tone_(hoist(amplitude, frequency_hz, phase_rad)) {
   adc::common::require(frequency_hz >= 0.0, "SineSignal: negative frequency");
 }
 
@@ -28,15 +37,17 @@ double SineSignal::slope(double t) const {
 }
 
 void SineSignal::sample_fast(double t, double& value_out, double& slope_out) const {
-  double s = 0.0;
-  double c = 0.0;
-  adc::common::fastmath::sincos_fast(two_pi * frequency_ * t + phase_, s, c);
-  value_out = offset_ + amplitude_ * s;
-  slope_out = amplitude_ * two_pi * frequency_ * c;
+  tone_lanes<1>(SineSignal::tone_table(), &t, &value_out, &slope_out);
 }
+
+ToneTable SineSignal::tone_table() const { return {&tone_, 1, offset_, -0.0}; }
 
 MultiToneSignal::MultiToneSignal(std::vector<Tone> tones) : tones_(std::move(tones)) {
   adc::common::require(!tones_.empty(), "MultiToneSignal: no tones");
+  views_.reserve(tones_.size());
+  for (const Tone& tone : tones_) {
+    views_.push_back(hoist(tone.amplitude, tone.frequency_hz, tone.phase_rad));
+  }
 }
 
 double MultiToneSignal::value(double t) const {
@@ -57,18 +68,10 @@ double MultiToneSignal::slope(double t) const {
 }
 
 void MultiToneSignal::sample_fast(double t, double& value_out, double& slope_out) const {
-  double v = 0.0;
-  double dv = 0.0;
-  for (const auto& tone : tones_) {
-    double s = 0.0;
-    double c = 0.0;
-    adc::common::fastmath::sincos_fast(two_pi * tone.frequency_hz * t + tone.phase_rad, s, c);
-    v += tone.amplitude * s;
-    dv += tone.amplitude * two_pi * tone.frequency_hz * c;
-  }
-  value_out = v;
-  slope_out = dv;
+  tone_lanes<1>(MultiToneSignal::tone_table(), &t, &value_out, &slope_out);
 }
+
+ToneTable MultiToneSignal::tone_table() const { return {views_.data(), views_.size(), 0.0, 0.0}; }
 
 RampSignal::RampSignal(double start, double stop, double duration_s)
     : start_(start), stop_(stop), duration_(duration_s) {

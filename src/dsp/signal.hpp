@@ -12,6 +12,8 @@
 #include <memory>
 #include <vector>
 
+#include "dsp/tone_lanes.hpp"
+
 namespace adc::dsp {
 
 /// A differential continuous-time signal v(t) in volts. For a converter with
@@ -24,14 +26,18 @@ class Signal {
   /// Instantaneous time derivative [V/s] at time t [s].
   [[nodiscard]] virtual double slope(double t) const = 0;
 
-  /// `fast`-profile evaluation: value and slope together, with the
-  /// transcendentals routed through common/fastmath.hpp where a source
-  /// overrides it (sines share one sincos). The default falls back to the
-  /// exact pair, so purely algebraic sources need no override.
+  /// `fast`-profile evaluation: value and slope together. Tone sources run
+  /// tone_lanes (dsp/tone_lanes.hpp) at one lane; the default falls back to
+  /// the exact pair, so purely algebraic sources need no override.
   virtual void sample_fast(double t, double& value_out, double& slope_out) const {
     value_out = value(t);
     slope_out = slope(t);
   }
+
+  /// The source as a tone table, for evaluation at many lanes at once
+  /// (the batch engine). Empty (`count == 0`) for sources that are not
+  /// tones; valid while the signal lives.
+  [[nodiscard]] virtual ToneTable tone_table() const { return {}; }
 };
 
 /// Pure sine: offset + amplitude * sin(2*pi*f*t + phase).
@@ -43,6 +49,7 @@ class SineSignal final : public Signal {
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double slope(double t) const override;
   void sample_fast(double t, double& value_out, double& slope_out) const override;
+  [[nodiscard]] ToneTable tone_table() const override;
 
   [[nodiscard]] double amplitude() const { return amplitude_; }
   [[nodiscard]] double frequency() const { return frequency_; }
@@ -54,6 +61,7 @@ class SineSignal final : public Signal {
   double frequency_;
   double phase_;
   double offset_;
+  ToneView tone_;
 };
 
 /// Sum of sines; used for two-tone intermodulation tests.
@@ -69,11 +77,13 @@ class MultiToneSignal final : public Signal {
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double slope(double t) const override;
   void sample_fast(double t, double& value_out, double& slope_out) const override;
+  [[nodiscard]] ToneTable tone_table() const override;
 
   [[nodiscard]] const std::vector<Tone>& tones() const { return tones_; }
 
  private:
   std::vector<Tone> tones_;
+  std::vector<ToneView> views_;  ///< tones_, hoisted for tone_lanes
 };
 
 /// Slow linear ramp from `start` to `stop` over `duration`; used for fast

@@ -12,11 +12,6 @@ using adc::common::require;
 
 namespace {
 
-// Noise-plane slot layout of the fast profile: shared with the stage chain
-// and the batch engine via pipeline/fast_layout.hpp.
-using fast_layout::kSlotJitter;
-using fast_layout::kSlotWalk;
-
 static_assert(fast_chain::kMaxStages == adc::digital::StageCodeVec::kCapacity,
               "the chain's code buffer holds every stage a RawConversion can");
 
@@ -315,78 +310,59 @@ fast_chain::ChainView PipelineAdc::fast_chain_view() {
   return v;
 }
 
-adc::digital::RawConversion PipelineAdc::quantize_sample_fast(const fast_chain::ChainView& view,
-                                                              double sampled,
-                                                              const double* draws) {
-  double x[1] = {sampled};
-  int codes[fast_chain::kMaxStages][1];
-  int flash[1];
-  fast_chain::quantize<1>(view, draws, x, &fast_droop_, codes, flash);
-  adc::digital::RawConversion raw;
-  for (std::size_t i = 0; i < view.num_stages; ++i) {
-    raw.stage_codes.push_back(  // lint-ok: StageCodeVec is fixed-capacity inline storage
-        static_cast<adc::digital::StageCode>(codes[i][0]));
-  }
-  raw.flash_code = static_cast<adc::digital::FlashCode>(flash[0]);
-  return raw;
+fast_front::FrontView PipelineAdc::fast_front_view() const {
+  fast_front::FrontView v;
+  v.period = clock_.period();
+  v.jitter_rms = clock_.jitter_rms();
+  v.walk_rms = clock_.random_walk_rms();
+  v.tracking_on = config_.enable.tracking_nonlinearity;
+  sampler_.write_fast_fields(v.sampler);
+  return v;
 }
 
 template <class Input, class Sink>
 void PipelineAdc::run_fast(std::size_t n, Input&& input, Sink&& sink) {
-  const fast_chain::ChainView view = fast_chain_view();
+  const fast_chain::ChainView chain = fast_chain_view();
+  const fast_front::FrontView front = fast_front_view();
   const std::uint64_t epoch = ++fast_epoch_;
   for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
     const std::size_t count = std::min(kPlaneChunkSamples, n - base);
     noise_plane_.generate(epoch, base, count);
     for (std::size_t k = base; k < base + count; ++k) {
       const double* draws = noise_plane_.row(k);
-      sink(quantize_sample_fast(view, input(k, draws), draws));
+      double x = input(front, k, draws);
+      int codes[fast_chain::kMaxStages][1];
+      int flash = 0;
+      fast_chain::quantize<1>(chain, draws, &x, &fast_droop_, codes, &flash);
+      adc::digital::RawConversion raw;
+      for (std::size_t i = 0; i < chain.num_stages; ++i) {
+        raw.stage_codes.push_back(  // lint-ok: StageCodeVec is fixed-capacity inline storage
+            static_cast<adc::digital::StageCode>(codes[i][0]));
+      }
+      raw.flash_code = static_cast<adc::digital::FlashCode>(flash);
+      sink(raw);
     }
   }
 }
 
-double PipelineAdc::tracked_sample_fast(const adc::dsp::Signal& signal, std::size_t k,
-                                        const double* draws, double& walk_s) const {
-  // Jittered sampling instant from the clock's plane slots (same physics as
-  // SamplingClock::sample_instant, positional deviates instead of
-  // sequential draws).
-  double t = static_cast<double>(k) * clock_.period();
-  if (clock_.jitter_rms() > 0.0) t += clock_.jitter_rms() * draws[kSlotJitter];
-  if (clock_.random_walk_rms() > 0.0) {
-    walk_s += clock_.random_walk_rms() * draws[kSlotWalk];
-    t += walk_s;
-  }
-  double v = 0.0;
-  double dvdt = 0.0;
-  signal.sample_fast(t, v, dvdt);
-  double tracked = v;
-  if (config_.enable.tracking_nonlinearity) {
-    tracked += sampler_.tracking_error_fast(v, dvdt);
-    tracked += sampler_.charge_injection_error_fast(v);
-  }
-  return tracked;
-}
-
-double PipelineAdc::front_end_fast(double v_diff) const {
-  if (!config_.enable.tracking_nonlinearity) return v_diff;
-  return v_diff + sampler_.charge_injection_error_fast(v_diff);
-}
-
-std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_t n) {
-  reset_state();
-  std::vector<int> codes;
-  codes.reserve(n);
+template <class Sink>
+void PipelineAdc::capture(const adc::dsp::Signal& signal, std::size_t n, Sink&& sink) {
   if (config_.fidelity == adc::common::FidelityProfile::kFast) {
     double walk_s = 0.0;
     run_fast(
         n,
-        [&](std::size_t k, const double* draws) {
-          return tracked_sample_fast(signal, k, draws, walk_s);
+        [&](const fast_front::FrontView& front, std::size_t k, const double* draws) {
+          double t = 0.0;
+          fast_front::instant<1>(front, k, draws, &walk_s, &t);
+          double v = 0.0;
+          double dvdt = 0.0;
+          signal.sample_fast(t, v, dvdt);
+          double tracked = 0.0;
+          fast_front::track<1>(front, &v, &dvdt, &tracked);
+          return tracked;
         },
-        [&](const adc::digital::RawConversion& raw) {
-          codes.push_back(correction_.correct(raw));
-        });
-    return codes;
+        sink);
+    return;
   }
   for (std::size_t k = 0; k < n; ++k) {
     const double t = clock_.sample_instant(k);
@@ -396,8 +372,38 @@ std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_
       tracked += sampler_.tracking_error(v, signal.slope(t));
       tracked += sampler_.charge_injection_error(v);
     }
-    codes.push_back(correction_.correct(quantize_sample(tracked)));
+    sink(quantize_sample(tracked));
   }
+}
+
+template <class Sink>
+void PipelineAdc::capture_held(std::span<const double> voltages, Sink&& sink) {
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    run_fast(
+        voltages.size(),
+        [&](const fast_front::FrontView& front, std::size_t k, const double*) {
+          double held = 0.0;
+          fast_front::track<1>(front, &voltages[k], nullptr, &held);
+          return held;
+        },
+        sink);
+    return;
+  }
+  // Charge injection is a static error, so it applies to held inputs; the
+  // tracking term vanishes at zero slope.
+  const bool inject = config_.enable.tracking_nonlinearity;
+  for (const double v : voltages) {
+    sink(quantize_sample(inject ? v + sampler_.charge_injection_error(v) : v));
+  }
+}
+
+std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_t n) {
+  reset_state();
+  std::vector<int> codes;
+  codes.reserve(n);
+  capture(signal, n, [&](const adc::digital::RawConversion& raw) {
+    codes.push_back(correction_.correct(raw));
+  });
   return codes;
 }
 
@@ -406,31 +412,11 @@ StreamResult PipelineAdc::convert_stream(const adc::dsp::Signal& signal, std::si
   StreamResult result;
   result.latency_cycles = alignment_.latency_cycles();
   result.codes.reserve(n);
-  const auto push = [&](adc::digital::RawConversion raw) {
+  capture(signal, n, [&](const adc::digital::RawConversion& raw) {
     if (auto aligned = alignment_.push(raw)) {
       result.codes.push_back(correction_.correct(*aligned));
     }
-  };
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    double walk_s = 0.0;
-    run_fast(
-        n,
-        [&](std::size_t k, const double* draws) {
-          return tracked_sample_fast(signal, k, draws, walk_s);
-        },
-        push);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double t = clock_.sample_instant(k);
-      const double v = signal.value(t);
-      double tracked = v;
-      if (config_.enable.tracking_nonlinearity) {
-        tracked += sampler_.tracking_error(v, signal.slope(t));
-        tracked += sampler_.charge_injection_error(v);
-      }
-      push(quantize_sample(tracked));
-    }
-  }
+  });
   while (auto aligned = alignment_.flush()) {
     result.codes.push_back(correction_.correct(*aligned));
     if (result.codes.size() >= n) break;
@@ -442,35 +428,23 @@ std::vector<int> PipelineAdc::convert_samples(std::span<const double> voltages) 
   reset_state();
   std::vector<int> codes;
   codes.reserve(voltages.size());
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    run_fast(
-        voltages.size(),
-        [&](std::size_t k, const double*) { return front_end_fast(voltages[k]); },
-        [&](const adc::digital::RawConversion& raw) {
-          codes.push_back(correction_.correct(raw));
-        });
-    return codes;
-  }
-  for (double v : voltages) {
-    codes.push_back(correction_.correct(quantize_sample(front_end(v))));
-  }
+  capture_held(voltages, [&](const adc::digital::RawConversion& raw) {
+    codes.push_back(correction_.correct(raw));
+  });
   return codes;
 }
 
 int PipelineAdc::convert_dc(double v_diff) { return correction_.correct(convert_dc_raw(v_diff)); }
 
 adc::digital::RawConversion PipelineAdc::convert_dc_raw(double v_diff) {
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    // A DC conversion is its own one-sample capture (epoch bump), so
-    // repeated calls see fresh noise exactly like repeated exact-profile
-    // calls do. No reset: the reference droop carries across DC calls.
-    adc::digital::RawConversion raw;
-    run_fast(
-        1, [&](std::size_t, const double*) { return front_end_fast(v_diff); },
-        [&](const adc::digital::RawConversion& r) { raw = r; });
-    return raw;
-  }
-  return quantize_sample(front_end(v_diff));
+  // A DC conversion is its own one-sample capture (under the fast profile
+  // an epoch bump, so repeated calls see fresh noise exactly like repeated
+  // exact-profile calls do). No reset: the reference droop carries across
+  // DC calls.
+  adc::digital::RawConversion raw;
+  capture_held(std::span<const double>(&v_diff, 1),
+               [&](const adc::digital::RawConversion& r) { raw = r; });
+  return raw;
 }
 
 std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw(
@@ -478,34 +452,8 @@ std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw(
   reset_state();
   std::vector<adc::digital::RawConversion> raws;
   raws.reserve(n);
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    double walk_s = 0.0;
-    run_fast(
-        n,
-        [&](std::size_t k, const double* draws) {
-          return tracked_sample_fast(signal, k, draws, walk_s);
-        },
-        [&](const adc::digital::RawConversion& raw) { raws.push_back(raw); });
-    return raws;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const double t = clock_.sample_instant(k);
-    const double v = signal.value(t);
-    double tracked = v;
-    if (config_.enable.tracking_nonlinearity) {
-      tracked += sampler_.tracking_error(v, signal.slope(t));
-      tracked += sampler_.charge_injection_error(v);
-    }
-    raws.push_back(quantize_sample(tracked));
-  }
+  capture(signal, n, [&](const adc::digital::RawConversion& raw) { raws.push_back(raw); });
   return raws;
-}
-
-double PipelineAdc::front_end(double v_diff) const {
-  // DC path through the sampling front end: charge injection applies (it is
-  // a static error); the tracking term vanishes at zero slope.
-  if (!config_.enable.tracking_nonlinearity) return v_diff;
-  return v_diff + sampler_.charge_injection_error(v_diff);
 }
 
 double PipelineAdc::residue_after_stage(std::size_t stage_index, double vin) const {

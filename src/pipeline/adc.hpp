@@ -40,6 +40,7 @@
 #include "digital/correction.hpp"
 #include "dsp/signal.hpp"
 #include "pipeline/fast_chain.hpp"
+#include "pipeline/fast_front.hpp"
 #include "pipeline/flash.hpp"
 #include "pipeline/scaling.hpp"
 #include "pipeline/stage.hpp"
@@ -208,12 +209,17 @@ class PipelineAdc {
   /// scatters into one lane of a die block. Rebuilt from the stages after
   /// stage_mutable(); valid until the next stage edit.
   [[nodiscard]] fast_chain::ChainView fast_chain_view();
+  /// This die's fast-profile front end (clock and input sampler), the view
+  /// its own fast conversions run at one lane and a BatchConverter runs for
+  /// a whole block. Points into this converter; valid while it lives.
+  [[nodiscard]] fast_front::FrontView fast_front_view() const;
   /// The noise-plane Philox key and row width of the fast profile.
   [[nodiscard]] std::uint64_t noise_plane_key() const { return noise_plane_.key(); }
   [[nodiscard]] std::size_t noise_slots_per_sample() const {
     return noise_plane_.slots_per_sample();
   }
-  [[nodiscard]] const adc::analog::DifferentialSampler& sampler() const { return sampler_; }
+  /// The redundancy correction every conversion's codes go through.
+  [[nodiscard]] const adc::digital::ErrorCorrection& correction() const { return correction_; }
 
   /// Reset dynamic state (reference droop, alignment registers) for a fresh
   /// capture; Monte-Carlo draws (mismatch, offsets) are preserved.
@@ -223,29 +229,29 @@ class PipelineAdc {
   /// Apply the NonIdealities flags by zeroing the corresponding parameters.
   static AdcConfig normalize(AdcConfig config);
 
-  /// Static front-end error (charge injection) for DC conversions.
-  [[nodiscard]] double front_end(double v_diff) const;
-
   /// Core quantization of one sampled-and-held voltage.
   [[nodiscard]] adc::digital::RawConversion quantize_sample(double sampled);
+
+  /// One capture of `n` samples of `signal` under either profile, each
+  /// sample's raw conversion handed to `sink` in order.
+  template <class Sink>
+  void capture(const adc::dsp::Signal& signal, std::size_t n, Sink&& sink);
+  /// The same for already-held voltages: no clock, no tracking term.
+  template <class Sink>
+  void capture_held(std::span<const double> voltages, Sink&& sink);
 
   // --- fast-profile machinery (positional determinism; see
   // common/fidelity.hpp). Each capture bumps `fast_epoch_` and reads its
   // noise from a freshly generated plane (slot layout in
-  // pipeline/fast_layout.hpp); the quantizer is the stage chain of
-  // pipeline/fast_chain.hpp at one lane. ---
+  // pipeline/fast_layout.hpp); the front end and the quantizer are
+  // pipeline/fast_front.hpp and pipeline/fast_chain.hpp at one lane. ---
 
   /// Rebuild the one-lane chain plan from the stages, flash and reference.
   void refresh_fast_plan();
-  /// One fast capture of `n` samples: `input(k, draws)` yields sample k's
-  /// tracked voltage, `sink(raw)` takes its raw conversion, in order.
+  /// One fast capture of `n` samples: `input(front, k, draws)` yields
+  /// sample k's tracked voltage, `sink(raw)` takes its raw conversion.
   template <class Input, class Sink>
   void run_fast(std::size_t n, Input&& input, Sink&& sink);
-  [[nodiscard]] adc::digital::RawConversion quantize_sample_fast(
-      const fast_chain::ChainView& view, double sampled, const double* draws);
-  [[nodiscard]] double tracked_sample_fast(const adc::dsp::Signal& signal, std::size_t k,
-                                           const double* draws, double& walk_s) const;
-  [[nodiscard]] double front_end_fast(double v_diff) const;
 
   AdcConfig config_;
   adc::common::Rng rng_;

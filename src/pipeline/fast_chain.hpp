@@ -33,10 +33,9 @@
 /// Every function here is ADC_ALWAYS_INLINE. The header is compiled into
 /// baseline translation units and into the AVX2/AVX-512 kernel units, and
 /// an ordinary inline body would be emitted as a weak COMDAT copy that the
-/// linker may hand to baseline callers (see common/fastmath.hpp).
+/// linker may hand to baseline callers (see common/always_inline.hpp).
 #pragma once
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -125,7 +124,7 @@ ADC_ALWAYS_INLINE inline bool decide(double v, double threshold, double offset,
   const double margin = noisy - (threshold + offset);
   const bool metastable = std::fabs(margin) < meta;
   // !std::signbit(draw), spelled bitwise so the loop vectorizes.
-  const bool draw_positive = (std::bit_cast<std::uint64_t>(draw) >> 63) == 0;
+  const bool draw_positive = (__builtin_bit_cast(std::uint64_t, draw) >> 63) == 0;
   // Bitwise (not short-circuit) combine: both sides are pure, and a branch
   // here would keep the whole decision loop scalar.
   return (metastable & draw_positive) | (!metastable & (margin > 0.0));
@@ -166,7 +165,7 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
   const double* rl = rt + 2 * W;
 
   for (std::size_t l = 0; l < W; ++l) {
-    ADC_EXPECT(std::isfinite(x[l]), "fast_chain::stage_step: non-finite input voltage");
+    ADC_EXPECT(__builtin_isfinite(x[l]), "fast_chain::stage_step: non-finite input voltage");
   }
   double sampled[W];
   if (v.thermal_on) {
@@ -197,7 +196,7 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
   for (std::size_t l = 0; l < W; ++l) {
     const double held = sampled[l] - (d0[l] + d1[l] * sampled[l]);
     target[l] = gn[l] * held - static_cast<double>(d[l]) * gd[l] * vref[l];
-    ADC_EXPECT(std::isfinite(target[l]), "fast_chain::stage_step: non-finite target voltage");
+    ADC_EXPECT(__builtin_isfinite(target[l]), "fast_chain::stage_step: non-finite target voltage");
   }
 
   // Opamp settling on the precomputed loop constants: finite-gain final
@@ -267,7 +266,7 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
     double out_v = finalv[l] - sign * dyn;
     out_v = out_v > osw[l] ? osw[l] : out_v;    // clamp to output swing;
     out_v = out_v < -osw[l] ? -osw[l] : out_v;  // no-ops when inside
-    ADC_ENSURE(std::isfinite(out_v), "fast_chain::stage_step: non-finite residue");
+    ADC_ENSURE(__builtin_isfinite(out_v), "fast_chain::stage_step: non-finite residue");
     ADC_ENSURE(adc::common::in_closed_range(out_v, -osw[l], osw[l]),
                "fast_chain::stage_step: residue escaped the swing limit");
     x[l] = out_v;
@@ -311,7 +310,7 @@ ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const double* row, do
   double vref[W];
   for (std::size_t l = 0; l < W; ++l) {
     vref[l] = v.nominal_vref[l] + v.level_error[l] - droop[l];
-    ADC_EXPECT(std::isfinite(vref[l]) && vref[l] > 0.0, "fast_chain::quantize: bad V_REF");
+    ADC_EXPECT(__builtin_isfinite(vref[l]) && vref[l] > 0.0, "fast_chain::quantize: bad V_REF");
   }
 
   double activity[W];

@@ -5,9 +5,9 @@
 /// fixed slot, so an unconsumed draw (e.g. the low ADSC comparator when the
 /// high one already decided) never shifts another mechanism's noise. The
 /// stage chain (pipeline/fast_chain.hpp) reads the ripple, stage and flash
-/// slots; the front ends around it read the jitter slots — PipelineAdc's
-/// from one die's NoisePlane row, the batch kernel's from lane-minor rows
-/// of the same positional draws.
+/// slots, the front end (pipeline/fast_front.hpp) the jitter slots — at
+/// W = 1 from one die's NoisePlane row, in the batch kernel from lane-minor
+/// rows of the same positional draws.
 #pragma once
 
 #include <cstddef>
