@@ -718,3 +718,60 @@ TEST_F(ScenarioTest, BatchedYieldHandlesScatteredCacheHitsAndThreadCounts) {
         << "report drifted at threads=" << threads;
   }
 }
+
+namespace {
+
+/// A fixed payload for the cache byte pins: a double with a full 17-digit
+/// spelling, an unsigned integer, a string, a nested object and an array.
+json::JsonValue pinned_payload() {
+  auto nested = json::JsonValue::object();
+  nested.set("snr_db", 69.06033533331195);
+  nested.set("missing_codes", std::uint64_t{0});
+  auto bins = json::JsonValue::array();
+  bins.push_back(-0.25);
+  bins.push_back(1.5);
+  auto payload = json::JsonValue::object();
+  payload.set("sndr_db", 65.04805467847734);
+  payload.set("seed", std::uint64_t{42});
+  payload.set("label", "pin");
+  payload.set("nested", std::move(nested));
+  payload.set("bins", std::move(bins));
+  return payload;
+}
+
+std::string read_bytes(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
+/// The on-disk bytes of a one-entry store are a compatibility contract:
+/// caches written by earlier builds must keep loading, and a one-entry store
+/// must keep writing exactly this file.
+TEST_F(ScenarioTest, OneEntryStoreWritesPinnedBytes) {
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  const std::string hash = "6b8b4567327b23c6";
+  cache.store(hash, pinned_payload());
+  const std::string expected =
+      "{\n"
+      "  \"hash\": \"6b8b4567327b23c6\",\n"
+      "  \"schema_version\": 2,\n"
+      "  \"payload\": {\n"
+      "    \"sndr_db\": 65.04805467847734,\n"
+      "    \"seed\": 42,\n"
+      "    \"label\": \"pin\",\n"
+      "    \"nested\": {\n"
+      "      \"snr_db\": 69.06033533331195,\n"
+      "      \"missing_codes\": 0\n"
+      "    },\n"
+      "    \"bins\": [\n"
+      "      -0.25,\n"
+      "      1.5\n"
+      "    ]\n"
+      "  }\n"
+      "}\n";
+  EXPECT_EQ(read_bytes(fs::path(cache.root()) / "6b" / (hash + ".json")), expected);
+  EXPECT_EQ(cache.stores(), 1u);
+}
