@@ -4,14 +4,21 @@
 /// the Monte-Carlo sweeps (a Fig. 5 sweep runs ~15 captures of 8k samples),
 /// plus the parallel runtime itself: pool fan-out overhead and the
 /// end-to-end Monte-Carlo / rate-sweep workloads at 1 and N threads (the
-/// serial-vs-parallel pair is the speedup the runtime exists to deliver).
+/// serial-vs-parallel pair is the speedup the runtime exists to deliver),
+/// and the scenario cache's store path, one entry per file against packs.
 /// `tools/run_bench.sh` runs this binary with JSON output as the repo's
 /// performance trajectory artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "batch/batch_api.hpp"
@@ -23,6 +30,9 @@
 #include "dsp/spectrum.hpp"
 #include "pipeline/design.hpp"
 #include "runtime/parallel.hpp"
+#include "scenario/cache.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/spec.hpp"
 #include "testbench/dynamic_test.hpp"
 #include "testbench/monte_carlo.hpp"
 #include "testbench/sweep.hpp"
@@ -277,6 +287,70 @@ void BM_RateSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(rates.size()));
 }
 BENCHMARK(BM_RateSweep)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
+// --- Scenario cache ---------------------------------------------------------
+
+/// scenarios/yield2k.json: 2000 fast-profile dies, one payload each.
+constexpr const char* kYield2k = R"({
+  "name": "yield2k",
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "amplitude_fraction": 0.985,
+               "record_length": 2048},
+  "measurement": {"type": "yield", "metric": "sndr_db", "limit": 63.0},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 42, "count": 2000}
+})";
+
+/// The yield2k plan with its 2000 computed payloads (built once, on first
+/// use) and a scratch cache root under the working directory, removed at
+/// exit.
+struct CachePayloads {
+  adc::scenario::ScenarioSpec spec = adc::scenario::parse_spec_text(kYield2k);
+  adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec);
+  std::vector<std::optional<adc::common::json::JsonValue>> payloads;
+  std::string root;
+
+  CachePayloads() {
+    payloads.resize(plan.jobs.size());
+    (void)adc::scenario::execute_plan(spec, plan, payloads, {});
+    std::string pattern = "./perf_simulator_cache.XXXXXX";
+    if (::mkdtemp(pattern.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
+    root = pattern;
+  }
+  ~CachePayloads() {
+    std::error_code ec;
+    std::filesystem::remove_all(root, ec);
+  }
+  CachePayloads(const CachePayloads&) = delete;
+  CachePayloads& operator=(const CachePayloads&) = delete;
+};
+
+// 2000 real payloads stored into an emptied cache root, Arg entries per
+// store call: 1 is the one-file-per-entry store, 32 a full execute unit's
+// pack (one inode, 32 links). The gap is the inode creations saved.
+void BM_CacheStore(benchmark::State& state) {
+  static CachePayloads fixture;
+  const auto per_call = static_cast<std::size_t>(state.range(0));
+  const std::string root = fixture.root + "/store" + std::to_string(per_call);
+  std::vector<adc::scenario::CacheEntry> entries;
+  for (std::size_t i = 0; i < fixture.plan.hashes.size(); ++i) {
+    entries.push_back({fixture.plan.hashes[i], *fixture.payloads[i]});
+  }
+  const std::span<const adc::scenario::CacheEntry> all(entries);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(root);
+    adc::scenario::ResultCache cache(root);
+    cache.ensure_writable();
+    state.ResumeTiming();
+    for (std::size_t first = 0; first < all.size(); first += per_call) {
+      cache.store(all.subspan(first, std::min(per_call, all.size() - first)));
+    }
+    benchmark::DoNotOptimize(cache.stores());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(all.size()));
+}
+BENCHMARK(BM_CacheStore)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

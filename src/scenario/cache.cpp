@@ -1,5 +1,7 @@
 #include "scenario/cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +11,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,6 +72,90 @@ void walk_cache(const std::string& root, Visit&& visit) {
   }
 }
 
+/// Create the directory holding `path` (a `<root>/<xx>/` fan-out directory);
+/// `caller` prefixes the error.
+void create_parent(const fs::path& path, const char* caller) {
+  std::error_code ec;
+  fs::create_directories(path.parent_path(), ec);
+  if (ec) {
+    throw ConfigError(std::string(caller) + ": cannot create " +
+                      path.parent_path().string() + ": " + ec.message());
+  }
+}
+
+/// Read the whole file at `path` with one read sized by fstat. False when it
+/// cannot be opened (a miss); a short read keeps the bytes it got, which
+/// then fail validation.
+bool read_file(const std::string& path, std::string& text) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0) text.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < text.size()) {
+    const ssize_t n = ::read(fd, text.data() + done, text.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  text.resize(done);
+  return true;
+}
+
+/// The opening of the envelope `json::dump` writes for a hash, up to the
+/// hash's closing quote; `hash` must be a validated 16-digit hash.
+constexpr std::string_view kHeaderOpen = "{\n  \"hash\": \"";
+/// Every envelope ends with the root object's closing brace on its own line.
+constexpr std::string_view kEnvelopeClose = "\n}\n";
+/// A pack of several envelopes wraps them in a JSON object, each envelope's
+/// bytes unchanged: `{"pack": [\n<envelope>,\n<envelope>]}\n`. The whole
+/// file stays one JSON document; a one-entry pack is the bare envelope.
+constexpr std::string_view kPackOpen = "{\"pack\": [\n";
+constexpr std::string_view kPackSeparator = ",\n";
+constexpr std::string_view kPackClose = "]}\n";
+/// How an intact wrapped pack ends: its last envelope, then kPackClose.
+constexpr std::string_view kPackTail = "\n}\n]}\n";
+
+/// The payload of `hash`'s envelope in `pack` (a bare envelope or a wrapped
+/// pack); nullopt when the pack is torn, holds no envelope for `hash`, or
+/// that envelope is invalid.
+std::optional<json::JsonValue> unpack(std::string_view pack, const std::string& hash) {
+  if (!pack.ends_with(pack.starts_with(kPackOpen) ? kPackTail : kEnvelopeClose)) {
+    return std::nullopt;
+  }
+  char header[kHeaderOpen.size() + 17];
+  std::memcpy(header, kHeaderOpen.data(), kHeaderOpen.size());
+  std::memcpy(header + kHeaderOpen.size(), hash.data(), 16);
+  header[sizeof header - 1] = '"';
+  // Only an envelope's root object opens a line with this header: payload
+  // objects are indented and strings hold no raw newlines.
+  std::size_t start = 0;
+  for (std::size_t from = 0;; from = start + 1) {
+    const void* hit = ::memmem(pack.data() + from, pack.size() - from, header, sizeof header);
+    if (hit == nullptr) return std::nullopt;
+    start = static_cast<std::size_t>(static_cast<const char*>(hit) - pack.data());
+    if (start == 0 || pack[start - 1] == '\n') break;
+  }
+  const std::size_t close = pack.find(kEnvelopeClose, start);
+  if (close == std::string_view::npos) return std::nullopt;
+  const std::size_t end = close + kEnvelopeClose.size();
+  try {
+    const auto envelope = json::parse(pack.substr(start, end - start));
+    const auto* stored_hash = envelope.find("hash");
+    const auto* version = envelope.find("schema_version");
+    const auto* payload = envelope.find("payload");
+    if (stored_hash != nullptr && stored_hash->is_string() &&
+        stored_hash->as_string() == hash && version != nullptr && version->is_integer() &&
+        version->as_uint64() == kScenarioSchemaVersion && payload != nullptr) {
+      return *payload;
+    }
+  } catch (const ConfigError&) {
+    // Invalid envelope.
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 ResultCache::ResultCache(std::string root) : root_(std::move(root)) {
@@ -105,37 +193,23 @@ void ResultCache::ensure_writable() const {
 }
 
 std::string ResultCache::entry_path(const std::string& hash) const {
-  adc::common::require(is_hex_hash(hash),
-                       "ResultCache: malformed hash \"" + hash + "\"");
+  if (!is_hex_hash(hash)) throw ConfigError("ResultCache: malformed hash \"" + hash + "\"");
   return root_ + "/" + hash.substr(0, 2) + "/" + hash + ".json";
 }
 
 std::optional<json::JsonValue> ResultCache::load(const std::string& hash) {
-  const fs::path path = entry_path(hash);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  const std::string path = entry_path(hash);
+  std::string text;
+  if (!read_file(path, text)) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
-
-  // Validate the envelope; anything unexpected evicts the entry.
-  try {
-    const auto envelope = json::parse(buffer.str());
-    const auto* stored_hash = envelope.find("hash");
-    const auto* version = envelope.find("schema_version");
-    const auto* payload = envelope.find("payload");
-    if (stored_hash != nullptr && stored_hash->is_string() &&
-        stored_hash->as_string() == hash && version != nullptr && version->is_integer() &&
-        version->as_uint64() == kScenarioSchemaVersion && payload != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return *payload;
-    }
-  } catch (const ConfigError&) {
-    // Fall through to eviction.
+  if (auto payload = unpack(text, hash)) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return payload;
   }
+  // Evict only this name: sibling links into the same pack evict on their
+  // own loads.
   std::error_code ec;
   fs::remove(path, ec);
   evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -144,38 +218,72 @@ std::optional<json::JsonValue> ResultCache::load(const std::string& hash) {
 }
 
 void ResultCache::store(const std::string& hash, const json::JsonValue& payload) {
-  auto envelope = json::JsonValue::object();
-  envelope.set("hash", hash);
-  envelope.set("schema_version", kScenarioSchemaVersion);
-  envelope.set("payload", payload);
-  const std::string text = json::dump(envelope);
+  const CacheEntry entry{hash, payload};
+  store(std::span<const CacheEntry>(&entry, 1));
+}
 
-  const fs::path path = entry_path(hash);
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  adc::common::require(!ec, "ResultCache::store: cannot create " +
-                                path.parent_path().string() + ": " + ec.message());
+void ResultCache::store(std::span<const CacheEntry> entries) {
+  if (entries.empty()) return;
+  const bool wrapped = entries.size() > 1;
+  std::string pack(wrapped ? kPackOpen : "");
+  std::vector<fs::path> paths;
+  paths.reserve(entries.size());
+  for (const CacheEntry& entry : entries) {
+    auto envelope = json::JsonValue::object();
+    envelope.set("hash", entry.hash);
+    envelope.set("schema_version", kScenarioSchemaVersion);
+    envelope.set("payload", entry.payload);
+    if (!paths.empty()) pack += kPackSeparator;
+    pack += json::dump(envelope);
+    paths.push_back(entry_path(entry.hash));
+  }
+  if (wrapped) pack += kPackClose;
 
-  const fs::path tmp = path.string() + unique_tmp_suffix();
+  // Write the pack next to the last entry, under a temporary name.
+  create_parent(paths.back(), "ResultCache::store");
+  const fs::path pack_tmp = paths.back().string() + unique_tmp_suffix();
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    adc::common::require(out.good(), "ResultCache::store: cannot open " + tmp.string());
-    out << text;
+    std::ofstream out(pack_tmp, std::ios::binary | std::ios::trunc);
+    if (!out.good()) throw ConfigError("ResultCache::store: cannot open " + pack_tmp.string());
+    out << pack;
     out.flush();
-    adc::common::require(out.good(), "ResultCache::store: write failed for " + tmp.string());
+    if (!out.good()) {
+      throw ConfigError("ResultCache::store: write failed for " + pack_tmp.string());
+    }
   }
-  fs::rename(tmp, path, ec);
+
+  // Publish: each name but the last gets its own link through a fresh
+  // temporary renamed over it; the last name takes the pack's temporary.
+  std::error_code ec;
+  for (std::size_t i = 0; i + 1 < paths.size(); ++i) {
+    create_parent(paths[i], "ResultCache::store");
+    const fs::path tmp = paths[i].string() + unique_tmp_suffix();
+    if (::link(pack_tmp.c_str(), tmp.c_str()) != 0) {
+      const int link_errno = errno;
+      fs::remove(pack_tmp, ec);
+      throw ConfigError("ResultCache::store: cannot link " + tmp.string() + ": " +
+                        std::strerror(link_errno));
+    }
+    fs::rename(tmp, paths[i], ec);
+    if (ec) {
+      fs::remove(tmp, ec);
+      fs::remove(pack_tmp, ec);
+      throw ConfigError("ResultCache::store: rename failed for " + paths[i].string());
+    }
+  }
+  fs::rename(pack_tmp, paths.back(), ec);
   if (ec) {
-    fs::remove(tmp, ec);
-    throw ConfigError("ResultCache::store: rename failed for " + path.string());
+    fs::remove(pack_tmp, ec);
+    throw ConfigError("ResultCache::store: rename failed for " + paths.back().string());
   }
-  stores_.fetch_add(1, std::memory_order_relaxed);
+  stores_.fetch_add(entries.size(), std::memory_order_relaxed);
 }
 
 CacheStats ResultCache::stats() const {
   CacheStats stats;
+  // Names linked to one pack share its inode: count its bytes once.
+  std::set<std::pair<dev_t, ino_t>> packs;
   walk_cache(root_, [&](const fs::directory_entry& entry) {
-    std::error_code ec;
     const std::string name = entry.path().filename().string();
     if (is_tmp_name(name)) {
       ++stats.tmp_files;
@@ -183,7 +291,10 @@ CacheStats ResultCache::stats() const {
       ++stats.claim_files;
     } else if (entry.path().extension() == ".json") {
       ++stats.entries;
-      stats.bytes += entry.file_size(ec);
+      struct stat st {};
+      if (::stat(entry.path().c_str(), &st) != 0) return;
+      if (st.st_nlink > 1 && !packs.emplace(st.st_dev, st.st_ino).second) return;
+      stats.bytes += static_cast<std::uint64_t>(st.st_size);
     }
   });
   return stats;
@@ -230,8 +341,7 @@ std::uint64_t ResultCache::clear() {
 // Claim / lease protocol
 
 std::string ResultCache::claim_path(const std::string& hash) const {
-  adc::common::require(is_hex_hash(hash),
-                       "ResultCache: malformed hash \"" + hash + "\"");
+  if (!is_hex_hash(hash)) throw ConfigError("ResultCache: malformed hash \"" + hash + "\"");
   return root_ + "/" + hash.substr(0, 2) + "/" + hash + ".claim";
 }
 
@@ -265,10 +375,10 @@ fs::path write_claim_temp(const fs::path& path, const ClaimInfo& info) {
   const fs::path tmp = path.string() + unique_tmp_suffix();
   const std::string text = json::dump_compact(claim_document(info));
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  adc::common::require(out.good(), "ResultCache: cannot open claim temp " + tmp.string());
+  if (!out.good()) throw ConfigError("ResultCache: cannot open claim temp " + tmp.string());
   out << text;
   out.flush();
-  adc::common::require(out.good(), "ResultCache: claim write failed for " + tmp.string());
+  if (!out.good()) throw ConfigError("ResultCache: claim write failed for " + tmp.string());
   return tmp;
 }
 
@@ -289,10 +399,8 @@ ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& 
                                     std::uint64_t now_ms, std::uint64_t lease_ms) {
   adc::common::require(!owner.empty(), "ResultCache::try_claim: empty owner id");
   const fs::path path = claim_path(hash);
+  create_parent(path, "ResultCache::try_claim");
   std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  adc::common::require(!ec, "ResultCache::try_claim: cannot create " +
-                               path.parent_path().string() + ": " + ec.message());
 
   // Fast path: publish a complete claim document under the claim name with
   // link(2), which fails with EEXIST when any claim is already there.

@@ -2,25 +2,52 @@
 /// On-disk content-addressed result cache.
 ///
 /// Entries live at `<root>/<first two hex digits>/<hash>.json` and wrap the
-/// payload in an envelope that repeats the hash and schema version:
+/// payload in an envelope that repeats the hash and schema version, written
+/// by `json::dump`:
 ///
 /// ```json
-/// {"hash": "6b8b4567327b23c6", "schema_version": 1, "payload": {...}}
+/// {
+///   "hash": "6b8b4567327b23c6",
+///   "schema_version": 2,
+///   "payload": {...}
+/// }
 /// ```
+///
+/// Pack format: one `store` call writes all its entries as one file, a
+/// *pack*, and publishes every entry name as a hard link to it, so a 32-die
+/// execute unit creates one inode, not 32. A one-entry pack is the bare
+/// envelope above, the classic one-file-per-entry layout. A pack of several
+/// wraps their envelopes, each byte for byte as above, in one JSON object:
+///
+/// ```
+/// {"pack": [
+/// <envelope>,
+/// <envelope>]}
+/// ```
+///
+/// Caches from either layout load alike, and every file is one JSON
+/// document. `load` finds its own envelope by its header
+/// (`{\n  "hash": "<hash>"` at a line start) and parses only that slice.
 ///
 /// The root directory resolves, in priority order: the explicit constructor
 /// argument, the `ADC_SCENARIO_CACHE_DIR` environment variable, then
 /// `.adc-cache` in the working directory.
 ///
 /// Durability contract:
-///   * `store` writes to a temporary file in the entry's directory and
-///     renames it into place — readers never observe a half-written entry,
-///     and a killed run leaves at worst an orphaned `*.tmp*` file.
-///   * `load` validates the envelope (parseable, hash echo matches, schema
-///     version matches, payload present). Anything else — truncated write,
-///     manual tampering, an entry from an older schema — is *evicted*
-///     (file deleted) and reported as a miss, so corruption heals itself by
-///     recomputation.
+///   * `store` writes the pack to a temporary file and gives each entry name
+///     its own link by linking a fresh temporary and renaming it over the
+///     entry (the last name takes the pack's temporary itself), so the last
+///     writer of a name wins, readers never observe a half-written entry,
+///     and a killed run leaves at worst orphaned `*.tmp*` names next to
+///     complete entries. The filesystem must support link(2).
+///   * `load` validates its envelope (the pack ends with a complete
+///     envelope, one envelope for this hash is present and parseable, the
+///     hash echo and schema version match, payload present). Anything else —
+///     a truncated or tampered pack, a name linked to a pack lacking its
+///     hash, an entry from an older schema — *evicts* that name (only that
+///     link is deleted) and reports a miss, so corruption heals itself by
+///     recomputation. A torn pack therefore evicts each of its names as it
+///     is loaded.
 ///
 /// Thread safety: `load`/`store` may be called concurrently from pool
 /// workers; distinct hashes never collide on a temporary file name and the
@@ -43,6 +70,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +78,9 @@
 
 namespace adc::scenario {
 
-/// Disk usage summary from walking the cache root. `tmp_files` and
+/// Disk usage summary from walking the cache root. `entries` counts entry
+/// names; `bytes` counts each file once, however many names link to it.
+/// `tmp_files` and
 /// `claim_files` count the sidecar litter a killed process can leave behind
 /// (`store` temporaries that never got renamed, claims that were never
 /// released); both are invisible to `entries` and reclaimed by
@@ -60,6 +90,12 @@ struct CacheStats {
   std::uint64_t bytes = 0;
   std::uint64_t tmp_files = 0;
   std::uint64_t claim_files = 0;
+};
+
+/// One entry of a `store` call: a payload and the hash it is stored under.
+struct CacheEntry {
+  const std::string& hash;
+  const adc::common::json::JsonValue& payload;
 };
 
 /// Decoded contents of one claim sidecar.
@@ -108,7 +144,12 @@ class ResultCache {
   /// entries are evicted and count as a miss.
   [[nodiscard]] std::optional<adc::common::json::JsonValue> load(const std::string& hash);
 
-  /// Atomically persist `payload` under `hash` (write temp + rename).
+  /// Atomically persist `entries` as one pack (see the file comment): one
+  /// file, one link per entry name. `stores()` rises by `entries.size()`.
+  void store(std::span<const CacheEntry> entries);
+
+  /// The one-entry store: a pack of one envelope, which is the classic
+  /// entry file (write temp + rename).
   void store(const std::string& hash, const adc::common::json::JsonValue& payload);
 
   /// Walk the cache root and summarize the entries on disk (plus orphaned

@@ -355,8 +355,8 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
   }
 
   // Compute the units in parallel, one pool job each. Each unit persists
-  // its payloads before the batch completes, which is what makes
-  // interrupted runs resumable. Units are index-keyed pure functions, so
+  // its payloads as one cache pack before the batch completes, which is
+  // what makes interrupted runs resumable. Units are index-keyed pure functions, so
   // results stay bit-identical at any thread count; the batch engine's own
   // contract keeps them bit-identical to the per-job path. The claim gate
   // (hooks.acquire) runs immediately before a job would be computed, so a
@@ -402,10 +402,21 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
                   resolve_job(spec, jobs[misses[unit.first + t]]));
             }
           }
-          for (const std::size_t t : mine) {
-            const std::size_t index = misses[unit.first + t];
-            if (options.cache != nullptr) options.cache->store(hashes[index], *out[t]);
-            if (options.hooks.stored) options.hooks.stored(index, hashes[index]);
+          // One pack per unit, stored before any `stored` hook: a fleet
+          // worker releases a claim only once its job is on disk.
+          if (options.cache != nullptr) {
+            std::vector<CacheEntry> entries;
+            entries.reserve(mine.size());
+            for (const std::size_t t : mine) {
+              entries.push_back({hashes[misses[unit.first + t]], *out[t]});
+            }
+            options.cache->store(entries);
+          }
+          if (options.hooks.stored) {
+            for (const std::size_t t : mine) {
+              const std::size_t index = misses[unit.first + t];
+              options.hooks.stored(index, hashes[index]);
+            }
           }
           return out;
         },

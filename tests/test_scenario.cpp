@@ -3,6 +3,7 @@
 /// correctness (bit-identical hits, corrupt-entry eviction, env-var root),
 /// and interrupted-run resume producing bit-identical reports.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -774,4 +775,251 @@ TEST_F(ScenarioTest, OneEntryStoreWritesPinnedBytes) {
       "}\n";
   EXPECT_EQ(read_bytes(fs::path(cache.root()) / "6b" / (hash + ".json")), expected);
   EXPECT_EQ(cache.stores(), 1u);
+}
+
+namespace {
+
+/// `count` distinct well-formed hashes spread over the fan-out directories.
+std::vector<std::string> synthetic_hashes(std::size_t count, std::uint64_t salt) {
+  std::vector<std::string> hashes;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::ostringstream hash;
+    hash << std::hex << std::setw(16) << std::setfill('0')
+         << ((0x9e3779b97f4a7c15ULL * (i + 1)) ^ salt);
+    hashes.push_back(hash.str());
+  }
+  return hashes;
+}
+
+/// The pinned payload, made distinct per entry.
+json::JsonValue numbered_payload(std::size_t i) {
+  auto payload = pinned_payload();
+  payload.set("seed", static_cast<std::uint64_t>(i));
+  return payload;
+}
+
+std::vector<CacheEntry> entries_of(const std::vector<std::string>& hashes,
+                                   const std::vector<json::JsonValue>& payloads,
+                                   std::size_t first, std::size_t count) {
+  std::vector<CacheEntry> entries;
+  for (std::size_t i = first; i < first + count; ++i) entries.push_back({hashes[i], payloads[i]});
+  return entries;
+}
+
+fs::path entry_file(const ResultCache& cache, const std::string& hash) {
+  return fs::path(cache.root()) / hash.substr(0, 2) / (hash + ".json");
+}
+
+struct stat stat_of(const fs::path& file) {
+  struct stat st {};
+  EXPECT_EQ(::stat(file.c_str(), &st), 0) << file;
+  return st;
+}
+
+/// The scalar reference for kFastYieldSpec: every payload and the report.
+struct FastYieldReference {
+  ScenarioSpec spec = parse_spec_text(kFastYieldSpec);
+  ScenarioPlan plan = plan_scenario(spec);
+  std::vector<std::optional<json::JsonValue>> payloads;
+  std::string report;
+
+  FastYieldReference() {
+    for (const auto& job : plan.jobs) {
+      payloads.push_back(ScenarioRunner::execute_job(resolve_job(spec, job)));
+    }
+    report = json::dump(build_report(spec, plan, payloads));
+  }
+};
+
+}  // namespace
+
+TEST_F(ScenarioTest, PackStoreIsOneInodeAndLoadsLikeOneEntryStores) {
+  const auto hashes = synthetic_hashes(32, 0);
+  std::vector<json::JsonValue> payloads;
+  for (std::size_t i = 0; i < hashes.size(); ++i) payloads.push_back(numbered_payload(i));
+
+  ResultCache packed(path("packed"));
+  packed.ensure_writable();
+  packed.store(entries_of(hashes, payloads, 0, hashes.size()));
+  EXPECT_EQ(packed.stores(), 32u);
+
+  ResultCache single(path("single"));
+  single.ensure_writable();
+  std::string wrapped = "{\"pack\": [\n";
+  std::uint64_t single_bytes = 0;
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    single.store(hashes[i], payloads[i]);
+    const std::string bytes = read_bytes(entry_file(single, hashes[i]));
+    single_bytes += bytes.size();
+    wrapped += (i == 0 ? "" : ",\n") + bytes;
+  }
+  wrapped += "]}\n";
+
+  // One inode behind all 32 names, holding the 32 one-entry files' bytes,
+  // wrapped into one JSON document.
+  const struct stat first = stat_of(entry_file(packed, hashes[0]));
+  EXPECT_EQ(first.st_nlink, 32u);
+  for (const auto& hash : hashes) {
+    EXPECT_EQ(stat_of(entry_file(packed, hash)).st_ino, first.st_ino) << hash;
+  }
+  EXPECT_EQ(read_bytes(entry_file(packed, hashes[0])), wrapped);
+  EXPECT_TRUE(json::parse(wrapped).is_object());
+
+  // stats() counts 32 names but the pack's bytes once.
+  const auto stats = packed.stats();
+  EXPECT_EQ(stats.entries, 32u);
+  EXPECT_EQ(stats.bytes, wrapped.size());
+  EXPECT_EQ(stats.tmp_files, 0u);
+  EXPECT_EQ(single.stats().bytes, single_bytes);
+
+  for (const auto& hash : hashes) {
+    const auto from_pack = packed.load(hash);
+    const auto from_single = single.load(hash);
+    ASSERT_TRUE(from_pack.has_value()) << hash;
+    ASSERT_TRUE(from_single.has_value()) << hash;
+    EXPECT_EQ(json::dump(*from_pack), json::dump(*from_single)) << hash;
+  }
+  EXPECT_EQ(packed.hits(), 32u);
+  EXPECT_EQ(packed.evictions(), 0u);
+}
+
+TEST_F(ScenarioTest, OneFilePerEntryCacheLoadsCompletely) {
+  // Hand-write the one-file-per-entry layout: one envelope per file, as
+  // earlier builds stored every job. A packing build serves all of it.
+  const FastYieldReference ref;
+  RunOptions options;
+  options.cache_dir = path("cache");
+  for (std::size_t i = 0; i < ref.plan.hashes.size(); ++i) {
+    auto envelope = json::JsonValue::object();
+    envelope.set("hash", ref.plan.hashes[i]);
+    envelope.set("schema_version", kScenarioSchemaVersion);
+    envelope.set("payload", *ref.payloads[i]);
+    const fs::path file =
+        fs::path(options.cache_dir) / ref.plan.hashes[i].substr(0, 2) /
+        (ref.plan.hashes[i] + ".json");
+    fs::create_directories(file.parent_path());
+    std::ofstream(file, std::ios::binary) << json::dump(envelope);
+  }
+  const auto warm = ScenarioRunner(options).run(ref.spec);
+  EXPECT_EQ(warm.cache_hits, ref.plan.jobs.size());
+  EXPECT_EQ(warm.computed, 0u);
+  EXPECT_EQ(warm.cache_evictions, 0u);
+  EXPECT_EQ(json::dump(warm.report), ref.report);
+}
+
+TEST_F(ScenarioTest, TruncatedPackEvictsEverySibling) {
+  const FastYieldReference ref;
+  RunOptions options;
+  options.cache_dir = path("cache");
+  options.threads = 1;
+  const auto cold = ScenarioRunner(options).run(ref.spec);
+  ASSERT_EQ(json::dump(cold.report), ref.report);
+
+  // Truncate one pack through one of its names: every name shares the inode.
+  ResultCache cache(options.cache_dir);
+  fs::path victim;
+  for (const auto& hash : ref.plan.hashes) {
+    if (stat_of(entry_file(cache, hash)).st_nlink > 1) {
+      victim = entry_file(cache, hash);
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.empty()) << "the fast yield run formed no multi-entry pack";
+  const struct stat pack = stat_of(victim);
+  fs::resize_file(victim, static_cast<std::uintmax_t>(pack.st_size) / 2);
+
+  const auto healed = ScenarioRunner(options).run(ref.spec);
+  EXPECT_EQ(healed.cache_evictions, pack.st_nlink);
+  EXPECT_EQ(healed.computed, pack.st_nlink);
+  EXPECT_EQ(healed.cache_hits, ref.plan.jobs.size() - pack.st_nlink);
+  EXPECT_EQ(json::dump(healed.report), ref.report);
+}
+
+TEST_F(ScenarioTest, LinkToPackLackingItsHashIsEvicted) {
+  const auto hashes = synthetic_hashes(3, 0x5a5a);
+  std::vector<json::JsonValue> payloads{numbered_payload(0), numbered_payload(1),
+                                        numbered_payload(2)};
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  cache.store(entries_of(hashes, payloads, 0, 2));
+
+  // Plant a name for the third hash linked to the pack of the first two.
+  const fs::path planted = entry_file(cache, hashes[2]);
+  fs::create_directories(planted.parent_path());
+  fs::create_hard_link(entry_file(cache, hashes[0]), planted);
+
+  EXPECT_FALSE(cache.load(hashes[2]).has_value());
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(fs::exists(planted));
+  // The pack's own names still serve their payloads.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto payload = cache.load(hashes[i]);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(json::dump(*payload), json::dump(payloads[i]));
+  }
+}
+
+TEST_F(ScenarioTest, CrashMidPublishLeavesOnlyTemporariesAndResumes) {
+  const FastYieldReference ref;
+  RunOptions options;
+  options.cache_dir = path("cache");
+
+  // A writer killed mid-publish: the first 8 jobs' pack is written, its
+  // names 0..3 are published, 4..6 are not, and the pack's own temporary
+  // (which the last name, 7, would have taken) is still there.
+  ResultCache cache(options.cache_dir);
+  cache.ensure_writable();
+  std::vector<CacheEntry> entries;
+  for (std::size_t i = 0; i < 8; ++i) entries.push_back({ref.plan.hashes[i], *ref.payloads[i]});
+  cache.store(entries);
+  const fs::path last = entry_file(cache, ref.plan.hashes[7]);
+  fs::rename(last, last.string() + ".tmp4242_0");
+  for (std::size_t i = 4; i < 7; ++i) fs::remove(entry_file(cache, ref.plan.hashes[i]));
+
+  const auto litter = cache.stats();
+  EXPECT_EQ(litter.entries, 4u);
+  EXPECT_EQ(litter.tmp_files, 1u);
+  EXPECT_EQ(cache.clear_stale(0, 0).tmp_removed, 1u);
+  EXPECT_EQ(cache.stats().tmp_files, 0u);
+
+  const auto resumed = ScenarioRunner(options).run(ref.spec);
+  EXPECT_EQ(resumed.cache_hits, 4u);
+  EXPECT_EQ(resumed.computed, ref.plan.jobs.size() - 4);
+  EXPECT_EQ(resumed.cache_evictions, 0u);
+  EXPECT_EQ(json::dump(resumed.report), ref.report);
+}
+
+TEST_F(ScenarioTest, OverlappingPackStoresFromTwoThreadsAllLoad) {
+  // Two writers store overlapping units, as when a fleet worker steals a
+  // stale claim and both compute the shared jobs: the last writer of each
+  // name wins, and every name serves its own payload.
+  const auto hashes = synthetic_hashes(48, 0xfeed);
+  std::vector<json::JsonValue> payloads;
+  for (std::size_t i = 0; i < hashes.size(); ++i) payloads.push_back(numbered_payload(i));
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  constexpr int kRounds = 20;
+  std::atomic<bool> go{false};
+  auto writer = [&](std::size_t first) {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (int round = 0; round < kRounds; ++round) {
+      cache.store(entries_of(hashes, payloads, first, 32));
+    }
+  };
+  std::thread a(writer, 0);
+  std::thread b(writer, 16);
+  go.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+
+  EXPECT_EQ(cache.stores(), 2u * kRounds * 32u);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, hashes.size());
+  EXPECT_EQ(stats.tmp_files, 0u);
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    const auto payload = cache.load(hashes[i]);
+    ASSERT_TRUE(payload.has_value()) << hashes[i];
+    EXPECT_EQ(json::dump(*payload), json::dump(payloads[i])) << hashes[i];
+  }
+  EXPECT_EQ(cache.evictions(), 0u);
 }
