@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -83,12 +82,13 @@ void create_parent(const fs::path& path, const char* caller) {
   }
 }
 
-/// Read the whole file at `path` with one read sized by fstat. False when it
-/// cannot be opened (a miss); a short read keeps the bytes it got, which
+/// The whole file at `path`, read with one read sized by fstat; nullopt
+/// when it cannot be opened. A short read keeps the bytes it got, which
 /// then fail validation.
-bool read_file(const std::string& path, std::string& text) {
+std::optional<std::string> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
+  if (fd < 0) return std::nullopt;
+  std::string text;
   struct stat st {};
   if (::fstat(fd, &st) == 0) text.resize(static_cast<std::size_t>(st.st_size));
   std::size_t done = 0;
@@ -100,7 +100,7 @@ bool read_file(const std::string& path, std::string& text) {
   }
   ::close(fd);
   text.resize(done);
-  return true;
+  return text;
 }
 
 /// The opening of the envelope `json::dump` writes for a hash, up to the
@@ -199,12 +199,12 @@ std::string ResultCache::entry_path(const std::string& hash) const {
 
 std::optional<json::JsonValue> ResultCache::load(const std::string& hash) {
   const std::string path = entry_path(hash);
-  std::string text;
-  if (!read_file(path, text)) {
+  const auto text = read_file(path);
+  if (!text.has_value()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (auto payload = unpack(text, hash)) {
+  if (auto payload = unpack(*text, hash)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return payload;
   }
@@ -453,11 +453,9 @@ void ResultCache::release_claim(const std::string& hash, const std::string& owne
 }
 
 std::optional<ClaimInfo> ResultCache::read_claim(const std::string& hash) const {
-  std::ifstream in(claim_path(hash), std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_claim(buffer.str());
+  const auto text = read_file(claim_path(hash));
+  if (!text.has_value()) return std::nullopt;
+  return parse_claim(*text);
 }
 
 std::vector<ClaimRecord> ResultCache::claims() const {
@@ -466,11 +464,9 @@ std::vector<ClaimRecord> ResultCache::claims() const {
     if (entry.path().extension() != ".claim") return;
     const std::string stem = entry.path().stem().string();
     if (!is_hex_hash(stem)) return;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in.good()) return;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const auto info = parse_claim(buffer.str());
+    const auto text = read_file(entry.path());
+    if (!text.has_value()) return;
+    const auto info = parse_claim(*text);
     // A corrupt claim still occupies the slot; report it with an empty
     // owner so `adc_fleet status` surfaces it as reclaimable.
     records.push_back({stem, info.value_or(ClaimInfo{})});
@@ -493,11 +489,9 @@ StaleSweep ResultCache::clear_stale(std::uint64_t now_ms, std::uint64_t lease_ms
       return;
     }
     if (entry.path().extension() != ".claim") return;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in.good()) return;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const auto info = parse_claim(buffer.str());
+    const auto text = read_file(entry.path());
+    if (!text.has_value()) return;
+    const auto info = parse_claim(*text);
     // Corrupt claims are stale by definition; live ones survive the sweep.
     if (!info.has_value() || now_ms >= info->heartbeat_ms + lease_ms) {
       victims.push_back(entry.path());

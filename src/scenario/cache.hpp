@@ -27,7 +27,9 @@
 ///
 /// Caches from either layout load alike, and every file is one JSON
 /// document. `load` finds its own envelope by its header
-/// (`{\n  "hash": "<hash>"` at a line start) and parses only that slice.
+/// (`{\n  "hash": "<hash>"` at a line start) and parses only that slice. A
+/// build that predates packs reads a multi-entry pack as an envelope
+/// without a hash, evicts it and recomputes.
 ///
 /// The root directory resolves, in priority order: the explicit constructor
 /// argument, the `ADC_SCENARIO_CACHE_DIR` environment variable, then
@@ -40,9 +42,10 @@
 ///     writer of a name wins, readers never observe a half-written entry,
 ///     and a killed run leaves at worst orphaned `*.tmp*` names next to
 ///     complete entries. The filesystem must support link(2).
-///   * `load` validates its envelope (the pack ends with a complete
-///     envelope, one envelope for this hash is present and parseable, the
-///     hash echo and schema version match, payload present). Anything else —
+///   * `load` validates its envelope (the file ends with the closing bytes
+///     of a bare envelope or of a pack, an envelope for this hash is present
+///     and parseable, the hash echo and schema version match, payload
+///     present). Anything else —
 ///     a truncated or tampered pack, a name linked to a pack lacking its
 ///     hash, an entry from an older schema — *evicts* that name (only that
 ///     link is deleted) and reports a miss, so corruption heals itself by
@@ -50,8 +53,8 @@
 ///     is loaded.
 ///
 /// Thread safety: `load`/`store` may be called concurrently from pool
-/// workers; distinct hashes never collide on a temporary file name and the
-/// session counters are atomic.
+/// workers, with overlapping hashes too; temporary names are unique per
+/// process and call, and the session counters are atomic.
 ///
 /// Claim protocol (the fleet coordination substrate, docs/FLEET.md):
 /// a *claim* is a sidecar `<root>/<xx>/<hash>.claim` file recording an owner
@@ -93,6 +96,7 @@ struct CacheStats {
 };
 
 /// One entry of a `store` call: a payload and the hash it is stored under.
+/// Both are borrowed for the duration of the call.
 struct CacheEntry {
   const std::string& hash;
   const adc::common::json::JsonValue& payload;
