@@ -356,11 +356,12 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
 
   // Compute the units in parallel, one pool job each. Each unit persists
   // its payloads as one cache pack before the batch completes, which is
-  // what makes interrupted runs resumable. Units are index-keyed pure functions, so
-  // results stay bit-identical at any thread count; the batch engine's own
-  // contract keeps them bit-identical to the per-job path. The claim gate
-  // (hooks.acquire) runs immediately before a job would be computed, so a
-  // claim is held only while its job is actually in flight.
+  // what makes interrupted runs resumable. Units are index-keyed pure
+  // functions, so results stay bit-identical at any thread count; the
+  // batch engine's own contract keeps them bit-identical to the per-job
+  // path. The claim gate (hooks.acquire) runs immediately before a job
+  // would be computed, so a claim is held only while its job is actually
+  // in flight.
   if (!units.empty()) {
     adc::runtime::BatchStats stats;
     adc::runtime::BatchOptions batch;

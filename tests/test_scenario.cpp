@@ -1,7 +1,8 @@
 /// Tests for the scenario engine (src/scenario/): spec validation naming the
 /// offending key, sweep expansion, key-order-independent hashing, cache
-/// correctness (bit-identical hits, corrupt-entry eviction, env-var root),
-/// and interrupted-run resume producing bit-identical reports.
+/// correctness (bit-identical hits, corrupt-entry eviction, env-var root,
+/// the pinned entry bytes and the pack layout), and interrupted-run resume
+/// producing bit-identical reports.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
