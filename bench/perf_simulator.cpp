@@ -1,6 +1,7 @@
 /// \file perf_simulator.cpp
 /// google-benchmark micro-benchmarks for the simulator kernels: conversion
-/// throughput, FFT, and the full dynamic-test loop. These guard the cost of
+/// throughput (one die, one-rate batch blocks and mixed-rate ones), FFT,
+/// and the full dynamic-test loop. These guard the cost of
 /// the Monte-Carlo sweeps (a Fig. 5 sweep runs ~15 captures of 8k samples),
 /// plus the parallel runtime itself: pool fan-out overhead and the
 /// end-to-end Monte-Carlo / rate-sweep workloads at 1 and N threads (the
@@ -93,6 +94,63 @@ void BM_ConvertNominalFastBatch(benchmark::State& state) {
 }
 constexpr std::int64_t kWidestBlock = adc::batch::kLanes;
 BENCHMARK(BM_ConvertNominalFastBatch)->ArgsProduct({{1 << 10, 1 << 13}, {8, kWidestBlock}});
+
+/// A fast rate sweep's dies: `count` dies at distinct seeds and at rates
+/// 20, 25, ... MHz, each with a 10 MHz tone (capped at 0.9 f_CR/2) snapped
+/// to its own coherent bin over `n` samples — the sweep-scalar workload's
+/// shape.
+struct RateSweepDies {
+  std::vector<adc::pipeline::AdcConfig> configs;
+  std::vector<adc::dsp::SineSignal> tones;
+  std::vector<const adc::dsp::Signal*> signals;
+
+  RateSweepDies(std::size_t count, std::size_t n) {
+    for (std::size_t d = 0; d < count; ++d) {
+      auto config = adc::pipeline::nominal_design(adc::pipeline::kNominalSeed + d);
+      config.fidelity = adc::common::FidelityProfile::kFast;
+      config.conversion_rate = 20e6 + 5e6 * static_cast<double>(d);
+      const double fin = std::min(10e6, 0.45 * config.conversion_rate);
+      const auto coherent = adc::dsp::coherent_frequency(fin, config.conversion_rate, n);
+      configs.push_back(config);
+      tones.emplace_back(0.985, coherent.frequency_hz);
+    }
+    for (const auto& tone : tones) signals.push_back(&tone);
+  }
+};
+
+// A 32-rate sweep converted die by die, each die at its own rate and tone —
+// what every sweep-scalar unit ran before blocks could mix rates. Items =
+// samples x dies, the same count as the batch twin below.
+void BM_ConvertRateSweepFast(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const RateSweepDies sweep(adc::batch::kLanes, n);
+  std::vector<adc::pipeline::PipelineAdc> dies(sweep.configs.begin(), sweep.configs.end());
+  for (auto _ : state) {
+    for (std::size_t d = 0; d < dies.size(); ++d) {
+      benchmark::DoNotOptimize(dies[d].convert(*sweep.signals[d], n));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * dies.size()));
+}
+BENCHMARK(BM_ConvertRateSweepFast)->Arg(1 << 13);
+
+// The same 32 dies as one mixed-rate block through the batch engine: per-lane
+// clock periods, settle windows, recharge factors and tones. Its ratio to
+// BM_ConvertRateSweepFast is the layer speedup of batching a rate sweep; its
+// gap to BM_ConvertNominalFastBatch/8192/32 (one rate, one tone) is the cost
+// of the per-lane loads plus the slew arm the fast lanes take.
+void BM_ConvertRateSweepFastBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const RateSweepDies sweep(static_cast<std::size_t>(state.range(1)), n);
+  adc::batch::BatchConverter converter(sweep.configs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(converter.convert(sweep.signals, n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sweep.configs.size()));
+}
+BENCHMARK(BM_ConvertRateSweepFastBatch)->Args({1 << 13, kWidestBlock});
 
 // The Philox + Box-Muller noise fill in isolation — the term that was
 // 41-58% of batch conversion time under fast contract v1 and the direct

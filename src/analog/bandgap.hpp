@@ -23,6 +23,8 @@ struct BandgapSpec {
   double supply_sensitivity = 0.002; ///< dVout/dVdd [V/V]
   double vdd_nominal = 1.8;
   double sigma_process = 0.005;      ///< one-sigma relative spread (untrimmed)
+
+  bool operator==(const BandgapSpec&) const = default;
 };
 
 /// One realized bandgap reference.

@@ -23,6 +23,8 @@ struct CapacitorSpec {
   /// Relative *global* process spread applied identically to every capacitor
   /// drawn from the same ProcessCorner (e.g. +0.15 at a fast-cap corner).
   double global_spread = 0.0;
+
+  bool operator==(const CapacitorSpec&) const = default;
 };
 
 /// One realized capacitor.

@@ -25,6 +25,8 @@ struct ComparatorSpec {
   /// Half-width of the metastability window [V]: inputs within this window
   /// of the effective threshold resolve randomly.
   double metastable_window = 5.0_uV;
+
+  bool operator==(const ComparatorSpec&) const = default;
 };
 
 /// One realized comparator (offset drawn at construction).

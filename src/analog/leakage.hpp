@@ -27,6 +27,8 @@ struct LeakageSpec {
   double sigma_mismatch = 0.10;
   /// Operating-point voltage u0 the coefficient is referenced to [V].
   double u0 = 0.9;
+
+  bool operator==(const LeakageSpec&) const = default;
 };
 
 /// Realized leakage pair for one stage's differential hold nodes.

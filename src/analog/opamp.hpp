@@ -35,6 +35,8 @@ struct OpampParams {
   /// Relative lengthening of the settling time constant at full output swing
   /// (gm compression): tau_eff = tau * (1 + compression * |vout|/swing).
   double gm_compression = 0.08;
+
+  bool operator==(const OpampParams&) const = default;
 };
 
 /// Result of settling one amplification phase.

@@ -28,6 +28,8 @@ struct RefBufferSpec {
   double charge_per_event = 0.6_pC;
   double sigma_level = 1.0_mV;    ///< one-sigma static level error [V]
   double quiescent_current = 2.0_mA;  ///< buffer bias [A] (for the power model)
+
+  bool operator==(const RefBufferSpec&) const = default;
 };
 
 /// Stateful reference buffer: tracks the residual droop on the decoupling

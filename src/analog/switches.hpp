@@ -62,6 +62,8 @@ struct SwitchConfig {
   /// overdrive in the charge expression goes through softplus with this
   /// scale, so the charge tails off smoothly instead of kinking.
   double injection_softening = 0.1;
+
+  bool operator==(const SwitchConfig&) const = default;
 };
 
 /// Evaluates on-conductance and parasitics versus the instantaneous

@@ -3,7 +3,10 @@
 ///
 /// The batch engine marches S samples × W dies (W = 8, 16 or 32) through
 /// the fast profile's front end, stage chain and correction in
-/// structure-of-arrays form, one *die per SIMD lane*. The serial
+/// structure-of-arrays form, one *die per SIMD lane*. A lane is a job, not
+/// one die of a shared configuration: it carries its own seed, clock
+/// period, settle window, recharge factor, per-stage invariants and tone,
+/// so a block may mix conversion rates and input tones. The serial
 /// cross-sample state of a die (reference droop, random-walk jitter) stays
 /// inside its lane, so lanes are fully independent and every per-stage
 /// invariant is hoisted once per die-block into the PlanView below.
@@ -93,10 +96,11 @@ struct PlanView {
   /// invariants. `chain.num_stages` <= kMaxBatchStages; `chain.forced`
   /// stays null (no stage of a batch die is forced).
   adc::pipeline::fast_chain::ChainView chain;
-  /// The reference die's front end (pipeline/fast_front.hpp); every die
-  /// of the block was verified to share it.
+  /// The front end (pipeline/fast_front.hpp): the block's per-lane clock
+  /// periods, and the reference die's jitter and sampler, which every die
+  /// of the block was verified to share.
   adc::pipeline::fast_front::FrontView front;
-  /// The capture's stimulus (dsp/tone_lanes.hpp).
+  /// The capture's stimulus (dsp/tone_lanes.hpp), one tone set per lane.
   adc::dsp::ToneTable tones;
   /// The reference die's redundancy correction (digital/correction.hpp).
   adc::digital::CorrectionView correction;

@@ -1,20 +1,22 @@
 /// \file converter.hpp
 /// BatchConverter: the owner side of the batch conversion engine.
 ///
-/// A BatchConverter fabricates D dies from one base configuration plus a
-/// seed list, gathers every per-sample invariant of the fast profile —
-/// each die's one-lane stage-chain view scattered into structure-of-arrays
-/// die-blocks of at most kLanes dies, the shared front-end and correction
-/// views of the first die — and runs whole captures through the
-/// ISA-dispatched kernel (batch_api.hpp), each block at the narrowest
-/// kernel width that holds it. Results are
-/// byte-identical to calling `PipelineAdc::convert()` die by die under the
-/// same fast profile — the engine is a throughput optimization, never a
-/// fidelity knob.
+/// A BatchConverter fabricates D dies from a list of configurations that
+/// differ at most in seed and conversion rate, gathers every per-sample
+/// invariant of the fast profile — each die's one-lane stage-chain view and
+/// clock period scattered into structure-of-arrays die-blocks of at most
+/// kLanes dies, the shared sampler and correction views of the first die —
+/// and runs whole captures through the ISA-dispatched kernel
+/// (batch_api.hpp), each block at the narrowest kernel width that holds
+/// it. Each die gets its own stimulus, so a rate sweep gives every lane its
+/// own coherent tone. Results are byte-identical to calling
+/// `PipelineAdc::convert()` die by die under the same fast profile — the
+/// engine is a throughput optimization, never a fidelity knob.
 ///
 /// Intended callers: the Monte-Carlo testbench (one converter per die
 /// block, blocks distributed by parallel_map) and the scenario runner
-/// (consecutive fast-profile jobs that differ only in seed).
+/// (consecutive fast-profile jobs that differ only in seed, conversion
+/// rate, input frequency and amplitude).
 #pragma once
 
 #include <array>
@@ -40,19 +42,26 @@ namespace adc::batch {
 /// narrowest width.
 [[nodiscard]] std::size_t unit_lanes(std::size_t dies, std::size_t threads);
 
-/// Converts captures for a set of dies that share one configuration and
-/// differ only in their Monte-Carlo seed. Construction is the expensive
-/// part (it fabricates every die once to extract the plan); convert() is
+/// Converts captures for a set of dies whose configurations differ at most
+/// in seed and conversion rate. Construction is the expensive part (it
+/// fabricates every die once to extract the plan); convert() is
 /// allocation-free per sample and reuses one chunk workspace across
 /// captures and die-blocks.
 class BatchConverter {
  public:
-  /// Fabricate `seeds.size()` dies from `base` (its `seed` field is
-  /// overridden per die). `forced_isa` pins the kernel tier — tests use it
+  /// Fabricate one die per configuration, in order. Every configuration
+  /// must equal the first once its seed and conversion rate are aligned;
+  /// anything else (temperature, supply, full scale, ...) changes what the
+  /// dies share and throws adc::common::ConfigError, as does a
+  /// configuration outside the batch engine's contract (see
+  /// supports_config()). `forced_isa` pins the kernel tier — tests use it
   /// to pin cross-tier bit-identity; production callers leave it empty and
-  /// get the ADC_BATCH_ISA-aware runtime selection. Throws
-  /// adc::common::ConfigError if the configuration is outside the batch
-  /// engine's contract (see supports_config()).
+  /// get the ADC_BATCH_ISA-aware runtime selection.
+  explicit BatchConverter(std::span<const adc::pipeline::AdcConfig> configs,
+                          std::optional<adc::common::BatchIsa> forced_isa = std::nullopt);
+
+  /// One configuration: `seeds.size()` dies fabricated from `base`, its
+  /// `seed` field overridden per die.
   BatchConverter(const adc::pipeline::AdcConfig& base, std::span<const std::uint64_t> seeds,
                  std::optional<adc::common::BatchIsa> forced_isa = std::nullopt);
 
@@ -68,26 +77,35 @@ class BatchConverter {
   [[nodiscard]] static bool supports(const adc::pipeline::AdcConfig& config,
                                      const adc::dsp::Signal& signal);
 
-  /// One capture of `n` samples for every die. result[d][k] is
-  /// byte-identical to what `PipelineAdc::convert(signal, n)[k]` returns on
-  /// a fresh die fabricated with seed `seeds[d]` after the same number of
-  /// prior captures. Captures advance the shared noise epoch exactly like
-  /// repeated PipelineAdc::convert() calls do.
+  /// One capture of `n` samples for every die, die d driven by
+  /// `*signals[d]`. result[d][k] is byte-identical to what
+  /// `PipelineAdc::convert(*signals[d], n)[k]` returns on a fresh die
+  /// fabricated from die d's configuration after the same number of prior
+  /// captures. Captures advance the shared noise epoch exactly like repeated
+  /// PipelineAdc::convert() calls do. The stimuli must be tone tables with
+  /// one tone count, offset and slope start; their tones may differ.
+  [[nodiscard]] std::vector<std::vector<int>> convert(
+      std::span<const adc::dsp::Signal* const> signals, std::size_t n);
+
+  /// The same capture with one stimulus for every die.
   [[nodiscard]] std::vector<std::vector<int>> convert(const adc::dsp::Signal& signal,
                                                       std::size_t n);
 
   [[nodiscard]] std::size_t die_count() const { return seeds_.size(); }
   [[nodiscard]] std::span<const std::uint64_t> seeds() const { return seeds_; }
   [[nodiscard]] adc::common::BatchIsa isa() const { return isa_; }
-  /// Die-blocks, in seed order, and the kernel width each one runs at.
+  /// Die-blocks, in die order, and the kernel width each one runs at.
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
   [[nodiscard]] std::size_t block_width(std::size_t b) const { return blocks_[b].lanes; }
   [[nodiscard]] int resolution_bits() const { return ref_adc_->resolution_bits(); }
-  /// The normalized configuration shared by every die (seed = seeds()[0]).
+  /// The first die's normalized configuration.
   [[nodiscard]] const adc::pipeline::AdcConfig& config() const { return ref_adc_->config(); }
-  /// Realized (normalized) conversion rate — uniform across the dies; same
-  /// value PipelineAdc::conversion_rate() reports on each of them.
-  [[nodiscard]] double conversion_rate() const { return ref_adc_->conversion_rate(); }
+  /// Realized (normalized) conversion rate of the first die; the same
+  /// value PipelineAdc::conversion_rate() reports on it, and on every die
+  /// when they share one configuration.
+  [[nodiscard]] double conversion_rate() const { return rates_[0]; }
+  /// Realized conversion rate of die `d`.
+  [[nodiscard]] double conversion_rate(std::size_t d) const { return rates_[d]; }
   /// Full-scale input range [V peak-to-peak], uniform across the dies.
   [[nodiscard]] double full_scale_vpp() const { return ref_adc_->full_scale_vpp(); }
 
@@ -99,6 +117,9 @@ class BatchConverter {
     std::size_t dies = 0;   ///< real dies in this block (1..lanes)
     std::size_t lanes = 0;  ///< kernel width: block_lanes(dies)
     std::array<std::uint64_t, kLanes> noise_key{};
+    std::array<double, kLanes> period{};
+    std::array<double, kLanes> settle_s{};
+    std::array<double, kLanes> recharge_factor{};
     std::array<double, kLanes> nominal_vref{};
     std::array<double, kLanes> level_error{};
     std::array<double, kLanes> ripple_sigma{};
@@ -111,6 +132,7 @@ class BatchConverter {
   [[nodiscard]] PlanView block_view(const DieBlock& block) const;
 
   std::vector<std::uint64_t> seeds_;
+  std::vector<double> rates_;  ///< [die] realized conversion rate
   adc::common::BatchIsa isa_;
   const KernelOps* ops_ = nullptr;
 
@@ -129,6 +151,7 @@ class BatchConverter {
   // die-blocks (hot-path-alloc contract: never grown inside the kernel).
   std::vector<double> scratch_;
   std::vector<double> plane_;
+  std::vector<double> tone_rows_;  ///< one block's ToneTable fields, [4][tone][lanes]
   std::vector<int> pad_;  ///< sink for padded lanes' codes (discarded)
 
   std::uint64_t epoch_ = 0;  ///< capture counter shared by every die

@@ -30,6 +30,8 @@ struct FixedBiasSpec {
   double sigma_process = 0.10;
   /// Quiescent overhead of the generator [A].
   double overhead_current = 100.0_uA;
+
+  bool operator==(const FixedBiasSpec&) const = default;
 };
 
 /// One realized fixed generator.

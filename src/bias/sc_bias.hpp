@@ -40,6 +40,8 @@ struct ScBiasSpec {
   double ripple_sigma = 0.002;
   /// Quiescent current of OTA + mirror overhead [A].
   double overhead_current = 150.0_uA;
+
+  bool operator==(const ScBiasSpec&) const = default;
 };
 
 /// One realized SC bias generator.

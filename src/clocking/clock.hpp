@@ -25,6 +25,8 @@ struct ClockSpec {
   /// the error accumulates, so its energy concentrates in skirts around the
   /// carrier instead of a flat floor. 0 disables (a clean bench source).
   double random_walk_rms_s = 0.0;
+
+  bool operator==(const ClockSpec&) const = default;
 };
 
 /// Generates jittered sampling instants.

@@ -34,6 +34,8 @@ struct PhaseTimingSpec {
   /// Additional fixed overhead per phase: switch turn-on, comparator
   /// regeneration before the DSB can select the reference [s].
   double phase_overhead_s = 150.0_ps;
+
+  bool operator==(const PhaseTimingSpec&) const = default;
 };
 
 /// Phase windows available to a stage at one conversion rate.

@@ -40,13 +40,20 @@ void SineSignal::sample_fast(double t, double& value_out, double& slope_out) con
   tone_lanes<1>(SineSignal::tone_table(), &t, &value_out, &slope_out);
 }
 
-ToneTable SineSignal::tone_table() const { return {&tone_, 1, offset_, -0.0}; }
+ToneTable SineSignal::tone_table() const {
+  return {&tone_.w, &tone_.phase, &tone_.amp, &tone_.slope_coef, 1, offset_, -0.0};
+}
 
 MultiToneSignal::MultiToneSignal(std::vector<Tone> tones) : tones_(std::move(tones)) {
   adc::common::require(!tones_.empty(), "MultiToneSignal: no tones");
-  views_.reserve(tones_.size());
-  for (const Tone& tone : tones_) {
-    views_.push_back(hoist(tone.amplitude, tone.frequency_hz, tone.phase_rad));
+  const std::size_t n = tones_.size();
+  rows_.assign(4 * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ToneView v = hoist(tones_[i].amplitude, tones_[i].frequency_hz, tones_[i].phase_rad);
+    rows_[i] = v.w;
+    rows_[n + i] = v.phase;
+    rows_[2 * n + i] = v.amp;
+    rows_[3 * n + i] = v.slope_coef;
   }
 }
 
@@ -71,7 +78,11 @@ void MultiToneSignal::sample_fast(double t, double& value_out, double& slope_out
   tone_lanes<1>(MultiToneSignal::tone_table(), &t, &value_out, &slope_out);
 }
 
-ToneTable MultiToneSignal::tone_table() const { return {views_.data(), views_.size(), 0.0, 0.0}; }
+ToneTable MultiToneSignal::tone_table() const {
+  const std::size_t n = tones_.size();
+  const double* r = rows_.data();
+  return {r, r + n, r + 2 * n, r + 3 * n, n, 0.0, 0.0};
+}
 
 RampSignal::RampSignal(double start, double stop, double duration_s)
     : start_(start), stop_(stop), duration_(duration_s) {

@@ -83,7 +83,9 @@ class MultiToneSignal final : public Signal {
 
  private:
   std::vector<Tone> tones_;
-  std::vector<ToneView> views_;  ///< tones_, hoisted for tone_lanes
+  /// tones_, hoisted for tone_lanes: the ToneView fields as four rows of
+  /// tones_.size() values each (w, phase, amp, slope_coef).
+  std::vector<double> rows_;
 };
 
 /// Slow linear ramp from `start` to `stop` over `duration`; used for fast

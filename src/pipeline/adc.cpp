@@ -186,6 +186,7 @@ PipelineAdc::PipelineAdc(const AdcConfig& config)
   windows_ = phases_.windows(config_.conversion_rate);
   settle_s_ = config_.enable.incomplete_settling ? windows_.settle_s : 1.0;
   inv_rate_ = 1.0 / config_.conversion_rate;
+  fast_period_ = clock_.period();
   master_base_ = bias_->master_current(config_.conversion_rate);
   ripple_sigma_ = config_.bias_scheme == BiasScheme::kSwitchedCapacitor
                       ? config_.sc_bias.ripple_sigma
@@ -279,7 +280,6 @@ void PipelineAdc::refresh_fast_plan() {
   ChainView& v = fast_view_;
   v.num_stages = n;
   v.flash_count = nf;
-  v.settle_s = settle_s_;
   v.thermal_on = thermal;
   v.ripple_on = ripple_sigma_ > 0.0;
   v.charge_per_event = rspec.charge_per_event;
@@ -290,7 +290,7 @@ void PipelineAdc::refresh_fast_plan() {
     // ReferenceBuffer::consume's recharge factor, hoisted: the period never
     // changes within a converter.
     const double tau = rspec.output_resistance * rspec.decap_farad;
-    v.recharge_factor = std::exp(-inv_rate_ / tau);  // lint-ok: plan-build hoist
+    fast_recharge_factor_ = std::exp(-inv_rate_ / tau);  // lint-ok: plan-build hoist
   }
   fast_plan_stale_ = false;
 }
@@ -299,6 +299,8 @@ fast_chain::ChainView PipelineAdc::fast_chain_view() {
   if (fast_plan_stale_) refresh_fast_plan();
   fast_chain::ChainView v = fast_view_;
   v.flash_frac = flash_.threshold_fractions().data();
+  v.settle_s = &settle_s_;
+  v.recharge_factor = &fast_recharge_factor_;
   v.nominal_vref = &refs_.spec().nominal_vref;
   v.level_error = &fast_level_error_;
   v.ripple_sigma = &ripple_sigma_;
@@ -312,7 +314,7 @@ fast_chain::ChainView PipelineAdc::fast_chain_view() {
 
 fast_front::FrontView PipelineAdc::fast_front_view() const {
   fast_front::FrontView v;
-  v.period = clock_.period();
+  v.period = &fast_period_;
   v.jitter_rms = clock_.jitter_rms();
   v.walk_rms = clock_.random_walk_rms();
   v.tracking_on = config_.enable.tracking_nonlinearity;

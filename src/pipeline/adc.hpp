@@ -72,6 +72,8 @@ struct NonIdealities {
   static NonIdealities all_off();
   /// Everything enabled (the default).
   static NonIdealities all_on() { return NonIdealities{}; }
+
+  bool operator==(const NonIdealities&) const = default;
 };
 
 /// Full converter configuration (stage-1-sized; scaling derives the rest).
@@ -118,6 +120,10 @@ struct AdcConfig {
   /// either profile; only the per-sample noise stream and math rounding
   /// differ. `kExact` keeps the golden-code bit-identity contract.
   adc::common::FidelityProfile fidelity = adc::common::FidelityProfile::kExact;
+
+  /// Field by field. A batch block's dies must compare equal once their
+  /// seed and conversion rate are aligned (batch/converter.hpp).
+  bool operator==(const AdcConfig&) const = default;
 };
 
 /// Latency-annotated result of a streaming conversion.
@@ -278,6 +284,7 @@ class PipelineAdc {
   adc::clocking::PhaseWindows windows_{};  ///< phases_.windows(f_CR)
   double settle_s_ = 1.0;                  ///< effective settling window [s]
   double inv_rate_ = 0.0;                  ///< 1 / f_CR [s]
+  double fast_period_ = 0.0;               ///< clock_.period(), the front end's T [s]
   double master_base_ = 0.0;               ///< ripple-free master bias [A]
   double ripple_sigma_ = 0.0;              ///< 0 disables per-sample ripple
   std::vector<double> leg_currents_;       ///< per-stage bias at master_base_
@@ -302,6 +309,7 @@ class PipelineAdc {
   std::vector<double> fast_flash_;
   std::vector<int> fast_forced_;  ///< [stage] forced code or kNotForced
   double fast_level_error_ = 0.0;
+  double fast_recharge_factor_ = 0.0;  ///< exp(-T/(Rout·C)); 0 when recharge is off
   bool fast_plan_stale_ = true;
 };
 

@@ -90,10 +90,8 @@ struct ChainView {
   std::size_t flash_count = 0;  ///< backend flash comparators
 
   // --- lane-uniform scalars ---
-  double settle_s = 0.0;          ///< effective settling window [s]
   double charge_per_event = 0.0;  ///< reference charge per code event [C]
   double decap = 0.0;             ///< reference decoupling [F]
-  double recharge_factor = 0.0;   ///< exp(-T/(Rout·C)) between samples
   bool thermal_on = false;        ///< per-stage kT/C sampling noise
   bool ripple_on = false;         ///< bias-ripple gain modulation
   bool consume_on = false;        ///< reference droop accumulation
@@ -101,9 +99,13 @@ struct ChainView {
   const double* flash_frac = nullptr;  ///< [flash_count] thresholds / vref
 
   // --- per-lane die parameters [W] ---
-  const double* nominal_vref = nullptr;  ///< bandgap-coupled references
-  const double* level_error = nullptr;   ///< static reference level error
-  const double* ripple_sigma = nullptr;  ///< per-sample gain ripple sigma
+  // settle_s and recharge_factor follow the conversion period, so dies
+  // converting at different rates share a block.
+  const double* settle_s = nullptr;         ///< effective settling window [s]
+  const double* recharge_factor = nullptr;  ///< exp(-T/(Rout·C)) between samples
+  const double* nominal_vref = nullptr;     ///< bandgap-coupled references
+  const double* level_error = nullptr;      ///< static reference level error
+  const double* ripple_sigma = nullptr;     ///< per-sample gain ripple sigma
 
   // --- per-(stage|comparator, lane) invariants ---
   const double* stage = nullptr;  ///< [kStageFields][num_stages][W]
@@ -236,11 +238,11 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
   // loop leaves GCC without a vector type for the whole body.
   double still_slewing[W];
   if (max_excess <= 0.0) {
-    // All lanes linear: t_exp == settle_s, pref == mag, no override. Same
+    // All lanes linear: t_exp == settle_s[l], pref == mag, no override. Same
     // expression tree (and association) as the general arm below with
     // `linear` true, so the bits are identical.
     for (std::size_t l = 0; l < W; ++l) {
-      earg[l] = v.settle_s * nit[l] * sqf[l] / tau_stretch[l];
+      earg[l] = v.settle_s[l] * nit[l] * sqf[l] / tau_stretch[l];
       pref[l] = mag[l];
       still_slewing[l] = 0.0;
       slew_dyn[l] = 0.0;
@@ -250,11 +252,11 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
       const bool linear = mag[l] <= sr_tau[l];
       const double sr_eff = srr[l] * f[l];
       const double t_slew = (mag[l] - sr_tau[l]) / sr_eff;
-      const double t_exp = linear ? v.settle_s : (v.settle_s - t_slew);
+      const double t_exp = linear ? v.settle_s[l] : (v.settle_s[l] - t_slew);
       earg[l] = t_exp * nit[l] * sqf[l] / tau_stretch[l];
       pref[l] = linear ? mag[l] : sr_tau[l];
-      still_slewing[l] = (!linear & (v.settle_s <= t_slew)) ? 1.0 : 0.0;
-      slew_dyn[l] = mag[l] - sr_eff * v.settle_s;
+      still_slewing[l] = (!linear & (v.settle_s[l] <= t_slew)) ? 1.0 : 0.0;
+      slew_dyn[l] = mag[l] - sr_eff * v.settle_s[l];
     }
   }
   double e[W];
@@ -283,7 +285,9 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
 template <std::size_t W>
 ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const double* row, double* x,
                                        double* droop, int (*codes)[W], int* flash) {
-  ADC_EXPECT(v.settle_s >= 0.0, "fast_chain::quantize: negative phase time");
+  for (std::size_t l = 0; l < W; ++l) {
+    ADC_EXPECT(v.settle_s[l] >= 0.0, "fast_chain::quantize: negative phase time");
+  }
 
   // Bias ripple scales every leg current by one factor f; rescale the
   // precomputed settle constants analytically instead of re-deriving them:
@@ -342,7 +346,7 @@ ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const double* row, do
       droop[l] += activity[l] * v.charge_per_event / v.decap;
     }
     if (v.recharge_on) {
-      for (std::size_t l = 0; l < W; ++l) droop[l] *= v.recharge_factor;
+      for (std::size_t l = 0; l < W; ++l) droop[l] *= v.recharge_factor[l];
     } else {
       for (std::size_t l = 0; l < W; ++l) droop[l] = 0.0;
     }

@@ -17,23 +17,24 @@
 
 namespace adc::pipeline::fast_front {
 
-/// Everything the front end reads; lane-uniform (dies of one configuration
-/// share their clock and sampler).
+/// Everything the front end reads. The clock period is per lane, so dies
+/// converting at different rates share a block; everything else is
+/// lane-uniform (dies of one block share their jitter and sampler).
 struct FrontView {
-  double period = 0.0;      ///< 1 / f_CR [s]
+  const double* period = nullptr;  ///< [W] 1 / f_CR [s]
   double jitter_rms = 0.0;  ///< white aperture jitter sigma [s]
   double walk_rms = 0.0;    ///< random-walk jitter step sigma [s]
   bool tracking_on = false;  ///< NonIdealities::tracking_nonlinearity
   adc::analog::SamplerView sampler;
 };
 
-/// Sampling instants of sample `k` on W lanes: k·T, white jitter, and the
+/// Sampling instants of sample `k` on W lanes: k·T of each lane, white jitter, and the
 /// random walk each lane accumulates in `walk` across a capture.
 template <std::size_t W>
 ADC_ALWAYS_INLINE inline void instant(const FrontView& f, std::size_t k, const double* row,
                                       double* walk, double* t) {
-  const double t0 = static_cast<double>(k) * f.period;
-  for (std::size_t l = 0; l < W; ++l) t[l] = t0;
+  const double kd = static_cast<double>(k);
+  for (std::size_t l = 0; l < W; ++l) t[l] = kd * f.period[l];
   if (f.jitter_rms > 0.0) {
     const double* d = row + fast_layout::kSlotJitter * W;
     for (std::size_t l = 0; l < W; ++l) t[l] += f.jitter_rms * d[l];

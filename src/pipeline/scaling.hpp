@@ -43,6 +43,8 @@ class ScalingPolicy {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
+  bool operator==(const ScalingPolicy&) const = default;
+
  private:
   ScalingPolicy(std::vector<double> profile, std::string name);
   std::vector<double> profile_;

@@ -51,6 +51,8 @@ struct StageSpec {
   /// Multiplies the sampled-noise power 2kT/(C1+C2): switch and opamp excess
   /// noise folded in. 1.0 = bare kT/C; 0 disables thermal noise.
   double noise_excess = 3.0;
+
+  bool operator==(const StageSpec&) const = default;
 };
 
 /// Result of one stage conversion.

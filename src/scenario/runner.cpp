@@ -136,19 +136,30 @@ void write_text_file(const std::string& path, const std::string& text) {
 
 /// A maximal run of consecutive candidate cache misses the execute phase
 /// computes as one pool job. Batched units hold up to adc::batch::unit_lanes
-/// jobs that differ only in seed and route through one BatchConverter
-/// die-block.
+/// jobs of one block shape (same_block_shape) and route through one
+/// BatchConverter die-block, one job per lane.
 struct MissUnit {
   std::size_t first = 0;  ///< position in the misses vector
   std::size_t count = 1;
 };
 
-/// True when two grid points are the same sweep point (bitwise — the values
-/// come from the same expansion, so representational equality is exact).
-/// Jobs at equal points resolve to configurations differing only in seed.
-bool same_grid_point(const JobPoint& a, const JobPoint& b) {
-  if (a.axis_values.size() != b.axis_values.size()) return false;
-  for (std::size_t i = 0; i < a.axis_values.size(); ++i) {
+/// True when jobs may differ along this sweep axis and still share a batch
+/// block: each lane carries its own conversion rate (clock period, settle
+/// window, recharge factor) and its own tone.
+bool lane_axis(const std::string& key) {
+  return key == "die.conversion_rate_hz" || key == "stimulus.frequency_hz" ||
+         key == "stimulus.amplitude_fraction";
+}
+
+/// True when two jobs of `spec` have one block shape: their grid points
+/// agree (bitwise — the values come from the same expansion, so
+/// representational equality is exact) on every axis but the lane axes.
+/// Their resolved jobs then differ at most in seed, conversion rate, input
+/// frequency and amplitude; profile, record length, measurement, stage and
+/// flash counts and every other die field come from the one spec.
+bool same_block_shape(const ScenarioSpec& spec, const JobPoint& a, const JobPoint& b) {
+  for (std::size_t i = 0; i < spec.sweep.size(); ++i) {
+    if (lane_axis(spec.sweep[i].key)) continue;
     if (std::bit_cast<std::uint64_t>(a.axis_values[i]) !=
         std::bit_cast<std::uint64_t>(b.axis_values[i])) {
       return false;
@@ -329,10 +340,12 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
   }
 
   // Group the misses into execute units. For single-tone dynamic/yield
-  // sweeps under the fast profile, consecutive misses at the same grid
-  // point differ only in seed (seeds are innermost in the expansion), so up
-  // to `lanes` of them form one die-block for the batch conversion engine:
-  // the widest kernel pass that still leaves every pool worker a unit.
+  // sweeps under the fast profile, up to `lanes` consecutive misses of one
+  // block shape — differing only in seed, conversion rate, input frequency
+  // and amplitude — form one die-block for the batch conversion engine:
+  // the widest kernel pass that still leaves every pool worker a unit. A
+  // rate sweep therefore batches across grid points; a temperature or
+  // supply sweep still groups per grid point.
   // Everything else — exact profile, two-tone, static, power, ramp — stays
   // one job per unit, exactly the pre-batch behavior.
   std::vector<MissUnit> units;
@@ -344,7 +357,7 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
     while (k < misses.size()) {
       std::size_t j = k + 1;
       while (j < misses.size() && j - k < lanes &&
-             same_grid_point(jobs[misses[j]], jobs[misses[k]])) {
+             same_block_shape(spec, jobs[misses[j]], jobs[misses[k]])) {
         ++j;
       }
       units.push_back({k, j - k});
@@ -387,13 +400,15 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
               resolve_job(spec, jobs[misses[unit.first + mine.front()]]);
           if (mine.size() >= adc::batch::kMinBatchDies &&
               adc::batch::BatchConverter::supports_config(first.config)) {
-            std::vector<std::uint64_t> seeds;
-            seeds.reserve(mine.size());
+            std::vector<adc::testbench::DieTest> dies;
+            dies.reserve(mine.size());
             for (const std::size_t t : mine) {
-              seeds.push_back(jobs[misses[unit.first + t]].seed);
+              const ResolvedJob job = resolve_job(spec, jobs[misses[unit.first + t]]);
+              const adc::testbench::DynamicTestOptions tone = dynamic_options(job);
+              dies.push_back({job.config, tone.target_fin_hz, tone.amplitude_fraction});
             }
-            const auto results = adc::testbench::run_dynamic_test_block(
-                first.config, seeds, dynamic_options(first));
+            const auto results =
+                adc::testbench::run_dynamic_test_block(dies, dynamic_options(first));
             for (std::size_t m = 0; m < mine.size(); ++m) {
               out[mine[m]] = dynamic_payload(results[m]);
             }

@@ -162,8 +162,9 @@ struct ExecuteOutcome {
 
 /// Compute the plan's missing payloads in place: every index where
 /// `payloads[i]` is empty and `candidate(i)` holds is grouped into execute
-/// units (consecutive same-grid-point jobs batch through the SoA conversion
-/// engine when the spec shape allows it), computed on the shared pool, and
+/// units (consecutive jobs that differ only in seed, conversion rate, input
+/// frequency and amplitude batch through the SoA conversion engine when the
+/// spec shape allows it), computed on the shared pool, and
 /// written back to `payloads[i]` — persisting each payload through `cache`
 /// as it completes. This is the single execute path shared by
 /// ScenarioRunner::run and the fleet worker (src/fleet/worker.cpp), so a

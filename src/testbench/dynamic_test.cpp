@@ -45,69 +45,86 @@ DynamicTestResult run_dynamic_test(adc::pipeline::PipelineAdc& adc,
 
 namespace {
 
+/// `options` with one die's tone request.
+DynamicTestOptions die_options(const DieTest& die, const DynamicTestOptions& options) {
+  DynamicTestOptions out = options;
+  out.target_fin_hz = die.target_fin_hz;
+  out.amplitude_fraction = die.amplitude_fraction;
+  return out;
+}
+
 /// Scalar fallback: fabricate and measure the block's dies one at a time.
-std::vector<DynamicTestResult> run_block_scalar(const adc::pipeline::AdcConfig& base,
-                                                std::span<const std::uint64_t> seeds,
+std::vector<DynamicTestResult> run_block_scalar(std::span<const DieTest> dies,
                                                 const DynamicTestOptions& options) {
   std::vector<DynamicTestResult> out;
-  out.reserve(seeds.size());
-  for (const std::uint64_t seed : seeds) {
-    adc::pipeline::AdcConfig cfg = base;
-    cfg.seed = seed;
-    adc::pipeline::PipelineAdc die(cfg);
-    out.push_back(run_dynamic_test(die, options));
+  out.reserve(dies.size());
+  for (const DieTest& d : dies) {
+    adc::pipeline::PipelineAdc die(d.config);
+    out.push_back(run_dynamic_test(die, die_options(d, options)));
   }
   return out;
 }
 
 /// Batch path: one BatchConverter per block, every capture runs all dies
 /// through the SoA kernel. The tone setup mirrors run_dynamic_test line by
-/// line (same coherent snap, same amplitude, same spectrum options), and the
-/// capture sequence per die matches the scalar averages loop — each
-/// convert() advances every die's noise epoch exactly once, like repeated
-/// scalar convert() calls on a per-die converter would. Every capture is
-/// taken, and the converter (its plan and kernel workspace) released,
-/// before the DSP runs: a pool thread's malloc arena keeps its peak for the
-/// rest of the process, so that peak should hold the converter or the DSP
-/// buffers, not both.
-std::vector<DynamicTestResult> run_block_batched(const adc::pipeline::AdcConfig& base,
-                                                 std::span<const std::uint64_t> seeds,
+/// line, per die (its own rate, coherent snap and amplitude, the same
+/// spectrum options), and the capture sequence per die matches the scalar
+/// averages loop — each convert() advances every die's noise epoch exactly
+/// once, like repeated scalar convert() calls on a per-die converter would.
+/// Every capture is taken, and the converter (its plan and kernel
+/// workspace) released, before the DSP runs: a pool thread's malloc arena
+/// keeps its peak for the rest of the process, so that peak should hold the
+/// converter or the DSP buffers, not both.
+std::vector<DynamicTestResult> run_block_batched(std::span<const DieTest> dies,
                                                  const DynamicTestOptions& options) {
   const std::size_t n = options.record_length;
-  double fs = 0.0;
+  const std::size_t count = dies.size();
+  std::vector<double> fs(count);
+  std::vector<adc::dsp::CoherentTone> coherent(count);
   double full_scale = 0.0;
   int bits = 0;
-  adc::dsp::CoherentTone coherent;
   // captures[r][d]: die d's codes in capture r.
   std::vector<std::vector<std::vector<int>>> captures;
   captures.reserve(static_cast<std::size_t>(options.averages));
   {
-    adc::batch::BatchConverter conv(base, seeds);
-    fs = conv.conversion_rate();
+    // The configuration list lives only as long as construction.
+    adc::batch::BatchConverter conv([dies] {
+      std::vector<adc::pipeline::AdcConfig> configs;
+      configs.reserve(dies.size());
+      for (const DieTest& d : dies) configs.push_back(d.config);
+      return configs;
+    }());
     full_scale = conv.full_scale_vpp();
     bits = conv.resolution_bits();
-    coherent = adc::dsp::coherent_frequency(options.target_fin_hz, fs, n);
-    const double amplitude = options.amplitude_fraction * full_scale / 2.0;
-    const adc::dsp::SineSignal tone(amplitude, coherent.frequency_hz);
-    for (int r = 0; r < options.averages; ++r) captures.push_back(conv.convert(tone, n));
+    std::vector<adc::dsp::SineSignal> tones;
+    tones.reserve(count);
+    for (std::size_t d = 0; d < count; ++d) {
+      fs[d] = conv.conversion_rate(d);
+      coherent[d] = adc::dsp::coherent_frequency(dies[d].target_fin_hz, fs[d], n);
+      const double amplitude = dies[d].amplitude_fraction * full_scale / 2.0;
+      tones.emplace_back(amplitude, coherent[d].frequency_hz);
+    }
+    std::vector<const adc::dsp::Signal*> signals;
+    signals.reserve(count);
+    for (const adc::dsp::SineSignal& tone : tones) signals.push_back(&tone);
+    for (int r = 0; r < options.averages; ++r) captures.push_back(conv.convert(signals, n));
   }
 
-  adc::dsp::SpectrumOptions spec = options.spectrum;
-  spec.fundamental_bin = coherent.cycles;
-
-  std::vector<DynamicTestResult> out(seeds.size());
-  for (std::size_t d = 0; d < seeds.size(); ++d) {
-    out[d].tone = coherent;
+  std::vector<DynamicTestResult> out(count);
+  for (std::size_t d = 0; d < count; ++d) {
+    adc::dsp::SpectrumOptions spec = options.spectrum;
+    spec.fundamental_bin = coherent[d].cycles;
+    out[d].tone = coherent[d];
     if (options.averages == 1) {
       const auto volts = adc::dsp::codes_to_volts(captures[0][d], bits, full_scale);
-      out[d].metrics = adc::dsp::analyze_tone(volts, fs, spec);
+      out[d].metrics = adc::dsp::analyze_tone(volts, fs[d], spec);
     } else {
       std::vector<std::vector<double>> records;
       records.reserve(captures.size());
       for (const auto& capture : captures) {
         records.push_back(adc::dsp::codes_to_volts(capture[d], bits, full_scale));
       }
-      out[d].metrics = adc::dsp::analyze_tone_averaged(records, fs, spec);
+      out[d].metrics = adc::dsp::analyze_tone_averaged(records, fs[d], spec);
     }
   }
   return out;
@@ -115,23 +132,23 @@ std::vector<DynamicTestResult> run_block_batched(const adc::pipeline::AdcConfig&
 
 }  // namespace
 
-std::vector<DynamicTestResult> run_dynamic_test_block(const adc::pipeline::AdcConfig& base,
-                                                      std::span<const std::uint64_t> seeds,
+std::vector<DynamicTestResult> run_dynamic_test_block(std::span<const DieTest> dies,
                                                       const DynamicTestOptions& options) {
-  adc::common::require(!seeds.empty(), "run_dynamic_test_block: need at least one seed");
-  adc::common::require(options.amplitude_fraction > 0.0 && options.amplitude_fraction <= 1.05,
-                       "run_dynamic_test: amplitude fraction outside (0, 1.05]");
+  adc::common::require(!dies.empty(), "run_dynamic_test_block: need at least one die");
+  for (const DieTest& d : dies) {
+    adc::common::require(d.amplitude_fraction > 0.0 && d.amplitude_fraction <= 1.05,
+                         "run_dynamic_test: amplitude fraction outside (0, 1.05]");
+  }
   adc::common::require(options.averages >= 1, "run_dynamic_test: averages must be >= 1");
 
-  const bool batchable = adc::batch::BatchConverter::supports_config(base);
+  const bool batchable = adc::batch::BatchConverter::supports_config(dies[0].config);
   std::vector<DynamicTestResult> out;
-  out.reserve(seeds.size());
-  for (std::size_t lo = 0; lo < seeds.size(); lo += adc::batch::kLanes) {
-    const std::size_t count = std::min(adc::batch::kLanes, seeds.size() - lo);
-    const auto chunk = seeds.subspan(lo, count);
+  out.reserve(dies.size());
+  for (std::size_t lo = 0; lo < dies.size(); lo += adc::batch::kLanes) {
+    const std::size_t count = std::min(adc::batch::kLanes, dies.size() - lo);
+    const auto chunk = dies.subspan(lo, count);
     const bool use_batch = batchable && count >= adc::batch::kMinBatchDies;
-    auto block =
-        use_batch ? run_block_batched(base, chunk, options) : run_block_scalar(base, chunk, options);
+    auto block = use_batch ? run_block_batched(chunk, options) : run_block_scalar(chunk, options);
     for (auto& r : block) out.push_back(std::move(r));
   }
   return out;
@@ -160,7 +177,10 @@ std::vector<DynamicTestResult> run_dynamic_test_dies(const adc::pipeline::AdcCon
       [&base, &seeds, &options, lanes](std::size_t b) {
         const std::size_t lo = b * lanes;
         const std::size_t count = std::min(lanes, seeds.size() - lo);
-        return run_dynamic_test_block(base, seeds.subspan(lo, count), options);
+        std::vector<DieTest> dies(count, DieTest{base, options.target_fin_hz,
+                                                 options.amplitude_fraction});
+        for (std::size_t d = 0; d < count; ++d) dies[d].config.seed = seeds[lo + d];
+        return run_dynamic_test_block(dies, options);
       },
       pool);
 

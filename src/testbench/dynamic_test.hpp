@@ -61,13 +61,29 @@ struct DynamicTestResult {
     const adc::pipeline::AdcConfig& base, std::span<const std::uint64_t> seeds,
     const DynamicTestOptions& options = {}, int threads = 0);
 
+/// One die of a block measurement: its configuration and its tone request.
+/// The dies of one batched block may differ in seed, conversion rate, input
+/// frequency and amplitude (adc::batch::BatchConverter rejects anything
+/// else).
+struct DieTest {
+  adc::pipeline::AdcConfig config;
+  /// Requested input frequency [Hz]; snapped to the nearest odd coherent bin
+  /// at this die's conversion rate.
+  double target_fin_hz = 10.0_MHz;
+  /// Signal amplitude as a fraction of full scale.
+  double amplitude_fraction = 0.985;
+};
+
 /// The synchronous building block of run_dynamic_test_dies: measure the
-/// given seeds on the calling thread, adc::batch::kLanes dies at a time, routing each
-/// chunk through the batch engine when supported and large enough. Exposed
-/// so callers that already sit inside a runtime-pool job (the scenario
-/// runner's execute phase) can batch without nesting parallel_map.
+/// given dies on the calling thread, adc::batch::kLanes dies at a time,
+/// routing each chunk through the batch engine when supported and large
+/// enough. `options` supplies the record length, spectrum options and
+/// averages of every die; each die's target frequency and amplitude replace
+/// the ones in `options`. Entry d is byte-identical to run_dynamic_test on
+/// a fresh PipelineAdc fabricated from dies[d].config with those options.
+/// Exposed so callers that already sit inside a runtime-pool job (the
+/// scenario runner's execute phase) can batch without nesting parallel_map.
 [[nodiscard]] std::vector<DynamicTestResult> run_dynamic_test_block(
-    const adc::pipeline::AdcConfig& base, std::span<const std::uint64_t> seeds,
-    const DynamicTestOptions& options = {});
+    std::span<const DieTest> dies, const DynamicTestOptions& options = {});
 
 }  // namespace adc::testbench

@@ -6,9 +6,10 @@
 /// byte-identical to PipelineAdc::convert() under the fast profile. These
 /// tests pin that contract across batch shapes (single die, ragged blocks,
 /// multi-block, every kernel width), capture sequences (the shared noise
-/// epoch), stimulus kinds, and instruction tiers (every tier the CPU
-/// executes), plus the golden fast codes of the characterized nominal die
-/// through the batch entry point.
+/// epoch), stimulus kinds, blocks that mix conversion rates, tones and
+/// seeds, and instruction tiers (every tier the CPU executes), plus the
+/// golden fast codes of the characterized nominal die through the batch
+/// entry point.
 #include "batch/converter.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "batch/batch_api.hpp"
@@ -346,6 +348,135 @@ TEST(Batch, SupportGatesAndErrors) {
                adc::common::ConfigError);
   BatchConverter batch(fast_nominal(), make_seeds(1));
   EXPECT_THROW((void)batch.convert(ramp, 8), adc::common::ConfigError);
+}
+
+/// `count` fast dies at distinct seeds and rates spread from 2 to 180 MHz,
+/// in an order that puts slow and fast dies side by side.
+std::vector<AdcConfig> mixed_rate_dies(std::size_t count) {
+  std::vector<AdcConfig> dies;
+  for (std::size_t d = 0; d < count; ++d) {
+    AdcConfig cfg = fast_nominal();
+    cfg.seed = adc::pipeline::kNominalSeed + 7 * d;
+    const std::size_t slot = (d * 5) % count;  // 5 is coprime with every count used
+    const double frac = count > 1 ? static_cast<double>(slot) / static_cast<double>(count - 1)
+                                  : 0.0;
+    cfg.conversion_rate = 2e6 + frac * 178e6;
+    dies.push_back(cfg);
+  }
+  return dies;
+}
+
+/// Per-die scalar reference: a fresh die from each configuration converting
+/// its own stimulus.
+std::vector<std::vector<int>> per_die_reference(
+    const std::vector<AdcConfig>& configs, const std::vector<const adc::dsp::Signal*>& signals,
+    std::size_t n) {
+  std::vector<std::vector<int>> out;
+  for (std::size_t d = 0; d < configs.size(); ++d) {
+    PipelineAdc die(configs[d]);
+    out.push_back(die.convert(*signals[d], n));
+  }
+  return out;
+}
+
+TEST(Batch, MixedRatesFrequenciesAndSeedsBitIdenticalOnEveryTier) {
+  // Lanes are jobs: one block mixes conversion rates from 2 to 180 MHz,
+  // input frequencies, amplitudes and seeds, and every die must still equal
+  // its own PipelineAdc::convert. Full blocks at every kernel width, a
+  // ragged padded block (13 dies at W = 16) and a two-block converter whose
+  // second block is ragged (37 dies: 32 + 5 at W = 8). The fast dies take
+  // the settle chain's slew arm while their slow neighbours stay linear.
+  constexpr std::size_t kSamples = 100;
+  for (const std::size_t count : {8, 16, 32, 13, 37}) {
+    const auto configs = mixed_rate_dies(count);
+    std::vector<adc::dsp::SineSignal> tones;
+    tones.reserve(count);
+    for (std::size_t d = 0; d < count; ++d) {
+      const double fin = configs[d].conversion_rate * (0.05 + 0.04 * static_cast<double>(d % 9));
+      tones.emplace_back(0.9 + 0.01 * static_cast<double>(d % 8), fin);
+    }
+    std::vector<const adc::dsp::Signal*> signals;
+    for (const auto& tone : tones) signals.push_back(&tone);
+    const auto want = per_die_reference(configs, signals, kSamples);
+    for (const BatchIsa isa : supported_tiers()) {
+      SCOPED_TRACE(testing::Message() << count << " dies, " << adc::common::to_string(isa));
+      BatchConverter batch(configs, isa);
+      for (std::size_t d = 0; d < count; ++d) {
+        EXPECT_EQ(batch.conversion_rate(d), configs[d].conversion_rate) << "die " << d;
+      }
+      const auto got = batch.convert(signals, kSamples);
+      ASSERT_EQ(got.size(), count);
+      for (std::size_t d = 0; d < count; ++d) {
+        EXPECT_EQ(got[d], want[d]) << "die " << d;
+      }
+    }
+  }
+}
+
+TEST(Batch, MixedRateMultiToneBlockBitIdenticalOnEveryTier) {
+  // Two-tone stimuli whose tones and phases differ per die, on a ragged
+  // mixed-rate block, over two captures (the shared epoch).
+  constexpr std::size_t kDies = 11;
+  constexpr std::size_t kSamples = 60;
+  const auto configs = mixed_rate_dies(kDies);
+  std::vector<adc::dsp::MultiToneSignal> stimuli;
+  stimuli.reserve(kDies);
+  for (std::size_t d = 0; d < kDies; ++d) {
+    const double f = configs[d].conversion_rate;
+    const double k = static_cast<double>(d);
+    stimuli.emplace_back(std::vector<adc::dsp::MultiToneSignal::Tone>{
+        {0.45, 0.09 * f, 0.1 * k}, {0.48, 0.11 * f + 1e3 * k, 1.25}});
+  }
+  std::vector<const adc::dsp::Signal*> signals;
+  for (const auto& stimulus : stimuli) signals.push_back(&stimulus);
+  std::vector<std::vector<int>> want;
+  for (std::size_t d = 0; d < kDies; ++d) {
+    PipelineAdc die(configs[d]);
+    (void)die.convert(*signals[d], kSamples);
+    want.push_back(die.convert(*signals[d], kSamples));
+  }
+  for (const BatchIsa isa : supported_tiers()) {
+    SCOPED_TRACE(adc::common::to_string(isa));
+    BatchConverter batch(configs, isa);
+    (void)batch.convert(signals, kSamples);
+    const auto got = batch.convert(signals, kSamples);
+    for (std::size_t d = 0; d < kDies; ++d) {
+      EXPECT_EQ(got[d], want[d]) << "die " << d;
+    }
+  }
+}
+
+TEST(Batch, DiesDifferingBeyondSeedAndRateAreRejected) {
+  // A block's dies may differ in seed and conversion rate only; any other
+  // configuration difference is one loud ConfigError naming the rule.
+  const auto expect_rejected = [](const std::vector<AdcConfig>& configs) {
+    try {
+      const BatchConverter batch(configs);
+      ADD_FAILURE() << "mixed configuration accepted";
+    } catch (const adc::common::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("only in seed and conversion rate"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  auto hot = mixed_rate_dies(4);
+  hot[2].temperature_k = 340.0;
+  expect_rejected(hot);
+  auto low_supply = mixed_rate_dies(4);
+  low_supply[3].vdd = 1.62;
+  expect_rejected(low_supply);
+  auto other_scale = mixed_rate_dies(4);
+  other_scale[1].full_scale_vpp = 1.8;
+  expect_rejected(other_scale);
+
+  // Stimuli of different kinds or tone counts cannot share one capture.
+  const auto configs = mixed_rate_dies(2);
+  BatchConverter batch(configs);
+  const adc::dsp::MultiToneSignal two({{0.49, 9.7e6, 0.0}, {0.49, 12.3e6, 1.25}});
+  const std::vector<const adc::dsp::Signal*> mixed = {&golden_tone(), &two};
+  EXPECT_THROW((void)batch.convert(mixed, 8), adc::common::ConfigError);
+  const std::vector<const adc::dsp::Signal*> short_list = {&golden_tone()};
+  EXPECT_THROW((void)batch.convert(short_list, 8), adc::common::ConfigError);
 }
 
 TEST(Batch, IsaResolutionPolicy) {

@@ -1,17 +1,20 @@
 /// Tests for the scenario engine (src/scenario/): spec validation naming the
 /// offending key, sweep expansion, key-order-independent hashing, cache
 /// correctness (bit-identical hits, corrupt-entry eviction, env-var root,
-/// the pinned entry bytes and the pack layout), and interrupted-run resume
-/// producing bit-identical reports.
+/// the pinned entry bytes and the pack layout), interrupted-run resume
+/// producing bit-identical reports, and fast-profile sweeps whose execute
+/// units batch across grid points.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1023,4 +1026,112 @@ TEST_F(ScenarioTest, OverlappingPackStoresFromTwoThreadsAllLoad) {
     EXPECT_EQ(json::dump(*payload), json::dump(payloads[i])) << hashes[i];
   }
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+namespace {
+
+/// Fast-profile sweeps for the mixed-block execute path, 512-sample records.
+/// A rate sweep (8 rates x 3 seeds, from 20 to 177.5 MHz so the slow lanes
+/// take a capped tone) and an input-frequency sweep (4 tones x 4 seeds)
+/// batch across grid points; a temperature sweep (3 temperatures x 5
+/// seeds) must stay one unit per grid point.
+const char* kFastRateSweepSpec = R"({
+  "name": "rate_sweep_fast",
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 512},
+  "measurement": {"type": "dynamic"},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 42, "count": 3},
+  "sweep": [{"key": "die.conversion_rate_hz",
+             "values": [20e6, 33e6, 47.5e6, 60e6, 90e6, 110e6, 140e6, 177.5e6]}]
+})";
+
+const char* kFastFinSweepSpec = R"({
+  "name": "fin_sweep_fast",
+  "stimulus": {"type": "tone", "record_length": 512},
+  "measurement": {"type": "dynamic"},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 7, "count": 4},
+  "sweep": [{"key": "stimulus.frequency_hz", "values": [3e6, 10e6, 21e6, 37e6]}]
+})";
+
+const char* kFastTemperatureSweepSpec = R"({
+  "name": "temperature_sweep_fast",
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 512},
+  "measurement": {"type": "dynamic"},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 42, "count": 5},
+  "sweep": [{"key": "die.temperature_k", "values": [280.0, 320.0, 360.0]}]
+})";
+
+/// Pool jobs one run submitted: its execute units (at threads > 1).
+std::uint64_t units_submitted(const RunResult& run) {
+  return run.pool_after.submitted - run.pool_before.submitted;
+}
+
+/// Runs `text` through ScenarioRunner at threads 1 and 4, cold and with
+/// scattered pre-seeded hits, and checks every report and every cache
+/// entry against a per-job execute_job run. Returns the execute units of
+/// the cold 4-thread run.
+std::uint64_t expect_matches_per_job(const std::string& text, const std::string& root) {
+  const ScenarioSpec spec = parse_spec_text(text);
+  const ScenarioPlan plan = plan_scenario(spec);
+  std::vector<std::optional<json::JsonValue>> scalar;
+  for (const auto& job : plan.jobs) {
+    scalar.push_back(ScenarioRunner::execute_job(resolve_job(spec, job)));
+  }
+  const std::string want = json::dump(build_report(spec, plan, scalar));
+
+  std::uint64_t units = 0;
+  for (const bool seeded : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << spec.name << " threads=" << threads
+                                      << (seeded ? " seeded" : " cold"));
+      RunOptions options;
+      options.cache_dir = root + "/" + std::to_string(threads) + (seeded ? "s" : "c");
+      options.threads = threads;
+      std::size_t hits = 0;
+      if (seeded) {
+        // Scattered hits split the misses into ragged, non-contiguous units.
+        ResultCache cache(options.cache_dir);
+        cache.ensure_writable();
+        for (std::size_t i = 1; i < plan.jobs.size(); i += 5) {
+          cache.store(plan.hashes[i], *scalar[i]);
+          ++hits;
+        }
+      }
+      const RunResult run = ScenarioRunner(options).run(spec);
+      EXPECT_EQ(run.cache_hits, hits);
+      EXPECT_EQ(run.computed, plan.jobs.size() - hits);
+      EXPECT_EQ(json::dump(run.report), want);
+      ResultCache cache(options.cache_dir);
+      for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+        const auto entry = cache.load(plan.hashes[i]);
+        if (!entry.has_value()) {
+          ADD_FAILURE() << "missing cache entry for job " << i;
+          continue;
+        }
+        EXPECT_EQ(json::dump(*entry), json::dump(*scalar[i])) << "payload mismatch at job " << i;
+      }
+      if (!seeded && threads == 4) units = units_submitted(run);
+    }
+  }
+  return units;
+}
+
+}  // namespace
+
+TEST_F(ScenarioTest, RateSweepBatchesAcrossGridPointsBitIdentically) {
+  // 24 misses on 4 threads: three 8-die units, each mixing rates, where
+  // grouping by grid point would give eight 3-die scalar units.
+  EXPECT_EQ(expect_matches_per_job(kFastRateSweepSpec, path("rate")), 3u);
+}
+
+TEST_F(ScenarioTest, InputFrequencySweepBatchesAcrossGridPointsBitIdentically) {
+  // 16 misses on 4 threads: two 8-die units, each mixing input tones.
+  EXPECT_EQ(expect_matches_per_job(kFastFinSweepSpec, path("fin")), 2u);
+}
+
+TEST_F(ScenarioTest, TemperatureSweepStillGroupsPerGridPoint) {
+  // Temperature is not a lane field: one 5-die unit per grid point.
+  EXPECT_EQ(expect_matches_per_job(kFastTemperatureSweepSpec, path("temperature")), 3u);
 }

@@ -10,6 +10,11 @@ it). A benchmark regresses when its current time exceeds the baseline by
 more than the threshold (default 15 %, chosen above the observed run-to-run
 noise of the CI runners so the report stays quiet on healthy changes).
 
+A benchmark of the current run that the baseline lacks (one added since
+the baseline was recorded) cannot regress; it is listed as "no baseline"
+in the table, in the --json document (`no_baseline`) and in the markdown
+report, so a new benchmark never disappears from the report.
+
 A missing, unreadable or empty *baseline* is not an error: the first run of
 a new benchmark suite (or a freshly created CI cache) has nothing to compare
 against, so the script says so and exits 0. A malformed *current* file is a
@@ -174,6 +179,17 @@ def write_markdown(path: str, sections: list[str]) -> None:
         print(f"compare_bench: cannot write markdown report: {err}", file=sys.stderr)
 
 
+def no_baseline_markdown(rows: list[dict]) -> str:
+    """Render the current-only benchmarks as a markdown list."""
+    if not rows:
+        return ""
+    lines = [f"#### No baseline ({len(rows)})", ""]
+    for row in rows:
+        lines.append(f"- `{row['name']}`: {fmt_time(row['current_ns'])} (no baseline)")
+    lines.append("")
+    return "\n".join(lines)
+
+
 def fmt_time(ns: float) -> str:
     for unit, scale in (("s", 1e9), ("ms", 1e6), ("us", 1e3)):
         if ns >= scale:
@@ -253,8 +269,26 @@ def main() -> int:
         return 0
 
     common = [name for name in base if name in curr]
+    no_baseline = [
+        {"name": name, "current_ns": curr[name]["real_time"]}
+        for name in curr
+        if name not in base
+    ]
     if not common:
         print("compare_bench: no benchmarks in common — skipping comparison", file=report)
+        for row in no_baseline:
+            print(f"  {row['name']}  {fmt_time(row['current_ns'])}  no baseline", file=report)
+        if args.markdown:
+            write_markdown(
+                args.markdown,
+                [
+                    "### Benchmark comparison",
+                    "",
+                    "_no benchmarks in common with the baseline — comparison skipped_",
+                    "",
+                    no_baseline_markdown(no_baseline),
+                ],
+            )
         emit_json(
             {
                 "status": "no_overlap",
@@ -264,11 +298,12 @@ def main() -> int:
                 "benchmarks": [],
                 "only_in_baseline": sorted(base),
                 "only_in_current": sorted(curr),
+                "no_baseline": no_baseline,
             }
         )
         return 0
 
-    width = max(len(n) for n in common)
+    width = max(len(n) for n in list(common) + [row["name"] for row in no_baseline])
     regressions = []
     rows = []
     print(
@@ -298,12 +333,17 @@ def main() -> int:
             file=report,
         )
 
+    for row in no_baseline:
+        print(
+            f"{row['name']:<{width}}  {'-':>10}  {fmt_time(row['current_ns']):>10}"
+            "  no baseline",
+            file=report,
+        )
+
     only_base = sorted(set(base) - set(curr))
     only_curr = sorted(set(curr) - set(base))
     if only_base:
         print(f"\nonly in baseline: {', '.join(only_base)}", file=report)
-    if only_curr:
-        print(f"only in current:  {', '.join(only_curr)}", file=report)
 
     base_pairs, base_pair_warnings = throughput_pairs(base)
     print_pairs("baseline", base_pairs, base_pair_warnings, report)
@@ -323,6 +363,7 @@ def main() -> int:
                 "",
                 verdict,
                 "",
+                no_baseline_markdown(no_baseline),
                 pairs_markdown("baseline", base_pairs, base_pair_warnings),
                 pairs_markdown("current", curr_pairs, curr_pair_warnings),
             ],
@@ -337,6 +378,7 @@ def main() -> int:
             "benchmarks": rows,
             "only_in_baseline": only_base,
             "only_in_current": only_curr,
+            "no_baseline": no_baseline,
             "baseline_throughput_pairs": base_pairs,
             "throughput_pairs": curr_pairs,
             "baseline_throughput_pair_warnings": base_pair_warnings,
