@@ -87,7 +87,8 @@ std::vector<DynamicTestResult> run_block_batched(std::span<const DieTest> dies,
   std::vector<std::vector<std::vector<int>>> captures;
   captures.reserve(static_cast<std::size_t>(options.averages));
   {
-    // The configuration list lives only as long as construction.
+    // The configuration list is a temporary, freed before the captures
+    // allocate, so it does not raise the pool thread's arena peak.
     adc::batch::BatchConverter conv([dies] {
       std::vector<adc::pipeline::AdcConfig> configs;
       configs.reserve(dies.size());
