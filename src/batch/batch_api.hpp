@@ -26,14 +26,16 @@
 /// PipelineAdc instantiates at one lane and the kernel at `PlanView::lanes`:
 /// the front end (pipeline/fast_front.hpp), the tone stimulus
 /// (dsp/tone_lanes.hpp), the stage chain (pipeline/fast_chain.hpp) and the
-/// correction (digital/correction.hpp). The kernel keeps of its own only
-/// the loop shape of the noise fill: a chunked per-die fill transposed into
-/// lane-minor rows, the same positional draws as NoisePlane::generate.
+/// correction (digital/correction.hpp) — and so is the noise fill, the
+/// lane-minor `tile::philox_normal_rows` (common/counter_rng_tile.hpp) over
+/// the eager blocks only (pipeline/fast_layout.hpp). The kernel adds only
+/// the chunk loop and the scatter of each lane's codes to its die.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "common/counter_rng_tile.hpp"
 #include "common/isa_dispatch.hpp"
 #include "digital/correction.hpp"
 #include "dsp/tone_lanes.hpp"
@@ -64,11 +66,6 @@ inline constexpr std::size_t kLaneWidths[] = {8, 16, 32};
 /// draws are positional.
 inline constexpr std::size_t kChunkSamples = 8;
 
-/// Dies whose chunk the kernel fills into scratch before transposing them
-/// into the plane: one 64-byte store per plane row, from 18 KB of scratch
-/// instead of a whole block's 74 KB.
-inline constexpr std::size_t kFillGroup = 8;
-
 /// Stage-count ceiling of the batch engine. The nominal pipeline has 10
 /// stages; BatchConverter rejects configs above this.
 inline constexpr std::size_t kMaxBatchStages = 16;
@@ -86,7 +83,8 @@ inline constexpr std::size_t kMinBatchDies = 4;
 /// width-W template PipelineAdc runs at one lane, over the same view:
 /// the front end (`front`), the stimulus (`tones`), the stage chain
 /// (`chain`) and the correction (`correction`). What only a W-die block
-/// needs around them is the noise fill, keyed per lane.
+/// needs around them is the noise fill's keys, one per lane, and its block
+/// list.
 struct PlanView {
   std::size_t lanes = 0;  ///< kernel width W of this block, one of kLaneWidths
   std::size_t slots = 0;  ///< noise-plane slots per sample
@@ -106,13 +104,18 @@ struct PlanView {
   adc::digital::CorrectionView correction;
 
   const std::uint64_t* noise_key = nullptr;  ///< [lanes] noise-plane Philox keys
+  /// The eager blocks of a plane (PipelineAdc::eager_blocks), valid for
+  /// every chunk: kChunkSamples is even, so every chunk starts at an even
+  /// sample.
+  adc::common::tile::BlockList eager;
 };
 
 /// Mutable per-capture workspace, allocated once per BatchConverter and
 /// reused across captures, chunks and die-blocks (hot-path-alloc contract:
 /// nothing below is ever grown inside the sample loop).
+/// The kernel fills `plane` straight from Philox, W lanes side by side; it
+/// needs no other scratch.
 struct StateView {
-  double* scratch = nullptr;  ///< [kFillGroup * kChunkSamples * slots] die-major fill
   double* plane = nullptr;    ///< [kChunkSamples * slots * lanes] lane-minor rows
   int* const* out = nullptr;  ///< [lanes] per-die code buffers, length >= n
 };
@@ -120,39 +123,54 @@ struct StateView {
 /// Per-ISA entry points (one strong symbol per tier; see the kernel TUs).
 /// `convert_capture` runs one full capture of `n` samples for the
 /// `plan.lanes` dies of a block, through the kernel instantiated at that
-/// width; `normal_fill`/`exp_span`/`sincos_span` are the SoA math ports,
-/// exported so tests can pin cross-tier bit-identity directly.
+/// width; `chain_capture` is the same pass with the noise fill left out,
+/// every chunk re-reading the rows `state.plane` already holds (a layer
+/// benchmark: its codes are not a conversion's). `normal_fill`,
+/// `normal_rows`, `comparator_lanes`, `exp_span` and `sincos_span` are the
+/// SoA math ports, exported so tests can pin cross-tier bit-identity
+/// directly: `normal_rows` is tile::philox_normal_rows at W = `lanes`
+/// (1, 8, 16 or 32); `comparator_lanes` runs fast_chain::certain and
+/// fast_chain::decide on `n` comparators (a multiple of `lanes`), `lanes`
+/// at a time, into 0/1 flags.
+#define ADC_BATCH_KERNEL_ENTRY_POINTS                                                          \
+  void convert_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,      \
+                       std::size_t n);                                                         \
+  void chain_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,        \
+                     std::size_t n);                                                           \
+  void normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t first, double* out, \
+                   std::size_t n);                                                             \
+  void normal_rows(std::size_t lanes, const std::uint64_t* keys, std::uint64_t stream,         \
+                   std::uint64_t first, std::size_t n, const adc::common::tile::BlockList& list, \
+                   double* rows);                                                              \
+  void comparator_lanes(std::size_t lanes, const double* v, const double* threshold,           \
+                        const double* offset, const double* noise, const double* meta,         \
+                        const double* draw, int* certain, int* decision, std::size_t n);       \
+  void exp_span(const double* x, double* out, std::size_t n);                                  \
+  void sincos_span(const double* x, double* sin_out, double* cos_out, std::size_t n);
 namespace sse2 {
-void convert_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,
-                     std::size_t n);
-void normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t first, double* out,
-                 std::size_t n);
-void exp_span(const double* x, double* out, std::size_t n);
-void sincos_span(const double* x, double* sin_out, double* cos_out, std::size_t n);
+ADC_BATCH_KERNEL_ENTRY_POINTS
 }  // namespace sse2
 namespace avx2 {
-void convert_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,
-                     std::size_t n);
-void normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t first, double* out,
-                 std::size_t n);
-void exp_span(const double* x, double* out, std::size_t n);
-void sincos_span(const double* x, double* sin_out, double* cos_out, std::size_t n);
+ADC_BATCH_KERNEL_ENTRY_POINTS
 }  // namespace avx2
 namespace avx512 {
-void convert_capture(const PlanView& plan, const StateView& state, std::uint64_t epoch,
-                     std::size_t n);
-void normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t first, double* out,
-                 std::size_t n);
-void exp_span(const double* x, double* out, std::size_t n);
-void sincos_span(const double* x, double* sin_out, double* cos_out, std::size_t n);
+ADC_BATCH_KERNEL_ENTRY_POINTS
 }  // namespace avx512
+#undef ADC_BATCH_KERNEL_ENTRY_POINTS
 
 /// The function-pointer table runtime dispatch selects from.
 struct KernelOps {
   void (*convert_capture)(const PlanView&, const StateView&, std::uint64_t, std::size_t) =
       nullptr;
+  void (*chain_capture)(const PlanView&, const StateView&, std::uint64_t, std::size_t) =
+      nullptr;
   void (*normal_fill)(std::uint64_t, std::uint64_t, std::uint64_t, double*, std::size_t) =
       nullptr;
+  void (*normal_rows)(std::size_t, const std::uint64_t*, std::uint64_t, std::uint64_t,
+                      std::size_t, const adc::common::tile::BlockList&, double*) = nullptr;
+  void (*comparator_lanes)(std::size_t, const double*, const double*, const double*,
+                           const double*, const double*, const double*, int*, int*,
+                           std::size_t) = nullptr;
   void (*exp_span)(const double*, double*, std::size_t) = nullptr;
   void (*sincos_span)(const double*, double*, double*, std::size_t) = nullptr;
 };

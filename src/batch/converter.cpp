@@ -120,6 +120,7 @@ BatchConverter::BatchConverter(std::span<const adc::pipeline::AdcConfig> configs
   const fc::ChainView ref_chain = ref_adc_->fast_chain_view();
   proto_ = PlanView{};
   proto_.slots = ref_adc_->noise_slots_per_sample();
+  proto_.eager = ref_adc_->eager_blocks();
   proto_.chain = ref_chain;  // per-lane pointers are rebound per block
   proto_.front = ref_adc_->fast_front_view();
   proto_.correction = ref_adc_->correction().view();
@@ -170,7 +171,6 @@ BatchConverter::BatchConverter(std::span<const adc::pipeline::AdcConfig> configs
   // One chunk workspace for the whole converter, the plane sized for its
   // widest block (reused by every block of every capture; the kernel never
   // allocates).
-  scratch_.assign(kFillGroup * kChunkSamples * proto_.slots, 0.0);
   plane_.assign(widest * kChunkSamples * proto_.slots, 0.0);
 }
 
@@ -253,11 +253,22 @@ PlanView BatchConverter::block_view(const DieBlock& block) const {
 std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& signal,
                                                       std::size_t n) {
   const std::vector<const adc::dsp::Signal*> all(seeds_.size(), &signal);
-  return convert(all, n);
+  return run(all, n, false);
 }
 
 std::vector<std::vector<int>> BatchConverter::convert(
     std::span<const adc::dsp::Signal* const> signals, std::size_t n) {
+  return run(signals, n, false);
+}
+
+std::vector<std::vector<int>> BatchConverter::convert_chain_only(const adc::dsp::Signal& signal,
+                                                                 std::size_t n) {
+  const std::vector<const adc::dsp::Signal*> all(seeds_.size(), &signal);
+  return run(all, n, true);
+}
+
+std::vector<std::vector<int>> BatchConverter::run(std::span<const adc::dsp::Signal* const> signals,
+                                                  std::size_t n, bool chain_only) {
   // Captures share one epoch counter across every die, mirroring the per-die
   // sequence "fresh die, k-th convert() call" die by die.
   const std::uint64_t epoch = ++epoch_;
@@ -305,8 +316,14 @@ std::vector<std::vector<int>> BatchConverter::convert(
       out[l] = codes.data();
     }
     for (std::size_t l = blk.dies; l < blk.lanes; ++l) out[l] = pad_.data();
-    const StateView st{scratch_.data(), plane_.data(), out.data()};
-    ops_->convert_capture(p, st, epoch, n);
+    const StateView st{plane_.data(), out.data()};
+    if (chain_only) {
+      ops_->normal_rows(blk.lanes, p.noise_key, epoch, 0, std::min(n, kChunkSamples) * p.slots,
+                        p.eager, st.plane);
+      ops_->chain_capture(p, st, epoch, n);
+    } else {
+      ops_->convert_capture(p, st, epoch, n);
+    }
   }
   return results;
 }

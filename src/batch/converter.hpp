@@ -91,6 +91,14 @@ class BatchConverter {
   [[nodiscard]] std::vector<std::vector<int>> convert(const adc::dsp::Signal& signal,
                                                       std::size_t n);
 
+  /// Layer benchmark of the stage chain: convert()'s kernel pass with the
+  /// noise fill left out. Each block's plane is filled once with its first
+  /// chunk's rows, which every later chunk re-reads; elided draws are still
+  /// fetched at each sample's own positions. Advances the epoch like
+  /// convert(); the codes are not a conversion's.
+  [[nodiscard]] std::vector<std::vector<int>> convert_chain_only(const adc::dsp::Signal& signal,
+                                                                 std::size_t n);
+
   [[nodiscard]] std::size_t die_count() const { return seeds_.size(); }
   [[nodiscard]] std::span<const std::uint64_t> seeds() const { return seeds_; }
   [[nodiscard]] adc::common::BatchIsa isa() const { return isa_; }
@@ -127,6 +135,8 @@ class BatchConverter {
     std::vector<double> flash_lane;  ///< [kFlashFields][flash_count][lanes]
   };
 
+  [[nodiscard]] std::vector<std::vector<int>> run(
+      std::span<const adc::dsp::Signal* const> signals, std::size_t n, bool chain_only);
   void extract_die(adc::pipeline::PipelineAdc& adc, DieBlock& block, std::size_t lane);
   void check_uniform(adc::pipeline::PipelineAdc& adc) const;
   [[nodiscard]] PlanView block_view(const DieBlock& block) const;
@@ -149,7 +159,6 @@ class BatchConverter {
 
   // Chunk workspace, allocated once and reused across captures, chunks and
   // die-blocks (hot-path-alloc contract: never grown inside the kernel).
-  std::vector<double> scratch_;
   std::vector<double> plane_;
   std::vector<double> tone_rows_;  ///< one block's ToneTable fields, [4][tone][lanes]
   std::vector<int> pad_;  ///< sink for padded lanes' codes (discarded)

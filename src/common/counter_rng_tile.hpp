@@ -1,8 +1,15 @@
 /// \file counter_rng_tile.hpp
-/// The tiled structure-of-arrays body of `philox_normal_fill`, shared between
-/// the baseline translation unit (counter_rng.cpp) and the batch engine's
-/// per-ISA kernels (src/batch/), which re-compile it with AVX2 / AVX-512
-/// code generation enabled.
+/// The tiled structure-of-arrays bodies of the fast profile's noise fills,
+/// shared between baseline translation units (counter_rng.cpp, NoisePlane)
+/// and the batch engine's per-ISA kernels (src/batch/), which re-compile
+/// them with AVX2 / AVX-512 code generation enabled:
+///  * `philox_normal_fill_ptr`, the dense one-stream fill behind the public
+///    `philox_normal_fill`;
+///  * `philox_normal_rows<W>`, the one noise-plane fill: W streams (one key
+///    per lane) side by side, written as lane-minor rows, for a listed
+///    subset of Philox blocks. NoisePlane lists every block; PipelineAdc and
+///    the batch kernel list only the blocks whose deviates a sample always
+///    reads (pipeline/fast_layout.hpp, `eager_block_offsets`).
 ///
 /// Everything here is ADC_ALWAYS_INLINE: these bodies must never be emitted
 /// as out-of-line COMDAT copies from a wide-ISA translation unit (the linker
@@ -152,6 +159,139 @@ ADC_ALWAYS_INLINE inline void philox_normal_fill_ptr(std::uint64_t key, std::uin
   if (i < n) {
     out[i] = philox_normal_at(key, stream, first + i);
   }
+}
+
+/// A periodic set of Philox blocks, relative to a fill's first block
+/// `first >> 1`: block b is listed when (b - (first >> 1)) mod `period` is
+/// one of the `count` ascending `offsets` (each < `period`).
+struct BlockList {
+  const std::uint32_t* offsets = nullptr;
+  std::size_t count = 0;
+  std::uint64_t period = 1;
+};
+
+/// One tile of `rows_fill`: the `tile` listed blocks in `blocks`, each on
+/// all W lanes. Element e = bi·W + l is block blocks[bi] under keys[l], so
+/// every pass is a flat loop over tile·W elements (the lane loop innermost
+/// with its constant trip count, the shape the vectorizer takes at any W),
+/// and the per-lane round keys are the only lane-indexed operand.
+template <std::size_t W>
+ADC_ALWAYS_INLINE inline void rows_tile(const std::uint64_t* keys, std::uint64_t stream,
+                                        const std::uint64_t* blocks, std::size_t tile,
+                                        std::uint64_t first, std::uint64_t end, double* rows) {
+  constexpr std::uint64_t kMask32 = 0xffffffffull;
+  constexpr std::uint64_t kMul0 = 0xD2511F53u;
+  constexpr std::uint64_t kMul1 = 0xCD9E8D57u;
+  constexpr std::uint64_t kWeyl0 = 0x9E3779B9u;  // golden ratio
+  constexpr std::uint64_t kWeyl1 = 0xBB67AE85u;  // sqrt(3) - 1
+  std::uint64_t c0[kTileBlocks];
+  std::uint64_t c1[kTileBlocks];
+  std::uint64_t c2[kTileBlocks];
+  std::uint64_t c3[kTileBlocks];
+  const std::uint64_t s_lo = stream & kMask32;
+  const std::uint64_t s_hi = stream >> 32;
+  for (std::size_t bi = 0; bi < tile; ++bi) {
+    for (std::size_t l = 0; l < W; ++l) {
+      c0[bi * W + l] = blocks[bi] & kMask32;
+      c1[bi * W + l] = blocks[bi] >> 32;
+      c2[bi * W + l] = s_lo;
+      c3[bi * W + l] = s_hi;
+    }
+  }
+  // The 32-bit key words of each lane, advanced by the Weyl constants each
+  // round (mod 2^32, as philox4x32's uint32 key words wrap).
+  std::uint64_t k0[W];
+  std::uint64_t k1[W];
+  for (std::size_t l = 0; l < W; ++l) {
+    k0[l] = keys[l] & kMask32;
+    k1[l] = keys[l] >> 32;
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (std::size_t bi = 0; bi < tile; ++bi) {
+      for (std::size_t l = 0; l < W; ++l) {
+        const std::size_t e = bi * W + l;
+        const std::uint64_t p0 = kMul0 * (c0[e] & kMask32);
+        const std::uint64_t p1 = kMul1 * (c2[e] & kMask32);
+        c0[e] = (p1 >> 32) ^ c1[e] ^ k0[l];
+        c1[e] = p1 & kMask32;
+        c2[e] = (p0 >> 32) ^ c3[e] ^ k1[l];
+        c3[e] = p0 & kMask32;
+      }
+    }
+    for (std::size_t l = 0; l < W; ++l) {
+      k0[l] = (k0[l] + kWeyl0) & kMask32;
+      k1[l] = (k1[l] + kWeyl1) & kMask32;
+    }
+  }
+  // Box-Muller on the flat tile: the same passes, and so the same bits, as
+  // philox_normal_fill_ptr.
+  const std::size_t elems = tile * W;
+  double u1[kTileBlocks];
+  double angle[kTileBlocks];
+  double radius[kTileBlocks];
+  double zc[kTileBlocks];
+  double zs[kTileBlocks];
+  for (std::size_t e = 0; e < elems; ++e) {
+    const std::uint64_t b1 = c0[e] >> 11 | (c1[e] << 21);
+    const std::uint64_t b2 = c2[e] >> 11 | (c3[e] << 21);
+    const double d1 = static_cast<double>(static_cast<std::int32_t>(b1 >> 31)) * 0x1p31 +
+                      static_cast<double>(static_cast<std::int32_t>(b1 & 0x7fffffffu));
+    const double d2 = static_cast<double>(static_cast<std::int32_t>(b2 >> 31)) * 0x1p31 +
+                      static_cast<double>(static_cast<std::int32_t>(b2 & 0x7fffffffu));
+    u1[e] = (d1 + 1.0) * 0x1p-53;
+    angle[e] = fastmath::kTwoPi * (d2 * 0x1p-53);
+  }
+  for (std::size_t e = 0; e < elems; ++e) {
+    radius[e] = fastmath::sqrt_fast(-2.0 * fastmath::log_fast(u1[e]));
+  }
+  for (std::size_t e = 0; e < elems; ++e) {
+    double s = 0.0;
+    double c = 0.0;
+    fastmath::sincos_fast(angle[e], s, c);
+    zc[e] = radius[e] * c;
+    zs[e] = radius[e] * s;
+  }
+  // Scatter each block's two lane vectors to its rows; a block straddling
+  // either end of [first, end) writes only its half inside.
+  for (std::size_t bi = 0; bi < tile; ++bi) {
+    const std::uint64_t q = 2 * blocks[bi];
+    if (q >= first) {
+      double* out = rows + (q - first) * W;
+      for (std::size_t l = 0; l < W; ++l) out[l] = zc[bi * W + l];
+    }
+    if (q + 1 < end) {
+      double* out = rows + (q + 1 - first) * W;
+      for (std::size_t l = 0; l < W; ++l) out[l] = zs[bi * W + l];
+    }
+  }
+}
+
+/// The lane-minor noise fill: for every position q in [first, first + n)
+/// whose block q/2 `list` names, `rows[(q - first)·W + l] =
+/// philox_normal_at(keys[l], stream, q)` for each of the W lanes. Unlisted
+/// positions are left untouched. With every block listed at W = 1 this is
+/// `philox_normal_fill_ptr`, bit for bit.
+template <std::size_t W>
+ADC_ALWAYS_INLINE inline void philox_normal_rows(const std::uint64_t* keys, std::uint64_t stream,
+                                                 std::uint64_t first, std::size_t n,
+                                                 const BlockList& list, double* rows) {
+  static_assert(W >= 1 && kTileBlocks % W == 0, "a tile holds whole lane groups");
+  constexpr std::size_t kTile = kTileBlocks / W;  // blocks per tile
+  const std::uint64_t end = first + n;
+  std::uint64_t blocks[kTile];
+  std::size_t tile = 0;
+  for (std::uint64_t start = first >> 1; 2 * start < end; start += list.period) {
+    for (std::size_t i = 0; i < list.count; ++i) {
+      const std::uint64_t b = start + list.offsets[i];
+      if (2 * b >= end) break;
+      blocks[tile++] = b;
+      if (tile == kTile) {
+        rows_tile<W>(keys, stream, blocks, tile, first, end, rows);
+        tile = 0;
+      }
+    }
+  }
+  if (tile > 0) rows_tile<W>(keys, stream, blocks, tile, first, end, rows);
 }
 
 }  // namespace adc::common::tile

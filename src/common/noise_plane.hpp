@@ -11,6 +11,14 @@
 /// count, and a model that skips a slot (e.g. the low comparator when the
 /// high one already decided) does not shift any other model's draws.
 ///
+/// A plane may also be generated *sparsely*: `generate(epoch, first, count,
+/// blocks)` materializes only the listed Philox blocks (a block carries the
+/// deviates 2k and 2k+1) and leaves every other position unspecified. The
+/// fast stage chain generates its planes that way, skipping the blocks
+/// that hold only comparator draws, and fetches such a draw by position
+/// only when it can change a decision (pipeline/fast_chain.hpp). Both
+/// forms are the one lane-minor fill `tile::philox_normal_rows` at W = 1.
+///
 /// `epoch` distinguishes captures: the converter bumps it once per capture
 /// so repeated captures see fresh noise, mirroring how the sequential
 /// exact-profile stream advances across calls.
@@ -28,6 +36,7 @@
 
 #include "common/contracts.hpp"
 #include "common/counter_rng.hpp"
+#include "common/counter_rng_tile.hpp"
 
 namespace adc::common {
 
@@ -43,11 +52,21 @@ class NoisePlane {
   /// Materialize rows [first_sample, first_sample + count) of capture
   /// `epoch`. Any previous contents are replaced.
   void generate(std::uint64_t epoch, std::uint64_t first_sample, std::size_t count) {
+    const std::uint32_t every = 0;
+    generate(epoch, first_sample, count, tile::BlockList{&every, 1, 1});
+  }
+
+  /// The same window with only the blocks `blocks` lists materialized,
+  /// its period counted from block first_sample·slots/2; the other
+  /// positions hold whatever the buffer held before.
+  void generate(std::uint64_t epoch, std::uint64_t first_sample, std::size_t count,
+                const tile::BlockList& blocks) {
     epoch_ = epoch;
     first_sample_ = first_sample;
     count_ = count;
     buffer_.resize(count * slots_);
-    philox_normal_fill(key_, epoch, first_sample * slots_, buffer_);
+    tile::philox_normal_rows<1>(&key_, epoch, first_sample * slots_, count * slots_, blocks,
+                                buffer_.data());
   }
 
   /// Row of `slots_per_sample()` deviates for `sample` (must lie in the

@@ -17,7 +17,8 @@ static_assert(fast_chain::kMaxStages == adc::digital::StageCodeVec::kCapacity,
 
 /// Samples per plane generation: bounds the buffer (~1.2 MB at the nominal
 /// 36 slots/sample) while keeping the fill loop long enough to vectorize.
-/// Chunking cannot change any value — draws are positional.
+/// Chunking cannot change any value — draws are positional. Even, so every
+/// chunk starts at an even sample, where eager_blocks() is valid.
 constexpr std::size_t kPlaneChunkSamples = 4096;
 
 }  // namespace
@@ -208,6 +209,12 @@ PipelineAdc::PipelineAdc(const AdcConfig& config)
   const auto noise_slots = static_cast<std::uint32_t>(
       fast_layout::slots_per_sample(stages_.size(), flash_.comparator_count()));
   noise_plane_ = adc::common::NoisePlane(noise_rng_.seed(), noise_slots);
+  eager_blocks_.reserve(noise_slots);
+  for (std::uint32_t b = 0; b < noise_slots; ++b) {
+    if (!fast_layout::block_elided(b, stages_.size(), flash_.comparator_count())) {
+      eager_blocks_.push_back(b);
+    }
+  }
 }
 
 double PipelineAdc::lsb() const {
@@ -327,12 +334,15 @@ void PipelineAdc::run_fast(std::size_t n, Input&& input, Sink&& sink) {
   const fast_chain::ChainView chain = fast_chain_view();
   const fast_front::FrontView front = fast_front_view();
   const std::uint64_t epoch = ++fast_epoch_;
+  const std::uint64_t key = noise_plane_.key();
+  const std::size_t slots = noise_plane_.slots_per_sample();
   for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
     const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
+    noise_plane_.generate(epoch, base, count, eager_blocks());
     for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      double x = input(front, k, draws);
+      const fast_chain::Draws draws{noise_plane_.row(k), &key, epoch,
+                                    static_cast<std::uint64_t>(k) * slots};
+      double x = input(front, k, draws.row);
       int codes[fast_chain::kMaxStages][1];
       int flash = 0;
       fast_chain::quantize<1>(chain, draws, &x, &fast_droop_, codes, &flash);

@@ -224,6 +224,12 @@ class PipelineAdc {
   [[nodiscard]] std::size_t noise_slots_per_sample() const {
     return noise_plane_.slots_per_sample();
   }
+  /// The eager blocks of a noise plane (pipeline/fast_layout.hpp), one
+  /// period of two rows: offsets in [0, slots), valid for planes that start
+  /// at an even sample. Points into this converter; valid while it lives.
+  [[nodiscard]] adc::common::tile::BlockList eager_blocks() const {
+    return {eager_blocks_.data(), eager_blocks_.size(), noise_plane_.slots_per_sample()};
+  }
   /// The redundancy correction every conversion's codes go through.
   [[nodiscard]] const adc::digital::ErrorCorrection& correction() const { return correction_; }
 
@@ -293,6 +299,7 @@ class PipelineAdc {
   /// Per-capture noise draws, `(sample, slot)`-indexed; keyed by the
   /// conversion-noise sub-stream seed so dies stay independent.
   adc::common::NoisePlane noise_plane_;
+  std::vector<std::uint32_t> eager_blocks_;  ///< see eager_blocks()
   /// Capture counter = plane stream id. Advances once per capture/DC call
   /// and is deliberately NOT reset by reset_state(): repeated captures see
   /// fresh noise, mirroring how the exact profile's sequential stream

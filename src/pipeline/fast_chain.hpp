@@ -17,7 +17,20 @@
 /// (`[field][comparator][lane]`), so at W = 1 a die's view is one row per
 /// field and a W-lane block scatters each die's W = 1 rows into its lanes.
 /// A noise row is lane-minor: slot s of lane l at `row[s * W + l]` — at
-/// W = 1 exactly the NoisePlane row.
+/// W = 1 exactly the NoisePlane row. Rows hold only the eager blocks
+/// (pipeline/fast_layout.hpp); the chain never reads an elided slot.
+///
+/// ## Elided comparator draws
+///
+/// A comparator whose draw sits in an elided block decides on draw 0.0: the
+/// decide loop reads a zero row instead of the plane. Off that loop, the
+/// chain asks per lane whether the decision is certain, i.e. whether
+/// |v − (threshold + offset)| exceeds noise_rms·kDrawBound + meta with
+/// explicit rounding slack (`certain`). Then no draw the generator can
+/// return changes it, and the zero-draw decision is the decision. The rare
+/// uncertain lanes are re-decided in an out-of-line cold routine on their
+/// real draws, fetched by position with philox_normal_at, so the codes are
+/// bit for bit those of a dense plane.
 ///
 /// ## Arithmetic
 ///
@@ -30,7 +43,9 @@
 ///
 /// ## Linkage
 ///
-/// Every function here is ADC_ALWAYS_INLINE. The header is compiled into
+/// Every function here is ADC_ALWAYS_INLINE, except the cold re-decide
+/// routines, which are `static` (internal linkage: a local copy per
+/// translation unit, never a shared COMDAT body). The header is compiled into
 /// baseline translation units and into the AVX2/AVX-512 kernel units, and
 /// an ordinary inline body would be emitted as a weak COMDAT copy that the
 /// linker may hand to baseline callers (see common/always_inline.hpp).
@@ -41,6 +56,7 @@
 #include <cstdint>
 
 #include "common/contracts.hpp"
+#include "common/counter_rng.hpp"
 #include "common/fastmath.hpp"
 #include "common/span_math.hpp"
 #include "pipeline/fast_layout.hpp"
@@ -117,6 +133,20 @@ struct ChainView {
   const int* forced = nullptr;
 };
 
+/// Bound on |deviate| for the certainty test: the largest deviate the v2
+/// draw math returns is 8.5716743486529037, at u1 = 2^-53 and angle 0
+/// (tests/test_fast_rng.cpp pins kDrawBound above it).
+inline constexpr double kDrawBound = 8.6;
+
+/// A sample's noise: its lane-minor row of eager draws, and what fetching
+/// an elided draw by position needs.
+struct Draws {
+  const double* row = nullptr;         ///< lane-minor row; elided slots unspecified
+  const std::uint64_t* key = nullptr;  ///< [W] lane noise-plane keys
+  std::uint64_t stream = 0;            ///< the capture's epoch
+  std::uint64_t first = 0;             ///< absolute position of slot 0: sample·slots
+};
+
 /// A comparator decision from its positional noise deviate: metastable
 /// inputs resolve from the draw's sign, otherwise the sign of the margin
 /// decides. Both arms are pure, so the decision is a select.
@@ -132,13 +162,68 @@ ADC_ALWAYS_INLINE inline bool decide(double v, double threshold, double offset,
   return (metastable & draw_positive) | (!metastable & (margin > 0.0));
 }
 
+/// True when decide(v, threshold, offset, noise_rms, meta, z) is the same
+/// for every draw |z| <= kDrawBound, draw 0.0 included: the margin clears
+/// the noise band and the metastability window. The slack covers rounding:
+/// a relative 2^-20 on the band, and 2^-48·|v| for the rounding of
+/// v + noise_rms·z. A non-finite input is never certain.
+ADC_ALWAYS_INLINE inline bool certain(double v, double threshold, double offset,
+                                      double noise_rms, double meta) {
+  const double margin = v - (threshold + offset);
+  const double band = (noise_rms * kDrawBound + meta + std::fabs(v) * 0x1p-48) * (1.0 + 0x1p-20);
+  return std::fabs(margin) > band;
+}
+
+/// Stage `i`'s decisions `d` of the lanes whose input `sampled` lies inside
+/// an elided comparator's band, re-decided on the real draws.
+template <std::size_t W>
+[[gnu::cold, gnu::noinline]] static void redecide_stage(
+    const Draws& dr, std::size_t hi_slot, bool hi_elided, bool lo_elided, const double* sampled,
+    const double* vref, const double* ohi, const double* nhi, const double* mhi,
+    const double* olo, const double* nlo, const double* mlo, int* d) {
+  for (std::size_t l = 0; l < W; ++l) {
+    const double thr = vref[l] / 4.0;
+    const bool sure = (!hi_elided || certain(sampled[l], thr, ohi[l], nhi[l], mhi[l])) &&
+                      (!lo_elided || certain(sampled[l], -thr, olo[l], nlo[l], mlo[l]));
+    if (sure) continue;
+    const double zh = hi_elided ? adc::common::philox_normal_at(dr.key[l], dr.stream,
+                                                                dr.first + hi_slot)
+                                : dr.row[hi_slot * W + l];
+    const double zl = lo_elided ? adc::common::philox_normal_at(dr.key[l], dr.stream,
+                                                                dr.first + hi_slot + 1)
+                                : dr.row[(hi_slot + 1) * W + l];
+    const bool hi = decide(sampled[l], thr, ohi[l], nhi[l], mhi[l], zh);
+    const bool lo = decide(sampled[l], -thr, olo[l], nlo[l], mlo[l], zl);
+    d[l] = static_cast<int>(hi) + static_cast<int>(hi | lo) - 1;
+  }
+}
+
+/// The thermometer counts `flash` of the lanes whose residue `x` lies
+/// inside elided flash comparator `slot`'s band, corrected from the
+/// zero-draw decision to the real draw's.
+template <std::size_t W>
+[[gnu::cold, gnu::noinline]] static void redecide_flash(const Draws& dr, std::size_t slot,
+                                                        const double* x, double frac,
+                                                        const double* vref, const double* off,
+                                                        const double* nse, const double* met,
+                                                        int* flash) {
+  for (std::size_t l = 0; l < W; ++l) {
+    const double thr = frac * vref[l];
+    if (certain(x[l], thr, off[l], nse[l], met[l])) continue;
+    const double z = adc::common::philox_normal_at(dr.key[l], dr.stream, dr.first + slot);
+    flash[l] += static_cast<int>(decide(x[l], thr, off[l], nse[l], met[l], z)) -
+                static_cast<int>(decide(x[l], thr, off[l], nse[l], met[l], 0.0));
+  }
+}
+
 /// Stage `i` on W lanes: sample with kT/C noise, decide, droop, amplify and
 /// settle. `x` is the stage input and becomes its residue; the decisions
 /// land in `code` and add |d| to `activity`. `f`/`sqf` carry the bias-ripple
-/// factor and its root (tau scales by 1/sqrt(f), slew rate by f).
+/// factor and its root (tau scales by 1/sqrt(f), slew rate by f). `zero`
+/// is a row of W zero draws, read in place of an elided comparator slot.
 template <std::size_t W>
-ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, const double* row,
-                                         const double* f, const double* sqf,
+ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, const Draws& dr,
+                                         const double* zero, const double* f, const double* sqf,
                                          const double* vref, double* x, int* code,
                                          double* activity) {
   const std::size_t stride = v.num_stages * W;
@@ -162,9 +247,13 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
   const double* gmc = at + kGmCompression * stride;
   const double* osw = at + kOutputSwing * stride;
   // Slots: thermal, +VREF/4 comparator, -VREF/4 comparator.
-  const double* rt = row + (fast_layout::kSlotStageBase + fast_layout::kSlotsPerStage * i) * W;
-  const double* rh = rt + W;
-  const double* rl = rt + 2 * W;
+  const std::size_t thermal_slot = fast_layout::kSlotStageBase + fast_layout::kSlotsPerStage * i;
+  const bool hi_elided = fast_layout::elided(dr.first, thermal_slot + 1, v.num_stages, v.flash_count);
+  const bool lo_elided = fast_layout::elided(dr.first, thermal_slot + 2, v.num_stages, v.flash_count);
+  const double* rt = dr.row + thermal_slot * W;
+  const double* rh = hi_elided ? zero : rt + W;
+  const double* rl = lo_elided ? zero : rt + 2 * W;
+  const bool forced = v.forced != nullptr && v.forced[i] != kNotForced;
 
   for (std::size_t l = 0; l < W; ++l) {
     ADC_EXPECT(__builtin_isfinite(x[l]), "fast_chain::stage_step: non-finite input voltage");
@@ -188,7 +277,20 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
     // hi ? +1 : (lo ? 0 : -1), as branch-free integer arithmetic.
     d[l] = static_cast<int>(hi) + static_cast<int>(hi | lo) - 1;
   }
-  if (v.forced != nullptr && v.forced[i] != kNotForced) {
+  if ((hi_elided || lo_elided) && !forced) {
+    int uncertain = 0;
+    for (std::size_t l = 0; l < W; ++l) {
+      const double thr = vref[l] / 4.0;
+      const bool sure = (!hi_elided | certain(sampled[l], thr, ohi[l], nhi[l], mhi[l])) &
+                        (!lo_elided | certain(sampled[l], -thr, olo[l], nlo[l], mlo[l]));
+      uncertain |= static_cast<int>(!sure);
+    }
+    if (uncertain != 0) {
+      redecide_stage<W>(dr, thermal_slot + 1, hi_elided, lo_elided, sampled, vref, ohi, nhi, mhi,
+                        olo, nlo, mlo, d);
+    }
+  }
+  if (forced) {
     for (std::size_t l = 0; l < W; ++l) d[l] = v.forced[i];  // the DSB driven directly
   }
 
@@ -278,12 +380,12 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
 }
 
 /// One sample of W dies through the whole chain. `x` holds the tracked
-/// inputs and ends as the last stage's residues; `row` is the sample's
-/// lane-minor noise row; `droop` is each lane's reference droop, carried
+/// inputs and ends as the last stage's residues; `dr` is the sample's
+/// noise (its lane-minor row of eager draws); `droop` is each lane's reference droop, carried
 /// across samples and updated with the charge this sample drew. Stage i's
 /// decisions land in `codes[i]`, the flash's thermometer counts in `flash`.
 template <std::size_t W>
-ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const double* row, double* x,
+ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const Draws& dr, double* x,
                                        double* droop, int (*codes)[W], int* flash) {
   for (std::size_t l = 0; l < W; ++l) {
     ADC_EXPECT(v.settle_s[l] >= 0.0, "fast_chain::quantize: negative phase time");
@@ -295,7 +397,7 @@ ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const double* row, do
   double f[W];
   double sqf[W];
   if (v.ripple_on) {
-    const double* d = row + fast_layout::kSlotRipple * W;
+    const double* d = dr.row + fast_layout::kSlotRipple * W;
     for (std::size_t l = 0; l < W; ++l) {
       const double a = 1.0 + v.ripple_sigma[l] * d[l];
       const double m = a < 0x1p-20 ? 0x1p-20 : a;  // std::max(a, 0x1p-20)
@@ -317,25 +419,35 @@ ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const double* row, do
     ADC_EXPECT(__builtin_isfinite(vref[l]) && vref[l] > 0.0, "fast_chain::quantize: bad V_REF");
   }
 
+  double zero[W];
+  for (std::size_t l = 0; l < W; ++l) zero[l] = 0.0;
   double activity[W];
   for (std::size_t l = 0; l < W; ++l) activity[l] = 0.0;
   for (std::size_t i = 0; i < v.num_stages; ++i) {
-    stage_step<W>(v, i, row, f, sqf, vref, x, codes[i], activity);
+    stage_step<W>(v, i, dr, zero, f, sqf, vref, x, codes[i], activity);
   }
 
   // Backend flash: the count of ladder taps the final residue exceeds.
   const std::size_t fstride = v.flash_count * W;
-  const double* rf =
-      row + (fast_layout::kSlotStageBase + fast_layout::kSlotsPerStage * v.num_stages) * W;
+  const std::size_t flash_slot =
+      fast_layout::kSlotStageBase + fast_layout::kSlotsPerStage * v.num_stages;
   for (std::size_t l = 0; l < W; ++l) flash[l] = 0;
   for (std::size_t k = 0; k < v.flash_count; ++k) {
-    const double* df = rf + k * W;
+    const bool el = fast_layout::elided(dr.first, flash_slot + k, v.num_stages, v.flash_count);
+    const double* df = el ? zero : dr.row + (flash_slot + k) * W;
     const double* off = v.flash + kFlashOff * fstride + k * W;
     const double* nse = v.flash + kFlashNoise * fstride + k * W;
     const double* met = v.flash + kFlashMeta * fstride + k * W;
     const double frac = v.flash_frac[k];
     for (std::size_t l = 0; l < W; ++l) {
       flash[l] += static_cast<int>(decide(x[l], frac * vref[l], off[l], nse[l], met[l], df[l]));
+    }
+    if (el) {
+      int uncertain = 0;
+      for (std::size_t l = 0; l < W; ++l) {
+        uncertain |= static_cast<int>(!certain(x[l], frac * vref[l], off[l], nse[l], met[l]));
+      }
+      if (uncertain != 0) redecide_flash<W>(dr, flash_slot + k, x, frac, vref, off, nse, met, flash);
     }
   }
 
