@@ -9,14 +9,21 @@
 /// epoch), stimulus kinds, blocks that mix conversion rates, tones and
 /// seeds, and instruction tiers (every tier the CPU executes), plus the
 /// golden fast codes of the characterized nominal die through the batch
-/// entry point.
+/// entry point. The noise-block elision gets its own pins on every tier:
+/// the lane-minor row fill writes exactly its listed positions, a
+/// comparator the certainty test calls certain decides the same on any
+/// draw, and odd pipeline geometries and noisy comparators (where the chain
+/// fetches many elided draws) still match PipelineAdc.
 #include "batch/converter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,10 +31,13 @@
 #include "batch/batch_api.hpp"
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
+#include "common/counter_rng.hpp"
 #include "common/isa_dispatch.hpp"
 #include "dsp/signal.hpp"
 #include "pipeline/adc.hpp"
 #include "pipeline/design.hpp"
+#include "pipeline/fast_chain.hpp"
+#include "pipeline/fast_layout.hpp"
 
 namespace {
 
@@ -502,6 +512,211 @@ TEST(Batch, ZeroSampleCaptureStillAdvancesEpoch) {
   PipelineAdc die(cfg);
   (void)die.convert(golden_tone(), 0);
   EXPECT_EQ(batch.convert(golden_tone(), 16)[0], die.convert(golden_tone(), 16));
+}
+
+/// The fast nominal die reshaped to `stages` stages and a `flash_bits`
+/// flash; `noisy` gives every comparator 30 mV rms noise and a 2 mV
+/// metastability half-window, so many decisions need their elided draw.
+AdcConfig fast_geometry(int stages, int flash_bits, bool noisy) {
+  AdcConfig config = fast_nominal();
+  config.num_stages = stages;
+  config.flash_bits = flash_bits;
+  if (noisy) {
+    for (adc::analog::ComparatorSpec* c :
+         {&config.stage.adsc_comparator, &config.flash_comparator}) {
+      c->noise_rms = 0.03;
+      c->metastable_window = 0.002;
+    }
+  }
+  return config;
+}
+
+TEST(Batch, OddGeometriesAndNoisyComparatorsBitIdenticalOnEveryTier) {
+  // 33 slots (blocks straddle rows), 34 slots with 7 flash comparators, and
+  // the nominal geometry with noisy comparators; 37 dies run as a 32-lane
+  // and a ragged 8-lane block, over two captures and a ragged last chunk.
+  constexpr std::size_t kSamples = 45;
+  const struct {
+    int stages;
+    int flash_bits;
+    bool noisy;
+  } geometries[] = {{9, 2, false}, {8, 3, false}, {9, 2, true}, {8, 3, true}, {10, 2, true}};
+  const auto seeds = make_seeds(37);
+  for (const auto& g : geometries) {
+    const AdcConfig config = fast_geometry(g.stages, g.flash_bits, g.noisy);
+    const auto want = scalar_reference(config, seeds, golden_tone(), kSamples, /*captures=*/2);
+    for (const BatchIsa isa : supported_tiers()) {
+      SCOPED_TRACE(testing::Message() << g.stages << " stages, " << g.flash_bits
+                                      << "-bit flash" << (g.noisy ? ", noisy" : "") << ", "
+                                      << adc::common::to_string(isa));
+      BatchConverter batch(config, seeds, isa);
+      (void)batch.convert(golden_tone(), kSamples);
+      const auto got = batch.convert(golden_tone(), kSamples);
+      ASSERT_EQ(got.size(), seeds.size());
+      for (std::size_t d = 0; d < seeds.size(); ++d) {
+        EXPECT_EQ(got[d], want[d]) << "die " << d;
+      }
+    }
+  }
+}
+
+TEST(Batch, NormalRowsWriteExactlyTheListedPositionsOnEveryTier) {
+  // The kernel's lane-minor fill port at W = 1, 8, 16 and 32: the eager
+  // blocks of 33-slot rows (9 stages, 3 flash comparators), even and odd
+  // first positions, a ragged count. A listed position equals the
+  // positional lookup; an unlisted one keeps its sentinel.
+  constexpr std::size_t kStages = 9;
+  constexpr std::size_t kFlash = 3;
+  const std::size_t slots = adc::pipeline::fast_layout::slots_per_sample(kStages, kFlash);
+  std::vector<std::uint32_t> offsets;
+  for (std::uint32_t b = 0; b < slots; ++b) {
+    if (!adc::pipeline::fast_layout::block_elided(b, kStages, kFlash)) offsets.push_back(b);
+  }
+  const adc::common::tile::BlockList list{offsets.data(), offsets.size(), slots};
+  const std::uint64_t sentinel = 0x7ff8dead0000beefull;
+  for (const BatchIsa isa : supported_tiers()) {
+    for (const std::size_t lanes : {1, 8, 16, 32}) {
+      std::vector<std::uint64_t> keys;
+      for (std::size_t l = 0; l < lanes; ++l) keys.push_back(0xC0FFEE0000000000ull + 31 * l);
+      for (const std::uint64_t first : {std::uint64_t{0}, 8 * slots, std::uint64_t{333}}) {
+        SCOPED_TRACE(testing::Message() << adc::common::to_string(isa) << ", W=" << lanes
+                                        << ", first " << first);
+        const std::size_t n = 8 * slots + 5;
+        std::vector<double> rows(n * lanes, std::bit_cast<double>(sentinel));
+        adc::batch::kernel_ops(isa).normal_rows(lanes, keys.data(), 11, first, n, list,
+                                                rows.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t q = first + i;
+          const std::uint64_t rel = ((q >> 1) - (first >> 1)) % slots;
+          const bool want = std::find(offsets.begin(), offsets.end(), rel) != offsets.end();
+          for (std::size_t l = 0; l < lanes; ++l) {
+            const std::uint64_t got = std::bit_cast<std::uint64_t>(rows[i * lanes + l]);
+            if (want) {
+              ASSERT_EQ(got, std::bit_cast<std::uint64_t>(
+                                 adc::common::philox_normal_at(keys[l], 11, q)))
+                  << "position " << q << " lane " << l;
+            } else {
+              ASSERT_EQ(got, sentinel) << "stray write at position " << q << " lane " << l;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Batch, CertainComparatorsDecideTheSameOnEveryDrawOnEveryTier) {
+  // Inputs at the edge of the certainty band, and a few ulp either side, for
+  // each comparator kind (stage high at +V_REF/4, stage low at -V_REF/4, a
+  // flash tap), with nominal, zero-noise, zero-metastability,
+  // metastability-only and very noisy comparators. A lane the predicate
+  // calls certain must decide the same on every draw the generator can
+  // return as on the 0.0 it reads in place of an elided draw.
+  namespace fc = adc::pipeline::fast_chain;
+  constexpr double kLargest = 8.5716743486529037;  // the largest deviate
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> draws = {
+      kLargest,  -kLargest, std::nextafter(kLargest, inf), std::nextafter(kLargest, 0.0),
+      std::nextafter(-kLargest, -inf), std::nextafter(-kLargest, 0.0), fc::kDrawBound,
+      -fc::kDrawBound, 0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  const double vref = 0.9871;
+  const double thresholds[] = {vref / 4.0, -vref / 4.0, vref / 6.0};
+  const struct {
+    double noise;
+    double meta;
+  } comparators[] = {{4e-4, 5e-6}, {0.0, 0.0}, {4e-4, 0.0}, {0.0, 5e-6}, {0.03, 0.002}};
+  std::vector<double> v;
+  std::vector<double> thr;
+  std::vector<double> off;
+  std::vector<double> noise;
+  std::vector<double> meta;
+  for (const double t : thresholds) {
+    for (const auto& c : comparators) {
+      for (const double o : {2.7e-3, -1.3e-3}) {
+        const double at = t + o;
+        const double band = c.noise * fc::kDrawBound + c.meta;
+        const double pred = (band + std::fabs(at) * 0x1p-48) * (1.0 + 0x1p-20);
+        const double tight = c.noise * kLargest + c.meta;
+        for (const double edge : {at + pred, at - pred, at + band, at - band, at + tight,
+                                  at - tight, at + c.meta, at - c.meta, at}) {
+          double lo = edge;
+          double hi = edge;
+          for (int k = 0; k < 6; ++k) {
+            lo = std::nextafter(lo, -inf);
+            hi = std::nextafter(hi, inf);
+          }
+          for (double x = lo; x <= hi; x = std::nextafter(x, inf)) {
+            v.push_back(x);
+            thr.push_back(t);
+            off.push_back(o);
+            noise.push_back(c.noise);
+            meta.push_back(c.meta);
+          }
+        }
+      }
+    }
+  }
+  while (v.size() % 32 != 0) {
+    for (std::vector<double>* a : {&v, &thr, &off, &noise, &meta}) a->push_back(a->back());
+  }
+  const std::size_t n = v.size();
+
+  // The reference: the chain's own predicate and decide, on this TU's code.
+  std::vector<int> sure(n);
+  std::vector<std::vector<int>> decided(draws.size(), std::vector<int>(n));
+  std::size_t certain_count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sure[i] = fc::certain(v[i], thr[i], off[i], noise[i], meta[i]) ? 1 : 0;
+    certain_count += static_cast<std::size_t>(sure[i]);
+    for (std::size_t z = 0; z < draws.size(); ++z) {
+      decided[z][i] = fc::decide(v[i], thr[i], off[i], noise[i], meta[i], draws[z]) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(certain_count, n / 10);  // the edges hold certain lanes...
+  EXPECT_LT(certain_count, n);       // ...and uncertain ones
+  const std::size_t zero = 8;        // draws[8] == 0.0
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sure[i] == 0) continue;
+    for (std::size_t z = 0; z < draws.size(); ++z) {
+      ASSERT_EQ(decided[z][i], decided[zero][i])
+          << "certain lane v=" << v[i] << " thr=" << thr[i] << " off=" << off[i]
+          << " noise=" << noise[i] << " meta=" << meta[i] << " flips on draw " << draws[z];
+    }
+  }
+
+  // Every tier and lane width computes the same flags.
+  for (const BatchIsa isa : supported_tiers()) {
+    for (const std::size_t lanes : {1, 8, 16, 32}) {
+      SCOPED_TRACE(testing::Message() << adc::common::to_string(isa) << ", W=" << lanes);
+      for (std::size_t z = 0; z < draws.size(); ++z) {
+        const std::vector<double> draw(n, draws[z]);
+        std::vector<int> got_sure(n, -1);
+        std::vector<int> got_decided(n, -1);
+        adc::batch::kernel_ops(isa).comparator_lanes(lanes, v.data(), thr.data(), off.data(),
+                                                     noise.data(), meta.data(), draw.data(),
+                                                     got_sure.data(), got_decided.data(), n);
+        ASSERT_EQ(got_sure, sure);
+        ASSERT_EQ(got_decided, decided[z]) << "draw " << draws[z];
+      }
+    }
+  }
+}
+
+TEST(Batch, ChainOnlyPassRunsEveryBlock) {
+  // The stage-chain layer benchmark's entry point: every die gets n codes
+  // in range, and the epoch advances like convert().
+  const auto seeds = make_seeds(37);
+  BatchConverter batch(fast_nominal(), seeds);
+  const auto codes = batch.convert_chain_only(golden_tone(), 20);
+  ASSERT_EQ(codes.size(), seeds.size());
+  for (const auto& die : codes) {
+    ASSERT_EQ(die.size(), 20u);
+    for (const int c : die) EXPECT_TRUE(c >= 0 && c < 4096) << c;
+  }
+  const auto want = scalar_reference(fast_nominal(), seeds, golden_tone(), 20, /*captures=*/2);
+  const auto second = batch.convert(golden_tone(), 20);
+  for (std::size_t d = 0; d < seeds.size(); ++d) EXPECT_EQ(second[d], want[d]) << "die " << d;
 }
 
 }  // namespace

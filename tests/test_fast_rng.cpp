@@ -10,6 +10,11 @@
 ///    vectorized round-major implementation of the same Philox network);
 ///  * a NoisePlane window regenerated anywhere must reproduce the same
 ///    draws for the same absolute sample index;
+///  * the lane-minor row fill (tile::philox_normal_rows) must write exactly
+///    the positions its block list names, each equal to the positional
+///    lookup, at every lane count the engine runs;
+///  * the elided-block rule must name the comparator-only blocks, and
+///    kDrawBound must cover the largest deviate the draw math returns;
 ///  * the deviates must actually be standard normals (moments + KS), since
 ///    branch-free Box–Muller replaces the exact profile's polar method;
 ///  * the polynomial transcendental kernels must track libm to the few-ulp
@@ -22,11 +27,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/counter_rng.hpp"
+#include "common/counter_rng_tile.hpp"
 #include "common/fastmath.hpp"
 #include "common/noise_plane.hpp"
+#include "pipeline/fast_chain.hpp"
+#include "pipeline/fast_layout.hpp"
 
 namespace {
 
@@ -34,7 +43,9 @@ using adc::common::NoisePlane;
 using adc::common::philox4x32;
 using adc::common::philox_normal_at;
 using adc::common::philox_normal_fill;
+using adc::common::tile::BlockList;
 namespace fastmath = adc::common::fastmath;
+namespace fast_layout = adc::pipeline::fast_layout;
 
 constexpr std::uint64_t kKey = 0x5EED2004u;
 constexpr std::uint64_t kStream = 7u;
@@ -248,6 +259,190 @@ TEST(PhiloxRng, TailsAreFullRange) {
   EXPECT_GT(*lo, -8.6);
   EXPECT_LT(*hi, 8.6);
   for (const double z : draws) ASSERT_TRUE(std::isfinite(z));
+}
+
+// ---------------------------------------------------------------------------
+// The lane-minor row fill and the elided blocks.
+// ---------------------------------------------------------------------------
+
+/// A NaN whose payload no draw produces: a position still holding it was
+/// never written.
+double sentinel() { return std::bit_cast<double>(0x7ff8dead0000beefull); }
+
+/// W distinct lane keys with both 32-bit key words in play.
+std::vector<std::uint64_t> lane_keys(std::size_t w) {
+  std::vector<std::uint64_t> keys;
+  for (std::size_t l = 0; l < w; ++l) keys.push_back(kKey * 0x9E3779B97F4A7C15ull + 977 * l);
+  return keys;
+}
+
+/// One period of the eager blocks of rows of `stages` stages and
+/// `flash` flash comparators (what PipelineAdc::eager_blocks lists).
+std::vector<std::uint32_t> eager_offsets(std::size_t stages, std::size_t flash) {
+  std::vector<std::uint32_t> out;
+  const std::size_t slots = fast_layout::slots_per_sample(stages, flash);
+  for (std::uint32_t b = 0; b < slots; ++b) {
+    if (!fast_layout::block_elided(b, stages, flash)) out.push_back(b);
+  }
+  return out;
+}
+
+/// Is position q's block listed, counted from the fill's first block?
+bool listed(std::uint64_t q, std::uint64_t first, const std::vector<std::uint32_t>& offsets,
+            std::uint64_t period) {
+  const std::uint64_t rel = ((q >> 1) - (first >> 1)) % period;
+  return std::find(offsets.begin(), offsets.end(), rel) != offsets.end();
+}
+
+template <std::size_t W>
+void expect_rows_fill(std::uint64_t first, std::size_t n,
+                      const std::vector<std::uint32_t>& offsets, std::uint64_t period) {
+  SCOPED_TRACE(testing::Message() << "W=" << W << " first=" << first << " n=" << n
+                                  << " period=" << period);
+  const auto keys = lane_keys(W);
+  std::vector<double> rows(n * W + W, sentinel());  // one spare row past the end
+  adc::common::tile::philox_normal_rows<W>(keys.data(), kStream, first, n,
+                                           BlockList{offsets.data(), offsets.size(), period},
+                                           rows.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t q = first + i;
+    const bool want = listed(q, first, offsets, period);
+    for (std::size_t l = 0; l < W; ++l) {
+      const double got = rows[i * W + l];
+      if (want) {
+        ASSERT_EQ(got, philox_normal_at(keys[l], kStream, q)) << "position " << q << " lane " << l;
+      } else {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(sentinel()))
+            << "stray write at position " << q << " lane " << l;
+      }
+    }
+  }
+  for (std::size_t l = 0; l < W; ++l) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(rows[n * W + l]),
+              std::bit_cast<std::uint64_t>(sentinel()))
+        << "write past the end, lane " << l;
+  }
+}
+
+template <std::size_t W>
+void expect_rows_fill_everywhere() {
+  // Every block; the eager blocks of the nominal 36-slot row and of two odd
+  // widths (33 and 34 slots, whose blocks straddle rows); an arbitrary
+  // sparse list. Counts: empty, one position, one row, several tiles,
+  // ragged; first positions even and odd.
+  const struct {
+    std::vector<std::uint32_t> offsets;
+    std::uint64_t period;
+  } lists[] = {
+      {{0}, 1},
+      {eager_offsets(10, 3), 36},
+      {eager_offsets(9, 3), 33},
+      {eager_offsets(8, 7), 34},
+      {{1, 4, 5}, 7},
+  };
+  for (const auto& list : lists) {
+    for (const std::uint64_t first : {0ull, 1ull, 66ull, 1001ull}) {
+      for (const std::size_t n : {0u, 1u, 2u, 33u, 8u * 34u + 3u, 700u}) {
+        expect_rows_fill<W>(first, n, list.offsets, list.period);
+      }
+    }
+  }
+}
+
+TEST(PhiloxRows, LaneMinorFillWritesExactlyTheListedPositions) {
+  expect_rows_fill_everywhere<1>();
+  expect_rows_fill_everywhere<8>();
+  expect_rows_fill_everywhere<16>();
+  expect_rows_fill_everywhere<32>();
+}
+
+TEST(PhiloxRows, EveryBlockAtOneLaneIsTheDenseFill) {
+  // NoisePlane::generate's every-slot meaning: the template at W = 1 with
+  // every block listed is philox_normal_fill, at odd and even starts.
+  for (const std::uint64_t first : {0ull, 3ull, 1000ull}) {
+    std::vector<double> dense(777);
+    philox_normal_fill(kKey, kStream, first, dense);
+    std::vector<double> rows(777);
+    const std::uint32_t every = 0;
+    adc::common::tile::philox_normal_rows<1>(&kKey, kStream, first, rows.size(),
+                                             BlockList{&every, 1, 1}, rows.data());
+    EXPECT_EQ(rows, dense) << "first " << first;
+  }
+}
+
+TEST(PhiloxRows, SparseNoisePlaneHoldsTheEagerDraws) {
+  constexpr std::size_t kStages = 9;
+  constexpr std::size_t kFlash = 3;
+  constexpr std::uint32_t kSlots = 33;
+  const auto offsets = eager_offsets(kStages, kFlash);
+  NoisePlane dense(kKey, kSlots);
+  dense.generate(5, 0, 40);
+  NoisePlane sparse(kKey, kSlots);
+  sparse.generate(5, 0, 40, BlockList{offsets.data(), offsets.size(), kSlots});
+  for (std::uint64_t s = 0; s < 40; ++s) {
+    for (std::uint32_t k = 0; k < kSlots; ++k) {
+      if (fast_layout::elided(s * kSlots, k, kStages, kFlash)) continue;
+      ASSERT_EQ(sparse.row(s)[k], dense.row(s)[k]) << "sample " << s << " slot " << k;
+    }
+  }
+}
+
+TEST(ElidedBlocks, NominalRowElidesTheSevenComparatorPairs) {
+  // Blocks (4,5), (10,11), (16,17), (22,23), (28,29): the comparator pairs
+  // of stages 0, 2, 4, 6 and 8; (32,33): stage 9's low comparator with
+  // flash comparator 0; (34,35): flash comparators 1 and 2.
+  std::vector<std::uint64_t> elided;
+  for (std::uint64_t b = 0; b < 18; ++b) {
+    if (fast_layout::block_elided(b, 10, 3)) elided.push_back(b);
+  }
+  EXPECT_EQ(elided, (std::vector<std::uint64_t>{2, 5, 8, 11, 14, 16, 17}));
+  EXPECT_EQ(eager_offsets(10, 3).size(), 2u * 11u);
+}
+
+TEST(ElidedBlocks, SlotRuleAgreesWithTheBlockRuleAtAnyWidth) {
+  // The per-slot form the chain evaluates and the per-block form the fill
+  // evaluates are one rule on absolute positions, also where blocks
+  // straddle rows; and an elided block never holds a non-comparator draw.
+  const struct {
+    std::size_t stages;
+    std::size_t flash;
+  } geometries[] = {{10, 3}, {9, 3}, {8, 7}, {1, 1}, {3, 0}, {16, 3}};
+  for (const auto& g : geometries) {
+    const std::size_t slots = fast_layout::slots_per_sample(g.stages, g.flash);
+    for (std::uint64_t q = 0; q < 6 * slots; ++q) {
+      const std::uint64_t first = q - q % slots;
+      const std::size_t slot = static_cast<std::size_t>(q % slots);
+      const bool by_slot = fast_layout::elided(first, slot, g.stages, g.flash);
+      EXPECT_EQ(by_slot, fast_layout::block_elided(q >> 1, g.stages, g.flash))
+          << g.stages << " stages, position " << q;
+      if (by_slot) {
+        EXPECT_TRUE(fast_layout::comparator_slot(slot, g.stages, g.flash));
+      }
+    }
+  }
+}
+
+TEST(ElidedBlocks, DrawBoundCoversTheLargestDeviate) {
+  // u1 = 2^-53 (the smallest the mapping gives) at angle 0: the largest
+  // deviate of the v2 draw math.
+  adc::common::PhiloxBlock block;
+  double z0 = 0.0;
+  double z1 = 0.0;
+  adc::common::philox_normal_pair(block, z0, z1);
+  EXPECT_EQ(z0, 8.5716743486529037);
+  EXPECT_EQ(z1, 0.0);
+  EXPECT_GE(adc::pipeline::fast_chain::kDrawBound, z0);
+  // No other small u1 or angle reaches past the bound: the radius falls as
+  // u1 grows and |sin|, |cos| stay within 1.
+  for (std::uint64_t m = 0; m < 4096; ++m) {
+    for (std::uint64_t a = 0; a < 64; ++a) {
+      block.lo = m << 11;
+      block.hi = (a * 0x0400000000000000ull) ^ (m * 0x9E3779B97F4A7C15ull);
+      adc::common::philox_normal_pair(block, z0, z1);
+      ASSERT_LE(std::abs(z0), 8.5716743486529037) << "m " << m << " a " << a;
+      ASSERT_LE(std::abs(z1), 8.5716743486529037) << "m " << m << " a " << a;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

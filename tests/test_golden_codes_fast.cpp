@@ -154,6 +154,93 @@ const std::vector<int> kFastNoInjection48 = {
     3886, 4047, 3572, 2613, 1476, 518,  47,   213,  960,  2054, 3144, 3888,
     4046, 3569, 2609, 1472, 515,  46,   214,  963,  2058, 3147, 3890, 4045};
 
+// Tables of the noise-block elision (pipeline/fast_layout.hpp), generated
+// from the dense-plane kernel before only the eager blocks were filled,
+// each with the call sequence of its test: convert() then convert_raw()
+// (capture #2). Two odd geometries, 9 stages with a 2-bit flash (33 slots:
+// blocks straddle rows) and 8 stages with a 3-bit flash (34 slots, 7 flash
+// comparators); then each geometry with 30 mV rms comparator noise and a
+// 2 mV metastability window, so many decisions fall inside the band where
+// the chain must fetch the elided draw; then forced stage codes on the
+// noisy nominal die.
+const std::vector<int> kFastOdd33Convert64 = {
+    1019, 1572, 1951, 2034, 1797, 1314, 739, 253, 14, 94, 469, 1022, 1574, 1952, 2034, 1796,
+    1312, 737, 252, 13, 95, 472, 1024, 1576, 1952, 2033, 1794, 1310, 735, 250, 13, 96, 473,
+    1027, 1578, 1954, 2033, 1793, 1307, 732, 248, 13, 97, 475, 1029, 1580, 1954, 2033, 1791,
+    1305, 730, 247, 12, 98, 477, 1031, 1582, 1955, 2033, 1790, 1303, 727, 246, 12};
+
+const std::vector<std::string> kFastOdd33Raw24 = {
+    "000000-+0:1", "+00+-0+-0:2", "++++-0000:1", "++++++0+-:2", "++0000+0-:2",
+    "+-0+-00+-:2", "-+00-00+0:1", "--00000-+:2", "------0-+:2", "---0-000-:2",
+    "-00-+-+-+:1", "0000000-+:2", "+00+-0+0-:2", "++++-0000:2", "++++++0+-:2",
+    "++0000+-0:2", "+-0+-0000:2", "-+00-000+:1", "--00000-0:2", "------0-+:1",
+    "---0-0000:1", "-00-+-+00:1", "000000000:2", "+00+-+-00:2",
+};
+
+const std::vector<int> kFastOdd34Convert64 = {
+    1019, 1572, 1951, 2034, 1798, 1314, 739, 254, 14, 94, 469, 1022, 1573, 1952, 2034, 1796,
+    1312, 737, 252, 13, 95, 471, 1024, 1576, 1952, 2034, 1795, 1310, 734, 250, 13, 96, 473,
+    1026, 1578, 1953, 2033, 1793, 1307, 732, 249, 12, 97, 476, 1029, 1580, 1954, 2033, 1791,
+    1305, 730, 247, 12, 98, 477, 1031, 1582, 1955, 2032, 1790, 1303, 728, 246, 12};
+
+const std::vector<std::string> kFastOdd34Raw24 = {
+    "000000-+:3", "+00+-0+-:4", "++++-000:2", "++++++0+:2", "++0000+-:5", "+-0+-00+:2",
+    "-+00-00+:3", "--00000-:5", "------00:2", "---0-000:2", "-00-+-+-:5", "00000000:2",
+    "+00+-0+0:2", "++++-000:4", "++++++0+:2", "++0000+-:4", "+-0+-000:4", "-+00-000:5",
+    "--0000-+:4", "------0-:5", "---0-000:3", "-00-+-+0:3", "00000000:4", "+00+-+-0:4",
+};
+
+const std::vector<int> kFastNoisy36Convert48 = {
+    2039, 3145, 3901, 4068, 3595, 2629, 1479, 507, 27, 189, 940, 2044, 3148, 3904, 4068,
+    3593, 2624, 1474, 503, 27, 190, 943, 2048, 3152, 3905, 4068, 3589, 2621, 1467, 501, 27,
+    193, 947, 2054, 3157, 3907, 4067, 3586, 2617, 1465, 498, 26, 194, 951, 2058, 3160, 3909,
+    4066};
+
+const std::vector<std::string> kFastNoisy36Raw16 = {
+    "000000-+00:1", "+00+-00+00:2", "++++-0000-:2", "++++++0+-+:1", "++0000+-+0:2",
+    "+-00+00+-+:1", "-+00-00+00:1", "--000000-0:1", "------0-+0:2", "---0-000-+:1",
+    "-00-+-+-+0:1", "00000000-0:2", "+00+-0+0-+:1", "+++0+00000:2", "++++++00+0:2",
+    "++0000+-0+:1",
+};
+
+const std::vector<int> kFastNoisy33Convert48 = {
+    1019, 1572, 1951, 2034, 1797, 1314, 739, 253, 14, 94, 469, 1022, 1574, 1952, 2034, 1796,
+    1312, 737, 252, 13, 95, 472, 1024, 1576, 1952, 2033, 1794, 1311, 735, 250, 13, 96, 473,
+    1027, 1578, 1954, 2033, 1793, 1307, 732, 248, 13, 97, 475, 1029, 1580, 1954, 2033};
+
+const std::vector<std::string> kFastNoisy33Raw16 = {
+    "000000-+0:1", "+00+-00+0:2", "+++0+0000:1", "++++++0+-:2", "++0000+0-:2",
+    "+-0+-00+-:2", "-+00-00+0:1", "--000000-:2", "------0-+:2", "----+000-:2",
+    "-00-+-+-+:1", "00000000-:2", "+00+-0+0-:2", "++++-0000:2", "++++++0+-:2", "++00000+0:2",
+};
+
+const std::vector<int> kFastNoisy34Convert48 = {
+    1019, 1572, 1951, 2034, 1798, 1314, 738, 254, 14, 94, 469, 1022, 1574, 1952, 2034, 1796,
+    1312, 737, 252, 13, 95, 471, 1024, 1576, 1953, 2034, 1795, 1310, 735, 250, 13, 96, 474,
+    1026, 1578, 1953, 2033, 1793, 1307, 732, 249, 13, 97, 476, 1029, 1580, 1954, 2033};
+
+const std::vector<std::string> kFastNoisy34Raw16 = {
+    "000000-+:3", "+00+-0+-:4", "+++0+000:2", "++++++0+:2", "++0000+-:5", "+-0+-00+:2",
+    "0-00-00+:2", "--00000-:5", "------00:2", "---0-00-:6", "-00-+-+-:5", "00000000:2",
+    "+00+-0+0:2", "++++-000:4", "++++++0+:2", "++0000+-:4",
+};
+
+const std::vector<std::string> kFastNoisyForcedStage4Raw12 = {
+    "0000+-----:0", "+00++-----:0", "+++0+0000-:1", "++++++0+-+:0", "++00+---+0:1",
+    "+-0++-----:0", "-+0-+00+00:1", "--00+-----:0", "----+-----:0", "----+000-+:1",
+    "-00-+-+-+0:2", "0000+-----:0",
+};
+
+const std::vector<std::string> kFastNoisyForcedStage1Raw12 = {
+    "0+--------:0", "++---0+-0+:1", "++++-0000-:2", "++++++0+-+:1", "++0000+-+0:2",
+    "++--------:0", "-+00-00+00:1", "-+--------:0", "-+--------:0", "-+--------:0",
+    "-+--------:0", "0+--------:0",
+};
+
+const std::vector<std::string> kFastNoisyForcedDc5 = {
+    "-+000-0+-+:1", "-+00000-+-:2", "-++0++++++:3", "-++0++++++:3", "-++0++++++:3",
+};
+
 TEST(GoldenCodesFast, NominalDieSequence) {
   PipelineAdc converter(fast_nominal());
 
@@ -333,6 +420,88 @@ TEST(GoldenCodesFast, ThreadCountInvariant) {
   EXPECT_EQ(std::vector<int>(kFastConvert64.begin(),
                              kFastConvert64.begin() + kSamples),
             serial[0]);
+}
+
+/// The nominal die reshaped to `stages` stages and a `flash_bits` flash;
+/// `noisy` raises every comparator's noise to 30 mV rms and its
+/// metastability half-window to 2 mV.
+AdcConfig fast_geometry(int stages, int flash_bits, bool noisy) {
+  AdcConfig config = fast_nominal();
+  config.num_stages = stages;
+  config.flash_bits = flash_bits;
+  if (noisy) {
+    for (adc::analog::ComparatorSpec* c :
+         {&config.stage.adsc_comparator, &config.flash_comparator}) {
+      c->noise_rms = 0.03;
+      c->metastable_window = 0.002;
+    }
+  }
+  return config;
+}
+
+void expect_raws(const std::vector<adc::digital::RawConversion>& raws,
+                 const std::vector<std::string>& want) {
+  ASSERT_EQ(raws.size(), want.size());
+  for (std::size_t k = 0; k < raws.size(); ++k) {
+    EXPECT_EQ(raw_text(raws[k]), want[k]) << "sample " << k;
+  }
+}
+
+TEST(GoldenCodesFast, OddGeometries) {
+  const struct {
+    int stages;
+    int flash_bits;
+    const std::vector<int>& codes;
+    const std::vector<std::string>& raws;
+  } cases[] = {
+      {9, 2, kFastOdd33Convert64, kFastOdd33Raw24},
+      {8, 3, kFastOdd34Convert64, kFastOdd34Raw24},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.stages << " stages, " << c.flash_bits << "-bit flash");
+    PipelineAdc converter(fast_geometry(c.stages, c.flash_bits, false));
+    EXPECT_EQ(converter.convert(golden_tone(), 64), c.codes);
+    expect_raws(converter.convert_raw(golden_tone(), 24), c.raws);
+  }
+}
+
+TEST(GoldenCodesFast, NoisyComparatorsEveryGeometry) {
+  const struct {
+    int stages;
+    int flash_bits;
+    const std::vector<int>& codes;
+    const std::vector<std::string>& raws;
+  } cases[] = {
+      {10, 2, kFastNoisy36Convert48, kFastNoisy36Raw16},
+      {9, 2, kFastNoisy33Convert48, kFastNoisy33Raw16},
+      {8, 3, kFastNoisy34Convert48, kFastNoisy34Raw16},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.stages << " stages, " << c.flash_bits << "-bit flash");
+    PipelineAdc converter(fast_geometry(c.stages, c.flash_bits, true));
+    EXPECT_EQ(converter.convert(golden_tone(), 48), c.codes);
+    expect_raws(converter.convert_raw(golden_tone(), 16), c.raws);
+  }
+}
+
+/// Forced stage codes on the noisy nominal die: a forced stage skips its
+/// own decision, and the stages after it decide on residues the force
+/// moved.
+TEST(GoldenCodesFast, ForcedStageCodesOnNoisyComparators) {
+  PipelineAdc converter(fast_geometry(10, 2, true));
+  converter.force_stage_code(4, StageCode::kPlus);
+  expect_raws(converter.convert_raw(golden_tone(), 12), kFastNoisyForcedStage4Raw12);
+  converter.force_stage_code(4, std::nullopt);
+  converter.force_stage_code(1, StageCode::kPlus);
+  expect_raws(converter.convert_raw(golden_tone(), 12), kFastNoisyForcedStage1Raw12);
+  converter.force_stage_code(1, std::nullopt);
+  converter.force_stage_code(0, StageCode::kMinus);
+  converter.force_stage_code(3, StageCode::kZero);
+  std::vector<std::string> dc;
+  for (const double v : {-0.26, -0.25, 0.0, 0.249, 0.251}) {
+    dc.push_back(raw_text(converter.convert_dc_raw(v)));
+  }
+  EXPECT_EQ(dc, kFastNoisyForcedDc5);
 }
 
 }  // namespace
