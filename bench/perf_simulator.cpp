@@ -1,6 +1,7 @@
 /// \file perf_simulator.cpp
 /// google-benchmark micro-benchmarks for the simulator kernels: conversion
-/// throughput (one die, one-rate batch blocks and mixed-rate ones), FFT,
+/// throughput (one die, one-rate batch blocks and mixed-rate ones, and the
+/// batch kernel split into its noise fill and its stage chain), FFT,
 /// and the full dynamic-test loop. These guard the cost of
 /// the Monte-Carlo sweeps (a Fig. 5 sweep runs ~15 captures of 8k samples),
 /// plus the parallel runtime itself: pool fan-out overhead and the
@@ -25,6 +26,7 @@
 #include "batch/batch_api.hpp"
 #include "batch/converter.hpp"
 #include "common/counter_rng.hpp"
+#include "common/counter_rng_tile.hpp"
 #include "common/isa_dispatch.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/signal.hpp"
@@ -189,6 +191,66 @@ void BM_NoiseFillBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_NoiseFillBatch)->Arg(1 << 13)->Arg(1 << 16);
+
+// The batch kernel's conversion split into its two layers, at the runtime
+// tier on the BM_ConvertNominalFastBatch/8192/32 workload. Items = samples x
+// dies in both, so each reads directly against the conversion pair and the
+// two should sum to it within noise.
+//
+// BM_NoiseFillRowsBatch: the noise fill alone, as convert_capture runs it:
+// the eager blocks only (11 of the 18 Philox blocks of a nominal sample),
+// lane-minor, chunk by chunk.
+void BM_NoiseFillRowsBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  auto config = adc::pipeline::nominal_design();
+  config.fidelity = adc::common::FidelityProfile::kFast;
+  const adc::pipeline::PipelineAdc ref(config);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t d = 0; d < lanes; ++d) {
+    config.seed = adc::pipeline::kNominalSeed + d;
+    keys.push_back(adc::pipeline::PipelineAdc(config).noise_plane_key());
+  }
+  const std::size_t slots = ref.noise_slots_per_sample();
+  const adc::common::tile::BlockList eager = ref.eager_blocks();
+  std::vector<double> plane(adc::batch::kChunkSamples * slots * lanes);
+  const auto& ops = adc::batch::kernel_ops(adc::common::active_batch_isa());
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    ++epoch;
+    for (std::size_t base = 0; base < n; base += adc::batch::kChunkSamples) {
+      const std::size_t count = std::min(adc::batch::kChunkSamples, n - base);
+      ops.normal_rows(lanes, keys.data(), epoch, base * slots, count * slots, eager,
+                      plane.data());
+      benchmark::DoNotOptimize(plane.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * lanes));
+}
+BENCHMARK(BM_NoiseFillRowsBatch)->Args({1 << 13, kWidestBlock});
+
+// BM_StageChainBatch: the rest of the kernel pass — front end, stimulus,
+// stage chain, correction — on pre-filled rows (BatchConverter::
+// convert_chain_only), elided-draw refetches included.
+void BM_StageChainBatch(benchmark::State& state) {
+  auto config = adc::pipeline::nominal_design();
+  config.fidelity = adc::common::FidelityProfile::kFast;
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(state.range(1)));
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    seeds[d] = adc::pipeline::kNominalSeed + d;
+  }
+  adc::batch::BatchConverter converter(config, seeds);
+  const adc::dsp::SineSignal tone(0.985, 10.0037e6);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(converter.convert_chain_only(tone, n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * seeds.size()));
+}
+BENCHMARK(BM_StageChainBatch)->Args({1 << 13, kWidestBlock});
 
 void BM_ConvertIdeal(benchmark::State& state) {
   adc::pipeline::PipelineAdc converter(adc::pipeline::ideal_design());

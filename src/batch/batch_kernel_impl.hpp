@@ -74,7 +74,7 @@ void convert_capture_impl(const PlanView& p, const StateView& st, std::uint64_t 
   double walk[kL] = {};
   for (std::size_t base = 0; base < n; base += kChunkSamples) {
     const std::size_t count = (n - base < kChunkSamples) ? (n - base) : kChunkSamples;
-    if (kFill) {
+    if constexpr (kFill) {
       // The eager blocks of rows [base, base + count), at the positions
       // NoisePlane::generate uses: (key, epoch, sample·slots + slot).
       adc::common::tile::philox_normal_rows<kL>(p.noise_key, epoch,

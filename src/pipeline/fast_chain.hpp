@@ -45,10 +45,12 @@
 ///
 /// Every function here is ADC_ALWAYS_INLINE, except the cold re-decide
 /// routines, which are `static` (internal linkage: a local copy per
-/// translation unit, never a shared COMDAT body). The header is compiled into
-/// baseline translation units and into the AVX2/AVX-512 kernel units, and
-/// an ordinary inline body would be emitted as a weak COMDAT copy that the
-/// linker may hand to baseline callers (see common/always_inline.hpp).
+/// translation unit, never a shared COMDAT body). The header is compiled
+/// into baseline translation units and into the AVX2/AVX-512 kernel units,
+/// and an ordinary inline body would be emitted as a weak COMDAT copy that
+/// the linker may hand to baseline callers (see common/always_inline.hpp).
+/// For the same reason the zero row the elided slots read is a stack array
+/// of `quantize`, not a namespace-scope constant.
 #pragma once
 
 #include <cmath>
@@ -248,8 +250,10 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
   const double* osw = at + kOutputSwing * stride;
   // Slots: thermal, +VREF/4 comparator, -VREF/4 comparator.
   const std::size_t thermal_slot = fast_layout::kSlotStageBase + fast_layout::kSlotsPerStage * i;
-  const bool hi_elided = fast_layout::elided(dr.first, thermal_slot + 1, v.num_stages, v.flash_count);
-  const bool lo_elided = fast_layout::elided(dr.first, thermal_slot + 2, v.num_stages, v.flash_count);
+  const bool hi_elided =
+      fast_layout::elided(dr.first, thermal_slot + 1, v.num_stages, v.flash_count);
+  const bool lo_elided =
+      fast_layout::elided(dr.first, thermal_slot + 2, v.num_stages, v.flash_count);
   const double* rt = dr.row + thermal_slot * W;
   const double* rh = hi_elided ? zero : rt + W;
   const double* rl = lo_elided ? zero : rt + 2 * W;
@@ -447,7 +451,9 @@ ADC_ALWAYS_INLINE inline void quantize(const ChainView& v, const Draws& dr, doub
       for (std::size_t l = 0; l < W; ++l) {
         uncertain |= static_cast<int>(!certain(x[l], frac * vref[l], off[l], nse[l], met[l]));
       }
-      if (uncertain != 0) redecide_flash<W>(dr, flash_slot + k, x, frac, vref, off, nse, met, flash);
+      if (uncertain != 0) {
+        redecide_flash<W>(dr, flash_slot + k, x, frac, vref, off, nse, met, flash);
+      }
     }
   }
 
