@@ -3,13 +3,18 @@
 /// shared between baseline translation units (counter_rng.cpp, NoisePlane)
 /// and the batch engine's per-ISA kernels (src/batch/), which re-compile
 /// them with AVX2 / AVX-512 code generation enabled:
-///  * `philox_normal_fill_ptr`, the dense one-stream fill behind the public
-///    `philox_normal_fill`;
 ///  * `philox_normal_rows<W>`, the one noise-plane fill: W streams (one key
 ///    per lane) side by side, written as lane-minor rows, for a listed
-///    subset of Philox blocks. NoisePlane lists every block; PipelineAdc and
-///    the batch kernel list only the blocks whose deviates a sample always
-///    reads (pipeline/fast_layout.hpp, `eager_block_offsets`).
+///    subset of Philox blocks. NoisePlane::generate lists every block;
+///    PipelineAdc and the batch kernel list only the blocks whose deviates
+///    a sample always reads (PipelineAdc::eager_blocks,
+///    pipeline/fast_layout.hpp);
+///  * `philox_normal_fill_ptr`, the dense one-stream fill behind the public
+///    `philox_normal_fill`, the reference the tests compare the planes
+///    against and the fill-rate probe of the end-to-end benchmark. It is
+///    kept apart because writing one contiguous stream in place is faster
+///    than the row template's per-block scatter at one lane (about 25 % on
+///    the AVX-512 tier).
 ///
 /// Everything here is ADC_ALWAYS_INLINE: these bodies must never be emitted
 /// as out-of-line COMDAT copies from a wide-ISA translation unit (the linker
@@ -170,7 +175,7 @@ struct BlockList {
   std::uint64_t period = 1;
 };
 
-/// One tile of `rows_fill`: the `tile` listed blocks in `blocks`, each on
+/// One tile of `philox_normal_rows`: the `tile` listed blocks in `blocks`, each on
 /// all W lanes. Element e = bi·W + l is block blocks[bi] under keys[l], so
 /// every pass is a flat loop over tile·W elements (the lane loop innermost
 /// with its constant trip count, the shape the vectorizer takes at any W),

@@ -47,8 +47,8 @@ inline constexpr std::size_t kSlotsPerStage = 3;  ///< thermal, cmp_high, cmp_lo
 
 /// True when `slot` holds a comparator draw: a stage's high or low ADSC
 /// comparator, or a flash comparator. The slot one past the row is not one.
-[[nodiscard]] ADC_ALWAYS_INLINE inline constexpr bool comparator_slot(std::size_t slot, std::size_t stages,
-                                                    std::size_t flash_comparators) {
+[[nodiscard]] ADC_ALWAYS_INLINE inline constexpr bool comparator_slot(
+    std::size_t slot, std::size_t stages, std::size_t flash_comparators) {
   if (slot < kSlotStageBase) return false;
   const std::size_t s = slot - kSlotStageBase;
   if (s < kSlotsPerStage * stages) return s % kSlotsPerStage != 0;
@@ -58,8 +58,9 @@ inline constexpr std::size_t kSlotsPerStage = 3;  ///< thermal, cmp_high, cmp_lo
 /// True when the draw at `slot` of the row starting at absolute position
 /// `first` (= sample·slots) sits in an elided block: it and the other
 /// deviate of its block are both comparator draws.
-[[nodiscard]] ADC_ALWAYS_INLINE inline constexpr bool elided(std::uint64_t first, std::size_t slot,
-                                           std::size_t stages, std::size_t flash_comparators) {
+[[nodiscard]] ADC_ALWAYS_INLINE inline constexpr bool elided(std::uint64_t first,
+                                                             std::size_t slot, std::size_t stages,
+                                                             std::size_t flash_comparators) {
   if (!comparator_slot(slot, stages, flash_comparators)) return false;
   // The block partner of an even position is the next slot (past the row:
   // the next row's ripple slot), of an odd one the previous slot (slot 0 is
@@ -70,8 +71,8 @@ inline constexpr std::size_t kSlotsPerStage = 3;  ///< thermal, cmp_high, cmp_lo
 
 /// True when block `block` of a plane with rows of `slots_per_sample(stages,
 /// flash_comparators)` slots is elided.
-[[nodiscard]] ADC_ALWAYS_INLINE inline constexpr bool block_elided(std::uint64_t block, std::size_t stages,
-                                                 std::size_t flash_comparators) {
+[[nodiscard]] ADC_ALWAYS_INLINE inline constexpr bool block_elided(
+    std::uint64_t block, std::size_t stages, std::size_t flash_comparators) {
   const std::uint64_t slots = slots_per_sample(stages, flash_comparators);
   const std::uint64_t q = 2 * block;
   return elided(q - q % slots, static_cast<std::size_t>(q % slots), stages, flash_comparators);
