@@ -420,28 +420,35 @@ constexpr const char* kYield2k = R"({
   "seeds": {"first": 42, "count": 2000}
 })";
 
+/// A scratch cache root under the working directory, removed at exit.
+struct ScratchRoot {
+  std::string path;
+
+  ScratchRoot() {
+    std::string pattern = "./perf_simulator_cache.XXXXXX";
+    if (::mkdtemp(pattern.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
+    path = pattern;
+  }
+  ~ScratchRoot() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchRoot(const ScratchRoot&) = delete;
+  ScratchRoot& operator=(const ScratchRoot&) = delete;
+};
+
 /// The yield2k plan with its 2000 computed payloads (built once, on first
-/// use) and a scratch cache root under the working directory, removed at
-/// exit.
+/// use) and a scratch cache root.
 struct CachePayloads {
   adc::scenario::ScenarioSpec spec = adc::scenario::parse_spec_text(kYield2k);
   adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec);
   std::vector<std::optional<adc::common::json::JsonValue>> payloads;
-  std::string root;
+  ScratchRoot root;
 
   CachePayloads() {
     payloads.resize(plan.jobs.size());
     (void)adc::scenario::execute_plan(spec, plan, payloads, {});
-    std::string pattern = "./perf_simulator_cache.XXXXXX";
-    if (::mkdtemp(pattern.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
-    root = pattern;
   }
-  ~CachePayloads() {
-    std::error_code ec;
-    std::filesystem::remove_all(root, ec);
-  }
-  CachePayloads(const CachePayloads&) = delete;
-  CachePayloads& operator=(const CachePayloads&) = delete;
 };
 
 // 2000 real payloads stored into an emptied cache root, Arg entries per
@@ -450,7 +457,7 @@ struct CachePayloads {
 void BM_CacheStore(benchmark::State& state) {
   static CachePayloads fixture;
   const auto per_call = static_cast<std::size_t>(state.range(0));
-  const std::string root = fixture.root + "/store" + std::to_string(per_call);
+  const std::string root = fixture.root.path + "/store" + std::to_string(per_call);
   std::vector<adc::scenario::CacheEntry> entries;
   for (std::size_t i = 0; i < fixture.plan.hashes.size(); ++i) {
     entries.push_back({fixture.plan.hashes[i], *fixture.payloads[i]});
@@ -471,6 +478,33 @@ void BM_CacheStore(benchmark::State& state) {
                           static_cast<std::int64_t>(all.size()));
 }
 BENCHMARK(BM_CacheStore)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// yield2k's 2000 job hashes claimed and released into an emptied cache
+// root, Arg hashes per call, as a fleet worker gates its execute units: 1
+// writes one claim file per job, 32 one per unit (one inode, 32 links).
+void BM_CacheClaim(benchmark::State& state) {
+  static const adc::scenario::ScenarioPlan plan =
+      adc::scenario::plan_scenario(adc::scenario::parse_spec_text(kYield2k));
+  static const ScratchRoot scratch;
+  const auto per_call = static_cast<std::size_t>(state.range(0));
+  const std::string root = scratch.path + "/claim" + std::to_string(per_call);
+  const std::span<const std::string> all(plan.hashes);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(root);
+    adc::scenario::ResultCache cache(root);
+    cache.ensure_writable();
+    state.ResumeTiming();
+    for (std::size_t first = 0; first < all.size(); first += per_call) {
+      const auto unit = all.subspan(first, std::min(per_call, all.size() - first));
+      benchmark::DoNotOptimize(cache.try_claim(unit, "bench", 1000, 60000));
+      cache.release_claim(unit, "bench");
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(all.size()));
+}
+BENCHMARK(BM_CacheClaim)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

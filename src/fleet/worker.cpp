@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <set>
 #include <vector>
@@ -43,7 +45,8 @@ namespace {
 /// Tracks the claims this worker currently holds and re-stamps their
 /// heartbeats from a background thread at lease/3, so a live worker's
 /// claims never look stale no matter how long one execute unit takes.
-/// acquire/release are called concurrently from pool workers.
+/// acquire/release take one unit's hashes at a time and are called
+/// concurrently from pool workers.
 class ClaimGuard {
  public:
   ClaimGuard(ResultCache& cache, std::string owner, std::uint64_t lease_ms)
@@ -58,26 +61,33 @@ class ClaimGuard {
     }
     cv_.notify_all();
     thread_.join();
-    // Claims normally drain as jobs store; anything left (budget stop,
+    // Claims normally drain as units store; anything left (budget stop,
     // exception unwind) is released so other workers need not wait out the
     // lease.
-    for (const auto& hash : snapshot()) cache_.release_claim(hash, owner_);
+    cache_.release_claim(snapshot(), owner_);
   }
 
-  bool acquire(const std::string& hash) {
-    if (cache_.try_claim(hash, owner_, wall_clock_ms(), lease_ms_) !=
-        ClaimOutcome::kAcquired) {
-      return false;
+  /// Claim `hashes` in one call; one outcome per hash, in order.
+  std::vector<ClaimOutcome> acquire(std::span<const std::string> hashes) {
+    auto outcomes = cache_.try_claim(hashes, owner_, wall_clock_ms(), lease_ms_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < hashes.size(); ++i) {
+      if (outcomes[i] == ClaimOutcome::kAcquired) held_.insert(hashes[i]);
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    held_.insert(hash);
-    return true;
+    return outcomes;
   }
 
-  void release(const std::string& hash) {
-    cache_.release_claim(hash, owner_);
+  void release(std::span<const std::string> hashes) {
+    if (hashes.empty()) return;
+    cache_.release_claim(hashes, owner_);
     std::lock_guard<std::mutex> lock(mutex_);
-    held_.erase(hash);
+    for (const auto& hash : hashes) held_.erase(hash);
+  }
+
+  /// Rethrow, on the caller's thread, an error that stopped the heartbeat.
+  void check_heartbeat() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (heartbeat_error_) std::rethrow_exception(heartbeat_error_);
   }
 
  private:
@@ -93,12 +103,15 @@ class ClaimGuard {
     while (!cv_.wait_for(lock, interval, [this] { return stop_; })) {
       const std::vector<std::string> held(held_.begin(), held_.end());
       lock.unlock();
-      const std::uint64_t now = wall_clock_ms();
-      for (const auto& hash : held) {
-        // A false return means the claim was stolen (we stalled past the
-        // lease). The in-flight job still stores identical bytes, so this
-        // is only lost exclusivity, not lost work.
-        (void)cache_.refresh_claim(hash, owner_, now);
+      // One claim file re-stamps every held name. A claim found stolen (we
+      // stalled past the lease) is skipped: the in-flight job still stores
+      // identical bytes, so this is only lost exclusivity, not lost work.
+      try {
+        (void)cache_.refresh_claim(held, owner_, wall_clock_ms());
+      } catch (...) {
+        lock.lock();
+        heartbeat_error_ = std::current_exception();
+        return;
       }
       lock.lock();
     }
@@ -111,6 +124,7 @@ class ClaimGuard {
   std::condition_variable cv_;
   bool stop_ = false;
   std::set<std::string> held_;
+  std::exception_ptr heartbeat_error_;
   std::thread thread_;
 };
 
@@ -209,26 +223,44 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
         execute.max_jobs = options.max_jobs != 0 ? options.max_jobs - m.computed : 0;
         execute.cache = &cache;
         execute.candidate = candidate;
-        execute.hooks.acquire = [&](std::size_t, const std::string& hash) {
+        execute.hooks.acquire = [&](std::span<const std::size_t> indices) {
           // Decline anything another worker stored since our last probe —
-          // the next probe round picks it up as `elsewhere`. The re-check
-          // *after* acquiring matters: a finished owner stores before it
-          // releases, so holding the claim and still missing the entry
-          // proves the job was never completed. That makes computation
-          // exactly-once (outside crash/steal recovery) rather than
-          // merely usually-once.
-          if (cache.load(hash).has_value()) return false;
-          if (!guard.acquire(hash)) return false;
-          if (cache.load(hash).has_value()) {
-            guard.release(hash);
-            return false;
+          // the next probe round picks it up as `elsewhere` — and claim the
+          // rest of the unit in one call. The re-check *after* acquiring
+          // matters: a finished owner stores before it releases, so holding
+          // the claim and still missing the entry proves the job was never
+          // completed. That makes computation exactly-once (outside
+          // crash/steal recovery) rather than merely usually-once.
+          std::vector<std::size_t> wanted;
+          std::vector<std::string> hashes;
+          for (std::size_t p = 0; p < indices.size(); ++p) {
+            const std::string& hash = plan.hashes[indices[p]];
+            if (cache.load(hash).has_value()) continue;
+            wanted.push_back(p);
+            hashes.push_back(hash);
           }
-          return true;
+          const std::vector<ClaimOutcome> outcomes = guard.acquire(hashes);
+          std::vector<std::size_t> granted;
+          std::vector<std::string> landed;
+          for (std::size_t k = 0; k < hashes.size(); ++k) {
+            if (outcomes[k] != ClaimOutcome::kAcquired) continue;
+            if (cache.load(hashes[k]).has_value()) {
+              landed.push_back(hashes[k]);
+            } else {
+              granted.push_back(wanted[k]);
+            }
+          }
+          guard.release(landed);
+          return granted;
         };
-        execute.hooks.stored = [&](std::size_t, const std::string& hash) {
-          guard.release(hash);
+        execute.hooks.stored = [&](std::span<const std::size_t> indices) {
+          std::vector<std::string> hashes;
+          hashes.reserve(indices.size());
+          for (const std::size_t i : indices) hashes.push_back(plan.hashes[i]);
+          guard.release(hashes);
         };
         const auto outcome = adc::scenario::execute_plan(spec, plan, payloads, execute);
+        guard.check_heartbeat();
         m.computed += outcome.computed;
         if (scavenging) m.scavenged += outcome.computed;
         report_progress(scavenging);

@@ -82,6 +82,67 @@ void create_parent(const fs::path& path, const char* caller) {
   }
 }
 
+/// Write `bytes` to a fresh temporary named after `next_to`, in its
+/// directory, and return the temporary's path. `caller` prefixes the error.
+fs::path write_temp(const fs::path& next_to, std::string_view bytes, const char* caller) {
+  const fs::path tmp = next_to.string() + unique_tmp_suffix();
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    throw ConfigError(std::string(caller) + ": cannot open " + tmp.string() + ": " +
+                      std::strerror(errno));
+  }
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  if (::close(fd) != 0 || done != bytes.size()) {
+    std::error_code ec;
+    fs::remove(tmp, ec);
+    throw ConfigError(std::string(caller) + ": write failed for " + tmp.string());
+  }
+  return tmp;
+}
+
+/// link(2) `to` to the file at `from`, creating `to`'s fan-out directory
+/// when it is missing; 0 on success, else the errno.
+int link_name(const fs::path& from, const fs::path& to) {
+  if (::link(from.c_str(), to.c_str()) == 0) return 0;
+  if (errno != ENOENT) return errno;
+  std::error_code ec;
+  fs::create_directories(to.parent_path(), ec);
+  if (ec) return ec.value();
+  return ::link(from.c_str(), to.c_str()) == 0 ? 0 : errno;
+}
+
+/// Publish the file at `tmp` under every name in `names`, replacing what a
+/// name held before, atomically per name: each name but the last gets a
+/// link through a fresh temporary renamed over it, and the last name takes
+/// `tmp` itself. On failure the temporaries are removed (names already
+/// published keep the new file) and ConfigError names `caller`.
+void publish(const fs::path& tmp, std::span<const fs::path> names, const char* caller) {
+  std::error_code ec;
+  const auto fail = [&](const std::string& what) {
+    fs::remove(tmp, ec);
+    throw ConfigError(std::string(caller) + ": " + what);
+  };
+  for (std::size_t i = 0; i + 1 < names.size(); ++i) {
+    const fs::path link_tmp = names[i].string() + unique_tmp_suffix();
+    if (const int err = link_name(tmp, link_tmp); err != 0) {
+      fail("cannot link " + link_tmp.string() + ": " + std::strerror(err));
+    }
+    fs::rename(link_tmp, names[i], ec);
+    if (ec) {
+      fs::remove(link_tmp, ec);
+      fail("rename failed for " + names[i].string());
+    }
+  }
+  fs::rename(tmp, names.back(), ec);
+  if (ec) fail("rename failed for " + names.back().string());
+}
+
 /// The whole file at `path`, read with one read sized by fstat; nullopt
 /// when it cannot be opened. A short read keeps the bytes it got, which
 /// then fail validation.
@@ -239,43 +300,10 @@ void ResultCache::store(std::span<const CacheEntry> entries) {
   }
   if (wrapped) pack += kPackClose;
 
-  // Write the pack next to the last entry, under a temporary name.
+  // Write the pack next to the last entry, under a temporary name, then
+  // publish it under every entry name.
   create_parent(paths.back(), "ResultCache::store");
-  const fs::path pack_tmp = paths.back().string() + unique_tmp_suffix();
-  {
-    std::ofstream out(pack_tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) throw ConfigError("ResultCache::store: cannot open " + pack_tmp.string());
-    out << pack;
-    out.flush();
-    if (!out.good()) {
-      throw ConfigError("ResultCache::store: write failed for " + pack_tmp.string());
-    }
-  }
-
-  // Publish: each name but the last gets its own link through a fresh
-  // temporary renamed over it; the last name takes the pack's temporary.
-  std::error_code ec;
-  for (std::size_t i = 0; i + 1 < paths.size(); ++i) {
-    create_parent(paths[i], "ResultCache::store");
-    const fs::path tmp = paths[i].string() + unique_tmp_suffix();
-    if (::link(pack_tmp.c_str(), tmp.c_str()) != 0) {
-      const int link_errno = errno;
-      fs::remove(pack_tmp, ec);
-      throw ConfigError("ResultCache::store: cannot link " + tmp.string() + ": " +
-                        std::strerror(link_errno));
-    }
-    fs::rename(tmp, paths[i], ec);
-    if (ec) {
-      fs::remove(tmp, ec);
-      fs::remove(pack_tmp, ec);
-      throw ConfigError("ResultCache::store: rename failed for " + paths[i].string());
-    }
-  }
-  fs::rename(pack_tmp, paths.back(), ec);
-  if (ec) {
-    fs::remove(pack_tmp, ec);
-    throw ConfigError("ResultCache::store: rename failed for " + paths.back().string());
-  }
+  publish(write_temp(paths.back(), pack, "ResultCache::store"), paths, "ResultCache::store");
   stores_.fetch_add(entries.size(), std::memory_order_relaxed);
 }
 
@@ -369,87 +397,117 @@ std::optional<ClaimInfo> parse_claim(const std::string& text) {
   }
 }
 
-/// Write the claim document for `info` to a fresh pid-unique temporary next
-/// to the claim path `path`, and return the temporary's path.
-fs::path write_claim_temp(const fs::path& path, const ClaimInfo& info) {
-  const fs::path tmp = path.string() + unique_tmp_suffix();
-  const std::string text = json::dump_compact(claim_document(info));
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out.good()) throw ConfigError("ResultCache: cannot open claim temp " + tmp.string());
-  out << text;
-  out.flush();
-  if (!out.good()) throw ConfigError("ResultCache: claim write failed for " + tmp.string());
-  return tmp;
+/// The bytes of the claim document for `info`.
+std::string claim_text(const ClaimInfo& info) {
+  return json::dump_compact(claim_document(info));
+}
+
+/// Atomically replace (or create) the claim at `path` with `info`: a
+/// temporary renamed over it.
+void write_claim(const fs::path& path, const ClaimInfo& info) {
+  publish(write_temp(path, claim_text(info), "ResultCache"), std::span(&path, 1),
+          "ResultCache");
 }
 
 }  // namespace
 
-void ResultCache::write_claim(const std::string& hash, const ClaimInfo& info) {
-  const fs::path path = claim_path(hash);
-  const fs::path tmp = write_claim_temp(path, info);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw ConfigError("ResultCache: claim rename failed for " + path.string());
-  }
-}
-
 ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& owner,
                                     std::uint64_t now_ms, std::uint64_t lease_ms) {
+  return try_claim(std::span(&hash, 1), owner, now_ms, lease_ms).front();
+}
+
+std::vector<ClaimOutcome> ResultCache::try_claim(std::span<const std::string> hashes,
+                                                 const std::string& owner,
+                                                 std::uint64_t now_ms, std::uint64_t lease_ms) {
   adc::common::require(!owner.empty(), "ResultCache::try_claim: empty owner id");
-  const fs::path path = claim_path(hash);
-  create_parent(path, "ResultCache::try_claim");
+  // kBusy until this call holds the name.
+  std::vector<ClaimOutcome> outcomes(hashes.size(), ClaimOutcome::kBusy);
+  if (hashes.empty()) return outcomes;
+  std::vector<fs::path> paths;
+  paths.reserve(hashes.size());
+  for (const auto& hash : hashes) paths.emplace_back(claim_path(hash));
+
+  // Fast path: write one complete claim document and publish it under every
+  // claim name with link(2), which fails with EEXIST where a claim is
+  // already there. Exactly one of N racing owners wins each name, and no
+  // racer can ever read a claim that exists but is not yet written — it
+  // would parse as corrupt, count as stale, and be stolen, leaving two
+  // owners.
+  create_parent(paths.front(), "ResultCache::try_claim");
+  const fs::path tmp = write_temp(paths.front(), claim_text({owner, now_ms}),
+                                  "ResultCache::try_claim");
   std::error_code ec;
-
-  // Fast path: publish a complete claim document under the claim name with
-  // link(2), which fails with EEXIST when any claim is already there.
-  // Exactly one of N racing owners wins, and no racer can ever read a claim
-  // that exists but is not yet written — it would parse as corrupt, count
-  // as stale, and be stolen, leaving two owners.
-  const fs::path tmp = write_claim_temp(path, {owner, now_ms});
-  const int linked = ::link(tmp.c_str(), path.c_str());
-  const int link_errno = errno;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const int err = link_name(tmp, paths[i]);
+    if (err == 0) {
+      outcomes[i] = ClaimOutcome::kAcquired;
+    } else if (err != EEXIST) {
+      // Release the partial claim: the names this call linked, then the
+      // temporary.
+      for (std::size_t j = 0; j < i; ++j) {
+        if (outcomes[j] == ClaimOutcome::kAcquired) fs::remove(paths[j], ec);
+      }
+      fs::remove(tmp, ec);
+      throw ConfigError("ResultCache::try_claim: cannot create " + paths[i].string() + ": " +
+                        std::strerror(err));
+    }
+  }
   fs::remove(tmp, ec);
-  if (linked == 0) return ClaimOutcome::kAcquired;
-  if (link_errno != EEXIST) {
-    throw ConfigError("ResultCache::try_claim: cannot create " + path.string() + ": " +
-                      std::strerror(link_errno));
-  }
 
-  const auto existing = read_claim(hash);
-  if (existing.has_value() && existing->owner == owner) {
-    // Re-entrant: refresh our own heartbeat.
-    write_claim(hash, {owner, now_ms});
-    return ClaimOutcome::kAcquired;
+  // The names still kBusy were already claimed.
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (outcomes[i] == ClaimOutcome::kAcquired) continue;
+    const auto existing = read_claim(hashes[i]);
+    if (existing.has_value() && existing->owner == owner) {
+      // Re-entrant: refresh our own heartbeat.
+      write_claim(paths[i], {owner, now_ms});
+      outcomes[i] = ClaimOutcome::kAcquired;
+      continue;
+    }
+    if (existing.has_value() && now_ms < existing->heartbeat_ms + lease_ms) continue;
+    // Stale (owner stopped heartbeating) or corrupt: steal by atomic
+    // replace, then read back — when two stealers race, the last rename
+    // wins and the read-back tells the loser. (The confirm itself can still
+    // race a concurrent steal; the worst case is two owners computing the
+    // same job, which produces bit-identical bytes under the same content
+    // address.)
+    write_claim(paths[i], {owner, now_ms});
+    const auto confirmed = read_claim(hashes[i]);
+    if (confirmed.has_value() && confirmed->owner == owner) {
+      outcomes[i] = ClaimOutcome::kAcquired;
+    }
   }
-  if (existing.has_value() && now_ms < existing->heartbeat_ms + lease_ms) {
-    return ClaimOutcome::kBusy;
-  }
-  // Stale (owner stopped heartbeating) or corrupt: steal by atomic replace,
-  // then read back — when two stealers race, the last rename wins and the
-  // read-back tells the loser. (The confirm itself can still race a
-  // concurrent steal; the worst case is two owners computing the same job,
-  // which produces bit-identical bytes under the same content address.)
-  write_claim(hash, {owner, now_ms});
-  const auto confirmed = read_claim(hash);
-  return confirmed.has_value() && confirmed->owner == owner ? ClaimOutcome::kAcquired
-                                                            : ClaimOutcome::kBusy;
+  return outcomes;
 }
 
 bool ResultCache::refresh_claim(const std::string& hash, const std::string& owner,
                                 std::uint64_t now_ms) {
-  const auto existing = read_claim(hash);
-  if (!existing.has_value() || existing->owner != owner) return false;
-  write_claim(hash, {owner, now_ms});
-  return true;
+  return refresh_claim(std::span(&hash, 1), owner, now_ms) == 1;
+}
+
+std::size_t ResultCache::refresh_claim(std::span<const std::string> hashes,
+                                       const std::string& owner, std::uint64_t now_ms) {
+  std::vector<fs::path> held;
+  for (const auto& hash : hashes) {
+    const auto existing = read_claim(hash);
+    if (existing.has_value() && existing->owner == owner) held.emplace_back(claim_path(hash));
+  }
+  if (held.empty()) return 0;
+  publish(write_temp(held.front(), claim_text({owner, now_ms}), "ResultCache::refresh_claim"),
+          held, "ResultCache::refresh_claim");
+  return held.size();
 }
 
 void ResultCache::release_claim(const std::string& hash, const std::string& owner) {
-  const auto existing = read_claim(hash);
-  if (!existing.has_value() || existing->owner != owner) return;
+  release_claim(std::span(&hash, 1), owner);
+}
+
+void ResultCache::release_claim(std::span<const std::string> hashes, const std::string& owner) {
   std::error_code ec;
-  fs::remove(claim_path(hash), ec);
+  for (const auto& hash : hashes) {
+    const auto existing = read_claim(hash);
+    if (existing.has_value() && existing->owner == owner) fs::remove(claim_path(hash), ec);
+  }
 }
 
 std::optional<ClaimInfo> ResultCache::read_claim(const std::string& hash) const {

@@ -58,12 +58,20 @@
 ///
 /// Claim protocol (the fleet coordination substrate, docs/FLEET.md):
 /// a *claim* is a sidecar `<root>/<xx>/<hash>.claim` file recording an owner
-/// id and a heartbeat timestamp. `try_claim` writes the claim document to a
-/// temporary and publishes it with link(2), so exactly one of N racing
-/// processes acquires a fresh claim and nobody reads a half-written one; a
-/// claim whose heartbeat is older than the caller's lease is *stale* (its owner
-/// crashed or stalled) and is stolen by atomically renaming a replacement
-/// over it. Claims are an optimization that minimizes duplicate computation
+/// id and a heartbeat timestamp. `try_claim` takes a span of hashes, one
+/// execute unit's jobs: it writes the claim document once, to one temporary,
+/// and publishes it under every fresh claim name with link(2), so a unit's
+/// claims share one inode, exactly one of N racing processes acquires each
+/// fresh name, and nobody reads a half-written claim. A name that already
+/// holds a claim is handled on its own: the owner's own claim is refreshed
+/// (re-entrant), a live one is busy, and one whose heartbeat is older than
+/// the caller's lease is *stale* (its owner crashed or stalled) and is
+/// stolen by atomically renaming a replacement over it. A link that fails
+/// for any other reason releases the names the call already linked and
+/// throws. A heartbeat round (`refresh_claim`) likewise writes one
+/// temporary and renames a link to it over every name still held. A
+/// unit's claim names span the fan-out directories, as a pack's entry names
+/// do. Claims are an optimization that minimizes duplicate computation
 /// — correctness never depends on them: jobs are pure and content-addressed,
 /// so the worst outcome of the (tiny) steal race is two workers computing
 /// identical bytes for the same hash. Timestamps are supplied by the caller
@@ -163,21 +171,39 @@ class ResultCache {
 
   // --- Claim / lease protocol (fleet coordination, docs/FLEET.md) ---------
 
-  /// Try to acquire the claim on `hash` for `owner` at wall time `now_ms`.
-  /// Exactly one of N concurrent callers with distinct owners acquires a
-  /// fresh claim; a claim already held by `owner` is refreshed (re-entrant);
-  /// a claim whose heartbeat is older than `lease_ms` is stolen. Returns
-  /// kBusy when another owner's claim is still within its lease.
+  /// Try to acquire the claim on each of `hashes` for `owner` at wall time
+  /// `now_ms`; one outcome per hash, in order. Exactly one of N concurrent
+  /// callers with distinct owners acquires a fresh claim; a claim already
+  /// held by `owner` is refreshed (re-entrant); a claim whose heartbeat is
+  /// older than `lease_ms` is stolen. kBusy means another owner's claim is
+  /// still within its lease. The fresh claims of one call are links to one
+  /// file. Throws ConfigError, leaving none of this call's fresh claims
+  /// behind, when a name can be neither created nor found taken.
+  std::vector<ClaimOutcome> try_claim(std::span<const std::string> hashes,
+                                      const std::string& owner, std::uint64_t now_ms,
+                                      std::uint64_t lease_ms);
+
+  /// The one-hash claim: the one-element call above.
   ClaimOutcome try_claim(const std::string& hash, const std::string& owner,
                          std::uint64_t now_ms, std::uint64_t lease_ms);
 
-  /// Re-stamp the heartbeat of a claim held by `owner`. Returns false when
-  /// the claim is gone or owned by someone else (it was stolen after the
-  /// lease expired) — the caller should treat the job as forfeited.
+  /// Re-stamp the heartbeat of every claim in `hashes` that `owner` still
+  /// holds, with one new claim file linked under all of them; returns how
+  /// many were re-stamped. A claim that is gone or owned by someone else
+  /// (it was stolen after the lease expired) is skipped — the caller should
+  /// treat that job as forfeited.
+  std::size_t refresh_claim(std::span<const std::string> hashes, const std::string& owner,
+                            std::uint64_t now_ms);
+
+  /// The one-hash refresh; false when the claim is not `owner`'s.
   bool refresh_claim(const std::string& hash, const std::string& owner,
                      std::uint64_t now_ms);
 
-  /// Delete the claim on `hash` if `owner` holds it (no-op otherwise).
+  /// Delete each claim in `hashes` that `owner` holds (the others are left
+  /// alone).
+  void release_claim(std::span<const std::string> hashes, const std::string& owner);
+
+  /// The one-hash release.
   void release_claim(const std::string& hash, const std::string& owner);
 
   /// Decode the claim sidecar for `hash`; nullopt when absent or corrupt
@@ -218,8 +244,6 @@ class ResultCache {
  private:
   [[nodiscard]] std::string entry_path(const std::string& hash) const;
   [[nodiscard]] std::string claim_path(const std::string& hash) const;
-  /// Atomically replace (or create) the claim file via write-temp + rename.
-  void write_claim(const std::string& hash, const ClaimInfo& info);
 
   std::string root_;
   std::atomic<std::uint64_t> hits_{0};

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -372,9 +373,9 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
   // what makes interrupted runs resumable. Units are index-keyed pure
   // functions, so results stay bit-identical at any thread count; the
   // batch engine's own contract keeps them bit-identical to the per-job
-  // path. The claim gate (hooks.acquire) runs immediately before a job
-  // would be computed, so a claim is held only while its job is actually
-  // in flight.
+  // path. The claim gate (hooks.acquire) runs once per unit, immediately
+  // before its jobs would be computed, so a claim is held only while its
+  // job is actually in flight.
   if (!units.empty()) {
     adc::runtime::BatchStats stats;
     adc::runtime::BatchOptions batch;
@@ -385,25 +386,29 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
         [&](std::size_t u) {
           const MissUnit& unit = units[u];
           std::vector<std::optional<json::JsonValue>> out(unit.count);
-          // Claim the unit's jobs; unclaimed slots stay null and are left
-          // to the owner that holds them.
+          // Claim the unit's jobs in one call; unclaimed slots stay null and
+          // are left to the owner that holds them.
+          std::vector<std::size_t> indices(unit.count);
+          for (std::size_t t = 0; t < unit.count; ++t) indices[t] = misses[unit.first + t];
           std::vector<std::size_t> mine;
-          mine.reserve(unit.count);
-          for (std::size_t t = 0; t < unit.count; ++t) {
-            const std::size_t index = misses[unit.first + t];
-            if (!options.hooks.acquire || options.hooks.acquire(index, hashes[index])) {
-              mine.push_back(t);
+          if (options.hooks.acquire) {
+            mine = options.hooks.acquire(indices);
+            for (std::size_t m = 0; m < mine.size(); ++m) {
+              adc::common::require(mine[m] < unit.count && (m == 0 || mine[m - 1] < mine[m]),
+                                   "execute_plan: acquire must grant ascending unit positions");
             }
+          } else {
+            mine.resize(unit.count);
+            std::iota(mine.begin(), mine.end(), std::size_t{0});
           }
           if (mine.empty()) return out;
-          const ResolvedJob first =
-              resolve_job(spec, jobs[misses[unit.first + mine.front()]]);
+          const ResolvedJob first = resolve_job(spec, jobs[indices[mine.front()]]);
           if (mine.size() >= adc::batch::kMinBatchDies &&
               adc::batch::BatchConverter::supports_config(first.config)) {
             std::vector<adc::testbench::DieTest> dies;
             dies.reserve(mine.size());
             for (const std::size_t t : mine) {
-              const ResolvedJob job = resolve_job(spec, jobs[misses[unit.first + t]]);
+              const ResolvedJob job = resolve_job(spec, jobs[indices[t]]);
               const adc::testbench::DynamicTestOptions tone = dynamic_options(job);
               dies.push_back({job.config, tone.target_fin_hz, tone.amplitude_fraction});
             }
@@ -414,26 +419,23 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
             }
           } else {
             for (const std::size_t t : mine) {
-              out[t] = ScenarioRunner::execute_job(
-                  resolve_job(spec, jobs[misses[unit.first + t]]));
+              out[t] = ScenarioRunner::execute_job(resolve_job(spec, jobs[indices[t]]));
             }
           }
-          // One pack per unit, stored before any `stored` hook: a fleet
+          // One pack per unit, stored before the `stored` hook: a fleet
           // worker releases a claim only once its job is on disk.
+          std::vector<std::size_t> done;
+          done.reserve(mine.size());
+          for (const std::size_t t : mine) done.push_back(indices[t]);
           if (options.cache != nullptr) {
             std::vector<CacheEntry> entries;
             entries.reserve(mine.size());
-            for (const std::size_t t : mine) {
-              entries.push_back({hashes[misses[unit.first + t]], *out[t]});
+            for (std::size_t m = 0; m < mine.size(); ++m) {
+              entries.push_back({hashes[done[m]], *out[mine[m]]});
             }
             options.cache->store(entries);
           }
-          if (options.hooks.stored) {
-            for (const std::size_t t : mine) {
-              const std::size_t index = misses[unit.first + t];
-              options.hooks.stored(index, hashes[index]);
-            }
-          }
+          if (options.hooks.stored) options.hooks.stored(done);
           return out;
         },
         batch);

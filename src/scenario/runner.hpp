@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,16 +37,23 @@ namespace adc::scenario {
 
 /// Gate and notification hooks threaded through the execute phase. They are
 /// how the fleet engine (src/fleet/) plugs its claim protocol into the
-/// shared runner: `acquire` is consulted once per missed job immediately
-/// before it would be computed — returning false skips the job (another
-/// process owns it; it is counted as claimed-elsewhere and left null), and
-/// `stored` fires after a computed payload has been persisted. Both run on
-/// pool worker threads and must be thread-safe. Claim state never reaches
-/// payload bytes, so reports stay deterministic regardless of which process
-/// computes which job.
+/// shared runner. Both take one execute unit at a time, as plan indices, so
+/// a unit's claims are one `ResultCache::try_claim` call:
+///
+///   * `acquire` is consulted once per unit, immediately before the unit's
+///     missed jobs would be computed, with their plan indices. It returns
+///     the positions (into that span, ascending) it grants; a declined job
+///     is skipped (another process owns it), counted as claimed-elsewhere
+///     and left null. Empty = every job is granted.
+///   * `stored` fires once per unit, after the unit's pack is on disk, with
+///     the plan indices of the jobs it computed.
+///
+/// Both run on pool worker threads and must be thread-safe. Claim state
+/// never reaches payload bytes, so reports stay deterministic regardless of
+/// which process computes which job.
 struct ExecuteHooks {
-  std::function<bool(std::size_t index, const std::string& hash)> acquire;
-  std::function<void(std::size_t index, const std::string& hash)> stored;
+  std::function<std::vector<std::size_t>(std::span<const std::size_t> indices)> acquire;
+  std::function<void(std::span<const std::size_t> indices)> stored;
 };
 
 /// Options for one scenario run.

@@ -1,7 +1,8 @@
 /// Tests for the fleet engine (src/fleet/): deterministic hash-range
 /// sharding, crash-resume with a SIGKILLed worker, merge byte-identity
 /// across worker counts, exactly-once computation under concurrent workers,
-/// and the zero-pool-jobs warm-run guarantee.
+/// the zero-pool-jobs warm-run guarantee, and the steal of a stale unit
+/// claim (one claim file behind many job names).
 ///
 /// NOTE: CrashResume MUST be the first test in this binary. It forks a real
 /// worker process, and fork() is only safe before this process has spawned
@@ -10,6 +11,7 @@
 /// in declaration order within a file, so keep it at the top.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -37,6 +39,7 @@
 namespace fs = std::filesystem;
 namespace json = adc::common::json;
 using namespace adc::fleet;
+using adc::scenario::ClaimOutcome;
 using adc::scenario::parse_spec_text;
 using adc::scenario::ResultCache;
 using adc::scenario::RunOptions;
@@ -391,4 +394,52 @@ TEST_F(FleetTest, ManifestRoundTripsAndRejectsMismatch) {
   auto corrupt = json::parse(json::dump(doc));
   corrupt.set("shards", std::uint64_t{0});
   EXPECT_THROW((void)parse_manifest(corrupt), adc::common::ConfigError);
+}
+
+TEST_F(FleetTest, WorkerStealsEveryNameOfAStaleUnitClaim) {
+  const auto spec = parse_spec_text(kFleetYieldSpec);
+  const auto plan = adc::scenario::plan_scenario(spec);
+  const std::string cache_dir = path("cache");
+
+  // A crashed worker's unit claim: one claim file behind 32 job names, its
+  // heartbeat far older than any lease.
+  ResultCache cache(cache_dir);
+  cache.ensure_writable();
+  const std::vector<std::string> unit(plan.hashes.begin(), plan.hashes.begin() + 32);
+  const auto plant = [&] {
+    for (const auto outcome : cache.try_claim(unit, "crashed", 1000, 60000)) {
+      ASSERT_EQ(outcome, ClaimOutcome::kAcquired);
+    }
+    struct stat st {};
+    const fs::path name = fs::path(cache.root()) / unit[0].substr(0, 2) / (unit[0] + ".claim");
+    ASSERT_EQ(::stat(name.c_str(), &st), 0);
+    ASSERT_EQ(st.st_nlink, unit.size());
+  };
+  plant();
+
+  // A live worker steals every name, computes the whole grid and releases
+  // its claims; the merged report is the single-process report.
+  WorkerOptions options;
+  options.cache_dir = cache_dir;
+  options.shards = 1;
+  options.shard = 0;
+  options.owner = "survivor";
+  options.lease_ms = 60000;
+  options.poll_ms = 10;
+  const auto result = run_worker(spec, options);
+  EXPECT_TRUE(result.manifest.complete);
+  EXPECT_EQ(result.manifest.computed, plan.jobs.size());
+  EXPECT_EQ(cache.stats().claim_files, 0u);
+  MergeOptions merge;
+  merge.cache_dir = cache_dir;
+  merge.shards = 1;
+  EXPECT_EQ(json::dump(merge_fleet(spec, merge).report),
+            json::dump(reference_report(spec, path("cache-ref"))));
+
+  // The stale sweep removes every name of a stale unit claim.
+  plant();
+  EXPECT_EQ(cache.clear_stale(wall_clock_ms(), 60000).claims_removed, unit.size());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, 0u);
+  EXPECT_EQ(stats.tmp_files, 0u);
 }

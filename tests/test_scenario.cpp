@@ -8,13 +8,19 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <mutex>
 #include <optional>
+#include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -559,57 +565,121 @@ TEST_F(ScenarioTest, ClaimContentionHasExactlyOneWinner) {
 
 TEST_F(ScenarioTest, RacingRunnersComputeEachJobExactlyOnce) {
   // Two concurrent runs of the same spec over one cache, each gating its
-  // execute phase on claims: every job is computed by exactly one of them,
-  // and both end with the identical (complete or completable) cache bytes.
-  const auto spec = parse_spec_text(kSmallSpec);
-  const std::string cache_dir = path("cache");
-  ResultCache claims(cache_dir);
-  claims.ensure_writable();
+  // execute phase on claims, one try_claim per execute unit: every job is
+  // computed by exactly one of them, and both end with the identical
+  // (complete or completable) cache bytes. The exact-profile spec runs one
+  // job per unit; the fast yield spec forms multi-job units, so a unit can
+  // be granted in part.
+  for (const char* text : {kSmallSpec, kFastYieldSpec}) {
+    const auto spec = parse_spec_text(text);
+    const auto plan = plan_scenario(spec);
+    const std::size_t jobs = plan.jobs.size();
+    const std::string cache_dir = path(spec.name + "-cache");
+    ResultCache claims(cache_dir);
+    claims.ensure_writable();
 
-  auto run_claimed = [&](const std::string& owner) {
-    RunOptions options;
-    options.cache_dir = cache_dir;
-    options.hooks.acquire = [&claims, owner](std::size_t, const std::string& hash) {
-      // Claims are held for the test's duration (never released), so the
-      // loser can never recompute a winner's job.
-      return claims.try_claim(hash, owner, 1000, 60000) == ClaimOutcome::kAcquired;
+    // What one runner's hooks saw: the indices of every acquire call, the
+    // positions granted, and the indices of every stored call.
+    struct HookLog {
+      std::mutex mutex;
+      std::vector<std::vector<std::size_t>> offered;
+      std::vector<std::size_t> granted;
+      std::vector<std::vector<std::size_t>> stored;
     };
-    return ScenarioRunner(options).run(spec);
-  };
+    auto run_claimed = [&](const std::string& owner, HookLog& log) {
+      RunOptions options;
+      options.cache_dir = cache_dir;
+      options.hooks.acquire = [&claims, &plan, &log, owner](std::span<const std::size_t> indices) {
+        std::vector<std::string> hashes;
+        for (const std::size_t i : indices) hashes.push_back(plan.hashes[i]);
+        // Claims are held for the test's duration (never released), so the
+        // loser can never recompute a winner's job.
+        const auto outcomes = claims.try_claim(hashes, owner, 1000, 60000);
+        std::vector<std::size_t> granted;
+        for (std::size_t p = 0; p < outcomes.size(); ++p) {
+          if (outcomes[p] == ClaimOutcome::kAcquired) granted.push_back(p);
+        }
+        std::lock_guard<std::mutex> lock(log.mutex);
+        log.offered.emplace_back(indices.begin(), indices.end());
+        for (const std::size_t p : granted) log.granted.push_back(indices[p]);
+        return granted;
+      };
+      options.hooks.stored = [&log](std::span<const std::size_t> indices) {
+        std::lock_guard<std::mutex> lock(log.mutex);
+        log.stored.emplace_back(indices.begin(), indices.end());
+      };
+      return ScenarioRunner(options).run(spec);
+    };
 
-  RunResult a;
-  RunResult b;
-  std::thread ta([&] { a = run_claimed("a"); });
-  std::thread tb([&] { b = run_claimed("b"); });
-  ta.join();
-  tb.join();
+    RunResult a;
+    RunResult b;
+    HookLog log_a;
+    HookLog log_b;
+    std::thread ta([&] { a = run_claimed("a", log_a); });
+    std::thread tb([&] { b = run_claimed("b", log_b); });
+    ta.join();
+    tb.join();
 
-  // Claims serialize computation: each of the 4 jobs is computed by exactly
-  // one runner. A job one runner did not compute shows up for it as either
-  // a cache hit (stored before its probe) or claimed-elsewhere.
-  EXPECT_EQ(a.computed + b.computed, 4u);
-  EXPECT_EQ(a.claimed_elsewhere + a.cache_hits, b.computed);
-  EXPECT_EQ(b.claimed_elsewhere + b.cache_hits, a.computed);
+    // Claims serialize computation: each job is computed by exactly one
+    // runner. A job one runner did not compute shows up for it as either a
+    // cache hit (stored before its probe) or claimed-elsewhere.
+    EXPECT_EQ(a.computed + b.computed, jobs) << spec.name;
+    EXPECT_EQ(a.claimed_elsewhere + a.cache_hits, b.computed) << spec.name;
+    EXPECT_EQ(b.claimed_elsewhere + b.cache_hits, a.computed) << spec.name;
 
-  // The shared cache holds all four payloads, byte-identical to an
-  // unraced run in a fresh cache.
-  RunOptions reference;
-  reference.cache_dir = path("cache-ref");
-  const auto ref = ScenarioRunner(reference).run(spec);
-  ResultCache raced(cache_dir);
-  ResultCache unraced(reference.cache_dir);
-  const auto plan = plan_scenario(spec);
-  for (const auto& hash : plan.hashes) {
-    const auto raced_payload = raced.load(hash);
-    const auto ref_payload = unraced.load(hash);
-    ASSERT_TRUE(raced_payload.has_value());
-    ASSERT_TRUE(ref_payload.has_value());
-    EXPECT_EQ(json::dump(*raced_payload), json::dump(*ref_payload));
+    // acquire runs at most once per unit: no index is offered twice by one
+    // runner. stored fires once per unit with work, naming exactly the
+    // granted jobs.
+    for (HookLog* log : {&log_a, &log_b}) {
+      std::vector<std::size_t> offered;
+      std::size_t units_with_work = 0;
+      for (const auto& call : log->offered) {
+        EXPECT_FALSE(call.empty()) << spec.name;
+        offered.insert(offered.end(), call.begin(), call.end());
+      }
+      std::vector<std::size_t> stored;
+      for (const auto& call : log->stored) {
+        EXPECT_FALSE(call.empty()) << spec.name;
+        stored.insert(stored.end(), call.begin(), call.end());
+      }
+      std::sort(offered.begin(), offered.end());
+      EXPECT_EQ(std::adjacent_find(offered.begin(), offered.end()), offered.end())
+          << spec.name << ": an index was offered to acquire twice";
+      EXPECT_LE(offered.size(), jobs) << spec.name;
+      std::sort(stored.begin(), stored.end());
+      std::sort(log->granted.begin(), log->granted.end());
+      EXPECT_EQ(stored, log->granted) << spec.name;
+      for (const auto& call : log->offered) {
+        const bool any = std::any_of(call.begin(), call.end(), [&](std::size_t i) {
+          return std::binary_search(log->granted.begin(), log->granted.end(), i);
+        });
+        if (any) ++units_with_work;
+      }
+      EXPECT_EQ(log->stored.size(), units_with_work) << spec.name;
+    }
+    EXPECT_EQ(log_a.granted.size(), a.computed) << spec.name;
+    EXPECT_EQ(log_b.granted.size(), b.computed) << spec.name;
+
+    // The shared cache holds every payload, byte-identical to an unraced run
+    // in a fresh cache.
+    RunOptions reference;
+    reference.cache_dir = path(spec.name + "-cache-ref");
+    const auto ref = ScenarioRunner(reference).run(spec);
+    ResultCache raced(cache_dir);
+    ResultCache unraced(reference.cache_dir);
+    for (const auto& hash : plan.hashes) {
+      const auto raced_payload = raced.load(hash);
+      const auto ref_payload = unraced.load(hash);
+      ASSERT_TRUE(raced_payload.has_value()) << spec.name;
+      ASSERT_TRUE(ref_payload.has_value()) << spec.name;
+      EXPECT_EQ(json::dump(*raced_payload), json::dump(*ref_payload)) << spec.name;
+    }
+    // A warm re-run over the raced cache re-emits the reference bytes.
+    RunOptions warm;
+    warm.cache_dir = cache_dir;
+    EXPECT_EQ(json::dump(ScenarioRunner(warm).run(spec).report), json::dump(ref.report))
+        << spec.name;
   }
-  // A warm re-run over the raced cache re-emits the reference bytes.
-  RunOptions warm;
-  warm.cache_dir = cache_dir;
-  EXPECT_EQ(json::dump(ScenarioRunner(warm).run(spec).report), json::dump(ref.report));
 }
 
 TEST_F(ScenarioTest, OrphanedSidecarsAreCountedAndSweptStale) {
@@ -1026,6 +1096,194 @@ TEST_F(ScenarioTest, OverlappingPackStoresFromTwoThreadsAllLoad) {
     EXPECT_EQ(json::dump(*payload), json::dump(payloads[i])) << hashes[i];
   }
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+namespace {
+
+fs::path claim_file(const ResultCache& cache, const std::string& hash) {
+  return fs::path(cache.root()) / hash.substr(0, 2) / (hash + ".claim");
+}
+
+}  // namespace
+
+TEST_F(ScenarioTest, UnitClaimLinksEveryNameToOneInode) {
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  const auto hashes = synthetic_hashes(32, 0xc1a1);
+  const auto outcomes = cache.try_claim(hashes, "unit", 1000, 60000);
+  ASSERT_EQ(outcomes.size(), hashes.size());
+  for (const auto outcome : outcomes) EXPECT_EQ(outcome, ClaimOutcome::kAcquired);
+
+  // One claim file behind all 32 names, and no temporary left.
+  const struct stat first = stat_of(claim_file(cache, hashes[0]));
+  EXPECT_EQ(first.st_nlink, hashes.size());
+  for (const auto& hash : hashes) {
+    EXPECT_EQ(stat_of(claim_file(cache, hash)).st_ino, first.st_ino) << hash;
+    const auto info = cache.read_claim(hash);
+    ASSERT_TRUE(info.has_value()) << hash;
+    EXPECT_EQ(info->owner, "unit");
+    EXPECT_EQ(info->heartbeat_ms, 1000u);
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, hashes.size());
+  EXPECT_EQ(stats.tmp_files, 0u);
+
+  // The claim document is the one-hash claim's, byte for byte.
+  ResultCache single(path("single"));
+  ASSERT_EQ(single.try_claim(hashes[0], "unit", 1000, 60000), ClaimOutcome::kAcquired);
+  EXPECT_EQ(read_bytes(claim_file(cache, hashes[0])), read_bytes(claim_file(single, hashes[0])));
+  EXPECT_EQ(single.stats().tmp_files, 0u);
+
+  // A heartbeat round re-stamps every name with one new claim file.
+  EXPECT_EQ(cache.refresh_claim(hashes, "unit", 2000), hashes.size());
+  const struct stat refreshed = stat_of(claim_file(cache, hashes[0]));
+  EXPECT_NE(refreshed.st_ino, first.st_ino);
+  EXPECT_EQ(refreshed.st_nlink, hashes.size());
+  for (const auto& hash : hashes) {
+    EXPECT_EQ(stat_of(claim_file(cache, hash)).st_ino, refreshed.st_ino) << hash;
+    EXPECT_EQ(cache.read_claim(hash)->heartbeat_ms, 2000u) << hash;
+  }
+  EXPECT_EQ(cache.stats().tmp_files, 0u);
+
+  cache.release_claim(hashes, "unit");
+  const auto released = cache.stats();
+  EXPECT_EQ(released.claim_files, 0u);
+  EXPECT_EQ(released.tmp_files, 0u);
+}
+
+TEST_F(ScenarioTest, MixedUnitClaimGivesOneOutcomePerHashInOrder) {
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  // 0 and 5 fresh; 1 our own live claim; 2 another owner's live claim; 3
+  // another owner's stale claim; 4 a corrupt claim.
+  const auto hashes = synthetic_hashes(6, 0x3117);
+  ASSERT_EQ(cache.try_claim(hashes[1], "me", 1000, 500), ClaimOutcome::kAcquired);
+  ASSERT_EQ(cache.try_claim(hashes[2], "other", 1000, 500), ClaimOutcome::kAcquired);
+  ASSERT_EQ(cache.try_claim(hashes[3], "other", 100, 500), ClaimOutcome::kAcquired);
+  fs::create_directories(claim_file(cache, hashes[4]).parent_path());
+  std::ofstream(claim_file(cache, hashes[4])) << "{\"owner\": ";
+
+  const auto outcomes = cache.try_claim(hashes, "me", 1200, 500);
+  const std::vector<ClaimOutcome> expected{ClaimOutcome::kAcquired, ClaimOutcome::kAcquired,
+                                           ClaimOutcome::kBusy,     ClaimOutcome::kAcquired,
+                                           ClaimOutcome::kAcquired, ClaimOutcome::kAcquired};
+  EXPECT_EQ(outcomes, expected);
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    const auto info = cache.read_claim(hashes[i]);
+    ASSERT_TRUE(info.has_value()) << i;
+    EXPECT_EQ(info->owner, i == 2 ? "other" : "me") << i;
+    EXPECT_EQ(info->heartbeat_ms, i == 2 ? 1000u : 1200u) << i;
+  }
+  // Only the fresh names are links to the call's one claim file.
+  const struct stat fresh = stat_of(claim_file(cache, hashes[0]));
+  EXPECT_EQ(fresh.st_nlink, 2u);
+  EXPECT_EQ(stat_of(claim_file(cache, hashes[5])).st_ino, fresh.st_ino);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, hashes.size());
+  EXPECT_EQ(stats.tmp_files, 0u);
+}
+
+TEST_F(ScenarioTest, RacingUnitClaimsHaveExactlyOneWinnerPerHash) {
+  // K threads claim shuffled, overlapping spans of the same 64 hashes with
+  // distinct owners, released together: racer 0 spans all 64, the others
+  // 48 each. Every hash has exactly one winner.
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  constexpr int kRounds = 20;
+  constexpr int kRacers = 6;
+  constexpr std::size_t kHashes = 64;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto hashes = synthetic_hashes(kHashes, 0x7ace0000u + static_cast<unsigned>(round));
+    std::vector<std::vector<std::size_t>> spans(kRacers);
+    for (int r = 0; r < kRacers; ++r) {
+      std::vector<std::size_t> order(kHashes);
+      for (std::size_t i = 0; i < kHashes; ++i) order[i] = i;
+      std::mt19937 rng(static_cast<std::mt19937::result_type>(round * kRacers + r));
+      std::shuffle(order.begin(), order.end(), rng);
+      order.resize(r == 0 ? kHashes : 48);
+      spans[r] = std::move(order);
+    }
+    std::vector<std::atomic<int>> winners(kHashes);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> racers;
+    racers.reserve(kRacers);
+    for (int r = 0; r < kRacers; ++r) {
+      racers.emplace_back([&, r] {
+        std::vector<std::string> span;
+        for (const std::size_t i : spans[r]) span.push_back(hashes[i]);
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        const auto outcomes = cache.try_claim(span, "owner" + std::to_string(r), 1000, 60000);
+        for (std::size_t p = 0; p < outcomes.size(); ++p) {
+          if (outcomes[p] == ClaimOutcome::kAcquired) winners[spans[r][p]].fetch_add(1);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : racers) t.join();
+    for (std::size_t i = 0; i < kHashes; ++i) {
+      ASSERT_EQ(winners[i].load(), 1) << "round " << round << " hash " << i;
+    }
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, kRounds * kHashes);
+  EXPECT_EQ(stats.tmp_files, 0u);
+}
+
+TEST_F(ScenarioTest, UnitReleaseDeletesOnlyTheNamesStillHeld) {
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  const auto hashes = synthetic_hashes(8, 0x5e1e);
+  for (const auto outcome : cache.try_claim(hashes, "a", 1000, 500)) {
+    EXPECT_EQ(outcome, ClaimOutcome::kAcquired);
+  }
+  // Past the lease, "b" steals one name of the unit.
+  ASSERT_EQ(cache.try_claim(hashes[3], "b", 2000, 500), ClaimOutcome::kAcquired);
+
+  // "a"'s heartbeat round re-stamps the seven names it still holds.
+  EXPECT_EQ(cache.refresh_claim(hashes, "a", 2100), hashes.size() - 1);
+  EXPECT_EQ(cache.read_claim(hashes[3])->heartbeat_ms, 2000u);
+
+  cache.release_claim(hashes, "a");
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    EXPECT_EQ(fs::exists(claim_file(cache, hashes[i])), i == 3) << i;
+  }
+  EXPECT_EQ(cache.read_claim(hashes[3])->owner, "b");
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, 1u);
+  EXPECT_EQ(stats.tmp_files, 0u);
+}
+
+TEST_F(ScenarioTest, PartialUnitClaimReleasesCleanly) {
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  // Five hashes in five fan-out directories. Name 1 is another owner's live
+  // claim; the fourth fan-out path is a regular file, so the fourth link
+  // fails with ENOTDIR.
+  const std::vector<std::string> hashes{"1000000000000001", "2000000000000002",
+                                        "3000000000000003", "4000000000000004",
+                                        "5000000000000005"};
+  constexpr std::size_t kFailing = 3;
+  ASSERT_EQ(cache.try_claim(hashes[1], "other", 1000, 60000), ClaimOutcome::kAcquired);
+  std::ofstream(fs::path(cache.root()) / hashes[kFailing].substr(0, 2)) << "not a directory";
+
+  std::string error;
+  try {
+    (void)cache.try_claim(hashes, "unit", 1000, 60000);
+  } catch (const ConfigError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find(hashes[kFailing] + ".claim"), std::string::npos) << error;
+  EXPECT_NE(error.find(std::strerror(ENOTDIR)), std::string::npos) << error;
+
+  // The names this call linked are gone, the other owner's claim survives,
+  // and no temporary is left.
+  for (std::size_t i = 0; i < kFailing; ++i) {
+    EXPECT_EQ(fs::exists(claim_file(cache, hashes[i])), i == 1) << i;
+  }
+  EXPECT_EQ(cache.read_claim(hashes[1])->owner, "other");
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, 1u);
+  EXPECT_EQ(stats.tmp_files, 0u);
 }
 
 namespace {
