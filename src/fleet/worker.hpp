@@ -4,16 +4,17 @@
 /// A worker owns one shard of the fleet plan and runs in rounds: probe the
 /// shared cache for payloads that landed since the last look, push the
 /// remaining misses through the shared execute phase (scenario/runner.hpp)
-/// with a claim gate, and — when every remaining miss is claimed by someone
-/// else — sleep one poll interval and probe again. A background heartbeat
-/// thread re-stamps every held claim well inside the lease, so only a
-/// crashed or stalled worker's claims ever go stale. After its own shard is
+/// with the claim gate of scenario/claims.hpp (one `ClaimHolder` per
+/// worker), and — when every remaining miss is claimed by someone else —
+/// sleep one poll interval and probe again. The holder's heartbeat
+/// re-stamps every held claim well inside the lease, so only a crashed or
+/// stalled worker's claims ever go stale. After its own shard is
 /// done the worker scavenges: it sweeps the rest of the grid the same way,
 /// so a killed worker's leftovers are finished by the survivors and a
 /// re-issued fleet run starts ~fully warm.
 ///
-/// This layer owns the clocks and sleeps (wall time for heartbeats, polling
-/// for coordination); everything below it stays deterministic.
+/// This layer owns the polling sleeps; the heartbeat clock lives in
+/// src/runtime. Everything below stays deterministic.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,9 @@
 #include <string>
 
 #include "fleet/manifest.hpp"
+#include "runtime/heartbeat.hpp"
 #include "runtime/thread_pool.hpp"
+#include "scenario/claims.hpp"
 #include "scenario/spec.hpp"
 
 namespace adc::fleet {
@@ -44,11 +47,11 @@ struct WorkerOptions {
   std::string cache_dir;
   unsigned shards = 1;  ///< fleet width W
   unsigned shard = 0;   ///< this worker's shard, 0-based
-  /// Claim owner id ("" = "<host>:<pid>").
+  /// Claim owner id ("" = "<host>:<pid>", scenario::default_claim_owner).
   std::string owner;
   /// A claim whose heartbeat is older than this is considered abandoned
   /// and stolen. Must comfortably exceed the heartbeat interval (lease/3).
-  std::uint64_t lease_ms = 10000;
+  std::uint64_t lease_ms = adc::scenario::kClaimLeaseMs;
   /// Sleep between probes while every remaining miss is claimed elsewhere.
   std::uint64_t poll_ms = 50;
   /// Worker threads for the execute phase (0 = runtime default).
@@ -83,12 +86,8 @@ struct WorkerResult {
 WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
                         const WorkerOptions& options);
 
-/// The default claim owner id for this process: "<host>:<pid>".
-[[nodiscard]] std::string default_owner();
-
-/// Wall-clock milliseconds since the Unix epoch — the fleet's claim
-/// heartbeat clock. Lives here (not in src/scenario) so lower layers stay
-/// deterministic.
-[[nodiscard]] std::uint64_t wall_clock_ms();
+/// The claim heartbeat clock (runtime/heartbeat.hpp), for status views and
+/// stale sweeps next to the worker.
+using adc::runtime::wall_clock_ms;
 
 }  // namespace adc::fleet

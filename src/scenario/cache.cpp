@@ -480,6 +480,10 @@ std::vector<ClaimOutcome> ResultCache::try_claim(std::span<const std::string> ha
   return outcomes;
 }
 
+bool ResultCache::link_claim(const std::string& source, const std::string& hash) {
+  return link_name(claim_path(source), claim_path(hash)) == 0;
+}
+
 bool ResultCache::refresh_claim(const std::string& hash, const std::string& owner,
                                 std::uint64_t now_ms) {
   return refresh_claim(std::span(&hash, 1), owner, now_ms) == 1;

@@ -68,14 +68,17 @@
 /// the caller's lease is *stale* (its owner crashed or stalled) and is
 /// stolen by atomically renaming a replacement over it. A link that fails
 /// for any other reason releases the names the call already linked and
-/// throws. A heartbeat round (`refresh_claim`) likewise writes one
-/// temporary and renames a link to it over every name still held. A
+/// throws. `link_claim` links one more claim name to a claim file the
+/// caller already holds, creating no inode. A heartbeat round
+/// (`refresh_claim`) writes one temporary and renames a link to it over
+/// every name still held. A
 /// unit's claim names span the fan-out directories, as a pack's entry names
 /// do. Claims are an optimization that minimizes duplicate computation
 /// — correctness never depends on them: jobs are pure and content-addressed,
 /// so the worst outcome of the (tiny) steal race is two workers computing
 /// identical bytes for the same hash. Timestamps are supplied by the caller
-/// (src/fleet owns the clock; this layer stays deterministic).
+/// (the claim holder, claims.hpp, reads them from src/runtime; this layer
+/// reads no clock).
 #pragma once
 
 #include <atomic>
@@ -186,6 +189,13 @@ class ResultCache {
   /// The one-hash claim: the one-element call above.
   ClaimOutcome try_claim(const std::string& hash, const std::string& owner,
                          std::uint64_t now_ms, std::uint64_t lease_ms);
+
+  /// Claim `hash` by linking its claim name to the claim file of `source`,
+  /// creating no inode: the new claim carries `source`'s owner and
+  /// heartbeat. False when the name is already claimed or cannot be linked
+  /// (try_claim settles those). Only for a caller that holds a claim on
+  /// `source` young enough to stay live until its next heartbeat round.
+  bool link_claim(const std::string& source, const std::string& hash);
 
   /// Re-stamp the heartbeat of every claim in `hashes` that `owner` still
   /// holds, with one new claim file linked under all of them; returns how

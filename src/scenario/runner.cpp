@@ -315,13 +315,52 @@ ReportPaths write_report_files(const json::JsonValue& report, const std::string&
   return paths;
 }
 
+std::vector<json::JsonValue> execute_unit(const ScenarioSpec& spec, const ScenarioPlan& plan,
+                                          std::span<const std::size_t> indices,
+                                          ResultCache* cache) {
+  std::vector<json::JsonValue> out;
+  if (indices.empty()) return out;
+  out.reserve(indices.size());
+  const std::vector<JobPoint>& jobs = plan.jobs;
+  const ResolvedJob first = resolve_job(spec, jobs[indices.front()]);
+  const bool one_shape = std::all_of(indices.begin(), indices.end(), [&](std::size_t i) {
+    return same_block_shape(spec, jobs[i], jobs[indices.front()]);
+  });
+  if (indices.size() >= adc::batch::kMinBatchDies && batchable_shape(spec) && one_shape &&
+      adc::batch::BatchConverter::supports_config(first.config)) {
+    std::vector<adc::testbench::DieTest> dies;
+    dies.reserve(indices.size());
+    for (const std::size_t i : indices) {
+      const ResolvedJob job = resolve_job(spec, jobs[i]);
+      const adc::testbench::DynamicTestOptions tone = dynamic_options(job);
+      dies.push_back({job.config, tone.target_fin_hz, tone.amplitude_fraction});
+    }
+    const auto results = adc::testbench::run_dynamic_test_block(dies, dynamic_options(first));
+    for (const auto& result : results) out.push_back(dynamic_payload(result));
+  } else {
+    for (const std::size_t i : indices) {
+      out.push_back(ScenarioRunner::execute_job(resolve_job(spec, jobs[i])));
+    }
+  }
+  // One pack per unit, stored before the caller hears of it: a claimant
+  // releases a claim only once its job is on disk.
+  if (cache != nullptr) {
+    std::vector<CacheEntry> entries;
+    entries.reserve(indices.size());
+    for (std::size_t m = 0; m < indices.size(); ++m) {
+      entries.push_back({plan.hashes[indices[m]], out[m]});
+    }
+    cache->store(entries);
+  }
+  return out;
+}
+
 ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
                             std::vector<std::optional<json::JsonValue>>& payloads,
                             const ExecuteOptions& options) {
   adc::common::require(payloads.size() == plan.jobs.size(),
                        "execute_plan: payloads not aligned with the plan");
   const std::vector<JobPoint>& jobs = plan.jobs;
-  const std::vector<std::string>& hashes = plan.hashes;
   ExecuteOutcome outcome;
 
   // Candidates: every missing payload the caller admits (a fleet worker
@@ -402,40 +441,12 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
             std::iota(mine.begin(), mine.end(), std::size_t{0});
           }
           if (mine.empty()) return out;
-          const ResolvedJob first = resolve_job(spec, jobs[indices[mine.front()]]);
-          if (mine.size() >= adc::batch::kMinBatchDies &&
-              adc::batch::BatchConverter::supports_config(first.config)) {
-            std::vector<adc::testbench::DieTest> dies;
-            dies.reserve(mine.size());
-            for (const std::size_t t : mine) {
-              const ResolvedJob job = resolve_job(spec, jobs[indices[t]]);
-              const adc::testbench::DynamicTestOptions tone = dynamic_options(job);
-              dies.push_back({job.config, tone.target_fin_hz, tone.amplitude_fraction});
-            }
-            const auto results =
-                adc::testbench::run_dynamic_test_block(dies, dynamic_options(first));
-            for (std::size_t m = 0; m < mine.size(); ++m) {
-              out[mine[m]] = dynamic_payload(results[m]);
-            }
-          } else {
-            for (const std::size_t t : mine) {
-              out[t] = ScenarioRunner::execute_job(resolve_job(spec, jobs[indices[t]]));
-            }
-          }
-          // One pack per unit, stored before the `stored` hook: a fleet
-          // worker releases a claim only once its job is on disk.
-          std::vector<std::size_t> done;
-          done.reserve(mine.size());
-          for (const std::size_t t : mine) done.push_back(indices[t]);
-          if (options.cache != nullptr) {
-            std::vector<CacheEntry> entries;
-            entries.reserve(mine.size());
-            for (std::size_t m = 0; m < mine.size(); ++m) {
-              entries.push_back({hashes[done[m]], *out[mine[m]]});
-            }
-            options.cache->store(entries);
-          }
-          if (options.hooks.stored) options.hooks.stored(done);
+          std::vector<std::size_t> granted;
+          granted.reserve(mine.size());
+          for (const std::size_t t : mine) granted.push_back(indices[t]);
+          auto results = execute_unit(spec, plan, granted, options.cache);
+          for (std::size_t m = 0; m < mine.size(); ++m) out[mine[m]] = std::move(results[m]);
+          if (options.hooks.stored) options.hooks.stored(granted);
           return out;
         },
         batch);

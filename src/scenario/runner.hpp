@@ -36,21 +36,24 @@
 namespace adc::scenario {
 
 /// Gate and notification hooks threaded through the execute phase. They are
-/// how the fleet engine (src/fleet/) plugs its claim protocol into the
-/// shared runner. Both take one execute unit at a time, as plan indices, so
-/// a unit's claims are one `ResultCache::try_claim` call:
+/// how the fleet worker (src/fleet/) plugs a claim gate
+/// (scenario/claims.hpp, `ClaimHolder::gate`) into the shared runner. Both
+/// take one execute unit at a time, as plan indices, so a unit's claims are
+/// one `ResultCache::try_claim` call:
 ///
 ///   * `acquire` is consulted once per unit, immediately before the unit's
 ///     missed jobs would be computed, with their plan indices. It returns
 ///     the positions (into that span, ascending) it grants; a declined job
 ///     is skipped (another process owns it), counted as claimed-elsewhere
 ///     and left null. Empty = every job is granted.
-///   * `stored` fires once per unit, after the unit's pack is on disk, with
-///     the plan indices of the jobs it computed.
+///   * `stored` fires once per unit, after `execute_unit` has put the
+///     unit's pack on disk, with the plan indices of the jobs it computed.
 ///
 /// Both run on pool worker threads and must be thread-safe. Claim state
 /// never reaches payload bytes, so reports stay deterministic regardless of
-/// which process computes which job.
+/// which process computes which job. The scenario service gates outside
+/// execute_plan: it calls the same `ClaimHolder::gate` on its scheduler
+/// thread and then `execute_unit` for one job.
 struct ExecuteHooks {
   std::function<std::vector<std::size_t>(std::span<const std::size_t> indices)> acquire;
   std::function<void(std::span<const std::size_t> indices)> stored;
@@ -168,16 +171,31 @@ struct ExecuteOutcome {
   std::size_t claimed_elsewhere = 0;  ///< declined by hooks.acquire
 };
 
+/// Compute the jobs at plan `indices` as one execute unit and persist them
+/// through `cache` (when non-null) as one pack before returning; one payload
+/// per index, in order. The unit runs through the SoA batch engine as one
+/// die-block when it has at least adc::batch::kMinBatchDies jobs of one
+/// block shape under a batchable spec (fast profile, single-tone dynamic or
+/// yield), and job by job through ScenarioRunner::execute_job otherwise;
+/// the engine's contract makes both paths emit identical bytes. Runs on the
+/// calling thread and submits nothing to the pool, so a pool worker may call
+/// it. The per-unit body of execute_plan, and the scenario service's
+/// executor. Throws what the computation or the store throws.
+[[nodiscard]] std::vector<adc::common::json::JsonValue> execute_unit(
+    const ScenarioSpec& spec, const ScenarioPlan& plan, std::span<const std::size_t> indices,
+    ResultCache* cache);
+
 /// Compute the plan's missing payloads in place: every index where
 /// `payloads[i]` is empty and `candidate(i)` holds is grouped into execute
 /// units (consecutive jobs that differ only in seed, conversion rate, input
 /// frequency and amplitude batch through the SoA conversion engine when the
 /// spec shape allows it), computed on the shared pool, and
-/// written back to `payloads[i]` — persisting each payload through `cache`
-/// as it completes. This is the single execute path shared by
-/// ScenarioRunner::run and the fleet worker (src/fleet/worker.cpp), so a
-/// sharded multi-process sweep computes exactly the bytes a single-process
-/// run would.
+/// written back to `payloads[i]` — each unit through execute_unit, which
+/// persists it through `cache` as it completes. This is the execute path
+/// shared by ScenarioRunner::run and the fleet worker
+/// (src/fleet/worker.cpp); the scenario service calls execute_unit
+/// directly. A sharded multi-process sweep, a served request and a
+/// single-process run therefore compute exactly the same bytes.
 ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
                             std::vector<std::optional<adc::common::json::JsonValue>>& payloads,
                             const ExecuteOptions& options);
@@ -193,7 +211,8 @@ class ScenarioRunner {
   [[nodiscard]] RunResult run(const ScenarioSpec& spec);
 
   /// Execute one resolved job immediately (no cache); the payload that
-  /// would be stored. Exposed for tests, the CLI, and the service executor.
+  /// would be stored. The scalar path of execute_unit, also used by tests
+  /// and the CLI.
   [[nodiscard]] static adc::common::json::JsonValue execute_job(const ResolvedJob& job);
 
  private:

@@ -4,11 +4,13 @@
 #include <chrono>
 #include <deque>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
 #include "runtime/manifest.hpp"
 #include "runtime/parallel.hpp"
+#include "scenario/claims.hpp"
 #include "scenario/hash.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -19,8 +21,9 @@ namespace json = adc::common::json;
 using adc::common::AdcError;
 using adc::common::ConfigError;
 
-/// Poll granularity of the accept/read loops: how quickly a stop flag is
-/// observed, not a correctness knob.
+/// Poll granularity of the accept/read loops (how quickly a stop flag is
+/// observed) and of parked-cell retries (how quickly a store by another
+/// process is seen); not a correctness knob.
 constexpr int kPollMs = 200;
 
 /// Hard bound on one connection's queued-but-unwritten event lines. Hitting
@@ -34,6 +37,18 @@ constexpr std::size_t kSendQueueBackpressure = kMaxQueuedLines / 2;
 /// Per-line write deadline for the connection writer threads. A peer whose
 /// socket accepts no bytes for this long is treated as gone.
 constexpr int kWriteDeadlineMs = 5000;
+
+/// The message of the exception being handled, for an execution_failed
+/// event.
+std::string current_failure() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    if (*e.what() != '\0') return e.what();
+  } catch (...) {
+  }
+  return "unknown execution failure";
+}
 
 struct ScenarioService::Connection {
   std::uint64_t id = 0;
@@ -69,7 +84,10 @@ struct ScenarioService::RunState {
   std::size_t scheduled_misses = 0;  ///< misses dispatched (max_jobs budget)
   std::uint64_t max_jobs = 0;        ///< 0 = unlimited
   std::size_t inflight = 0;          ///< own pool jobs still running
-  std::size_t subscriptions = 0;     ///< dedup deliveries still pending
+  /// Cells the claim gate declined (being computed elsewhere), oldest
+  /// first; the first `retry` of them are due for another probe.
+  std::deque<std::size_t> parked;
+  std::size_t retry = 0;
 
   std::uint64_t processed = 0;  ///< hits + computed + deduped + skipped
   std::uint64_t delivered = 0;  ///< cells streamed (payload recorded)
@@ -81,11 +99,6 @@ struct ScenarioService::RunState {
   bool cancel_requested = false;  ///< explicit cancel (gets a terminal event)
   bool failed = false;            ///< terminal error event already sent
   bool finished = false;          ///< removed from scheduling
-};
-
-/// One in-flight computation; subscribers[0] is the owner that pays for it.
-struct ScenarioService::Inflight {
-  std::vector<std::pair<std::shared_ptr<RunState>, std::size_t>> subscribers;
 };
 
 ScenarioService::ScenarioService(ServiceOptions options)
@@ -103,6 +116,8 @@ void ScenarioService::start() {
   adc::common::require(!started_, "ScenarioService: already started");
   cache_.ensure_writable();
   listener_ = std::make_unique<UnixListener>(options_.socket_path);
+  holder_ = std::make_unique<adc::scenario::ClaimHolder>(
+      cache_, adc::scenario::default_claim_owner());
   stopping_.store(false, std::memory_order_relaxed);
   accept_thread_ = std::thread([this] { accept_loop(); });
   scheduler_thread_ = std::thread([this] { scheduler_loop(); });
@@ -137,11 +152,13 @@ void ScenarioService::stop() {
   work_cv_.notify_all();
   if (scheduler_thread_.joinable()) scheduler_thread_.join();
 
-  // Drain pool jobs still carrying references into this object.
+  // Drain pool jobs still carrying references into this object; each has
+  // released its claim, so the holder has nothing left to release.
   {
     std::unique_lock<std::mutex> lock(mutex_);
     drain_cv_.wait(lock, [this] { return pending_pool_jobs_ == 0; });
   }
+  holder_.reset();
 
   // Nothing enqueues anymore: retire the writers. Their streams are already
   // shut down, so a remaining backlog fails fast instead of waiting out
@@ -154,7 +171,6 @@ void ScenarioService::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     active_.clear();
-    inflight_.clear();
     connections_.clear();
   }
   listener_.reset();
@@ -321,7 +337,7 @@ void ScenarioService::handle_cancel(const std::shared_ptr<Connection>& conn,
 void ScenarioService::handle_status(const std::shared_ptr<Connection>& conn) {
   auto requests = json::JsonValue::array();
   ServiceCounters counters;
-  std::size_t inflight_entries = 0;
+  std::size_t computing = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& run : active_) {
@@ -336,7 +352,7 @@ void ScenarioService::handle_status(const std::shared_ptr<Connection>& conn) {
       requests.push_back(std::move(row));
     }
     counters = counters_;
-    inflight_entries = inflight_.size();
+    computing = pending_pool_jobs_;
   }
 
   auto totals = json::JsonValue::object();
@@ -362,7 +378,7 @@ void ScenarioService::handle_status(const std::shared_ptr<Connection>& conn) {
   event.set("event", "status");
   event.set("protocol", kProtocolVersion);
   event.set("requests", std::move(requests));
-  event.set("inflight_cells", static_cast<std::uint64_t>(inflight_entries));
+  event.set("inflight_cells", static_cast<std::uint64_t>(computing));
   event.set("counters", std::move(totals));
   event.set("pool", std::move(pool));
   // Disk walk outside the service lock; session counters are atomics.
@@ -394,28 +410,40 @@ void ScenarioService::on_disconnect(const std::shared_ptr<Connection>& conn) {
 // Scheduling
 
 void ScenarioService::scheduler_loop() {
+  using Clock = std::chrono::steady_clock;
   std::unique_lock<std::mutex> lock(mutex_);
+  auto last_retry = Clock::now();
   while (!stopping_.load(std::memory_order_relaxed)) {
+    // Parked cells come due when one of this service's cells stored, and at
+    // every poll tick — the only way a store by another process is seen.
+    const auto now = Clock::now();
+    if (retry_parked_ || now - last_retry >= std::chrono::milliseconds(kPollMs)) {
+      retry_parked_ = false;
+      last_retry = now;
+      for (const auto& run : active_) run->retry = run->parked.size();
+    }
     std::shared_ptr<RunState> run;
     std::size_t index = 0;
-    if (!pick_next_locked(run, index)) {
+    bool retry = false;
+    if (!pick_next_locked(run, index, retry)) {
       work_cv_.wait_for(lock, std::chrono::milliseconds(kPollMs));
       continue;
     }
     lock.unlock();
-    dispatch_cell(run, index);
+    dispatch_cell(run, index, retry);
     lock.lock();
   }
 }
 
-bool ScenarioService::pick_next_locked(std::shared_ptr<RunState>& run,
-                                       std::size_t& index) {
+bool ScenarioService::pick_next_locked(std::shared_ptr<RunState>& run, std::size_t& index,
+                                       bool& retry) {
   const std::size_t n = active_.size();
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t at = (rr_cursor_ + k) % n;
     const auto& candidate = active_[at];
     if (candidate->finished || candidate->cancel.cancelled()) continue;
-    if (candidate->next_job >= candidate->plan.jobs.size()) continue;
+    retry = candidate->retry > 0;
+    if (!retry && candidate->next_job >= candidate->plan.jobs.size()) continue;
     if (candidate->conn->inflight >= options_.max_inflight_per_connection) continue;
     // Backpressure: a tenant whose send queue is deep gets no new cells
     // until its client catches up (or overflows the hard bound and dies).
@@ -424,7 +452,13 @@ bool ScenarioService::pick_next_locked(std::shared_ptr<RunState>& run,
       continue;
     }
     run = candidate;
-    index = candidate->next_job++;
+    if (retry) {
+      index = candidate->parked.front();
+      candidate->parked.pop_front();
+      --candidate->retry;
+    } else {
+      index = candidate->next_job++;
+    }
     rr_cursor_ = (at + 1) % n;  // fairness: the next turn goes to the next tenant
     return true;
   }
@@ -432,103 +466,82 @@ bool ScenarioService::pick_next_locked(std::shared_ptr<RunState>& run,
 }
 
 void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
-                                    std::size_t index) {
+                                    std::size_t index, bool retry) {
   const std::string& hash = run->plan.hashes[index];
 
-  // Phase 1 — join or claim the single-flight slot for this content hash.
-  enum class Action { kNone, kProbeOwned, kProbeBudgetExhausted };
-  Action action = Action::kNone;
+  // Probe the shared warm tier (disk I/O, no lock held). A parked cell that
+  // now hits was served by the computation it was parked behind.
+  const auto payload = cache_.load(hash);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (run->finished || run->cancel.cancelled()) return;
-    const auto existing = inflight_.find(hash);
-    if (existing != inflight_.end()) {
-      // Someone is already computing (or probing) this exact cell: subscribe.
-      existing->second->subscribers.emplace_back(run, index);
-      ++run->subscriptions;
+    if (payload.has_value()) {
+      record_payload_locked(run, index, *payload,
+                            retry ? CellOrigin::kDedup : CellOrigin::kHit);
       return;
     }
     if (run->max_jobs != 0 && run->scheduled_misses >= run->max_jobs) {
-      action = Action::kProbeBudgetExhausted;  // hits still served, misses skipped
-    } else {
-      auto entry = std::make_shared<Inflight>();
-      entry->subscribers.emplace_back(run, index);
-      inflight_[hash] = entry;
-      action = Action::kProbeOwned;
+      ++run->skipped;  // hits are still served, misses skipped
+      ++run->processed;
+      maybe_finalize_locked(run);
+      return;
     }
   }
 
-  // Phase 2 — probe the shared warm tier (disk I/O, no lock held).
-  auto payload = cache_.load(hash);
-
-  // Phase 3 — deliver the hit, skip, or submit the computation.
-  bool submit = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (action == Action::kProbeBudgetExhausted) {
-      if (payload.has_value()) {
-        record_payload_locked(run, index, *payload, CellOrigin::kHit);
-      } else {
-        ++run->skipped;
-        ++run->processed;
-        maybe_finalize_locked(run);
-      }
-    } else if (payload.has_value()) {
-      // Deliver to the owner and to everyone who subscribed while probing.
-      const auto entry = inflight_.find(hash)->second;
-      inflight_.erase(hash);
-      for (const auto& [subscriber, at] : entry->subscribers) {
-        if (subscriber != run) --subscriber->subscriptions;
-        record_payload_locked(subscriber, at, *payload, CellOrigin::kHit);
-      }
-    } else {
-      ++run->scheduled_misses;
-      ++run->inflight;
-      ++run->conn->inflight;
-      ++pending_pool_jobs_;
-      submit = true;
-    }
-  }
-  if (submit) {
-    adc::runtime::global_pool().submit(
-        [this, run, index, hash] { execute_cell(run, index, hash); });
-  }
-}
-
-void ScenarioService::execute_cell(const std::shared_ptr<RunState>& run,
-                                   std::size_t index, const std::string& hash) {
-  json::JsonValue payload;
+  // Gate the miss through the claim holder (disk I/O, no lock held). A
+  // failing claim fails this request only.
+  std::vector<std::size_t> granted;
   std::string failure;
   try {
-    payload = adc::scenario::ScenarioRunner::execute_job(
-        adc::scenario::resolve_job(run->spec, run->plan.jobs[index]));
-    // Persist before delivery — a cancelled or crashed request leaves its
-    // finished cells behind for bit-identical resume.
-    cache_.store(hash, payload);
-  } catch (const std::exception& e) {
-    failure = e.what();
-    if (failure.empty()) failure = "unknown execution failure";
+    granted = holder_->gate(std::span(&hash, 1));
+  } catch (...) {
+    failure = current_failure();
   }
-
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto entry = inflight_.find(hash)->second;
-    inflight_.erase(hash);
-    for (const auto& [subscriber, at] : entry->subscribers) {
-      const bool owner = subscriber == run && at == index;
-      if (owner) {
-        --run->inflight;
-        --run->conn->inflight;
-      } else {
-        --subscriber->subscriptions;
-      }
-      if (!failure.empty()) {
-        fail_request_locked(subscriber, failure);
-      } else {
-        record_payload_locked(subscriber, at, payload,
-                              owner ? CellOrigin::kMiss : CellOrigin::kDedup);
-      }
+    if (!failure.empty()) {
+      fail_request_locked(run, failure);
+      return;
     }
+    if (granted.empty()) {
+      run->parked.push_back(index);
+      return;
+    }
+    ++run->scheduled_misses;
+    ++run->inflight;
+    ++run->conn->inflight;
+    ++pending_pool_jobs_;
+  }
+  adc::runtime::global_pool().submit([this, run, index] {
+    json::JsonValue computed;
+    std::string error;
+    try {
+      // Stored before the claim is released and before delivery — a
+      // cancelled or crashed request leaves its finished cells behind for
+      // bit-identical resume.
+      computed = std::move(
+          adc::scenario::execute_unit(run->spec, run->plan, std::span(&index, 1), &cache_)
+              .front());
+    } catch (...) {
+      error = current_failure();
+    }
+    try {
+      holder_->release(std::span(&run->plan.hashes[index], 1));
+    } catch (...) {
+      if (error.empty()) error = current_failure();
+    }
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    --run->inflight;
+    --run->conn->inflight;
+    if (error.empty()) {
+      record_payload_locked(run, index, computed, CellOrigin::kMiss);
+    } else {
+      fail_request_locked(run, error);
+    }
+    // Parked duplicates retry on their own: a hit now, or a claim of their
+    // own after a failure.
+    retry_parked_ = true;
     --pending_pool_jobs_;
     // Notify *inside* the critical section: pool workers are not joined by
     // stop() (only drained via pending_pool_jobs_), so a notify after the
@@ -537,7 +550,7 @@ void ScenarioService::execute_cell(const std::shared_ptr<RunState>& run,
     // the notify has happened.
     drain_cv_.notify_all();
     work_cv_.notify_all();
-  }
+  });
 }
 
 void ScenarioService::record_payload_locked(const std::shared_ptr<RunState>& run,
@@ -575,8 +588,9 @@ void ScenarioService::record_payload_locked(const std::shared_ptr<RunState>& run
 
 void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run) {
   if (run->finished) return;
-  const bool drained = run->inflight == 0 && run->subscriptions == 0;
-  if (!drained) return;
+  // Parked cells do not hold a request open: they are not computing here,
+  // and a complete request has none left.
+  if (run->inflight != 0) return;
 
   const bool cancelled = run->cancel.cancelled();
   const bool complete = run->processed == run->plan.jobs.size();

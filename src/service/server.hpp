@@ -22,13 +22,20 @@
 ///   * **The shared warm tier**: every cell probes the content-addressed
 ///     ResultCache first. A hit is streamed directly from the scheduler
 ///     thread — a fully cached request completes with *zero* pool
-///     submissions (the property CI asserts). Misses are computed on the
-///     process-wide work-stealing pool (runtime::global_pool) and persisted
-///     before delivery, so an interrupted request resumes bit-identically.
-///   * **Single-flight dedup**: concurrent identical cells (same content
-///     hash, any tenant) are computed exactly once; later requesters
-///     subscribe to the in-flight computation and receive the payload as a
-///     `dedup` cell. Fleet-wide, N identical requests cost one computation.
+///     submissions (the property CI asserts).
+///   * **One executor, one exactly-once**: a miss goes through the claim
+///     gate of scenario/claims.hpp (`ClaimHolder::gate`, the one the fleet
+///     worker uses) on the scheduler thread. A granted cell is computed on
+///     the process-wide work-stealing pool (runtime::global_pool) by
+///     scenario::execute_unit for that one job, stored, and only then
+///     released and delivered, so an interrupted request resumes
+///     bit-identically. A declined cell — identical to one this service is
+///     computing, or claimed by another process on the same cache root (an
+///     `adc_fleet` worker, another daemon) — is *parked*. Parked cells are
+///     retried when one of this service's units stores and at every
+///     `kPollMs` tick; one that then hits is streamed as `dedup`. N
+///     identical requests, in one daemon or across a daemon and a fleet,
+///     cost one computation.
 ///   * **Cancellation**: every request carries a runtime::CancellationToken
 ///     that fires on an explicit `cancel` message or on client disconnect.
 ///     Cancelling stops *scheduling*; already-running cells complete and
@@ -51,7 +58,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,6 +68,7 @@
 #include <condition_variable>
 
 #include "scenario/cache.hpp"
+#include "scenario/claims.hpp"
 #include "service/protocol.hpp"
 #include "service/socket.hpp"
 
@@ -74,7 +81,7 @@ struct ServiceOptions {
   /// Cache root ("" = ADC_SCENARIO_CACHE_DIR, else ".adc-cache").
   std::string cache_dir;
   /// Maximum concurrently *computing* cells per connection. Cache hits and
-  /// dedup subscriptions are not counted — they cost no pool time.
+  /// parked cells are not counted — they cost no pool time.
   std::size_t max_inflight_per_connection = 4;
   /// Maximum simultaneously active run requests per connection.
   std::size_t max_requests_per_connection = 8;
@@ -88,7 +95,8 @@ struct ServiceCounters {
   std::uint64_t requests_cancelled = 0;
   std::uint64_t requests_failed = 0;
   std::uint64_t cells_hit = 0;      ///< served from the on-disk cache
-  std::uint64_t cells_deduped = 0;  ///< shared from a concurrent computation
+  std::uint64_t cells_deduped = 0;  ///< parked, then served by a computation
+                                    ///< in flight when it was scheduled
   std::uint64_t cells_computed = 0; ///< computed on the pool by this service
 };
 
@@ -123,7 +131,6 @@ class ScenarioService {
  private:
   struct Connection;
   struct RunState;
-  struct Inflight;
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
@@ -140,15 +147,15 @@ class ScenarioService {
   void handle_shutdown(const std::shared_ptr<Connection>& conn);
   void on_disconnect(const std::shared_ptr<Connection>& conn);
 
-  /// Pick the next (request, job index) in round-robin order; false when
-  /// nothing is schedulable right now. Caller holds mutex_.
-  bool pick_next_locked(std::shared_ptr<RunState>& run, std::size_t& index);
-  /// Probe the cache / dedup registry for one cell and either stream the
-  /// hit, subscribe, skip (budget), or submit a pool job.
-  void dispatch_cell(const std::shared_ptr<RunState>& run, std::size_t index);
-  /// Pool-worker body: compute, persist, deliver to every subscriber.
-  void execute_cell(const std::shared_ptr<RunState>& run, std::size_t index,
-                    const std::string& hash);
+  /// Pick the next (request, job index) in round-robin order — a due
+  /// parked cell of a request before its next unscheduled one, with `retry`
+  /// set — or false when nothing is schedulable right now. Caller holds
+  /// mutex_.
+  bool pick_next_locked(std::shared_ptr<RunState>& run, std::size_t& index, bool& retry);
+  /// Probe the cache for one cell and stream the hit (`dedup` on a retry),
+  /// skip it (budget), park it (the claim gate declined), or submit
+  /// scenario::execute_unit for it to the pool.
+  void dispatch_cell(const std::shared_ptr<RunState>& run, std::size_t index, bool retry);
 
   void record_payload_locked(const std::shared_ptr<RunState>& run, std::size_t index,
                              const adc::common::json::JsonValue& payload,
@@ -183,9 +190,11 @@ class ScenarioService {
   std::vector<std::shared_ptr<Connection>> connections_;
   std::vector<std::shared_ptr<RunState>> active_;
   std::size_t rr_cursor_ = 0;
-  /// Single-flight registry: content hash → in-flight computation.
-  std::map<std::string, std::shared_ptr<Inflight>> inflight_;
-  std::size_t pending_pool_jobs_ = 0;
+  /// This service's claims on its cache root (start() to stop()).
+  std::unique_ptr<adc::scenario::ClaimHolder> holder_;
+  /// Set when one of this service's cells stored: parked cells are due.
+  bool retry_parked_ = false;
+  std::size_t pending_pool_jobs_ = 0;  ///< cells this service is computing
   ServiceCounters counters_;
   std::uint64_t next_connection_id_ = 1;
   std::uint64_t next_run_seq_ = 1;

@@ -7,7 +7,7 @@
 /// NOTE: CrashResume MUST be the first test in this binary. It forks a real
 /// worker process, and fork() is only safe before this process has spawned
 /// any threads (the global pool is created lazily by the first execute
-/// phase, the heartbeat thread by the first ClaimGuard). gtest runs tests
+/// phase, the heartbeat thread by the first ClaimHolder). gtest runs tests
 /// in declaration order within a file, so keep it at the top.
 #include <gtest/gtest.h>
 #include <signal.h>

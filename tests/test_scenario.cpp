@@ -29,7 +29,9 @@
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
 #include "common/json.hpp"
+#include "runtime/heartbeat.hpp"
 #include "scenario/cache.hpp"
+#include "scenario/claims.hpp"
 #include "scenario/hash.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -1281,6 +1283,45 @@ TEST_F(ScenarioTest, PartialUnitClaimReleasesCleanly) {
     EXPECT_EQ(fs::exists(claim_file(cache, hashes[i])), i == 1) << i;
   }
   EXPECT_EQ(cache.read_claim(hashes[1])->owner, "other");
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.claim_files, 1u);
+  EXPECT_EQ(stats.tmp_files, 0u);
+}
+
+TEST_F(ScenarioTest, ClaimHolderGateDeclinesHeldStoredAndBusyJobsAndLinksTheRest) {
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  const auto hashes = synthetic_hashes(6, 0x601d);
+  // hashes[4] is another owner's live claim; hashes[5] is stored.
+  ASSERT_EQ(cache.try_claim(hashes[4], "other", adc::runtime::wall_clock_ms(), kClaimLeaseMs),
+            ClaimOutcome::kAcquired);
+  auto payload = json::JsonValue::object();
+  payload.set("x", 1.0);
+  cache.store(hashes[5], payload);
+
+  {
+    ClaimHolder holder(cache, "holder");
+    EXPECT_EQ(holder.gate(std::span(hashes.data(), 1)), std::vector<std::size_t>{0});
+    // Held in memory: declined although the claim on disk is re-entrant.
+    EXPECT_TRUE(holder.gate(std::span(hashes.data(), 1)).empty());
+    // The free jobs are granted, the busy and the stored ones declined.
+    EXPECT_EQ(holder.gate(std::span(hashes.data() + 1, 5)), (std::vector<std::size_t>{0, 1, 2}));
+    // The later claims are links to the first claim file: no new inode.
+    const struct stat first = stat_of(claim_file(cache, hashes[0]));
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_EQ(stat_of(claim_file(cache, hashes[i])).st_ino, first.st_ino) << i;
+      EXPECT_EQ(cache.read_claim(hashes[i])->owner, "holder") << i;
+    }
+    EXPECT_EQ(cache.read_claim(hashes[4])->owner, "other");
+    EXPECT_FALSE(fs::exists(claim_file(cache, hashes[5])));
+
+    // A released job can be granted again.
+    holder.release(std::span(hashes.data(), 1));
+    EXPECT_FALSE(fs::exists(claim_file(cache, hashes[0])));
+    EXPECT_EQ(holder.gate(std::span(hashes.data(), 1)), std::vector<std::size_t>{0});
+  }
+  // The holder releases what it still holds when it goes; the other owner's
+  // claim stays.
   const auto stats = cache.stats();
   EXPECT_EQ(stats.claim_files, 1u);
   EXPECT_EQ(stats.tmp_files, 0u);

@@ -1,14 +1,17 @@
 /// Tests for the scenario service (src/service/): wire-protocol parsing,
 /// socket line framing, streamed-report/batch-report byte identity, the
-/// shared warm tier (zero pool submissions on a warm run), single-flight
-/// dedup across concurrent tenants, cancellation via message and via
-/// disconnect (with bit-identical resume from the surviving cache entries),
-/// admission control, and error paths.
+/// shared warm tier (zero pool submissions on a warm run), claim-based
+/// dedup across concurrent tenants and across processes (a claim planted by
+/// another owner), cancellation via message and via disconnect (with
+/// bit-identical resume from the surviving cache entries), admission
+/// control, and error paths — none of which may leave claim or temporary
+/// files behind.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -20,7 +23,10 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "runtime/heartbeat.hpp"
 #include "runtime/parallel.hpp"
+#include "scenario/cache.hpp"
+#include "scenario/claims.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "service/protocol.hpp"
@@ -157,6 +163,13 @@ class ServiceTest : public ::testing::Test {
 
   [[nodiscard]] std::string path(const std::string& leaf) const {
     return (dir_ / leaf).string();
+  }
+
+  /// The service's cache root holds no claim and no store temporary.
+  void expect_no_litter() const {
+    const auto stats = adc::scenario::ResultCache(path("cache")).stats();
+    EXPECT_EQ(stats.claim_files, 0u);
+    EXPECT_EQ(stats.tmp_files, 0u);
   }
 
   fs::path dir_;
@@ -314,6 +327,7 @@ TEST_F(ServiceTest, StreamedReportMatchesBatchByteForByte) {
 
   const auto reference = batch_report(kSmallSpec, path("batch_cache"));
   EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+  expect_no_litter();
 }
 
 TEST_F(ServiceTest, WarmRunServedEntirelyFromCacheWithZeroSubmissions) {
@@ -426,6 +440,7 @@ TEST_F(ServiceTest, CancelMessageStopsSchedulingAndResumesBitIdentically) {
   EXPECT_EQ(summary.find("jobs")->as_uint64(), 4u);
   const auto reference = batch_report(kSlowSpec, path("batch_cache"));
   EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+  expect_no_litter();
 }
 
 TEST_F(ServiceTest, DisconnectCancelsInflightWithoutPoisoningTheCache) {
@@ -448,6 +463,107 @@ TEST_F(ServiceTest, DisconnectCancelsInflightWithoutPoisoningTheCache) {
   const auto summary = survivor.await("summary");
   const auto reference = batch_report(kSlowSpec, path("batch_cache"));
   EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+  expect_no_litter();
+}
+
+TEST_F(ServiceTest, LiveForeignClaimParksItsCellUntilTheOwnerStores) {
+  // Another process (an adc_fleet worker, another daemon) holds a live claim
+  // on the first job of the spec.
+  const auto spec = adc::scenario::parse_spec_text(kSmallSpec);
+  const auto plan = adc::scenario::plan_scenario(spec);
+  const std::string& hash = plan.hashes[0];
+  adc::scenario::ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  ASSERT_EQ(cache.try_claim(hash, "foreign", adc::runtime::wall_clock_ms(),
+                            adc::scenario::kClaimLeaseMs),
+            adc::scenario::ClaimOutcome::kAcquired);
+
+  auto& service = start_service();
+  TestClient client(service.socket_path());
+  client.send(run_request(kSmallSpec, "r1"));
+  (void)client.await("accepted");
+  // The other three cells are computed here; the claimed one waits.
+  std::vector<json::JsonValue> cells;
+  for (int i = 0; i < 3; ++i) {
+    cells.push_back(client.await("cell"));
+    EXPECT_NE(cells.back().find("index")->as_uint64(), 0u);
+    EXPECT_EQ(cells.back().find("origin")->as_string(), "miss");
+  }
+
+  // The foreign owner finishes its job: store, then release.
+  cache.store(hash, adc::scenario::ScenarioRunner::execute_job(
+                        adc::scenario::resolve_job(spec, plan.jobs[0])));
+  cache.release_claim(hash, "foreign");
+
+  const auto summary = client.await("summary", &cells);
+  ASSERT_EQ(cells.size(), 4u);
+  EXPECT_EQ(cells.back().find("index")->as_uint64(), 0u);
+  EXPECT_EQ(cells.back().find("origin")->as_string(), "dedup");
+  EXPECT_EQ(summary.find("computed")->as_uint64(), 3u);
+  EXPECT_EQ(summary.find("deduped")->as_uint64(), 1u);
+  EXPECT_EQ(summary.find("cache_hits")->as_uint64(), 0u);
+  const auto reference = batch_report(kSmallSpec, path("batch_cache"));
+  EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+  expect_no_litter();
+}
+
+TEST_F(ServiceTest, StaleForeignClaimIsStolenAndComputed) {
+  // A crashed owner's claim: its heartbeat is far older than the lease.
+  const auto plan = adc::scenario::plan_scenario(adc::scenario::parse_spec_text(kSmallSpec));
+  adc::scenario::ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  ASSERT_EQ(cache.try_claim(plan.hashes[0], "crashed", 1000, adc::scenario::kClaimLeaseMs),
+            adc::scenario::ClaimOutcome::kAcquired);
+
+  auto& service = start_service();
+  TestClient client(service.socket_path());
+  client.send(run_request(kSmallSpec, "r1"));
+  const auto summary = client.await("summary");
+  EXPECT_EQ(summary.find("computed")->as_uint64(), 4u);
+  EXPECT_EQ(summary.find("deduped")->as_uint64(), 0u);
+  const auto reference = batch_report(kSmallSpec, path("batch_cache"));
+  EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+  expect_no_litter();
+}
+
+TEST_F(ServiceTest, FailedClaimFailsOnlyItsOwnRequest) {
+  // A regular file where one job's fan-out directory belongs: that job can
+  // be neither claimed nor stored. Pick a job whose directory no job of the
+  // follow-up spec needs.
+  const auto doomed = adc::scenario::plan_scenario(adc::scenario::parse_spec_text(kSmallSpec));
+  const auto next = adc::scenario::plan_scenario(adc::scenario::parse_spec_text(kSlowSpec));
+  std::string blocked;
+  for (const auto& hash : doomed.hashes) {
+    const std::string dir = hash.substr(0, 2);
+    const bool shared = std::any_of(next.hashes.begin(), next.hashes.end(), [&](const auto& h) {
+      return h.substr(0, 2) == dir;
+    });
+    if (!shared) {
+      blocked = dir;
+      break;
+    }
+  }
+  ASSERT_FALSE(blocked.empty());
+  fs::create_directories(path("cache"));
+  std::ofstream(path("cache") + "/" + blocked) << "not a directory";
+
+  auto& service = start_service();
+  TestClient client(service.socket_path());
+  client.send(run_request(kSmallSpec, "doomed"));
+  const auto error = client.await("error");
+  EXPECT_EQ(error.find("code")->as_string(), error_code::kExecutionFailed);
+  EXPECT_EQ(error.find("id")->as_string(), "doomed");
+
+  // The scheduler survived: the next request completes (and `await` fails on
+  // any further error event).
+  client.send(run_request(kSlowSpec, "next"));
+  const auto summary = client.await("summary");
+  EXPECT_EQ(summary.find("id")->as_string(), "next");
+  const auto reference = batch_report(kSlowSpec, path("batch_cache"));
+  EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+  EXPECT_EQ(service.counters().requests_failed, 1u);
+  EXPECT_EQ(service.counters().requests_completed, 1u);
+  expect_no_litter();
 }
 
 TEST_F(ServiceTest, MaxJobsBudgetSkipsExcessMisses) {

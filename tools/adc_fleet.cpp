@@ -36,6 +36,7 @@
 #include "fleet/merge.hpp"
 #include "fleet/plan.hpp"
 #include "fleet/worker.hpp"
+#include "scenario/claims.hpp"
 #include "scenario/spec.hpp"
 
 namespace {
@@ -53,7 +54,7 @@ void print_usage() {
       "  --cache-dir D     shared cache root (default: ADC_SCENARIO_CACHE_DIR\n"
       "                    or .adc-cache)\n"
       "  --report-dir D    run/merge: write <name>_report.{json,csv} into D\n"
-      "  --lease-ms N      claim lease; staler claims are stolen (default 10000)\n"
+      "  --lease-ms N      claim lease; staler claims are stolen (default %llu)\n"
       "  --poll-ms N       sleep between probes while blocked (default 50)\n"
       "  --threads N       worker threads per process (default: runtime)\n"
       "  --max-jobs N      worker computes at most N jobs (budget)\n"
@@ -61,7 +62,8 @@ void print_usage() {
       "  --owner ID        claim owner id (default <host>:<pid>)\n"
       "  --min-hit-rate F  run/merge: fail when any worker's warm-hit\n"
       "                    fraction is below F (resume health gate)\n"
-      "  --quiet           worker: no per-round progress lines\n");
+      "  --quiet           worker: no per-round progress lines\n",
+      static_cast<unsigned long long>(adc::scenario::kClaimLeaseMs));
 }
 
 struct CliError {
@@ -89,7 +91,7 @@ struct FleetCli {
   unsigned shards = 0;
   bool shard_given = false;
   std::string owner;
-  std::uint64_t lease_ms = 10000;
+  std::uint64_t lease_ms = adc::scenario::kClaimLeaseMs;
   std::uint64_t poll_ms = 50;
   unsigned threads = 0;
   std::size_t max_jobs = 0;

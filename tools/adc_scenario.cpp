@@ -17,7 +17,6 @@
 ///
 /// Exit status: 0 on success, 1 on any validation/run failure (including an
 /// unmet --min-hit-rate), 2 on usage errors.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -27,7 +26,9 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "runtime/heartbeat.hpp"
 #include "scenario/cache.hpp"
+#include "scenario/claims.hpp"
 #include "scenario/hash.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -55,7 +56,7 @@ void print_usage() {
       "  cache stats|clear [--cache-dir D]\n"
       "      --format=text|json   stats output format (default text)\n"
       "      --stale              clear: remove only orphaned .tmp files and\n"
-      "                           claims staler than --lease-ms (default 10000)\n"
+      "                           claims staler than --lease-ms (default %llu)\n"
       "  client submit <spec.json> --socket S\n"
       "      --report-dir D       write <name>_report.{json,csv} into D\n"
       "      --max-jobs N         server computes at most N cache misses\n"
@@ -64,7 +65,8 @@ void print_usage() {
       "      --id ID              request id (default: the scenario name)\n"
       "      --print-events       echo every raw server event line\n"
       "  client status --socket S    print the server status document\n"
-      "  client shutdown --socket S  ask the server to stop\n");
+      "  client shutdown --socket S  ask the server to stop\n",
+      static_cast<unsigned long long>(kClaimLeaseMs));
 }
 
 struct CliError {
@@ -194,7 +196,7 @@ int cache_command(const std::vector<std::string>& args) {
   std::string root;
   std::string format = "text";
   bool stale_only = false;
-  std::uint64_t lease_ms = 10000;
+  std::uint64_t lease_ms = kClaimLeaseMs;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--cache-dir") {
       std::size_t j = i;
@@ -240,11 +242,7 @@ int cache_command(const std::vector<std::string>& args) {
   }
   if (args[0] == "clear") {
     if (stale_only) {
-      const auto now = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count());
-      const auto sweep = cache.clear_stale(now, lease_ms);
+      const auto sweep = cache.clear_stale(adc::runtime::wall_clock_ms(), lease_ms);
       std::printf("removed %llu orphaned tmp files and %llu stale claims from %s\n",
                   static_cast<unsigned long long>(sweep.tmp_removed),
                   static_cast<unsigned long long>(sweep.claims_removed),
