@@ -114,19 +114,30 @@ std::vector<std::size_t> ClaimHolder::claim(std::span<const std::string> reserve
         }
       }
     }
-    // The rest in one call: fresh names with no young source, names others
-    // hold, and our own leftovers.
-    std::vector<std::string> names;
-    names.reserve(rest.size());
-    for (const std::size_t k : rest) names.push_back(reserved[k]);
+    // A name another owner holds live is declined on a read, so a cell
+    // parked behind it retries without writing a claim file. The rest go
+    // in one call: fresh names with no young source, stale or corrupt
+    // claims, and our own leftovers.
     const std::uint64_t now = runtime::wall_clock_ms();
+    std::vector<std::size_t> open;
+    std::vector<std::string> names;
+    for (const std::size_t k : rest) {
+      const auto existing = cache_.read_claim(reserved[k]);
+      if (existing.has_value() && existing->owner != owner_ &&
+          now < existing->heartbeat_ms + lease_ms_) {
+        busy.push_back(reserved[k]);
+      } else {
+        open.push_back(k);
+        names.push_back(reserved[k]);
+      }
+    }
     const std::vector<ClaimOutcome> outcomes = cache_.try_claim(names, owner_, now, lease_ms_);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t j = 0; j < rest.size(); ++j) {
+      for (std::size_t j = 0; j < open.size(); ++j) {
         if (outcomes[j] == ClaimOutcome::kAcquired) {
           held_[names[j]] = now;
-          won.push_back(rest[j]);
+          won.push_back(open[j]);
         } else {
           busy.push_back(names[j]);
         }

@@ -13,7 +13,8 @@
 ///   2. a job already in the cache is declined (it is served, not computed);
 ///   3. the rest are claimed: each name is linked to a claim file this
 ///      holder already has on disk while one is young enough
-///      (`ResultCache::link_claim`, no new inode), and the remainder is
+///      (`ResultCache::link_claim`, no new inode); a name another owner
+///      holds within its lease is declined on a read; the remainder is
 ///      claimed in one `ResultCache::try_claim` call;
 ///   4. each job won is re-checked against the cache: a finished owner
 ///      stores before it releases, so holding the claim and still missing
