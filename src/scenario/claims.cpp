@@ -119,7 +119,7 @@ std::vector<std::size_t> ClaimHolder::claim(std::span<const std::string> reserve
     // in one call: fresh names with no young source, stale or corrupt
     // claims, and our own leftovers.
     const std::uint64_t now = runtime::wall_clock_ms();
-    std::vector<std::size_t> open;
+    std::vector<std::size_t> tried;
     std::vector<std::string> names;
     for (const std::size_t k : rest) {
       const auto existing = cache_.read_claim(reserved[k]);
@@ -127,17 +127,17 @@ std::vector<std::size_t> ClaimHolder::claim(std::span<const std::string> reserve
           now < existing->heartbeat_ms + lease_ms_) {
         busy.push_back(reserved[k]);
       } else {
-        open.push_back(k);
+        tried.push_back(k);
         names.push_back(reserved[k]);
       }
     }
     const std::vector<ClaimOutcome> outcomes = cache_.try_claim(names, owner_, now, lease_ms_);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t j = 0; j < open.size(); ++j) {
+      for (std::size_t j = 0; j < tried.size(); ++j) {
         if (outcomes[j] == ClaimOutcome::kAcquired) {
           held_[names[j]] = now;
-          won.push_back(open[j]);
+          won.push_back(tried[j]);
         } else {
           busy.push_back(names[j]);
         }
