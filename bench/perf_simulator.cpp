@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -348,7 +349,7 @@ BENCHMARK(BM_MonteCarloSndr)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 // End-to-end yield-style workload under the fast profile: 16 dies, full
 // dynamic test (capture + FFT + metrics) per die. The scalar variant runs
 // the per-die loop; the Batch variant is the same workload through
-// run_monte_carlo_dynamic and the batch conversion engine. Single-threaded
+// run_dynamic_test_block and the batch conversion engine. Single-threaded
 // on purpose so the pair isolates the engine, not the pool; items = dies x
 // record samples, directly comparable across the pair.
 void BM_MonteCarloFastSndr(benchmark::State& state) {
@@ -376,17 +377,18 @@ void BM_MonteCarloFastSndrBatch(benchmark::State& state) {
   config.fidelity = adc::common::FidelityProfile::kFast;
   adc::testbench::DynamicTestOptions test;
   test.record_length = 1 << 11;
-  adc::testbench::MonteCarloOptions mc;
-  mc.num_dies = 16;
-  mc.first_seed = 42;
-  mc.threads = 1;
-  const auto metric = [](const adc::testbench::DynamicTestResult& r) {
-    return r.metrics.sndr_db;
-  };
+  std::vector<adc::testbench::DieTest> dies(
+      16, {config, test.target_fin_hz, test.amplitude_fraction});
+  for (std::size_t d = 0; d < dies.size(); ++d) dies[d].config.seed = 42 + d;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(adc::testbench::run_monte_carlo_dynamic(config, test, metric, mc));
+    const auto results = adc::testbench::run_dynamic_test_block(dies, test);
+    std::vector<double> sndr;
+    sndr.reserve(results.size());
+    for (const auto& r : results) sndr.push_back(r.metrics.sndr_db);
+    benchmark::DoNotOptimize(std::accumulate(sndr.begin(), sndr.end(), 0.0));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * mc.num_dies *
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dies.size()) *
                           static_cast<std::int64_t>(test.record_length));
 }
 BENCHMARK(BM_MonteCarloFastSndrBatch)->Unit(benchmark::kMillisecond);

@@ -75,8 +75,8 @@ inline constexpr std::size_t kMaxBatchStages = 16;
 /// holds it (pad lanes do real work whose codes are discarded), so a group
 /// of g dies costs about one 8-lane capture — ~2-3x a *single* die through
 /// PipelineAdc (the same chain at one lane). Measured on the dev box the
-/// crossover sits between 3 and 4 dies; callers below this convert die by
-/// die through PipelineAdc.
+/// crossover sits between 3 and 4 dies; testbench::run_dynamic_test_block
+/// converts shorter runs die by die through PipelineAdc.
 inline constexpr std::size_t kMinBatchDies = 4;
 
 /// Everything the kernel reads and never writes. Each per-sample step is a
@@ -126,8 +126,7 @@ struct StateView {
 /// width; `chain_capture` is the same pass with the noise fill left out,
 /// every chunk re-reading the rows `state.plane` already holds (a layer
 /// benchmark: its codes are not a conversion's). `normal_fill`,
-/// `normal_rows`, `comparator_lanes`, `exp_span` and `sincos_span` are the
-/// SoA math ports, exported so tests can pin cross-tier bit-identity
+/// `normal_rows`, `comparator_lanes` and `exp_span` are the SoA math ports, exported so tests can pin cross-tier bit-identity
 /// directly: `normal_rows` is tile::philox_normal_rows at W = `lanes`
 /// (1, 8, 16 or 32); `comparator_lanes` runs fast_chain::certain and
 /// fast_chain::decide on `n` comparators (a multiple of `lanes`), `lanes`
@@ -145,8 +144,7 @@ struct StateView {
   void comparator_lanes(std::size_t lanes, const double* v, const double* threshold,           \
                         const double* offset, const double* noise, const double* meta,         \
                         const double* draw, int* certain, int* decision, std::size_t n);       \
-  void exp_span(const double* x, double* out, std::size_t n);                                  \
-  void sincos_span(const double* x, double* sin_out, double* cos_out, std::size_t n);
+  void exp_span(const double* x, double* out, std::size_t n);
 namespace sse2 {
 ADC_BATCH_KERNEL_ENTRY_POINTS
 }  // namespace sse2
@@ -172,7 +170,6 @@ struct KernelOps {
                            const double*, const double*, const double*, int*, int*,
                            std::size_t) = nullptr;
   void (*exp_span)(const double*, double*, std::size_t) = nullptr;
-  void (*sincos_span)(const double*, double*, double*, std::size_t) = nullptr;
 };
 
 /// Kernel table for `isa`. The caller is responsible for not requesting a

@@ -9,16 +9,13 @@ namespace adc::batch {
 const KernelOps& kernel_ops(adc::common::BatchIsa isa) {
   static constexpr KernelOps kSse2{&sse2::convert_capture,  &sse2::chain_capture,
                                    &sse2::normal_fill,      &sse2::normal_rows,
-                                   &sse2::comparator_lanes, &sse2::exp_span,
-                                   &sse2::sincos_span};
+                                   &sse2::comparator_lanes, &sse2::exp_span};
   static constexpr KernelOps kAvx2{&avx2::convert_capture,  &avx2::chain_capture,
                                    &avx2::normal_fill,      &avx2::normal_rows,
-                                   &avx2::comparator_lanes, &avx2::exp_span,
-                                   &avx2::sincos_span};
+                                   &avx2::comparator_lanes, &avx2::exp_span};
   static constexpr KernelOps kAvx512{&avx512::convert_capture,  &avx512::chain_capture,
                                      &avx512::normal_fill,      &avx512::normal_rows,
-                                     &avx512::comparator_lanes, &avx512::exp_span,
-                                     &avx512::sincos_span};
+                                     &avx512::comparator_lanes, &avx512::exp_span};
   switch (isa) {
     case adc::common::BatchIsa::kAvx512:
       return kAvx512;

@@ -193,9 +193,5 @@ void exp_span(const double* x, double* out, std::size_t n) {
   adc::common::spanmath::exp_span(x, out, n);
 }
 
-void sincos_span(const double* x, double* sin_out, double* cos_out, std::size_t n) {
-  adc::common::spanmath::sincos_span(x, sin_out, cos_out, n);
-}
-
 }  // namespace ADC_BATCH_ISA_NS
 }  // namespace adc::batch

@@ -54,18 +54,6 @@ namespace fc = adc::pipeline::fast_chain;
          same_series(a.sampler.tau, b.sampler.tau) && same_series(a.sampler.inj, b.sampler.inj);
 }
 
-/// True when `die` may share a block with `ref`: the configurations agree
-/// on everything but the seed and the conversion rate (with the clock
-/// frequency, which normalization slaves to the rate).
-[[nodiscard]] bool same_block_config(const adc::pipeline::AdcConfig& die,
-                                     const adc::pipeline::AdcConfig& ref) {
-  adc::pipeline::AdcConfig aligned = die;
-  aligned.seed = ref.seed;
-  aligned.conversion_rate = ref.conversion_rate;
-  aligned.clock.frequency_hz = ref.clock.frequency_hz;
-  return aligned == ref;
-}
-
 /// One configuration per seed: `base` with its seed overridden.
 std::vector<adc::pipeline::AdcConfig> per_seed(const adc::pipeline::AdcConfig& base,
                                                std::span<const std::uint64_t> seeds) {
@@ -105,7 +93,7 @@ BatchConverter::BatchConverter(std::span<const adc::pipeline::AdcConfig> configs
           "1..16 stages)");
   seeds_.reserve(configs.size());
   for (const adc::pipeline::AdcConfig& cfg : configs) {
-    require(same_block_config(cfg, configs[0]),
+    require(shares_block(cfg, configs[0]),
             "BatchConverter: dies of one block may differ only in seed and conversion rate "
             "(temperature, supply, full scale and every other field must match)");
     seeds_.push_back(cfg.seed);
@@ -177,6 +165,17 @@ BatchConverter::BatchConverter(std::span<const adc::pipeline::AdcConfig> configs
 bool BatchConverter::supports_config(const adc::pipeline::AdcConfig& config) {
   return config.fidelity == adc::common::FidelityProfile::kFast && config.num_stages >= 1 &&
          config.num_stages <= static_cast<int>(kMaxBatchStages);
+}
+
+bool BatchConverter::shares_block(const adc::pipeline::AdcConfig& a,
+                                  const adc::pipeline::AdcConfig& b) {
+  if (!supports_config(a) || !supports_config(b)) return false;
+  // The clock frequency is aligned with the rate: normalization slaves it.
+  adc::pipeline::AdcConfig aligned = a;
+  aligned.seed = b.seed;
+  aligned.conversion_rate = b.conversion_rate;
+  aligned.clock.frequency_hz = b.clock.frequency_hz;
+  return aligned == b;
 }
 
 bool BatchConverter::supports_signal(const adc::dsp::Signal& signal) {

@@ -13,10 +13,10 @@
 /// `PipelineAdc::convert()` die by die under the same fast profile — the
 /// engine is a throughput optimization, never a fidelity knob.
 ///
-/// Intended callers: the Monte-Carlo testbench (one converter per die
-/// block, blocks distributed by parallel_map) and the scenario runner
-/// (consecutive fast-profile jobs that differ only in seed, conversion
-/// rate, input frequency and amplitude).
+/// Intended caller: testbench::run_dynamic_test_block, the one place that
+/// chooses between this engine and die-by-die conversion. It cuts its dies
+/// into runs whose configurations pass shares_block() with the run's first
+/// die; the scenario runner's execute units reach the engine through it.
 #pragma once
 
 #include <array>
@@ -50,13 +50,11 @@ namespace adc::batch {
 class BatchConverter {
  public:
   /// Fabricate one die per configuration, in order. Every configuration
-  /// must equal the first once its seed and conversion rate are aligned;
-  /// anything else (temperature, supply, full scale, ...) changes what the
-  /// dies share and throws adc::common::ConfigError, as does a
-  /// configuration outside the batch engine's contract (see
-  /// supports_config()). `forced_isa` pins the kernel tier — tests use it
-  /// to pin cross-tier bit-identity; production callers leave it empty and
-  /// get the ADC_BATCH_ISA-aware runtime selection.
+  /// must pass shares_block() with the first; anything else (temperature,
+  /// supply, full scale, a configuration outside supports_config(), ...)
+  /// throws adc::common::ConfigError. `forced_isa` pins the kernel tier —
+  /// tests use it to pin cross-tier bit-identity; production callers leave
+  /// it empty and get the ADC_BATCH_ISA-aware runtime selection.
   explicit BatchConverter(std::span<const adc::pipeline::AdcConfig> configs,
                           std::optional<adc::common::BatchIsa> forced_isa = std::nullopt);
 
@@ -68,6 +66,15 @@ class BatchConverter {
   /// True when the batch engine can take this configuration: fast fidelity
   /// profile and a stage count within the kernel's compile-time ceiling.
   [[nodiscard]] static bool supports_config(const adc::pipeline::AdcConfig& config);
+
+  /// True when dies fabricated from `a` and `b` may share one die block:
+  /// both pass supports_config() and they agree on every field but the
+  /// seed and the conversion rate (with the clock frequency that
+  /// normalization derives from it). Symmetric. The one block-sharing rule:
+  /// the constructor checks it, and callers grouping dies for the engine use
+  /// it instead of restating which fields may differ.
+  [[nodiscard]] static bool shares_block(const adc::pipeline::AdcConfig& a,
+                                         const adc::pipeline::AdcConfig& b);
 
   /// True when the stimulus is a tone table (SineSignal or
   /// MultiToneSignal; PipelineAdc converts everything else die by die).

@@ -20,7 +20,7 @@
 ///   | `log1p_fast`   | x > -1 (normal 1+x)         | ~2 ulp             |
 ///   | `sqrt_fast`    | +0 and positive normals     | ~1 ulp             |
 ///   | `pow_fast`     | x > 0, |y·log x| ≤ 700      | ~1e-14 relative    |
-///   | `sin/cos_fast` | |x| ≤ ~1e6 rad              | ~2 ulp             |
+///   | `sincos_fast`  | |x| ≤ ~1e6 rad              | ~2 ulp             |
 ///
 /// "2 ulp-class" is the design target, not a proof: the polynomials are
 /// truncated Taylor / near-minimax expansions whose truncation error is
@@ -258,20 +258,6 @@ ADC_ALWAYS_INLINE inline void sincos_fast(double x, double& sin_out, double& cos
   cos_out = __builtin_bit_cast(double, cmag ^ (((quadrant + 1u) & 2u) << 62));
 }
 
-ADC_ALWAYS_INLINE inline double sin_fast(double x) {
-  double s = 0.0;
-  double c = 0.0;
-  sincos_fast(x, s, c);
-  return s;
-}
-
-ADC_ALWAYS_INLINE inline double cos_fast(double x) {
-  double s = 0.0;
-  double c = 0.0;
-  sincos_fast(x, s, c);
-  return c;
-}
-
 /// A Chebyshev series as plain data (adc::common::Chebyshev::view()): the
 /// argument maps to y = (x - mid)·inv_half on [-1, 1].
 struct ChebyshevView {
@@ -328,15 +314,6 @@ inline double exp_p(double x) {
 }
 
 template <FidelityProfile P>
-inline double log_p(double x) {
-  if constexpr (P == FidelityProfile::kFast) {
-    return fastmath::log_fast(x);
-  } else {
-    return std::log(x);
-  }
-}
-
-template <FidelityProfile P>
 inline double log1p_p(double x) {
   if constexpr (P == FidelityProfile::kFast) {
     return fastmath::log1p_fast(x);
@@ -351,34 +328,6 @@ inline double pow_p(double x, double y) {
     return fastmath::pow_fast(x, y);
   } else {
     return std::pow(x, y);
-  }
-}
-
-template <FidelityProfile P>
-inline double sin_p(double x) {
-  if constexpr (P == FidelityProfile::kFast) {
-    return fastmath::sin_fast(x);
-  } else {
-    return std::sin(x);
-  }
-}
-
-template <FidelityProfile P>
-inline double cos_p(double x) {
-  if constexpr (P == FidelityProfile::kFast) {
-    return fastmath::cos_fast(x);
-  } else {
-    return std::cos(x);
-  }
-}
-
-template <FidelityProfile P>
-inline void sincos_p(double x, double& sin_out, double& cos_out) {
-  if constexpr (P == FidelityProfile::kFast) {
-    fastmath::sincos_fast(x, sin_out, cos_out);
-  } else {
-    sin_out = std::sin(x);
-    cos_out = std::cos(x);
   }
 }
 

@@ -67,17 +67,4 @@ ADC_ALWAYS_INLINE inline void exp_span(const double* x, double* out, std::size_t
   }
 }
 
-/// `sincos_fast(x[i], s[i], c[i])` for every i. The scalar kernel is already
-/// branch-free; this is the contiguous-array form the vectorizer wants.
-ADC_ALWAYS_INLINE inline void sincos_span(const double* x, double* sin_out, double* cos_out,
-                                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    double c = 0.0;
-    fastmath::sincos_fast(x[i], s, c);
-    sin_out[i] = s;
-    cos_out[i] = c;
-  }
-}
-
 }  // namespace adc::common::spanmath

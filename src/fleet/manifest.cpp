@@ -88,28 +88,36 @@ std::string manifest_dir_for_cache(const std::string& cache_root) {
   return cache_root + "/fleet";
 }
 
-std::string write_manifest(const ShardManifest& m, const std::string& dir) {
+std::string write_document(const json::JsonValue& doc, const std::string& dir,
+                           const std::string& filename) {
   std::error_code ec;
   fs::create_directories(dir, ec);
-  adc::common::require(!ec, "fleet manifest: cannot create " + dir);
-  const std::string path =
-      dir + "/" + manifest_filename(m.scenario, m.shard, m.shards);
+  adc::common::require(!ec, "fleet: cannot create " + dir);
+  const std::string path = dir + "/" + filename;
+  // A temporary unique to this process and call, so concurrent writers of
+  // one path (two merges of one spec) never share or rename away each
+  // other's temporary; the last rename wins whole.
   static std::atomic<std::uint64_t> counter{0};
   const std::string tmp = path + ".tmp" + std::to_string(static_cast<long>(::getpid())) +
                           "_" + std::to_string(counter.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    adc::common::require(out.good(), "fleet manifest: cannot open " + tmp);
-    out << json::dump(manifest_document(m));
+    adc::common::require(out.good(), "fleet: cannot open " + tmp);
+    out << json::dump(doc);
     out.flush();
-    adc::common::require(out.good(), "fleet manifest: write failed for " + tmp);
+    adc::common::require(out.good(), "fleet: write failed for " + tmp);
   }
   fs::rename(tmp, path, ec);
   if (ec) {
     fs::remove(tmp, ec);
-    throw adc::common::MeasurementError("fleet manifest: cannot rename into " + path);
+    throw adc::common::MeasurementError("fleet: cannot rename into " + path);
   }
   return path;
+}
+
+std::string write_manifest(const ShardManifest& m, const std::string& dir) {
+  return write_document(manifest_document(m), dir,
+                        manifest_filename(m.scenario, m.shard, m.shards));
 }
 
 ShardManifest load_manifest(const std::string& dir, const std::string& scenario,

@@ -52,8 +52,15 @@ struct ShardManifest {
 /// ResultCache walks skip).
 [[nodiscard]] std::string manifest_dir_for_cache(const std::string& cache_root);
 
-/// Write `m` into `dir` (created if needed) under its canonical filename;
-/// returns the path. Atomic (write temp + rename), like cache stores.
+/// Write `doc` as `dir/filename` (`dir` created if needed); returns the
+/// path. Atomic: the bytes go to a temporary unique to this process and
+/// call, then rename into place, so concurrent writers of one path each
+/// succeed and a reader sees one whole document.
+std::string write_document(const adc::common::json::JsonValue& doc, const std::string& dir,
+                           const std::string& filename);
+
+/// Write `m` into `dir` (created if needed) under its canonical filename
+/// through write_document; returns the path.
 std::string write_manifest(const ShardManifest& m, const std::string& dir);
 
 /// Load and parse `dir`'s manifest for shard k/W of `scenario`. Throws

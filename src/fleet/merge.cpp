@@ -1,8 +1,6 @@
 #include "fleet/merge.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <vector>
 
@@ -100,28 +98,8 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
   auto shard_docs = json::JsonValue::array();
   for (const auto& m : result.manifests) shard_docs.push_back(manifest_document(m));
   doc.set("shard_manifests", std::move(shard_docs));
-  {
-    // Write <scenario>_fleet.json atomically alongside the shard manifests.
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(manifest_dir, ec);
-    adc::common::require(!ec, "fleet merge: cannot create " + manifest_dir);
-    const std::string path = manifest_dir + "/" + spec.name + "_fleet.json";
-    const std::string tmp = path + ".tmpmerge";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      adc::common::require(out.good(), "fleet merge: cannot open " + tmp);
-      out << json::dump(doc);
-      out.flush();
-      adc::common::require(out.good(), "fleet merge: write failed for " + tmp);
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-      fs::remove(tmp, ec);
-      throw adc::common::MeasurementError("fleet merge: cannot rename into " + path);
-    }
-    result.fleet_manifest_path = path;
-  }
+  // <scenario>_fleet.json, alongside the shard manifests.
+  result.fleet_manifest_path = write_document(doc, manifest_dir, spec.name + "_fleet.json");
   return result;
 }
 

@@ -1,7 +1,6 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -135,49 +134,22 @@ void write_text_file(const std::string& path, const std::string& text) {
   adc::common::require(out.good(), "ScenarioRunner: write failed for " + path);
 }
 
-/// A maximal run of consecutive candidate cache misses the execute phase
-/// computes as one pool job. Batched units hold up to adc::batch::unit_lanes
-/// jobs of one block shape (same_block_shape) and route through one
-/// BatchConverter die-block, one job per lane.
+/// A run of consecutive candidate cache misses the execute phase computes
+/// as one pool job. Single-tone units hold up to adc::batch::unit_lanes jobs
+/// whose dies share a batch block (BatchConverter::shares_block) and reach
+/// the engine through run_dynamic_test_block, one job per lane.
 struct MissUnit {
   std::size_t first = 0;  ///< position in the misses vector
   std::size_t count = 1;
 };
 
-/// True when jobs may differ along this sweep axis and still share a batch
-/// block: each lane carries its own conversion rate (clock period, settle
-/// window, recharge factor) and its own tone.
-bool lane_axis(const std::string& key) {
-  return key == "die.conversion_rate_hz" || key == "stimulus.frequency_hz" ||
-         key == "stimulus.amplitude_fraction";
-}
-
-/// True when two jobs of `spec` have one block shape: their grid points
-/// agree (bitwise — the values come from the same expansion, so
-/// representational equality is exact) on every axis but the lane axes.
-/// Their resolved jobs then differ at most in seed, conversion rate, input
-/// frequency and amplitude; profile, record length, measurement, stage and
-/// flash counts and every other die field come from the one spec.
-bool same_block_shape(const ScenarioSpec& spec, const JobPoint& a, const JobPoint& b) {
-  for (std::size_t i = 0; i < spec.sweep.size(); ++i) {
-    if (lane_axis(spec.sweep[i].key)) continue;
-    if (std::bit_cast<std::uint64_t>(a.axis_values[i]) !=
-        std::bit_cast<std::uint64_t>(b.axis_values[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// True when the spec's measurement shape is one the batch engine can take:
-/// single-tone dynamic (or yield-over-dynamic) capture under the fast
-/// fidelity profile. Per-unit feasibility (stage count etc.) is still
-/// checked against the resolved configuration via supports_config.
-bool batchable_shape(const ScenarioSpec& spec) {
+/// True when the spec measures a single tone (dynamic or yield over a tone
+/// stimulus): the measurements run_dynamic_test_block computes, batched or
+/// die by die as the dies allow.
+bool single_tone(const ScenarioSpec& spec) {
   const bool dynamic_measurement = spec.measurement.type == MeasurementSpec::Type::kDynamic ||
                                    spec.measurement.type == MeasurementSpec::Type::kYield;
-  return dynamic_measurement && spec.stimulus.type == StimulusSpec::Type::kTone &&
-         spec.die.fidelity == adc::common::FidelityProfile::kFast;
+  return dynamic_measurement && spec.stimulus.type == StimulusSpec::Type::kTone;
 }
 
 }  // namespace
@@ -321,25 +293,22 @@ std::vector<json::JsonValue> execute_unit(const ScenarioSpec& spec, const Scenar
   std::vector<json::JsonValue> out;
   if (indices.empty()) return out;
   out.reserve(indices.size());
-  const std::vector<JobPoint>& jobs = plan.jobs;
-  const ResolvedJob first = resolve_job(spec, jobs[indices.front()]);
-  const bool one_shape = std::all_of(indices.begin(), indices.end(), [&](std::size_t i) {
-    return same_block_shape(spec, jobs[i], jobs[indices.front()]);
-  });
-  if (indices.size() >= adc::batch::kMinBatchDies && batchable_shape(spec) && one_shape &&
-      adc::batch::BatchConverter::supports_config(first.config)) {
+  if (single_tone(spec)) {
+    // Every job of a spec has one record length and one set of spectrum
+    // options; each die carries its own tone request.
     std::vector<adc::testbench::DieTest> dies;
     dies.reserve(indices.size());
+    adc::testbench::DynamicTestOptions options;
     for (const std::size_t i : indices) {
-      const ResolvedJob job = resolve_job(spec, jobs[i]);
-      const adc::testbench::DynamicTestOptions tone = dynamic_options(job);
-      dies.push_back({job.config, tone.target_fin_hz, tone.amplitude_fraction});
+      const ResolvedJob job = resolve_job(spec, plan.jobs[i]);
+      options = dynamic_options(job);
+      dies.push_back({job.config, options.target_fin_hz, options.amplitude_fraction});
     }
-    const auto results = adc::testbench::run_dynamic_test_block(dies, dynamic_options(first));
+    const auto results = adc::testbench::run_dynamic_test_block(dies, options);
     for (const auto& result : results) out.push_back(dynamic_payload(result));
   } else {
     for (const std::size_t i : indices) {
-      out.push_back(ScenarioRunner::execute_job(resolve_job(spec, jobs[i])));
+      out.push_back(ScenarioRunner::execute_job(resolve_job(spec, plan.jobs[i])));
     }
   }
   // One pack per unit, stored before the caller hears of it: a claimant
@@ -380,28 +349,30 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
   }
 
   // Group the misses into execute units. For single-tone dynamic/yield
-  // sweeps under the fast profile, up to `lanes` consecutive misses of one
-  // block shape — differing only in seed, conversion rate, input frequency
-  // and amplitude — form one die-block for the batch conversion engine:
-  // the widest kernel pass that still leaves every pool worker a unit. A
-  // rate sweep therefore batches across grid points; a temperature or
-  // supply sweep still groups per grid point.
-  // Everything else — exact profile, two-tone, static, power, ramp — stays
-  // one job per unit, exactly the pre-batch behavior.
+  // sweeps, up to `lanes` consecutive misses whose dies share a batch block
+  // with the unit's first (BatchConverter::shares_block: fast profile, and
+  // differing only in seed and conversion rate; the tone is per lane) form
+  // one unit: the widest kernel pass that still leaves every pool worker a
+  // unit. A rate or input-frequency sweep therefore batches across grid
+  // points; a temperature or supply sweep, or the exact profile, does not.
+  // Grouping resolves each miss once and keeps only the unit's first
+  // configuration. Everything else (two-tone, static, power) stays one job
+  // per unit.
   std::vector<MissUnit> units;
   units.reserve(misses.size());
-  if (batchable_shape(spec)) {
+  if (single_tone(spec)) {
     const std::size_t lanes = adc::batch::unit_lanes(
         misses.size(), adc::runtime::effective_thread_count(options.threads));
-    std::size_t k = 0;
-    while (k < misses.size()) {
-      std::size_t j = k + 1;
-      while (j < misses.size() && j - k < lanes &&
-             same_block_shape(spec, jobs[misses[j]], jobs[misses[k]])) {
-        ++j;
+    adc::pipeline::AdcConfig head;
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      adc::pipeline::AdcConfig config = resolve_job(spec, jobs[misses[k]]).config;
+      if (!units.empty() && units.back().count < lanes &&
+          adc::batch::BatchConverter::shares_block(config, head)) {
+        ++units.back().count;
+      } else {
+        units.push_back({k, 1});
+        head = std::move(config);
       }
-      units.push_back({k, j - k});
-      k = j;
     }
   } else {
     for (std::size_t k = 0; k < misses.size(); ++k) units.push_back({k, 1});
@@ -531,11 +502,9 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
     execute.threads = options_.threads;
     execute.max_jobs = options_.max_jobs;
     execute.cache = options_.use_cache ? &cache : nullptr;
-    execute.hooks = options_.hooks;
     const ExecuteOutcome outcome = execute_plan(spec, plan, payloads, execute);
     result.computed = outcome.computed;
     result.skipped = outcome.skipped;
-    result.claimed_elsewhere = outcome.claimed_elsewhere;
   }
   result.pool_after = adc::runtime::global_pool().counters();
   result.cache_evictions = cache.evictions();

@@ -74,8 +74,6 @@ struct RunOptions {
   std::size_t max_jobs = 0;
   /// Probe/fill the cache (false = force recomputation, nothing stored).
   bool use_cache = true;
-  /// Fleet claim hooks (empty = compute every miss unconditionally).
-  ExecuteHooks hooks;
 };
 
 /// Outcome of one scenario run.
@@ -85,9 +83,6 @@ struct RunResult {
   std::size_t computed = 0;
   /// Jobs left uncomputed by the `max_jobs` budget.
   std::size_t skipped = 0;
-  /// Jobs left uncomputed because `hooks.acquire` declined them (another
-  /// fleet worker holds their claim).
-  std::size_t claimed_elsewhere = 0;
   /// The deterministic report document (no timings or counters, so repeat
   /// runs produce identical bytes).
   adc::common::json::JsonValue report;
@@ -137,8 +132,8 @@ struct ScenarioPlan {
 
 /// Write `<name>_report.json` and `<name>_report.csv` into `dir` (created
 /// if needed) and return the two paths. One writer shared by the batch
-/// runner and the fleet merge, so their files are byte-identical by
-/// construction.
+/// runner, the fleet merge and `adc_scenario client submit`, so their files
+/// are byte-identical by construction.
 struct ReportPaths {
   std::string json_path;
   std::string csv_path;
@@ -173,11 +168,12 @@ struct ExecuteOutcome {
 
 /// Compute the jobs at plan `indices` as one execute unit and persist them
 /// through `cache` (when non-null) as one pack before returning; one payload
-/// per index, in order. The unit runs through the SoA batch engine as one
-/// die-block when it has at least adc::batch::kMinBatchDies jobs of one
-/// block shape under a batchable spec (fast profile, single-tone dynamic or
-/// yield), and job by job through ScenarioRunner::execute_job otherwise;
-/// the engine's contract makes both paths emit identical bytes. Runs on the
+/// per index, in order. A single-tone dynamic or yield unit goes whole to
+/// testbench::run_dynamic_test_block, which alone decides which of its dies
+/// batch through the SoA engine and which convert die by die; any other
+/// unit runs job by job through ScenarioRunner::execute_job. The engine's
+/// contract makes every path emit the bytes execute_job would. Any indices
+/// are valid: the unit need not be one execute_plan formed. Runs on the
 /// calling thread and submits nothing to the pool, so a pool worker may call
 /// it. The per-unit body of execute_plan, and the scenario service's
 /// executor. Throws what the computation or the store throws.
@@ -187,15 +183,15 @@ struct ExecuteOutcome {
 
 /// Compute the plan's missing payloads in place: every index where
 /// `payloads[i]` is empty and `candidate(i)` holds is grouped into execute
-/// units (consecutive jobs that differ only in seed, conversion rate, input
-/// frequency and amplitude batch through the SoA conversion engine when the
-/// spec shape allows it), computed on the shared pool, and
-/// written back to `payloads[i]` — each unit through execute_unit, which
-/// persists it through `cache` as it completes. This is the execute path
-/// shared by ScenarioRunner::run and the fleet worker
-/// (src/fleet/worker.cpp); the scenario service calls execute_unit
-/// directly. A sharded multi-process sweep, a served request and a
-/// single-process run therefore compute exactly the same bytes.
+/// units, computed on the shared pool, and written back to `payloads[i]`,
+/// each unit through execute_unit, which persists it through `cache` as it
+/// completes. A single-tone unit holds up to adc::batch::unit_lanes
+/// consecutive misses whose resolved dies share a batch block
+/// (adc::batch::BatchConverter::shares_block) with its first; every other
+/// unit is one job. This is the execute path shared by ScenarioRunner::run
+/// and the fleet worker (src/fleet/worker.cpp); the scenario service calls
+/// execute_unit directly. A sharded multi-process sweep, a served request
+/// and a single-process run therefore compute exactly the same bytes.
 ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
                             std::vector<std::optional<adc::common::json::JsonValue>>& payloads,
                             const ExecuteOptions& options);

@@ -1,11 +1,9 @@
 #include "testbench/dynamic_test.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "batch/converter.hpp"
 #include "common/error.hpp"
-#include "runtime/parallel.hpp"
 
 namespace adc::testbench {
 
@@ -142,53 +140,24 @@ std::vector<DynamicTestResult> run_dynamic_test_block(std::span<const DieTest> d
   }
   adc::common::require(options.averages >= 1, "run_dynamic_test: averages must be >= 1");
 
-  const bool batchable = adc::batch::BatchConverter::supports_config(dies[0].config);
+  using adc::batch::BatchConverter;
   std::vector<DynamicTestResult> out;
   out.reserve(dies.size());
-  for (std::size_t lo = 0; lo < dies.size(); lo += adc::batch::kLanes) {
-    const std::size_t count = std::min(adc::batch::kLanes, dies.size() - lo);
-    const auto chunk = dies.subspan(lo, count);
-    const bool use_batch = batchable && count >= adc::batch::kMinBatchDies;
-    auto block = use_batch ? run_block_batched(chunk, options) : run_block_scalar(chunk, options);
+  std::size_t lo = 0;
+  while (lo < dies.size()) {
+    // The longest run from `lo`, up to one kernel block, whose dies share a
+    // block with its first. shares_block is false outside the engine's
+    // contract, so an unsupported die is a run of one.
+    std::size_t hi = lo + 1;
+    while (hi < dies.size() && hi - lo < adc::batch::kLanes &&
+           BatchConverter::shares_block(dies[hi].config, dies[lo].config)) {
+      ++hi;
+    }
+    const auto run = dies.subspan(lo, hi - lo);
+    auto block = run.size() >= adc::batch::kMinBatchDies ? run_block_batched(run, options)
+                                                         : run_block_scalar(run, options);
     for (auto& r : block) out.push_back(std::move(r));
-  }
-  return out;
-}
-
-std::vector<DynamicTestResult> run_dynamic_test_dies(const adc::pipeline::AdcConfig& base,
-                                                     std::span<const std::uint64_t> seeds,
-                                                     const DynamicTestOptions& options,
-                                                     int threads) {
-  adc::common::require(!seeds.empty(), "run_dynamic_test_dies: need at least one seed");
-
-  adc::runtime::BatchOptions pool;
-  pool.threads = threads > 0 ? static_cast<unsigned>(threads) : 0;
-  const std::size_t lanes =
-      adc::batch::unit_lanes(seeds.size(), adc::runtime::effective_thread_count(pool.threads));
-  const std::size_t num_blocks = (seeds.size() + lanes - 1) / lanes;
-
-  // One job per `lanes`-aligned die block: the widest kernel pass that still
-  // leaves every pool worker a block. Blocks are independent, so the
-  // runtime's determinism contract keeps the flattened result in seed order
-  // and bit-identical at any thread count. A trailing block below
-  // kMinBatchDies (and every block when the profile is not fast) takes the
-  // scalar fallback inside run_dynamic_test_block.
-  const auto blocks = adc::runtime::parallel_map<std::vector<DynamicTestResult>>(
-      num_blocks,
-      [&base, &seeds, &options, lanes](std::size_t b) {
-        const std::size_t lo = b * lanes;
-        const std::size_t count = std::min(lanes, seeds.size() - lo);
-        std::vector<DieTest> dies(count, DieTest{base, options.target_fin_hz,
-                                                 options.amplitude_fraction});
-        for (std::size_t d = 0; d < count; ++d) dies[d].config.seed = seeds[lo + d];
-        return run_dynamic_test_block(dies, options);
-      },
-      pool);
-
-  std::vector<DynamicTestResult> out;
-  out.reserve(seeds.size());
-  for (auto& block : blocks) {
-    for (auto& r : block) out.push_back(std::move(r));
+    lo = hi;
   }
   return out;
 }

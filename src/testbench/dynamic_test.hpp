@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,24 +46,7 @@ struct DynamicTestResult {
 [[nodiscard]] DynamicTestResult run_dynamic_test(adc::pipeline::PipelineAdc& adc,
                                                  const DynamicTestOptions& options = {});
 
-/// Run the same dynamic measurement on many fabricated dies (each seed
-/// overrides base.seed). Dies are partitioned into blocks of
-/// adc::batch::unit_lanes dies and the blocks distributed over the runtime
-/// pool; a block routes through the batch conversion engine when the
-/// configuration is inside its contract (fast fidelity profile) and the
-/// block holds at least adc::batch::kMinBatchDies dies — otherwise it
-/// converts die by die.
-/// Either way each entry of the result is byte-identical to calling
-/// run_dynamic_test on a fresh PipelineAdc fabricated with that seed, in
-/// seed order, at any thread count (0 = runtime default).
-[[nodiscard]] std::vector<DynamicTestResult> run_dynamic_test_dies(
-    const adc::pipeline::AdcConfig& base, std::span<const std::uint64_t> seeds,
-    const DynamicTestOptions& options = {}, int threads = 0);
-
 /// One die of a block measurement: its configuration and its tone request.
-/// The dies of one batched block may differ in seed, conversion rate, input
-/// frequency and amplitude (adc::batch::BatchConverter rejects anything
-/// else).
 struct DieTest {
   adc::pipeline::AdcConfig config;
   /// Requested input frequency [Hz]; snapped to the nearest odd coherent bin
@@ -74,15 +56,21 @@ struct DieTest {
   double amplitude_fraction = 0.985;
 };
 
-/// The synchronous building block of run_dynamic_test_dies: measure the
-/// given dies on the calling thread, adc::batch::kLanes dies at a time,
-/// routing each chunk through the batch engine when supported and large
-/// enough. `options` supplies the record length, spectrum options and
-/// averages of every die; each die's target frequency and amplitude replace
-/// the ones in `options`. Entry d is byte-identical to run_dynamic_test on
-/// a fresh PipelineAdc fabricated from dies[d].config with those options.
-/// Exposed so callers that already sit inside a runtime-pool job (the
-/// scenario runner's execute phase) can batch without nesting parallel_map.
+/// Measure many dies on the calling thread. `options` supplies the record
+/// length, spectrum options and averages of every die; each die's target
+/// frequency and amplitude replace the ones in `options`. Entry d is
+/// byte-identical to run_dynamic_test on a fresh PipelineAdc fabricated from
+/// dies[d].config with those options.
+///
+/// The one place that chooses between the batch conversion engine and
+/// die-by-die conversion: the dies are cut into consecutive runs of at most
+/// adc::batch::kLanes dies whose configurations share a block with the
+/// run's first die (adc::batch::BatchConverter::shares_block), a run of at
+/// least adc::batch::kMinBatchDies dies converts as one batched block, and
+/// shorter runs convert die by die. Any non-empty list is valid input: dies
+/// at several temperatures, or under the exact profile, simply form more
+/// runs. Submits nothing to the runtime pool, so a pool job (the scenario
+/// runner's execute unit) may call it.
 [[nodiscard]] std::vector<DynamicTestResult> run_dynamic_test_block(
     std::span<const DieTest> dies, const DynamicTestOptions& options = {});
 

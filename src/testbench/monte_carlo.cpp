@@ -23,19 +23,6 @@ double MonteCarloResult::yield_at_most(double limit) const {
   return static_cast<double>(pass) / static_cast<double>(values.size());
 }
 
-namespace {
-
-/// Shared distribution reduction: mean / sigma / extremes over the values.
-void summarize(MonteCarloResult& result) {
-  result.mean = adc::common::mean(result.values);
-  result.std_dev = adc::common::std_dev(result.values);
-  const auto mm = adc::common::min_max(result.values);
-  result.min = mm.min;
-  result.max = mm.max;
-}
-
-}  // namespace
-
 MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const DieMetric& metric,
                                  const MonteCarloOptions& options) {
   adc::common::require(options.num_dies >= 1, "run_monte_carlo: need at least one die");
@@ -59,32 +46,11 @@ MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const Die
       },
       batch);
 
-  summarize(result);
-  return result;
-}
-
-MonteCarloResult run_monte_carlo_dynamic(const adc::pipeline::AdcConfig& base,
-                                         const DynamicTestOptions& test,
-                                         const DynamicMetric& metric,
-                                         const MonteCarloOptions& options) {
-  adc::common::require(options.num_dies >= 1, "run_monte_carlo_dynamic: need at least one die");
-  adc::common::require(static_cast<bool>(metric), "run_monte_carlo_dynamic: empty metric");
-
-  // The per-die work (capture + FFT) lives in run_dynamic_test_dies, which
-  // blocks the dies by adc::batch::unit_lanes and hoists die fabrication, plan
-  // extraction and the noise-plane workspace out of the per-die loop — one
-  // BatchConverter per block instead of one PipelineAdc (plus its plane
-  // buffers) per die.
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(options.num_dies));
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    seeds[i] = options.first_seed + static_cast<std::uint64_t>(i);
-  }
-  const auto die_results = run_dynamic_test_dies(base, seeds, test, options.threads);
-
-  MonteCarloResult result;
-  result.values.reserve(die_results.size());
-  for (const auto& r : die_results) result.values.push_back(metric(r));
-  summarize(result);
+  result.mean = adc::common::mean(result.values);
+  result.std_dev = adc::common::std_dev(result.values);
+  const auto mm = adc::common::min_max(result.values);
+  result.min = mm.min;
+  result.max = mm.max;
   return result;
 }
 

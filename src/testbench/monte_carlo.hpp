@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "pipeline/adc.hpp"
-#include "testbench/dynamic_test.hpp"
 
 namespace adc::testbench {
 
@@ -52,20 +51,5 @@ using DieMetric = std::function<double(adc::pipeline::PipelineAdc&)>;
 [[nodiscard]] MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base,
                                                const DieMetric& metric,
                                                const MonteCarloOptions& options = {});
-
-/// Metric projected from a full dynamic-test result (e.g. metrics.sndr_db).
-using DynamicMetric = std::function<double(const DynamicTestResult&)>;
-
-/// Monte-Carlo over the dynamic (single-tone) bench: fabricate the dies,
-/// run `test` on each through run_dynamic_test_dies — which routes
-/// fast-profile die blocks through the batch conversion engine — and reduce
-/// `metric` over the per-die results. Values are byte-identical to
-/// run_monte_carlo with a metric lambda that calls run_dynamic_test, in
-/// seed order, at any thread count; the batch engine only changes the
-/// throughput.
-[[nodiscard]] MonteCarloResult run_monte_carlo_dynamic(const adc::pipeline::AdcConfig& base,
-                                                       const DynamicTestOptions& test,
-                                                       const DynamicMetric& metric,
-                                                       const MonteCarloOptions& options = {});
 
 }  // namespace adc::testbench

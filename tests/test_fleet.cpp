@@ -1,8 +1,9 @@
 /// Tests for the fleet engine (src/fleet/): deterministic hash-range
 /// sharding, crash-resume with a SIGKILLed worker, merge byte-identity
 /// across worker counts, exactly-once computation under concurrent workers,
-/// the zero-pool-jobs warm-run guarantee, and the steal of a stale unit
-/// claim (one claim file behind many job names).
+/// the zero-pool-jobs warm-run guarantee, concurrent merges of one fleet,
+/// and the steal of a stale unit claim (one claim file behind many job
+/// names).
 ///
 /// NOTE: CrashResume MUST be the first test in this binary. It forks a real
 /// worker process, and fork() is only safe before this process has spawned
@@ -15,8 +16,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -355,6 +358,54 @@ TEST_F(FleetTest, BudgetStopWritesIncompleteManifestAndResumes) {
   EXPECT_EQ(finished.manifest.computed, finished.manifest.jobs_total - 8u);
   EXPECT_EQ(json::dump(merge_fleet(spec, merge).report),
             json::dump(reference_report(spec, path("cache-ref"))));
+}
+
+TEST_F(FleetTest, ConcurrentMergesOfOneFleetAllSucceed) {
+  // Two `adc_fleet run`s, or a run and a merge, can merge one spec on one
+  // root at once. Each merge writes <scenario>_fleet.json through its own
+  // temporary, so none truncates or renames away another's.
+  const auto spec = parse_spec_text(kFleetYieldSpec);
+  WorkerOptions worker;
+  worker.cache_dir = path("cache");
+  worker.shards = 1;
+  worker.shard = 0;
+  ASSERT_TRUE(run_worker(spec, worker).manifest.complete);
+  MergeOptions merge;
+  merge.cache_dir = path("cache");
+  merge.shards = 1;
+  const std::string manifest_path = merge_fleet(spec, merge).fleet_manifest_path;
+  const auto read = [&manifest_path] {
+    std::ifstream in(manifest_path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string want = read();
+
+  constexpr int kMergers = 8;
+  constexpr int kRounds = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> mergers;
+  mergers.reserve(kMergers);
+  for (int t = 0; t < kMergers; ++t) {
+    mergers.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        try {
+          (void)merge_fleet(spec, merge);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << e.what();
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : mergers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  const std::string got = read();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(json::parse(got).find("scenario")->as_string(), spec.name);
+  // Only the shard manifest and the fleet manifest remain: no temporaries.
+  const auto entries = std::distance(fs::directory_iterator(fs::path(manifest_path).parent_path()),
+                                     fs::directory_iterator{});
+  EXPECT_EQ(entries, 2);
 }
 
 TEST_F(FleetTest, ManifestRoundTripsAndRejectsMismatch) {

@@ -1,7 +1,12 @@
-/// Tests for the Monte-Carlo yield runner.
+/// Tests for the Monte-Carlo yield runner and the die-block dynamic bench
+/// (run_dynamic_test_block) that batches fast-profile dies.
 #include "testbench/monte_carlo.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
@@ -101,75 +106,79 @@ TEST(MonteCarlo, RejectsBadInput) {
                adc::common::ConfigError);
 }
 
-TEST(MonteCarlo, DynamicRunnerMatchesScalarMetricBitExact) {
-  // 10 dies under the fast profile = one full batched block of 8 plus a
-  // 2-die scalar-fallback tail, so one comparison covers both execution
-  // paths of run_dynamic_test_dies against the reference per-die loop.
-  ap::AdcConfig fast = ap::nominal_design();
-  fast.fidelity = adc::common::FidelityProfile::kFast;
-  tb::DynamicTestOptions test;
-  test.record_length = 1 << 11;
-  tb::MonteCarloOptions opt;
-  opt.num_dies = 10;
-  opt.first_seed = 700;
-  const auto batched = tb::run_monte_carlo_dynamic(
-      fast, test, [](const tb::DynamicTestResult& r) { return r.metrics.sndr_db; }, opt);
-  const auto scalar = tb::run_monte_carlo(
-      fast,
-      [&test](ap::PipelineAdc& adc) { return tb::run_dynamic_test(adc, test).metrics.sndr_db; },
-      opt);
-  ASSERT_EQ(batched.values.size(), 10u);
-  EXPECT_EQ(batched.values, scalar.values);  // bitwise: the engine is not a fidelity knob
+namespace {
+
+/// Every number a dynamic measurement reports, in one vector so a
+/// comparison is bitwise and names no field twice.
+std::vector<double> fields(const tb::DynamicTestResult& r) {
+  const auto& m = r.metrics;
+  return {r.tone.frequency_hz, static_cast<double>(r.tone.cycles),
+          m.signal_power,      m.noise_power,
+          m.thd_power,         m.snr_db,
+          m.sndr_db,           m.thd_db,
+          m.sfdr_db,           m.enob,
+          m.spur_freq_hz,      m.spur_power};
 }
 
-TEST(MonteCarlo, DynamicRunnerMatchesScalarWithAveraging) {
+/// `count` fast-profile nominal dies, seeds from `first_seed`.
+std::vector<tb::DieTest> fast_dies(std::size_t count, std::uint64_t first_seed) {
+  ap::AdcConfig fast = ap::nominal_design();
+  fast.fidelity = adc::common::FidelityProfile::kFast;
+  std::vector<tb::DieTest> dies(count, tb::DieTest{fast});
+  for (std::size_t d = 0; d < count; ++d) dies[d].config.seed = first_seed + d;
+  return dies;
+}
+
+/// run_dynamic_test_block on `dies` against run_dynamic_test on a fresh
+/// PipelineAdc per die, bit for bit.
+void expect_block_matches_per_die(const std::vector<tb::DieTest>& dies,
+                                  const tb::DynamicTestOptions& options) {
+  const auto block = tb::run_dynamic_test_block(dies, options);
+  ASSERT_EQ(block.size(), dies.size());
+  for (std::size_t d = 0; d < dies.size(); ++d) {
+    tb::DynamicTestOptions die_options = options;
+    die_options.target_fin_hz = dies[d].target_fin_hz;
+    die_options.amplitude_fraction = dies[d].amplitude_fraction;
+    ap::PipelineAdc adc(dies[d].config);
+    EXPECT_EQ(fields(block[d]), fields(tb::run_dynamic_test(adc, die_options)))
+        << "die " << d;  // bitwise: the engine is not a fidelity knob
+  }
+}
+
+}  // namespace
+
+TEST(MonteCarlo, DieBlockMatchesPerDieOnARaggedList) {
+  // 34 dies = one batched run of 32 plus a die-by-die tail of 2, so one
+  // comparison covers both paths of run_dynamic_test_block.
+  tb::DynamicTestOptions options;
+  options.record_length = 1 << 11;
+  expect_block_matches_per_die(fast_dies(34, 700), options);
+}
+
+TEST(MonteCarlo, DieBlockMatchesPerDieWithAveraging) {
   // The averaged path interleaves captures differently (batch: one
   // convert() per record for all dies; scalar: all records per die) but the
   // positional noise draws make the per-die record sequences identical.
-  ap::AdcConfig fast = ap::nominal_design();
-  fast.fidelity = adc::common::FidelityProfile::kFast;
-  tb::DynamicTestOptions test;
-  test.record_length = 1 << 10;
-  test.averages = 2;
-  tb::MonteCarloOptions opt;
-  opt.num_dies = 8;
-  opt.first_seed = 900;
-  const auto batched = tb::run_monte_carlo_dynamic(
-      fast, test, [](const tb::DynamicTestResult& r) { return r.metrics.snr_db; }, opt);
-  const auto scalar = tb::run_monte_carlo(
-      fast,
-      [&test](ap::PipelineAdc& adc) { return tb::run_dynamic_test(adc, test).metrics.snr_db; },
-      opt);
-  EXPECT_EQ(batched.values, scalar.values);
+  tb::DynamicTestOptions options;
+  options.record_length = 1 << 10;
+  options.averages = 2;
+  expect_block_matches_per_die(fast_dies(8, 900), options);
 }
 
-TEST(MonteCarlo, BatchedYieldIsThreadCountInvariant) {
-  ap::AdcConfig fast = ap::nominal_design();
-  fast.fidelity = adc::common::FidelityProfile::kFast;
-  tb::DynamicTestOptions test;
-  test.record_length = 1 << 11;
-  const auto metric = [](const tb::DynamicTestResult& r) { return r.metrics.sndr_db; };
-  tb::MonteCarloOptions serial;
-  serial.num_dies = 20;  // two batched blocks + a ragged scalar tail
-  serial.first_seed = 42;
-  serial.threads = 1;
-  tb::MonteCarloOptions parallel = serial;
-  parallel.threads = 4;
-  const auto a = tb::run_monte_carlo_dynamic(fast, test, metric, serial);
-  const auto b = tb::run_monte_carlo_dynamic(fast, test, metric, parallel);
-  EXPECT_EQ(a.values, b.values);
-  EXPECT_DOUBLE_EQ(a.yield_at_least(63.0), b.yield_at_least(63.0));
+TEST(MonteCarlo, DieBlockSplitsDiesThatCannotShareABlock) {
+  // Two temperatures, five dies each: the dies cannot share one kernel
+  // block, so the list runs as two batched blocks of five.
+  auto dies = fast_dies(10, 42);
+  for (std::size_t d = 0; d < dies.size(); ++d) {
+    dies[d].config.temperature_k = d < 5 ? 280.0 : 360.0;
+  }
+  tb::DynamicTestOptions options;
+  options.record_length = 1 << 10;
+  expect_block_matches_per_die(dies, options);
 }
 
-TEST(MonteCarlo, DynamicRunnerRejectsBadInput) {
-  const auto metric = [](const tb::DynamicTestResult& r) { return r.metrics.sndr_db; };
-  tb::MonteCarloOptions opt;
-  opt.num_dies = 0;
-  EXPECT_THROW((void)tb::run_monte_carlo_dynamic(ap::nominal_design(), {}, metric, opt),
-               adc::common::ConfigError);
-  opt.num_dies = 1;
-  EXPECT_THROW((void)tb::run_monte_carlo_dynamic(ap::nominal_design(), {}, nullptr, opt),
-               adc::common::ConfigError);
+TEST(MonteCarlo, DieBlockRejectsAnEmptyList) {
+  EXPECT_THROW((void)tb::run_dynamic_test_block({}, {}), adc::common::ConfigError);
 }
 
 TEST(MonteCarlo, IdealDiesAreIdentical) {

@@ -566,12 +566,13 @@ TEST_F(ScenarioTest, ClaimContentionHasExactlyOneWinner) {
 }
 
 TEST_F(ScenarioTest, RacingRunnersComputeEachJobExactlyOnce) {
-  // Two concurrent runs of the same spec over one cache, each gating its
-  // execute phase on claims, one try_claim per execute unit: every job is
-  // computed by exactly one of them, and both end with the identical
-  // (complete or completable) cache bytes. The exact-profile spec runs one
-  // job per unit; the fast yield spec forms multi-job units, so a unit can
-  // be granted in part.
+  // Two concurrent executions of the same spec over one cache, each probing
+  // the cache and then gating execute_plan on claims through its hooks, one
+  // try_claim per execute unit, as fleet workers do: every job is computed
+  // by exactly one of them, and both end with the identical (complete or
+  // completable) cache bytes. The exact-profile spec runs one job per unit;
+  // the fast yield spec forms multi-job units, so a unit can be granted in
+  // part.
   for (const char* text : {kSmallSpec, kFastYieldSpec}) {
     const auto spec = parse_spec_text(text);
     const auto plan = plan_scenario(spec);
@@ -588,9 +589,22 @@ TEST_F(ScenarioTest, RacingRunnersComputeEachJobExactlyOnce) {
       std::vector<std::size_t> granted;
       std::vector<std::vector<std::size_t>> stored;
     };
+    // What one runner did: the probe's hits and execute_plan's tally.
+    struct Tally {
+      std::size_t cache_hits = 0;
+      std::size_t computed = 0;
+      std::size_t claimed_elsewhere = 0;
+    };
     auto run_claimed = [&](const std::string& owner, HookLog& log) {
-      RunOptions options;
-      options.cache_dir = cache_dir;
+      ResultCache cache(cache_dir);
+      std::vector<std::optional<json::JsonValue>> payloads(jobs);
+      Tally tally;
+      for (std::size_t i = 0; i < jobs; ++i) {
+        payloads[i] = cache.load(plan.hashes[i]);
+        if (payloads[i].has_value()) ++tally.cache_hits;
+      }
+      ExecuteOptions options;
+      options.cache = &cache;
       options.hooks.acquire = [&claims, &plan, &log, owner](std::span<const std::size_t> indices) {
         std::vector<std::string> hashes;
         for (const std::size_t i : indices) hashes.push_back(plan.hashes[i]);
@@ -610,11 +624,14 @@ TEST_F(ScenarioTest, RacingRunnersComputeEachJobExactlyOnce) {
         std::lock_guard<std::mutex> lock(log.mutex);
         log.stored.emplace_back(indices.begin(), indices.end());
       };
-      return ScenarioRunner(options).run(spec);
+      const ExecuteOutcome outcome = execute_plan(spec, plan, payloads, options);
+      tally.computed = outcome.computed;
+      tally.claimed_elsewhere = outcome.claimed_elsewhere;
+      return tally;
     };
 
-    RunResult a;
-    RunResult b;
+    Tally a;
+    Tally b;
     HookLog log_a;
     HookLog log_b;
     std::thread ta([&] { a = run_claimed("a", log_a); });
@@ -1433,4 +1450,26 @@ TEST_F(ScenarioTest, InputFrequencySweepBatchesAcrossGridPointsBitIdentically) {
 TEST_F(ScenarioTest, TemperatureSweepStillGroupsPerGridPoint) {
   // Temperature is not a lane field: one 5-die unit per grid point.
   EXPECT_EQ(expect_matches_per_job(kFastTemperatureSweepSpec, path("temperature")), 3u);
+}
+
+TEST_F(ScenarioTest, ExecuteUnitAcrossGridPointsMatchesExecuteJob) {
+  // execute_unit takes any indices: here the last three seeds of the first
+  // temperature and all five of the second, which cannot share one kernel
+  // block. It returns and stores exactly the per-job payloads.
+  const ScenarioSpec spec = parse_spec_text(kFastTemperatureSweepSpec);
+  const ScenarioPlan plan = plan_scenario(spec);
+  const std::vector<std::size_t> indices{2, 3, 4, 5, 6, 7, 8, 9};
+  ASSERT_NE(plan.jobs[indices.front()].axis_values, plan.jobs[indices.back()].axis_values);
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  const auto payloads = execute_unit(spec, plan, indices, &cache);
+  ASSERT_EQ(payloads.size(), indices.size());
+  for (std::size_t m = 0; m < indices.size(); ++m) {
+    const std::string want =
+        json::dump(ScenarioRunner::execute_job(resolve_job(spec, plan.jobs[indices[m]])));
+    EXPECT_EQ(json::dump(payloads[m]), want) << "job " << indices[m];
+    const auto stored = cache.load(plan.hashes[indices[m]]);
+    ASSERT_TRUE(stored.has_value()) << "job " << indices[m];
+    EXPECT_EQ(json::dump(*stored), want) << "job " << indices[m];
+  }
 }

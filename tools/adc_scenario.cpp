@@ -19,7 +19,6 @@
 /// unmet --min-hit-rate), 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -284,28 +283,6 @@ json::JsonValue await_event(service::UnixStream& stream, const std::string& want
   }
 }
 
-void write_report_files(const std::string& report_dir, const std::string& name,
-                        const json::JsonValue& report) {
-  std::error_code ec;
-  std::filesystem::create_directories(report_dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "adc_scenario: cannot create %s\n", report_dir.c_str());
-    throw CliError{1};
-  }
-  const auto write = [](const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-    if (!out) {
-      std::fprintf(stderr, "adc_scenario: cannot write %s\n", path.c_str());
-      throw CliError{1};
-    }
-  };
-  const std::string json_path = report_dir + "/" + name + "_report.json";
-  write(json_path, json::dump(report));
-  write(report_dir + "/" + name + "_report.csv", report_csv(report));
-  std::printf("  report: %s\n", json_path.c_str());
-}
-
 int client_submit(const std::vector<std::string>& args) {
   std::string spec_path;
   std::string socket_path;
@@ -429,7 +406,8 @@ int client_submit(const std::vector<std::string>& args) {
         static_cast<unsigned long long>(computed),
         static_cast<unsigned long long>(skipped));
     if (!report_dir.empty()) {
-      write_report_files(report_dir, spec.name, *event.find("report"));
+      const ReportPaths paths = write_report_files(*event.find("report"), spec.name, report_dir);
+      std::printf("  report: %s\n", paths.json_path.c_str());
     }
     if (min_hit_rate >= 0.0 && hit_rate < min_hit_rate) {
       std::fprintf(stderr, "adc_scenario: %s hit rate %.3f below required %.3f\n",
