@@ -7,7 +7,8 @@
 /// plus the parallel runtime itself: pool fan-out overhead and the
 /// end-to-end Monte-Carlo / rate-sweep workloads at 1 and N threads (the
 /// serial-vs-parallel pair is the speedup the runtime exists to deliver),
-/// and the scenario cache's store path, one entry per file against packs.
+/// the scenario cache's store path, one entry per file against packs, and
+/// the report writer with the double formatter under it.
 /// `tools/run_bench.sh` runs this binary with JSON output as the repo's
 /// performance trajectory artifact.
 #include <benchmark/benchmark.h>
@@ -29,6 +30,7 @@
 #include "common/counter_rng.hpp"
 #include "common/counter_rng_tile.hpp"
 #include "common/isa_dispatch.hpp"
+#include "common/json.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/signal.hpp"
 #include "dsp/spectrum.hpp"
@@ -453,11 +455,16 @@ struct CachePayloads {
   }
 };
 
+const CachePayloads& yield2k_payloads() {
+  static const CachePayloads fixture;
+  return fixture;
+}
+
 // 2000 real payloads stored into an emptied cache root, Arg entries per
 // store call: 1 is the one-file-per-entry store, 32 a full execute unit's
 // pack (one inode, 32 links). The gap is the inode creations saved.
 void BM_CacheStore(benchmark::State& state) {
-  static CachePayloads fixture;
+  const CachePayloads& fixture = yield2k_payloads();
   const auto per_call = static_cast<std::size_t>(state.range(0));
   const std::string root = fixture.root.path + "/store" + std::to_string(per_call);
   std::vector<adc::scenario::CacheEntry> entries;
@@ -507,6 +514,40 @@ void BM_CacheClaim(benchmark::State& state) {
                           static_cast<std::int64_t>(all.size()));
 }
 BENCHMARK(BM_CacheClaim)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// --- Report writer ----------------------------------------------------------
+
+// json::format_double over 4096 doubles. Arg 0: SNDR-like results, which
+// need 16 or 17 significant digits to round-trip; Arg 1: configuration-like
+// values (110e6, 1.8, ...), which 15 digits spell.
+void BM_FormatDouble(benchmark::State& state) {
+  std::vector<double> values(4096);
+  const double config[] = {110e6, 1.8, 0.985, 10e6, 63.0, 2048.0, 1e-12, 0.5};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = state.range(0) == 0 ? 64.0 + static_cast<double>(i) / 3.0e3
+                                    : config[i % std::size(config)];
+  }
+  for (auto _ : state) {
+    for (const double v : values) benchmark::DoNotOptimize(adc::common::json::format_double(v));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_FormatDouble)->Arg(0)->Arg(1);
+
+// The yield2k report (2000 rows) rendered as a run writes it: the pretty
+// JSON document and the CSV.
+void BM_ReportWrite(benchmark::State& state) {
+  const CachePayloads& fixture = yield2k_payloads();
+  const auto report = adc::scenario::build_report(fixture.spec, fixture.plan, fixture.payloads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(adc::common::json::dump(report));
+    benchmark::DoNotOptimize(adc::scenario::report_csv(report));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fixture.plan.jobs.size()));
+}
+BENCHMARK(BM_ReportWrite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -74,18 +74,10 @@ void append_quoted(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void append_number(std::string& out, const JsonValue& v) {
-  switch (v.type()) {
-    case JsonValue::Type::kInt:
-      out += std::to_string(v.as_int64());
-      return;
-    case JsonValue::Type::kUint:
-      out += std::to_string(v.as_uint64());
-      return;
-    default:
-      out += format_double(v.as_double());
-      return;
-  }
+template <typename Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -374,11 +366,17 @@ class Parser {
       }
       // Falls through: an integer too large for 64 bits becomes a double.
     }
-    const std::string buf(token);
-    char* end = nullptr;
-    const double d = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) fail("invalid number");
-    if (!std::isfinite(d)) fail("number out of double range");
+    double d = 0.0;
+    const auto [p, ec] = std::from_chars(token.data(), token.data() + token.size(), d);
+    if (ec == std::errc::result_out_of_range) {
+      // Overflow is an error, but an underflow reads as strtod reads it (a
+      // signed zero), where from_chars reports it and sets nothing.
+      const std::string buf(token);
+      d = std::strtod(buf.c_str(), nullptr);
+      if (!std::isfinite(d)) fail("number out of double range");
+    } else if (ec != std::errc() || p != token.data() + token.size()) {
+      fail("invalid number");
+    }
     return JsonValue(d);
   }
 
@@ -596,21 +594,54 @@ std::string canonical(const JsonValue& value) {
 }
 
 std::string format_double(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
+}
+
+void append_double(std::string& out, double value) {
   if (!std::isfinite(value)) {
     throw ConfigError("json: cannot serialize a non-finite number");
   }
-  // Shortest spelling in 15..17 significant digits that round-trips exactly.
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g",  // lint-ok: number formatting, not I/O
-                  precision, value);
-    if (bits_equal(std::strtod(buf, nullptr), value)) break;
+  // printf's %.*g at the smallest precision in 15..17 that round-trips
+  // exactly; to_chars with a precision is specified to print what printf
+  // does. A precision below the shortest round-trip digit count cannot
+  // round-trip, so the search starts there.
+  char buf[32];
+  char* const first = buf;
+  char* const last = buf + sizeof buf;
+  const char* const shortest =
+      std::to_chars(first, last, value, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = first; p != shortest && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
   }
-  std::string out = buf;
+  char* end = first;
+  for (int precision = std::max(15, digits); precision <= 17; ++precision) {
+    end = std::to_chars(first, last, value, std::chars_format::general, precision).ptr;
+    double back = 0.0;
+    const auto parsed = std::from_chars(first, end, back);
+    if (parsed.ec == std::errc() && bits_equal(back, value)) break;
+  }
+  const std::string_view text(first, static_cast<std::size_t>(end - first));
+  out += text;
   // Keep the token recognizably floating-point so it re-parses into double
   // storage (integers travel through the int paths instead).
-  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
-  return out;
+  if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
+}
+
+void append_number(std::string& out, const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kInt:
+      append_integer(out, value.as_int64());
+      return;
+    case JsonValue::Type::kUint:
+      append_integer(out, value.as_uint64());
+      return;
+    default:
+      append_double(out, value.as_double());
+      return;
+  }
 }
 
 }  // namespace adc::common::json

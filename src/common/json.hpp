@@ -148,9 +148,17 @@ inline bool operator!=(const JsonValue& a, const JsonValue& b) { return !a.equal
 /// the input of the scenario hasher.
 [[nodiscard]] std::string canonical(const JsonValue& value);
 
-/// Render one double exactly as the writers do: the shortest decimal
-/// spelling (15..17 significant digits) that strtod's back bit-identically.
+/// Render one double exactly as the writers do: printf's `%.*g` at the
+/// smallest precision in 15..17 that parses back bit-identically, with ".0"
+/// appended when that spelling would read as an integer.
 /// Throws ConfigError for non-finite values (JSON cannot represent them).
 [[nodiscard]] std::string format_double(double value);
+
+/// Append format_double(value) to `out` without a temporary string.
+void append_double(std::string& out, double value);
+
+/// Append a JSON number (int, uint or double) to `out` as the writers spell
+/// it. Throws ConfigError if `value` is not a number.
+void append_number(std::string& out, const JsonValue& value);
 
 }  // namespace adc::common::json

@@ -11,9 +11,9 @@
 #include "pipeline/adc.hpp"
 // The nominal design is the one place where the converter and its calibrated
 // power/area specs are defined together (Table I is one operating point); the
-// factory therefore reaches one layer up. ROADMAP item 4 (calibration as a
-// first-class workload) is the natural point to split design exploration into
-// its own layer above power.
+// factory therefore reaches one layer up. Making calibration a first-class
+// workload is the natural point to split design exploration into its own
+// layer above power.
 #include "power/area.hpp"         // lint-ok: design factory couples sizing to calibrated power
 #include "power/power_model.hpp"  // lint-ok: design factory couples sizing to calibrated power
 

@@ -1,6 +1,7 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -112,17 +113,14 @@ json::JsonValue run_power(const ResolvedJob& job) {
   return payload;
 }
 
-std::string csv_cell(const json::JsonValue& value) {
+void append_csv_cell(std::string& csv, const json::JsonValue& value) {
   switch (value.type()) {
-    case json::JsonValue::Type::kDouble: return json::format_double(value.as_double());
+    case json::JsonValue::Type::kDouble:
     case json::JsonValue::Type::kInt:
-    case json::JsonValue::Type::kUint:
-      return value.type() == json::JsonValue::Type::kUint
-                 ? std::to_string(value.as_uint64())
-                 : std::to_string(value.as_int64());
-    case json::JsonValue::Type::kString: return value.as_string();
-    case json::JsonValue::Type::kBool: return value.as_bool() ? "true" : "false";
-    default: return "";
+    case json::JsonValue::Type::kUint: json::append_number(csv, value); return;
+    case json::JsonValue::Type::kString: csv += value.as_string(); return;
+    case json::JsonValue::Type::kBool: csv += value.as_bool() ? "true" : "false"; return;
+    default: return;
   }
 }
 
@@ -261,15 +259,18 @@ std::string report_csv(const json::JsonValue& report) {
     for (const auto& axis : axes->items()) {
       const auto* value = point != nullptr ? point->find(axis.as_string()) : nullptr;
       adc::common::require(value != nullptr, "report_csv: row lacks axis value");
-      csv += json::format_double(value->as_double()) + ",";
+      json::append_double(csv, value->as_double());
+      csv += ',';
     }
-    csv += std::to_string(row.find("seed")->as_uint64());
+    char seed[24];
+    const std::uint64_t seed_value = row.find("seed")->as_uint64();
+    csv.append(seed, std::to_chars(seed, seed + sizeof seed, seed_value).ptr);
     for (const auto& key : metric_keys) {
       const auto* value = metrics->find(key);
-      csv += ",";
-      if (value != nullptr) csv += csv_cell(*value);
+      csv += ',';
+      if (value != nullptr) append_csv_cell(csv, *value);
     }
-    csv += "\n";
+    csv += '\n';
   }
   return csv;
 }

@@ -7,15 +7,50 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace json = adc::common::json;
 using adc::common::ConfigError;
 using json::JsonValue;
+
+namespace {
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+double from_bits(std::uint64_t b) {
+  double v = 0.0;
+  std::memcpy(&v, &b, sizeof v);
+  return v;
+}
+
+/// The formatter's specification as it was first written, kept as the
+/// oracle: printf's %.*g at 15, 16, then 17 significant digits, the first
+/// spelling strtod reads back bit-identically, ".0" appended when the
+/// spelling would read as an integer.
+std::string printf_oracle(double value) {
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (bits_of(std::strtod(buf, nullptr)) == bits_of(value)) break;
+  }
+  std::string out = buf;
+  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+  return out;
+}
+
+}  // namespace
 
 TEST(JsonParse, Scalars) {
   EXPECT_TRUE(json::parse("null").is_null());
@@ -151,6 +186,111 @@ TEST(JsonDump, DoubleFormattingRoundTripsBitExactly) {
   EXPECT_EQ(json::format_double(4.0), "4.0");  // stays a double token
   EXPECT_THROW((void)json::format_double(std::nan("")), ConfigError);
   EXPECT_THROW((void)json::format_double(INFINITY), ConfigError);
+}
+
+TEST(JsonDump, FormatDoubleMatchesPrintfOracle) {
+  std::vector<double> cases;
+  // Seeded random finite bit patterns: every exponent and mantissa shape.
+  std::mt19937_64 engine(20040215);
+  while (cases.size() < 1'000'000) {
+    const double v = from_bits(engine());
+    if (std::isfinite(v)) cases.push_back(v);
+  }
+  // Every power of two and its neighbours one ulp either side, both signs.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {std::nextafter(p, 0.0), p, std::nextafter(p, 2.0 * p)}) {
+      cases.push_back(v);
+      cases.push_back(-v);
+    }
+  }
+  // Subnormals (the smallest, the largest, and seeded ones between) and both
+  // zeros.
+  cases.push_back(0.0);
+  cases.push_back(-0.0);
+  for (std::uint64_t m = 1; m <= 4096; ++m) cases.push_back(from_bits(m));
+  cases.push_back(from_bits(0x000F'FFFF'FFFF'FFFFULL));
+  for (int i = 0; i < 10'000; ++i) cases.push_back(from_bits(engine() & 0x800F'FFFF'FFFF'FFFFULL));
+  // Integers from 1e15 to 1e17: %g prints them fixed up to its precision and
+  // in scientific form beyond, and doubles stop being every integer at 2^53.
+  std::uniform_int_distribution<std::int64_t> integer(1'000'000'000'000'000,
+                                                      100'000'000'000'000'000);
+  for (int i = 0; i < 100'000; ++i) cases.push_back(static_cast<double>(integer(engine)));
+  for (const double anchor : {1e15, 1e16, 1e17, 9007199254740992.0}) {
+    for (int k = -1000; k <= 1000; ++k) cases.push_back(anchor + k);
+  }
+  // Both sides of %g's fixed/scientific switch, 1000 ulps either way.
+  for (const double anchor : {1e-5, 1e-4, 1e14, 1e15, 1e16, 1e17}) {
+    double down = anchor;
+    double up = anchor;
+    cases.push_back(anchor);
+    for (int k = 0; k < 1000; ++k) {
+      down = std::nextafter(down, 0.0);
+      up = std::nextafter(up, 2.0 * anchor);
+      cases.push_back(down);
+      cases.push_back(up);
+    }
+  }
+  // The cases of DoubleFormattingRoundTripsBitExactly.
+  for (const double v : {0.1, 1.0 / 3.0, 6.02214076e23, -1.6e-19, 5e-324,
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::min(), -0.0, 110e6,
+                         0.69999999999999996, 2.5, 4.0}) {
+    cases.push_back(v);
+  }
+
+  std::size_t mismatches = 0;
+  for (const double v : cases) {
+    const std::string want = printf_oracle(v);
+    const std::string got = json::format_double(v);
+    if (got == want) continue;
+    if (++mismatches <= 10) {
+      ADD_FAILURE() << "bits 0x" << std::hex << bits_of(v) << std::dec << ": got " << got
+                    << ", printf gives " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "of " << cases.size() << " doubles";
+}
+
+TEST(JsonParse, UnderflowReadsAsSignedZero) {
+  const JsonValue pos = json::parse("1e-400");
+  const JsonValue neg = json::parse("-1e-400");
+  ASSERT_EQ(pos.type(), JsonValue::Type::kDouble);
+  ASSERT_EQ(neg.type(), JsonValue::Type::kDouble);
+  EXPECT_EQ(bits_of(pos.as_double()), bits_of(0.0));
+  EXPECT_EQ(bits_of(neg.as_double()), bits_of(-0.0));
+}
+
+TEST(JsonParse, SubnormalBoundaryRoundsCorrectly) {
+  // Just below half the smallest subnormal rounds to zero; 4.9e-324 is the
+  // smallest subnormal itself.
+  EXPECT_EQ(bits_of(json::parse("2.4703282292062327e-324").as_double()), bits_of(0.0));
+  EXPECT_EQ(bits_of(json::parse("4.9e-324").as_double()),
+            bits_of(std::numeric_limits<double>::denorm_min()));
+}
+
+TEST(JsonParse, OverflowIsAnError) {
+  EXPECT_THROW((void)json::parse("1e400"), ConfigError);
+  EXPECT_THROW((void)json::parse("-1e400"), ConfigError);
+  // One digit past DBL_MAX's halfway point rounds to infinity.
+  EXPECT_THROW((void)json::parse("1.7976931348623159e308"), ConfigError);
+  EXPECT_EQ(bits_of(json::parse("1.7976931348623157e308").as_double()),
+            bits_of(std::numeric_limits<double>::max()));
+}
+
+TEST(JsonParse, LongMantissaRoundsCorrectly) {
+  // 1 + 2^-53 written out exactly is the tie between 1 and 1 + 2^-52, which
+  // rounds to even (1). Zeros pad its mantissa to 800 digits; a last digit
+  // of 1 puts it just above the tie, so it must round up.
+  const std::string tie = "1.00000000000000011102230246251565404236316680908203125";
+  std::string padded = tie;
+  padded.append(801 - tie.size(), '0');
+  ASSERT_EQ(padded.size(), 801U);  // 800 digits and the point
+  EXPECT_EQ(bits_of(json::parse(padded).as_double()), bits_of(1.0));
+  padded.back() = '1';
+  const double above = std::nextafter(1.0, 2.0);
+  EXPECT_EQ(bits_of(json::parse(padded).as_double()), bits_of(above));
+  EXPECT_EQ(bits_of(json::parse("-" + padded).as_double()), bits_of(-above));
 }
 
 TEST(JsonCanonical, SortsKeysAtEveryLevel) {
