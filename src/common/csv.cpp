@@ -1,10 +1,10 @@
 #include "common/csv.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/files.hpp"
 
 namespace adc::common {
 
@@ -64,12 +64,7 @@ std::string CsvTable::to_string() const {
   return out.str();
 }
 
-void CsvTable::write(const std::string& path) const {
-  std::ofstream file(path);
-  require(file.good(), "CsvTable: cannot open " + path);
-  file << to_string();
-  require(file.good(), "CsvTable: write failed for " + path);
-}
+void CsvTable::write(const std::string& path) const { files::write_file(path, to_string()); }
 
 std::optional<std::string> bench_csv_dir() {
   const char* dir = std::getenv("ADC_BENCH_CSV_DIR");

@@ -27,7 +27,8 @@ class CsvTable {
   /// commas or quotes).
   [[nodiscard]] std::string to_string() const;
 
-  /// Write to `path`. Throws ConfigError on I/O failure.
+  /// Write to `path`, whole (common/files.hpp). Throws ConfigError on I/O
+  /// failure.
   void write(const std::string& path) const;
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }

@@ -1,13 +1,9 @@
 #include "fleet/manifest.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/files.hpp"
 
 namespace adc::fleet {
 
@@ -94,24 +90,7 @@ std::string write_document(const json::JsonValue& doc, const std::string& dir,
   fs::create_directories(dir, ec);
   adc::common::require(!ec, "fleet: cannot create " + dir);
   const std::string path = dir + "/" + filename;
-  // A temporary unique to this process and call, so concurrent writers of
-  // one path (two merges of one spec) never share or rename away each
-  // other's temporary; the last rename wins whole.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string tmp = path + ".tmp" + std::to_string(static_cast<long>(::getpid())) +
-                          "_" + std::to_string(counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    adc::common::require(out.good(), "fleet: cannot open " + tmp);
-    out << json::dump(doc);
-    out.flush();
-    adc::common::require(out.good(), "fleet: write failed for " + tmp);
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw adc::common::MeasurementError("fleet: cannot rename into " + path);
-  }
+  adc::common::files::write_file(path, json::dump(doc));
   return path;
 }
 
@@ -123,13 +102,11 @@ std::string write_manifest(const ShardManifest& m, const std::string& dir) {
 ShardManifest load_manifest(const std::string& dir, const std::string& scenario,
                             unsigned shard, unsigned shards) {
   const std::string path = dir + "/" + manifest_filename(scenario, shard, shards);
-  std::ifstream in(path, std::ios::binary);
-  adc::common::require(in.good(), "fleet manifest: cannot open " + path +
-                                      " (shard " + std::to_string(shard) +
-                                      " never wrote its manifest?)");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  ShardManifest m = parse_manifest(json::parse(buffer.str()));
+  const auto text = adc::common::files::read_file(path);
+  adc::common::require(text.has_value(), "fleet manifest: cannot open " + path +
+                                             " (shard " + std::to_string(shard) +
+                                             " never wrote its manifest?)");
+  ShardManifest m = parse_manifest(json::parse(*text));
   adc::common::require(m.shard == shard && m.shards == shards && m.scenario == scenario,
                        "fleet manifest: " + path + " does not match shard " +
                            std::to_string(shard) + "/" + std::to_string(shards));

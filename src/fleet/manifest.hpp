@@ -53,9 +53,8 @@ struct ShardManifest {
 [[nodiscard]] std::string manifest_dir_for_cache(const std::string& cache_root);
 
 /// Write `doc` as `dir/filename` (`dir` created if needed); returns the
-/// path. Atomic: the bytes go to a temporary unique to this process and
-/// call, then rename into place, so concurrent writers of one path each
-/// succeed and a reader sees one whole document.
+/// path. Written whole through common/files, so concurrent writers of one
+/// path each succeed and a reader sees one whole document.
 std::string write_document(const adc::common::json::JsonValue& doc, const std::string& dir,
                            const std::string& filename);
 

@@ -48,9 +48,7 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
         cache.root() + " (" + detail + ") — did every worker finish?");
   }
 
-  const std::string manifest_dir = options.manifest_dir.empty()
-                                       ? manifest_dir_for_cache(cache.root())
-                                       : options.manifest_dir;
+  const std::string manifest_dir = manifest_dir_for_cache(cache.root());
   const std::string fingerprint =
       adc::scenario::to_hex(adc::scenario::golden_code_fingerprint());
   if (options.require_manifests) {

@@ -27,8 +27,6 @@ namespace adc::fleet {
 struct MergeOptions {
   /// Cache root the fleet shared ("" = default resolution).
   std::string cache_dir;
-  /// Where shard manifests live ("" = `<cache root>/fleet`).
-  std::string manifest_dir;
   /// Directory for `<name>_report.json` / `<name>_report.csv` ("" = the
   /// report document is returned but not written).
   std::string report_dir;

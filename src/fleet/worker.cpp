@@ -84,8 +84,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
 
     // Pass 0: our shard. Pass 1 (scavenge): everyone else's leftovers, so
     // a dead worker's shard is finished by the survivors.
-    const int passes = options.scavenge ? 2 : 1;
-    for (int pass = 0; pass < passes && !budget_exhausted; ++pass) {
+    for (int pass = 0; pass < 2 && !budget_exhausted; ++pass) {
       const bool scavenging = pass == 1;
       const auto candidate = [&](std::size_t i) {
         return scavenging || fleet.shard_of[i] == options.shard;
@@ -154,10 +153,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   adc::common::require(m.complete || budget_exhausted,
                        "fleet worker: exited with missing payloads but no budget stop");
 
-  const std::string dir = options.manifest_dir.empty()
-                              ? manifest_dir_for_cache(cache.root())
-                              : options.manifest_dir;
-  result.manifest_path = write_manifest(m, dir);
+  result.manifest_path = write_manifest(m, manifest_dir_for_cache(cache.root()));
   return result;
 }
 

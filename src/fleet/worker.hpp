@@ -59,11 +59,6 @@ struct WorkerOptions {
   /// Compute at most this many jobs then stop (0 = unlimited); the
   /// manifest reports the remainder as skipped and complete=false.
   std::size_t max_jobs = 0;
-  /// Sweep other shards' leftovers after finishing our own (default on; a
-  /// fleet of scavenging workers finishes even when some workers die).
-  bool scavenge = true;
-  /// Manifest output directory ("" = `<cache root>/fleet`).
-  std::string manifest_dir;
   /// Progress callback (called on the worker's coordinating thread).
   std::function<void(const WorkerProgress&)> progress;
 };

@@ -1,10 +1,9 @@
 #include "runtime/manifest.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <utility>
 
-#include "common/error.hpp"
+#include "common/files.hpp"
 #include "runtime/parallel.hpp"
 
 #ifndef ADC_GIT_DESCRIBE
@@ -95,11 +94,7 @@ json::JsonValue RunManifest::to_json_value() const {
 std::string RunManifest::to_json() const { return json::dump(to_json_value()); }
 
 void RunManifest::write(const std::string& path) const {
-  std::ofstream out(path);
-  adc::common::require(out.good(), "RunManifest::write: cannot open " + path);
-  out << to_json();
-  out.flush();
-  adc::common::require(out.good(), "RunManifest::write: write failed for " + path);
+  adc::common::files::write_file(path, to_json());
 }
 
 std::optional<std::string> RunManifest::write_to_env_dir() const {

@@ -76,7 +76,8 @@ class RunManifest {
   [[nodiscard]] adc::common::json::JsonValue to_json_value() const;
   /// `to_json_value()` pretty-printed; ends with a newline.
   [[nodiscard]] std::string to_json() const;
-  /// Write `to_json()` to `path`. Throws ConfigError on I/O failure.
+  /// Write `to_json()` to `path`, whole (common/files.hpp). Throws
+  /// ConfigError on I/O failure.
   void write(const std::string& path) const;
   /// Write `<ADC_RUNTIME_MANIFEST_DIR>/<run_name>_manifest.json` when the
   /// variable is set; returns the path written, nullopt when disabled.

@@ -1,22 +1,19 @@
 #include "scenario/cache.hpp"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/files.hpp"
 #include "scenario/hash.hpp"
 
 namespace adc::scenario {
@@ -24,6 +21,12 @@ namespace adc::scenario {
 namespace fs = std::filesystem;
 namespace json = adc::common::json;
 using adc::common::ConfigError;
+using adc::common::files::is_tmp_name;
+using adc::common::files::link_name;
+using adc::common::files::publish;
+using adc::common::files::read_file;
+using adc::common::files::write_file;
+using adc::common::files::write_temp;
 
 namespace {
 
@@ -34,22 +37,6 @@ bool is_hex_hash(const std::string& hash) {
     if (!ok) return false;
   }
   return true;
-}
-
-/// Fleet-unique suffix for temporary files: pid + per-process counter, so
-/// two concurrent stores of the same hash (same payload by construction)
-/// never interleave writes, whether the writers are threads or separate
-/// worker processes sharing the cache directory.
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(static_cast<long>(::getpid())) + "_" +
-         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-/// True when the file name marks a store temporary (`<hash>.json.tmpN` or
-/// the ensure_writable probe).
-bool is_tmp_name(const std::string& name) {
-  return name.find(".tmp") != std::string::npos;
 }
 
 /// Directory walk shared by stats/clear/claims: visits every regular file
@@ -80,88 +67,6 @@ void create_parent(const fs::path& path, const char* caller) {
     throw ConfigError(std::string(caller) + ": cannot create " +
                       path.parent_path().string() + ": " + ec.message());
   }
-}
-
-/// Write `bytes` to a fresh temporary named after `next_to`, in its
-/// directory, and return the temporary's path. `caller` prefixes the error.
-fs::path write_temp(const fs::path& next_to, std::string_view bytes, const char* caller) {
-  const fs::path tmp = next_to.string() + unique_tmp_suffix();
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
-  if (fd < 0) {
-    throw ConfigError(std::string(caller) + ": cannot open " + tmp.string() + ": " +
-                      std::strerror(errno));
-  }
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    done += static_cast<std::size_t>(n);
-  }
-  if (::close(fd) != 0 || done != bytes.size()) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    throw ConfigError(std::string(caller) + ": write failed for " + tmp.string());
-  }
-  return tmp;
-}
-
-/// link(2) `to` to the file at `from`, creating `to`'s fan-out directory
-/// when it is missing; 0 on success, else the errno.
-int link_name(const fs::path& from, const fs::path& to) {
-  if (::link(from.c_str(), to.c_str()) == 0) return 0;
-  if (errno != ENOENT) return errno;
-  std::error_code ec;
-  fs::create_directories(to.parent_path(), ec);
-  if (ec) return ec.value();
-  return ::link(from.c_str(), to.c_str()) == 0 ? 0 : errno;
-}
-
-/// Publish the file at `tmp` under every name in `names`, replacing what a
-/// name held before, atomically per name: each name but the last gets a
-/// link through a fresh temporary renamed over it, and the last name takes
-/// `tmp` itself. On failure the temporaries are removed (names already
-/// published keep the new file) and ConfigError names `caller`.
-void publish(const fs::path& tmp, std::span<const fs::path> names, const char* caller) {
-  std::error_code ec;
-  const auto fail = [&](const std::string& what) {
-    fs::remove(tmp, ec);
-    throw ConfigError(std::string(caller) + ": " + what);
-  };
-  for (std::size_t i = 0; i + 1 < names.size(); ++i) {
-    const fs::path link_tmp = names[i].string() + unique_tmp_suffix();
-    if (const int err = link_name(tmp, link_tmp); err != 0) {
-      fail("cannot link " + link_tmp.string() + ": " + std::strerror(err));
-    }
-    fs::rename(link_tmp, names[i], ec);
-    if (ec) {
-      fs::remove(link_tmp, ec);
-      fail("rename failed for " + names[i].string());
-    }
-  }
-  fs::rename(tmp, names.back(), ec);
-  if (ec) fail("rename failed for " + names.back().string());
-}
-
-/// The whole file at `path`, read with one read sized by fstat; nullopt
-/// when it cannot be opened. A short read keeps the bytes it got, which
-/// then fail validation.
-std::optional<std::string> read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  std::string text;
-  struct stat st {};
-  if (::fstat(fd, &st) == 0) text.resize(static_cast<std::size_t>(st.st_size));
-  std::size_t done = 0;
-  while (done < text.size()) {
-    const ssize_t n = ::read(fd, text.data() + done, text.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    done += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  text.resize(done);
-  return text;
 }
 
 /// The opening of the envelope `json::dump` writes for a hash, up to the
@@ -241,16 +146,13 @@ void ResultCache::ensure_writable() const {
                       "\" is not a directory (set ADC_SCENARIO_CACHE_DIR or "
                       "--cache-dir to a writable directory)");
   }
-  const fs::path probe = fs::path(root_) / (".writable" + unique_tmp_suffix());
-  {
-    std::ofstream out(probe, std::ios::binary | std::ios::trunc);
-    if (!out.good()) {
-      throw ConfigError("scenario cache root \"" + root_ +
-                        "\" is not writable (set ADC_SCENARIO_CACHE_DIR or "
-                        "--cache-dir to a writable directory)");
-    }
+  try {
+    fs::remove(write_temp(fs::path(root_) / ".writable", ""), ec);
+  } catch (const ConfigError&) {
+    throw ConfigError("scenario cache root \"" + root_ +
+                      "\" is not writable (set ADC_SCENARIO_CACHE_DIR or "
+                      "--cache-dir to a writable directory)");
   }
-  fs::remove(probe, ec);
 }
 
 std::string ResultCache::entry_path(const std::string& hash) const {
@@ -303,7 +205,7 @@ void ResultCache::store(std::span<const CacheEntry> entries) {
   // Write the pack next to the last entry, under a temporary name, then
   // publish it under every entry name.
   create_parent(paths.back(), "ResultCache::store");
-  publish(write_temp(paths.back(), pack, "ResultCache::store"), paths, "ResultCache::store");
+  publish(write_temp(paths.back(), pack), paths);
   stores_.fetch_add(entries.size(), std::memory_order_relaxed);
 }
 
@@ -402,13 +304,6 @@ std::string claim_text(const ClaimInfo& info) {
   return json::dump_compact(claim_document(info));
 }
 
-/// Atomically replace (or create) the claim at `path` with `info`: a
-/// temporary renamed over it.
-void write_claim(const fs::path& path, const ClaimInfo& info) {
-  publish(write_temp(path, claim_text(info), "ResultCache"), std::span(&path, 1),
-          "ResultCache");
-}
-
 }  // namespace
 
 ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& owner,
@@ -434,8 +329,7 @@ std::vector<ClaimOutcome> ResultCache::try_claim(std::span<const std::string> ha
   // would parse as corrupt, count as stale, and be stolen, leaving two
   // owners.
   create_parent(paths.front(), "ResultCache::try_claim");
-  const fs::path tmp = write_temp(paths.front(), claim_text({owner, now_ms}),
-                                  "ResultCache::try_claim");
+  const fs::path tmp = write_temp(paths.front(), claim_text({owner, now_ms}));
   std::error_code ec;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const int err = link_name(tmp, paths[i]);
@@ -460,7 +354,7 @@ std::vector<ClaimOutcome> ResultCache::try_claim(std::span<const std::string> ha
     const auto existing = read_claim(hashes[i]);
     if (existing.has_value() && existing->owner == owner) {
       // Re-entrant: refresh our own heartbeat.
-      write_claim(paths[i], {owner, now_ms});
+      write_file(paths[i], claim_text({owner, now_ms}));
       outcomes[i] = ClaimOutcome::kAcquired;
       continue;
     }
@@ -471,7 +365,7 @@ std::vector<ClaimOutcome> ResultCache::try_claim(std::span<const std::string> ha
     // race a concurrent steal; the worst case is two owners computing the
     // same job, which produces bit-identical bytes under the same content
     // address.)
-    write_claim(paths[i], {owner, now_ms});
+    write_file(paths[i], claim_text({owner, now_ms}));
     const auto confirmed = read_claim(hashes[i]);
     if (confirmed.has_value() && confirmed->owner == owner) {
       outcomes[i] = ClaimOutcome::kAcquired;
@@ -497,8 +391,7 @@ std::size_t ResultCache::refresh_claim(std::span<const std::string> hashes,
     if (existing.has_value() && existing->owner == owner) held.emplace_back(claim_path(hash));
   }
   if (held.empty()) return 0;
-  publish(write_temp(held.front(), claim_text({owner, now_ms}), "ResultCache::refresh_claim"),
-          held, "ResultCache::refresh_claim");
+  publish(write_temp(held.front(), claim_text({owner, now_ms})), held);
   return held.size();
 }
 

@@ -38,10 +38,11 @@
 /// Durability contract:
 ///   * `store` writes the pack to a temporary file and gives each entry name
 ///     its own link by linking a fresh temporary and renaming it over the
-///     entry (the last name takes the pack's temporary itself), so the last
-///     writer of a name wins, readers never observe a half-written entry,
-///     and a killed run leaves at worst orphaned `*.tmp*` names next to
-///     complete entries. The filesystem must support link(2).
+///     entry (the last name takes the pack's temporary itself; common/files
+///     `write_temp` + `publish`), so the last writer of a name wins, readers
+///     never observe a half-written entry, and a killed run leaves at worst
+///     orphaned `*.tmp*` names next to complete entries. The filesystem must
+///     support link(2).
 ///   * `load` validates its envelope (the file ends with the closing bytes
 ///     of a bare envelope or of a pack, an envelope for this hash is present
 ///     and parseable, the hash echo and schema version match, payload

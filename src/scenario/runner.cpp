@@ -4,13 +4,13 @@
 #include <charconv>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "batch/converter.hpp"
 #include "common/error.hpp"
+#include "common/files.hpp"
 #include "pipeline/design.hpp"
 #include "power/power_model.hpp"
 #include "runtime/manifest.hpp"
@@ -122,14 +122,6 @@ void append_csv_cell(std::string& csv, const json::JsonValue& value) {
     case json::JsonValue::Type::kBool: csv += value.as_bool() ? "true" : "false"; return;
     default: return;
   }
-}
-
-void write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  adc::common::require(out.good(), "ScenarioRunner: cannot open " + path);
-  out << text;
-  out.flush();
-  adc::common::require(out.good(), "ScenarioRunner: write failed for " + path);
 }
 
 /// A run of consecutive candidate cache misses the execute phase computes
@@ -282,9 +274,9 @@ ReportPaths write_report_files(const json::JsonValue& report, const std::string&
   adc::common::require(!ec, "write_report_files: cannot create " + dir);
   ReportPaths paths;
   paths.json_path = dir + "/" + name + "_report.json";
-  write_text_file(paths.json_path, json::dump(report));
+  adc::common::files::write_file(paths.json_path, json::dump(report));
   paths.csv_path = dir + "/" + name + "_report.csv";
-  write_text_file(paths.csv_path, report_csv(report));
+  adc::common::files::write_file(paths.csv_path, report_csv(report));
   return paths;
 }
 
@@ -388,10 +380,8 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
   // before its jobs would be computed, so a claim is held only while its
   // job is actually in flight.
   if (!units.empty()) {
-    adc::runtime::BatchStats stats;
     adc::runtime::BatchOptions batch;
     batch.threads = options.threads;
-    batch.stats = &stats;
     auto computed = adc::runtime::parallel_map<std::vector<std::optional<json::JsonValue>>>(
         units.size(),
         [&](std::size_t u) {

@@ -131,9 +131,9 @@ struct ScenarioPlan {
 [[nodiscard]] std::string report_csv(const adc::common::json::JsonValue& report);
 
 /// Write `<name>_report.json` and `<name>_report.csv` into `dir` (created
-/// if needed) and return the two paths. One writer shared by the batch
-/// runner, the fleet merge and `adc_scenario client submit`, so their files
-/// are byte-identical by construction.
+/// if needed), each whole through common/files, and return the two paths.
+/// One writer shared by the batch runner, the fleet merge and `adc_scenario
+/// client submit`, so their files are byte-identical by construction.
 struct ReportPaths {
   std::string json_path;
   std::string csv_path;

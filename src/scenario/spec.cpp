@@ -1,12 +1,12 @@
 #include "scenario/spec.hpp"
 
-#include <fstream>
 #include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/files.hpp"
 
 namespace adc::scenario {
 
@@ -374,13 +374,10 @@ ScenarioSpec parse_spec(const json::JsonValue& doc) {
 ScenarioSpec parse_spec_text(std::string_view text) { return parse_spec(json::parse(text)); }
 
 ScenarioSpec load_spec_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw ConfigError("scenario spec: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) throw ConfigError("scenario spec: read failed for " + path);
+  const auto text = adc::common::files::read_file(path);
+  if (!text.has_value()) throw ConfigError("scenario spec: cannot open " + path);
   try {
-    return parse_spec_text(buffer.str());
+    return parse_spec_text(*text);
   } catch (const ConfigError& e) {
     throw ConfigError(path + ": " + e.what());
   }

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "common/error.hpp"
@@ -156,7 +157,8 @@ UnixListener::UnixListener(const std::string& path) : path_(path) {
   if (fd_ < 0) {
     throw ConfigError(std::string("unix socket creation failed: ") + std::strerror(errno));
   }
-  ::unlink(path.c_str());  // a stale socket file from a crashed daemon
+  std::error_code ec;
+  std::filesystem::remove(path, ec);  // a stale socket file from a crashed daemon
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0) {
     const int err = errno;
     ::close(fd_);
@@ -184,7 +186,8 @@ void UnixListener::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-    ::unlink(path_.c_str());
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
   }
 }
 

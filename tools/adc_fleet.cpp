@@ -4,12 +4,11 @@
 ///
 ///   adc_fleet run <spec.json> --workers N [--cache-dir D] [--report-dir D]
 ///                             [--lease-ms N] [--poll-ms N] [--threads N]
-///                             [--max-jobs N] [--no-scavenge]
-///                             [--min-hit-rate F]
+///                             [--max-jobs N] [--min-hit-rate F]
 ///       fork N local workers (shards 0..N-1), wait for them, merge.
 ///   adc_fleet worker <spec.json> --shard k/W [--cache-dir D] [--owner ID]
 ///                             [--lease-ms N] [--poll-ms N] [--threads N]
-///                             [--max-jobs N] [--no-scavenge] [--quiet]
+///                             [--max-jobs N] [--quiet]
 ///       run one worker process (one machine of a multi-machine fleet).
 ///   adc_fleet merge <spec.json> --shards W [--cache-dir D] [--report-dir D]
 ///                             [--min-hit-rate F]
@@ -58,7 +57,6 @@ void print_usage() {
       "  --poll-ms N       sleep between probes while blocked (default 50)\n"
       "  --threads N       worker threads per process (default: runtime)\n"
       "  --max-jobs N      worker computes at most N jobs (budget)\n"
-      "  --no-scavenge     don't sweep other shards' leftovers\n"
       "  --owner ID        claim owner id (default <host>:<pid>)\n"
       "  --min-hit-rate F  run/merge: fail when any worker's warm-hit\n"
       "                    fraction is below F (resume health gate)\n"
@@ -95,7 +93,6 @@ struct FleetCli {
   std::uint64_t poll_ms = 50;
   unsigned threads = 0;
   std::size_t max_jobs = 0;
-  bool scavenge = true;
   double min_hit_rate = -1.0;
   bool quiet = false;
 };
@@ -134,8 +131,6 @@ FleetCli parse_cli(const std::vector<std::string>& args) {
           std::strtoul(take_value(args, i).c_str(), nullptr, 10));
     } else if (arg == "--max-jobs") {
       cli.max_jobs = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
-    } else if (arg == "--no-scavenge") {
-      cli.scavenge = false;
     } else if (arg == "--min-hit-rate") {
       cli.min_hit_rate = std::strtod(take_value(args, i).c_str(), nullptr);
     } else if (arg == "--quiet") {
@@ -162,7 +157,6 @@ adc::fleet::WorkerOptions worker_options(const FleetCli& cli) {
   options.poll_ms = cli.poll_ms;
   options.threads = cli.threads;
   options.max_jobs = cli.max_jobs;
-  options.scavenge = cli.scavenge;
   return options;
 }
 

@@ -19,7 +19,6 @@
 /// unmet --min-hit-rate), 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -178,14 +177,10 @@ int hash_command(const std::vector<std::string>& args) {
   std::printf("spec_hash   %s\n", spec_hash(spec).c_str());
   std::printf("fingerprint %s\n", to_hex(golden_code_fingerprint()).c_str());
   std::printf("jobs        %zu\n", jobs.size());
-  constexpr std::size_t kMaxPrinted = 32;
-  for (std::size_t i = 0; i < jobs.size() && i < kMaxPrinted; ++i) {
-    const auto resolved = resolve_job(spec, jobs[i]);
+  for (const auto& job : jobs) {
+    const auto resolved = resolve_job(spec, job);
     std::printf("  %s  %s\n", job_hash(resolved).c_str(),
                 json::canonical(job_document(resolved)).c_str());
-  }
-  if (jobs.size() > kMaxPrinted) {
-    std::printf("  ... %zu more\n", jobs.size() - kMaxPrinted);
   }
   return 0;
 }
@@ -322,16 +317,8 @@ int client_submit(const std::vector<std::string>& args) {
   if (socket_path.empty()) usage_error("client submit: --socket is required");
 
   // Validate locally first: a bad spec fails fast with the full parser
-  // diagnostics instead of a one-line protocol error.
-  std::ifstream in(spec_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "adc_scenario: cannot read %s\n", spec_path.c_str());
-    return 1;
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const auto doc = json::parse(text);
-  const auto spec = parse_spec(doc);
+  // diagnostics, naming the file, instead of a one-line protocol error.
+  const auto spec = load_spec_file(spec_path);
   if (request_id.empty()) request_id = spec.name;
 
   auto stream = service::UnixStream::connect(socket_path);
@@ -340,7 +327,7 @@ int client_submit(const std::vector<std::string>& args) {
   auto request = json::JsonValue::object();
   request.set("type", "run");
   request.set("id", request_id);
-  request.set("spec", doc);
+  request.set("spec", spec.raw);
   if (max_jobs != 0) {
     auto options = json::JsonValue::object();
     options.set("max_jobs", max_jobs);
