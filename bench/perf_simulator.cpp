@@ -7,8 +7,10 @@
 /// plus the parallel runtime itself: pool fan-out overhead and the
 /// end-to-end Monte-Carlo / rate-sweep workloads at 1 and N threads (the
 /// serial-vs-parallel pair is the speedup the runtime exists to deliver),
-/// the scenario cache's store path, one entry per file against packs, and
-/// the report writer with the double formatter under it.
+/// the scenario cache's store path, one entry per file against packs, its
+/// load path, one name per call against a pack's names, the plan's job
+/// hashes at 1 and N threads, and the report writer with the double
+/// formatter under it.
 /// `tools/run_bench.sh` runs this binary with JSON output as the repo's
 /// performance trajectory artifact.
 #include <benchmark/benchmark.h>
@@ -514,6 +516,51 @@ void BM_CacheClaim(benchmark::State& state) {
                           static_cast<std::int64_t>(all.size()));
 }
 BENCHMARK(BM_CacheClaim)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// yield2k's 2000 job hashes, at Arg threads (plan_scenario hashes chunks of
+// kPlanChunk jobs on the pool; 1 hashes them on the caller).
+void BM_PlanScenario(benchmark::State& state) {
+  const auto spec = adc::scenario::parse_spec_text(kYield2k);
+  const auto threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(adc::scenario::plan_scenario(spec, threads));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+}
+BENCHMARK(BM_PlanScenario)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// yield2k's 2000 names loaded from a cache of 32-name packs (a 4-thread
+// cold run's layout), Arg names per load call on one thread: 1 reads the
+// whole pack behind every name, 32 reads each pack once per call.
+void BM_CacheProbe(benchmark::State& state) {
+  const CachePayloads& fixture = yield2k_payloads();
+  const auto per_call = static_cast<std::size_t>(state.range(0));
+  const std::string root = fixture.root.path + "/probe";
+  adc::scenario::ResultCache cache(root);
+  if (cache.stats().entries != fixture.plan.hashes.size()) {
+    cache.ensure_writable();
+    std::vector<adc::scenario::CacheEntry> entries;
+    for (std::size_t i = 0; i < fixture.plan.hashes.size(); ++i) {
+      entries.push_back({fixture.plan.hashes[i], *fixture.payloads[i]});
+    }
+    for (std::size_t first = 0; first < entries.size(); first += 32) {
+      cache.store(std::span(entries).subspan(first, std::min<std::size_t>(32, entries.size() - first)));
+    }
+  }
+  const std::span<const std::string> all(fixture.plan.hashes);
+  for (auto _ : state) {
+    for (std::size_t first = 0; first < all.size(); first += per_call) {
+      const auto names = all.subspan(first, std::min(per_call, all.size() - first));
+      if (per_call == 1) {
+        benchmark::DoNotOptimize(cache.load(names.front()));
+      } else {
+        benchmark::DoNotOptimize(cache.load(names));
+      }
+    }
+  }
+  if (cache.misses() != 0) state.SkipWithError("the probe missed the cache");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(all.size()));
+}
+BENCHMARK(BM_CacheProbe)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
 
 // --- Report writer ----------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -29,6 +30,12 @@ std::string unique_tmp_suffix() {
 /// Read size for a file fstat cannot size (a pipe, such as a spec passed
 /// as `<(...)`).
 constexpr std::size_t kChunk = 64 * 1024;
+
+FileId id_of(const struct stat& st) {
+  return {static_cast<std::uint64_t>(st.st_dev), static_cast<std::uint64_t>(st.st_ino),
+          static_cast<std::int64_t>(st.st_size),
+          static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 + st.st_mtim.tv_nsec};
+}
 
 }  // namespace
 
@@ -89,12 +96,21 @@ void write_file(const fs::path& path, std::string_view bytes) {
   publish(write_temp(path, bytes), std::span(&path, 1));
 }
 
-std::optional<std::string> read_file(const fs::path& path) {
+std::optional<FileId> file_id(const fs::path& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return id_of(st);
+}
+
+std::optional<FileBytes> read_file_with_id(const fs::path& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return std::nullopt;
-  std::string text;
+  FileBytes file;
+  std::string& text = file.bytes;
   struct stat st {};
-  const bool sized = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  const bool known = ::fstat(fd, &st) == 0;
+  if (known) file.id = id_of(st);
+  const bool sized = known && S_ISREG(st.st_mode);
   if (sized) text.resize(static_cast<std::size_t>(st.st_size));
   std::size_t done = 0;
   for (;;) {
@@ -104,12 +120,22 @@ std::optional<std::string> read_file(const fs::path& path) {
     }
     const ssize_t n = ::read(fd, text.data() + done, text.size() - done);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
+    if (n < 0) {
+      ::close(fd);
+      return std::nullopt;
+    }
+    if (n == 0) break;
     done += static_cast<std::size_t>(n);
   }
   ::close(fd);
   text.resize(done);
-  return text;
+  return file;
+}
+
+std::optional<std::string> read_file(const fs::path& path) {
+  auto file = read_file_with_id(path);
+  if (!file.has_value()) return std::nullopt;
+  return std::move(file->bytes);
 }
 
 }  // namespace adc::common::files

@@ -15,6 +15,7 @@
 /// behind when it throws.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <span>
@@ -46,9 +47,34 @@ void publish(const std::filesystem::path& tmp, std::span<const std::filesystem::
 /// `publish(write_temp(path, bytes), {path})`. Creates no directories.
 void write_file(const std::filesystem::path& path, std::string_view bytes);
 
+/// What stat(2) says identifies a file's bytes: its inode (device and
+/// number), size and modification time. Files of this layer are never
+/// rewritten in place, so two names with one identity hold the same bytes.
+struct FileId {
+  std::uint64_t device = 0;
+  std::uint64_t inode = 0;
+  std::int64_t size = 0;
+  std::int64_t mtime_ns = 0;
+  friend bool operator==(const FileId&, const FileId&) = default;
+};
+
+/// The identity of the file at `path` (stat(2), following links); nullopt
+/// when it cannot be stat'ed.
+[[nodiscard]] std::optional<FileId> file_id(const std::filesystem::path& path);
+
+/// A file's bytes and the identity of the descriptor they were read from.
+struct FileBytes {
+  FileId id;
+  std::string bytes;
+};
+
 /// The whole file at `path`, read with one read sized by fstat (a pipe is
-/// read to its end); nullopt when it cannot be opened. A short read keeps
-/// the bytes it got.
+/// read to its end), with the fstat identity of the descriptor read. A
+/// short read keeps the bytes it got. nullopt when the file cannot be
+/// opened or a read fails (a directory fails with EISDIR).
+[[nodiscard]] std::optional<FileBytes> read_file_with_id(const std::filesystem::path& path);
+
+/// The bytes of `read_file_with_id`.
 [[nodiscard]] std::optional<std::string> read_file(const std::filesystem::path& path);
 
 }  // namespace adc::common::files

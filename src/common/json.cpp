@@ -512,6 +512,14 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
+JsonValue* JsonValue::find(std::string_view key) {
+  if (type_ != Type::kObject) type_error("object", type_);
+  for (auto& m : object_) {
+    if (m.key == key) return &m.value;
+  }
+  return nullptr;
+}
+
 void JsonValue::set(std::string_view key, JsonValue value) {
   if (type_ != Type::kObject) type_error("object", type_);
   for (auto& m : object_) {

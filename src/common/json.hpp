@@ -97,6 +97,8 @@ class JsonValue {
 
   /// Object member lookup; nullptr when absent (value must be an object).
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
+  /// The same lookup on a mutable object, so a member can be moved out.
+  [[nodiscard]] JsonValue* find(std::string_view key);
   [[nodiscard]] bool contains(std::string_view key) const { return find(key) != nullptr; }
   /// Insert or replace, preserving first-insertion order (value must be an
   /// object).

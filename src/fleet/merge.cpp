@@ -16,7 +16,7 @@ namespace json = adc::common::json;
 MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
                         const MergeOptions& options) {
   adc::common::require(options.shards != 0, "fleet merge: shard count must be positive");
-  const FleetPlan fleet = plan_fleet(spec, options.shards);
+  const FleetPlan fleet = plan_fleet(spec, options.shards, 0);
   const adc::scenario::ScenarioPlan& plan = fleet.scenario;
   adc::scenario::ResultCache cache(options.cache_dir);
 
@@ -25,14 +25,11 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
 
   // The merge *is* a warm cache read: load every payload the fleet stored.
   std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
+  const std::size_t missing =
+      plan.jobs.size() - adc::scenario::probe_cache(plan, cache, payloads, nullptr, 0);
   std::vector<std::size_t> missing_per_shard(options.shards, 0);
-  std::size_t missing = 0;
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    payloads[i] = cache.load(plan.hashes[i]);
-    if (!payloads[i].has_value()) {
-      ++missing;
-      ++missing_per_shard[fleet.shard_of[i]];
-    }
+    if (!payloads[i].has_value()) ++missing_per_shard[fleet.shard_of[i]];
   }
   if (missing != 0) {
     std::string detail;
@@ -104,12 +101,11 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
 FleetStatus fleet_status(const adc::scenario::ScenarioSpec& spec,
                          const std::string& cache_dir) {
   adc::scenario::ResultCache cache(cache_dir);
-  const adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec);
+  const adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec, 0);
   FleetStatus status;
   status.jobs_total = plan.jobs.size();
-  for (const auto& hash : plan.hashes) {
-    if (cache.load(hash).has_value()) ++status.cached;
-  }
+  std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
+  status.cached = adc::scenario::probe_cache(plan, cache, payloads, nullptr, 0);
   status.claims = cache.claims();
   return status;
 }

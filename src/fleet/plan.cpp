@@ -26,10 +26,11 @@ unsigned shard_of_hash(const std::string& hash, unsigned shards) {
   return static_cast<unsigned>(scaled >> 64);
 }
 
-FleetPlan plan_fleet(const adc::scenario::ScenarioSpec& spec, unsigned shards) {
+FleetPlan plan_fleet(const adc::scenario::ScenarioSpec& spec, unsigned shards,
+                     unsigned threads) {
   adc::common::require(shards != 0, "fleet: shard count must be positive");
   FleetPlan fleet;
-  fleet.scenario = adc::scenario::plan_scenario(spec);
+  fleet.scenario = adc::scenario::plan_scenario(spec, threads);
   fleet.shards = shards;
   fleet.shard_of.reserve(fleet.scenario.hashes.size());
   fleet.shard_sizes.assign(shards, 0);

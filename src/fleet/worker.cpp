@@ -29,7 +29,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
                            " shards");
   adc::common::require(options.lease_ms > 0, "fleet worker: lease must be positive");
 
-  const FleetPlan fleet = plan_fleet(spec, options.shards);
+  const FleetPlan fleet = plan_fleet(spec, options.shards, options.threads);
   const adc::scenario::ScenarioPlan& plan = fleet.scenario;
   ResultCache cache(options.cache_dir);
   cache.ensure_writable();
@@ -47,8 +47,6 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   m.jobs_total = plan.jobs.size();
   m.shard_jobs = fleet.shard_sizes[options.shard];
 
-  result.pool_before = adc::runtime::global_pool().counters();
-
   std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
   const auto done_count = [&] {
     std::size_t done = 0;
@@ -59,11 +57,11 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   };
 
   // Initial probe over the full grid: everything already in the shared
-  // cache — previous runs, other machines — is a warm hit.
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    payloads[i] = cache.load(plan.hashes[i]);
-    if (payloads[i].has_value()) ++m.cache_hits;
-  }
+  // cache — previous runs, other machines — is a warm hit. The pool
+  // counters start after it, as the runner's do after its probe, so a warm
+  // worker reports zero pool jobs.
+  m.cache_hits = adc::scenario::probe_cache(plan, cache, payloads, nullptr, options.threads);
+  result.pool_before = adc::runtime::global_pool().counters();
 
   const auto report_progress = [&](bool scavenging) {
     if (!options.progress) return;
@@ -92,15 +90,11 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
       while (true) {
         // Re-probe the candidates still missing: another worker may have
         // stored them since we last looked.
+        m.elsewhere +=
+            adc::scenario::probe_cache(plan, cache, payloads, candidate, options.threads);
         std::size_t missing = 0;
         for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-          if (payloads[i].has_value() || !candidate(i)) continue;
-          payloads[i] = cache.load(plan.hashes[i]);
-          if (payloads[i].has_value()) {
-            ++m.elsewhere;
-          } else {
-            ++missing;
-          }
+          if (!payloads[i].has_value() && candidate(i)) ++missing;
         }
         if (missing == 0) break;
         if (options.max_jobs != 0 && m.computed >= options.max_jobs) {

@@ -54,7 +54,8 @@ struct WorkerOptions {
   std::uint64_t lease_ms = adc::scenario::kClaimLeaseMs;
   /// Sleep between probes while every remaining miss is claimed elsewhere.
   std::uint64_t poll_ms = 50;
-  /// Worker threads for the execute phase (0 = runtime default).
+  /// Worker threads for the plan, the cache probes and the execute phase
+  /// (0 = runtime default).
   unsigned threads = 0;
   /// Compute at most this many jobs then stop (0 = unlimited); the
   /// manifest reports the remainder as skipped and complete=false.
@@ -67,8 +68,9 @@ struct WorkerOptions {
 struct WorkerResult {
   ShardManifest manifest;
   std::string manifest_path;
-  /// Global pool counters around the run; equal submitted counts prove a
-  /// fully warm run (zero pool jobs).
+  /// Global pool counters from the end of the initial cache probe to the
+  /// end of the run; equal submitted counts prove a fully warm run (zero
+  /// pool jobs).
   adc::runtime::PoolCounters pool_before;
   adc::runtime::PoolCounters pool_after;
 };

@@ -21,10 +21,13 @@ namespace adc::scenario {
 namespace fs = std::filesystem;
 namespace json = adc::common::json;
 using adc::common::ConfigError;
+using adc::common::files::file_id;
+using adc::common::files::FileBytes;
 using adc::common::files::is_tmp_name;
 using adc::common::files::link_name;
 using adc::common::files::publish;
 using adc::common::files::read_file;
+using adc::common::files::read_file_with_id;
 using adc::common::files::write_file;
 using adc::common::files::write_temp;
 
@@ -107,14 +110,14 @@ std::optional<json::JsonValue> unpack(std::string_view pack, const std::string& 
   if (close == std::string_view::npos) return std::nullopt;
   const std::size_t end = close + kEnvelopeClose.size();
   try {
-    const auto envelope = json::parse(pack.substr(start, end - start));
+    auto envelope = json::parse(pack.substr(start, end - start));
     const auto* stored_hash = envelope.find("hash");
     const auto* version = envelope.find("schema_version");
-    const auto* payload = envelope.find("payload");
+    auto* payload = envelope.find("payload");
     if (stored_hash != nullptr && stored_hash->is_string() &&
         stored_hash->as_string() == hash && version != nullptr && version->is_integer() &&
         version->as_uint64() == kScenarioSchemaVersion && payload != nullptr) {
-      return *payload;
+      return std::move(*payload);
     }
   } catch (const ConfigError&) {
     // Invalid envelope.
@@ -161,23 +164,44 @@ std::string ResultCache::entry_path(const std::string& hash) const {
 }
 
 std::optional<json::JsonValue> ResultCache::load(const std::string& hash) {
-  const std::string path = entry_path(hash);
-  const auto text = read_file(path);
-  if (!text.has_value()) {
+  return std::move(load(std::span(&hash, 1)).front());
+}
+
+std::vector<std::optional<json::JsonValue>> ResultCache::load(
+    std::span<const std::string> hashes) {
+  std::vector<std::optional<json::JsonValue>> payloads(hashes.size());
+  // The files this call has read, keyed by the identity of the descriptor
+  // read: a later name with that identity is a link to the same bytes.
+  std::vector<FileBytes> read;
+  for (std::size_t k = 0; k < hashes.size(); ++k) {
+    const std::string path = entry_path(hashes[k]);
+    const FileBytes* pack = nullptr;
+    if (const auto id = file_id(path)) {
+      const auto seen = std::find_if(read.rbegin(), read.rend(),
+                                     [&](const FileBytes& file) { return file.id == *id; });
+      if (seen != read.rend()) {
+        pack = &*seen;
+      } else if (auto file = read_file_with_id(path)) {
+        pack = &read.emplace_back(std::move(*file));
+      }
+    }
+    if (pack == nullptr) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    payloads[k] = unpack(pack->bytes, hashes[k]);
+    if (payloads[k].has_value()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    // Evict only this name: sibling links into the same pack are judged on
+    // their own envelopes.
+    std::error_code ec;
+    fs::remove(path, ec);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
   }
-  if (auto payload = unpack(*text, hash)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return payload;
-  }
-  // Evict only this name: sibling links into the same pack evict on their
-  // own loads.
-  std::error_code ec;
-  fs::remove(path, ec);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  return payloads;
 }
 
 void ResultCache::store(const std::string& hash, const json::JsonValue& payload) {

@@ -28,6 +28,8 @@
 /// Caches from either layout load alike, and every file is one JSON
 /// document. `load` finds its own envelope by its header
 /// (`{\n  "hash": "<hash>"` at a line start) and parses only that slice. A
+/// `load` over several names reads each pack once: a name whose stat
+/// identity matches a file the call has already read reuses its bytes. A
 /// build that predates packs reads a multi-entry pack as an envelope
 /// without a hash, evicts it and recomputes.
 ///
@@ -156,8 +158,17 @@ class ResultCache {
   /// instead of as a raw filesystem exception mid-run.
   void ensure_writable() const;
 
-  /// Fetch the payload stored under `hash`; nullopt on miss. Invalid
-  /// entries are evicted and count as a miss.
+  /// Fetch the payload stored under each of `hashes`; one result per hash,
+  /// in order, nullopt on a miss. Each name is stat'ed; a name whose
+  /// identity (device, inode, size, mtime) is a file this call has already
+  /// read reuses those bytes, so a call over a pack's names reads the pack
+  /// once. Each name's envelope is still validated on its own: an invalid
+  /// one evicts that name and counts as a miss, and the counters move
+  /// exactly as they would for one-name loads of the same hashes.
+  [[nodiscard]] std::vector<std::optional<adc::common::json::JsonValue>> load(
+      std::span<const std::string> hashes);
+
+  /// The one-name load: the one-element call above.
   [[nodiscard]] std::optional<adc::common::json::JsonValue> load(const std::string& hash);
 
   /// Atomically persist `entries` as one pack (see the file comment): one

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <numeric>
 #include <utility>
@@ -142,15 +143,81 @@ bool single_tone(const ScenarioSpec& spec) {
   return dynamic_measurement && spec.stimulus.type == StimulusSpec::Type::kTone;
 }
 
+/// Run `body(c)` for each chunk c < `chunks` as index-keyed parallel_map
+/// jobs on `threads` (0 = runtime resolution); one chunk, one thread or a
+/// pool worker's call runs them on the caller. No chunk cancels another:
+/// each runs to its end or its first throw, and the lowest throwing chunk's
+/// exception is rethrown, so a body that walks its positions in order
+/// fails with the error a serial walk over all positions meets first.
+template <typename Body>
+void for_each_chunk(std::size_t chunks, unsigned threads, Body&& body) {
+  adc::runtime::BatchOptions batch;
+  batch.threads = threads;
+  const auto errors = adc::runtime::parallel_map<std::exception_ptr>(
+      chunks,
+      [&](std::size_t c) -> std::exception_ptr {
+        try {
+          body(c);
+        } catch (...) {
+          return std::current_exception();
+        }
+        return nullptr;
+      },
+      batch);
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 }  // namespace
 
-ScenarioPlan plan_scenario(const ScenarioSpec& spec) {
+ScenarioPlan plan_scenario(const ScenarioSpec& spec, unsigned threads) {
   ScenarioPlan plan;
   plan.spec_hash = spec_hash(spec);
   plan.jobs = expand_jobs(spec);
-  plan.hashes.reserve(plan.jobs.size());
-  for (const auto& job : plan.jobs) plan.hashes.push_back(job_hash(resolve_job(spec, job)));
+  const std::size_t n = plan.jobs.size();
+  plan.hashes.resize(n);
+  for_each_chunk((n + kPlanChunk - 1) / kPlanChunk, threads, [&](std::size_t c) {
+    for (std::size_t i = c * kPlanChunk; i < std::min(n, (c + 1) * kPlanChunk); ++i) {
+      plan.hashes[i] = job_hash(resolve_job(spec, plan.jobs[i]));
+    }
+  });
   return plan;
+}
+
+std::size_t probe_cache(const ScenarioPlan& plan, ResultCache& cache,
+                        std::vector<std::optional<json::JsonValue>>& payloads,
+                        const std::function<bool(std::size_t index)>& candidate,
+                        unsigned threads) {
+  adc::common::require(payloads.size() == plan.jobs.size(),
+                       "probe_cache: payloads not aligned with the plan");
+  // The slots to fill, grouped by the plan chunk they fall in; a chunk with
+  // none submits nothing.
+  std::vector<std::size_t> wanted;
+  std::vector<std::size_t> starts;  // chunk c's slots: wanted[starts[c], starts[c + 1])
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    if (payloads[i].has_value() || (candidate && !candidate(i))) continue;
+    if (starts.empty() || i / kPlanChunk != wanted.back() / kPlanChunk) {
+      starts.push_back(wanted.size());
+    }
+    wanted.push_back(i);
+  }
+  starts.push_back(wanted.size());
+  std::vector<std::size_t> filled(starts.size() - 1, 0);
+  for_each_chunk(filled.size(), threads, [&](std::size_t c) {
+    const std::span<const std::size_t> slots(wanted.data() + starts[c],
+                                             starts[c + 1] - starts[c]);
+    std::vector<std::string> names;
+    names.reserve(slots.size());
+    for (const std::size_t i : slots) names.push_back(plan.hashes[i]);
+    auto loaded = cache.load(names);
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      if (!loaded[k].has_value()) continue;
+      payloads[slots[k]] = std::move(loaded[k]);
+      ++filled[c];
+    }
+  });
+  return std::accumulate(filled.begin(), filled.end(), std::size_t{0});
 }
 
 json::JsonValue build_report(const ScenarioSpec& spec, const ScenarioPlan& plan,
@@ -458,11 +525,10 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   ScenarioPlan plan;
   {
     auto phase = manifest.phase("expand");
-    plan = plan_scenario(spec);
+    plan = plan_scenario(spec, options_.threads);
     phase.set_jobs(plan.jobs.size());
   }
   const std::vector<JobPoint>& jobs = plan.jobs;
-  const std::vector<std::string>& hashes = plan.hashes;
   result.jobs_total = jobs.size();
 
   // Probe the cache: anything already computed (by a previous run, an
@@ -472,14 +538,10 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   {
     auto phase = manifest.phase("cache_probe", jobs.size());
     if (options_.use_cache) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) payloads[i] = cache.load(hashes[i]);
+      result.cache_hits = probe_cache(plan, cache, payloads, nullptr, options_.threads);
     }
   }
-  std::size_t miss_count = 0;
-  for (const auto& payload : payloads) {
-    if (!payload.has_value()) ++miss_count;
-  }
-  result.cache_hits = jobs.size() - miss_count;
+  const std::size_t miss_count = jobs.size() - result.cache_hits;
 
   // Compute the misses through the shared execute phase — the same path a
   // fleet worker takes, so sharded and single-process runs produce the same

@@ -16,8 +16,10 @@
 ///     remainder. Resumed results are bit-identical to an uninterrupted run.
 ///   * **Telemetry** — a RunManifest (runtime/manifest.hpp) records the
 ///     expand/probe/execute phases, cache counters and pool telemetry. A
-///     fully cached run submits *zero* pool jobs, which is how CI verifies
-///     the 100%-hit re-run.
+///     fully cached run submits *zero* pool jobs in its execute phase
+///     (RunResult::pool_before/pool_after bracket it; the plan and the
+///     probe before it run as chunks of kPlanChunk jobs), which is how CI
+///     verifies the 100%-hit re-run.
 #pragma once
 
 #include <cstddef>
@@ -112,9 +114,32 @@ struct ScenarioPlan {
   std::string spec_hash;
 };
 
-/// Expand the sweep grid and content-address every job. Throws ConfigError
-/// on invalid specs (the same validation surface as expand_jobs).
-[[nodiscard]] ScenarioPlan plan_scenario(const ScenarioSpec& spec);
+/// Plan positions per chunk of the two per-job passes that run before
+/// execution: hashing the plan (plan_scenario) and probing the cache
+/// (probe_cache). Each chunk is one pool job; a pass of one chunk runs on
+/// the caller and submits nothing.
+inline constexpr std::size_t kPlanChunk = 64;
+
+/// Expand the sweep grid and content-address every job, hashing chunks of
+/// kPlanChunk consecutive jobs on `threads` workers (0 = runtime default
+/// resolution, 1 = on the caller). A caller that names no thread count
+/// plans on its own thread: the front ends pass theirs. Every hash is a
+/// pure function of its job, so the plan is identical at any thread count.
+/// Throws ConfigError on invalid specs (the same validation surface as
+/// expand_jobs), with the error the lowest failing job throws.
+[[nodiscard]] ScenarioPlan plan_scenario(const ScenarioSpec& spec, unsigned threads = 1);
+
+/// Fill every empty slot of `payloads` that `candidate` admits (null =
+/// every slot) from `cache`, and return how many were filled. The slots
+/// are loaded by chunks of kPlanChunk consecutive plan positions, one
+/// `ResultCache::load` call per chunk, on `threads` workers (0 = runtime
+/// default resolution, 1 = on the caller); `candidate` is called on the
+/// caller's thread. The cache probe shared by ScenarioRunner::run, the
+/// fleet worker, the fleet merge and `fleet_status`.
+std::size_t probe_cache(const ScenarioPlan& plan, ResultCache& cache,
+                        std::vector<std::optional<adc::common::json::JsonValue>>& payloads,
+                        const std::function<bool(std::size_t index)>& candidate,
+                        unsigned threads);
 
 /// Build the deterministic report document from a plan and its payloads
 /// (index-aligned; nullopt = not computed, reported as null metrics). No

@@ -267,7 +267,9 @@ void ScenarioService::handle_run(const std::shared_ptr<Connection>& conn,
   run->max_jobs = request.max_jobs;
   try {
     run->spec = adc::scenario::parse_spec(request.spec);
-    run->plan = adc::scenario::plan_scenario(run->spec);
+    // Planned on this connection's thread: the pool computes cells, and a
+    // plan chunk queued behind them would hold up the request's accept.
+    run->plan = adc::scenario::plan_scenario(run->spec, 1);
   } catch (const AdcError& e) {
     send_line(conn, encode_event(
                         error_event(request.id, error_code::kInvalidSpec, e.what())));

@@ -1,6 +1,7 @@
 /// Tests for the one file layer (common/files.hpp) and the writers and
 /// readers built on it: whole-or-absent writes that leave no temporary
-/// behind, exact whole-file reads, and spec-file errors that name the file.
+/// behind, exact whole-file reads, file identities shared by links, and
+/// spec-file errors that name the file.
 #include "common/files.hpp"
 
 #include <sys/wait.h>
@@ -104,6 +105,34 @@ TEST_F(FilesTest, ReadFileReturnsExactBytes) {
   writer.join();
   ::close(fds[0]);
   EXPECT_EQ(piped, std::optional<std::string>(big));
+}
+
+TEST_F(FilesTest, ReadFileOfADirectoryIsNullopt) {
+  // open(2) takes a directory; the read then fails with EISDIR, which is
+  // no file's bytes.
+  EXPECT_FALSE(files::read_file(dir_).has_value());
+  EXPECT_FALSE(files::read_file_with_id(dir_).has_value());
+}
+
+TEST_F(FilesTest, FileIdNamesTheBytesBehindEveryLink) {
+  const fs::path a = dir_ / "a";
+  const fs::path b = dir_ / "b";
+  EXPECT_FALSE(files::file_id(a).has_value());
+  files::write_file(a, "pack bytes\n");
+  ASSERT_EQ(files::link_name(a, b), 0);
+  const auto id = files::file_id(a);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(files::file_id(b), id);
+  EXPECT_EQ(id->size, 11);
+  // The read reports the identity of the descriptor it read.
+  const auto read = files::read_file_with_id(b);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->id, *id);
+  EXPECT_EQ(read->bytes, "pack bytes\n");
+  // A replaced name is another file.
+  files::write_file(b, "other bytes\n");
+  EXPECT_NE(files::file_id(b), id);
+  EXPECT_EQ(files::file_id(a), id);
 }
 
 TEST_F(FilesTest, WriteReportFilesLeavesNoTemporary) {

@@ -2,8 +2,8 @@
 /// sharding, crash-resume with a SIGKILLed worker, merge byte-identity
 /// across worker counts, exactly-once computation under concurrent workers,
 /// the zero-pool-jobs warm-run guarantee, concurrent merges of one fleet,
-/// and the steal of a stale unit claim (one claim file behind many job
-/// names).
+/// the steal of a stale unit claim (one claim file behind many job names),
+/// and merge and status probes over a resumed cache of ragged packs.
 ///
 /// NOTE: CrashResume MUST be the first test in this binary. It forks a real
 /// worker process, and fork() is only safe before this process has spawned
@@ -493,4 +493,50 @@ TEST_F(FleetTest, WorkerStealsEveryNameOfAStaleUnitClaim) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.claim_files, 0u);
   EXPECT_EQ(stats.tmp_files, 0u);
+}
+
+TEST_F(FleetTest, MergeAndStatusOverARaggedPackCacheMatchOneNameLoads) {
+  // Five probe chunks of a fast yield, resumed across runs of different
+  // widths, so the packs on disk straddle the chunks.
+  const auto spec = parse_spec_text(R"({
+    "name": "yield_ragged",
+    "stimulus": {"type": "tone", "frequency_hz": 10e6, "amplitude_fraction": 0.985,
+                 "record_length": 512},
+    "measurement": {"type": "yield", "metric": "sndr_db", "limit": 60.0},
+    "die": {"fidelity": "fast"},
+    "seeds": {"first": 7, "count": 300}
+  })");
+  const auto plan = adc::scenario::plan_scenario(spec, 1);
+  const std::string cache_dir = path("cache");
+  const auto cached_one_by_one = [&] {
+    ResultCache cache(cache_dir);
+    std::size_t cached = 0;
+    for (const auto& hash : plan.hashes) cached += cache.load(hash).has_value() ? 1 : 0;
+    return cached;
+  };
+
+  WorkerOptions budget;
+  budget.cache_dir = cache_dir;
+  budget.threads = 3;
+  budget.max_jobs = 101;
+  ASSERT_EQ(run_worker(spec, budget).manifest.computed, 101u);
+  const FleetStatus partial = fleet_status(spec, cache_dir);
+  EXPECT_EQ(partial.jobs_total, 300u);
+  EXPECT_EQ(partial.cached, 101u);
+  EXPECT_EQ(partial.cached, cached_one_by_one());
+  MergeOptions merge;
+  merge.cache_dir = cache_dir;
+  merge.shards = 1;
+  EXPECT_THROW((void)merge_fleet(spec, merge), adc::common::MeasurementError);
+
+  RunOptions rest;
+  rest.cache_dir = cache_dir;
+  rest.threads = 4;
+  ASSERT_EQ(ScenarioRunner(rest).run(spec).computed, 300u - 101u);
+  const FleetStatus full = fleet_status(spec, cache_dir);
+  EXPECT_EQ(full.cached, 300u);
+  EXPECT_TRUE(full.claims.empty());
+  EXPECT_EQ(json::dump(merge_fleet(spec, merge).report),
+            json::dump(reference_report(spec, path("cache-ref"))));
+  EXPECT_EQ(cached_one_by_one(), 300u);
 }

@@ -1,9 +1,10 @@
 /// Tests for the scenario engine (src/scenario/): spec validation naming the
 /// offending key, sweep expansion, key-order-independent hashing, cache
 /// correctness (bit-identical hits, corrupt-entry eviction, env-var root,
-/// the pinned entry bytes and the pack layout), interrupted-run resume
-/// producing bit-identical reports, and fast-profile sweeps whose execute
-/// units batch across grid points.
+/// the pinned entry bytes and the pack layout, loads over many names),
+/// interrupted-run resume producing bit-identical reports, plans and cache
+/// probes identical at any thread count, and fast-profile sweeps whose
+/// execute units batch across grid points.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -16,7 +17,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iomanip>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -30,6 +33,7 @@
 #include "common/fidelity.hpp"
 #include "common/json.hpp"
 #include "runtime/heartbeat.hpp"
+#include "runtime/parallel.hpp"
 #include "scenario/cache.hpp"
 #include "scenario/claims.hpp"
 #include "scenario/hash.hpp"
@@ -1471,5 +1475,346 @@ TEST_F(ScenarioTest, ExecuteUnitAcrossGridPointsMatchesExecuteJob) {
     const auto stored = cache.load(plan.hashes[indices[m]]);
     ASSERT_TRUE(stored.has_value()) << "job " << indices[m];
     EXPECT_EQ(json::dump(*stored), want) << "job " << indices[m];
+  }
+}
+
+TEST(ScenarioSpec, ValidateOfADirectorySaysItCannotOpenIt) {
+  // `adc_scenario validate` prints load_spec_file's error: a directory
+  // cannot be read, which is not a JSON error.
+  const fs::path dir = fs::temp_directory_path() / ("adc_spec_dir_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  std::string message;
+  try {
+    (void)load_spec_file(dir.string());
+  } catch (const ConfigError& e) {
+    message = e.what();
+  }
+  fs::remove_all(dir);
+  EXPECT_EQ(message, "scenario spec: cannot open " + dir.string());
+}
+
+namespace {
+
+/// Builds one cache layout into an empty cache and returns the names to
+/// load, in order.
+using CacheLayout = std::function<std::vector<std::string>(ResultCache&)>;
+
+/// Every file name under `root`, relative and sorted.
+std::vector<std::string> names_under(const std::string& root) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file()) names.push_back(fs::relative(entry.path(), root).string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Builds `layout` twice, loads its names one by one from the first copy
+/// and with one load(span) call from the second: the results, the session
+/// counters and the names left on disk must agree. Returns the hits.
+std::uint64_t expect_span_load_matches_one_name_loads(const fs::path& dir,
+                                                      const CacheLayout& layout) {
+  ResultCache single((dir / "single").string());
+  ResultCache spanned((dir / "spanned").string());
+  single.ensure_writable();
+  spanned.ensure_writable();
+  const std::vector<std::string> names = layout(single);
+  EXPECT_EQ(layout(spanned), names);
+
+  std::vector<std::optional<json::JsonValue>> one;
+  for (const auto& hash : names) one.push_back(single.load(hash));
+  const auto many = spanned.load(names);
+  EXPECT_EQ(many.size(), names.size());
+  for (std::size_t k = 0; k < std::min(many.size(), names.size()); ++k) {
+    EXPECT_EQ(one[k].has_value(), many[k].has_value()) << "name " << k;
+    if (one[k].has_value() && many[k].has_value()) {
+      EXPECT_EQ(json::dump(*one[k]), json::dump(*many[k])) << "name " << k;
+    }
+  }
+  EXPECT_EQ(single.hits(), spanned.hits());
+  EXPECT_EQ(single.misses(), spanned.misses());
+  EXPECT_EQ(single.evictions(), spanned.evictions());
+  EXPECT_EQ(names_under(single.root()), names_under(spanned.root()));
+  return spanned.hits();
+}
+
+/// 16 payloads under synthetic hashes, stored as two packs of 8.
+std::vector<std::string> store_two_packs(ResultCache& cache, std::vector<json::JsonValue>& payloads) {
+  const auto hashes = synthetic_hashes(16, 0x77);
+  payloads.clear();
+  for (std::size_t i = 0; i < hashes.size(); ++i) payloads.push_back(numbered_payload(i));
+  cache.store(entries_of(hashes, payloads, 0, 8));
+  cache.store(entries_of(hashes, payloads, 8, 8));
+  return hashes;
+}
+
+/// Rewrites the file behind `name` in place (every link sees the change).
+void rewrite_in_place(const fs::path& name, const std::string& bytes) {
+  std::fstream out(name, std::ios::in | std::ios::out | std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+}  // namespace
+
+TEST_F(ScenarioTest, SpanLoadOfInterleavedPacksMatchesOneNameLoads) {
+  const auto hits = expect_span_load_matches_one_name_loads(dir_, [](ResultCache& cache) {
+    std::vector<json::JsonValue> payloads;
+    const auto hashes = store_two_packs(cache, payloads);
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < 8; ++i) {
+      names.push_back(hashes[i]);
+      names.push_back(hashes[8 + i]);
+    }
+    return names;
+  });
+  EXPECT_EQ(hits, 16u);
+}
+
+TEST_F(ScenarioTest, SpanLoadOfOneEntryStoresAmongPacksMatchesOneNameLoads) {
+  const auto hits = expect_span_load_matches_one_name_loads(dir_, [](ResultCache& cache) {
+    const auto hashes = synthetic_hashes(24, 0x99);
+    std::vector<json::JsonValue> payloads;
+    for (std::size_t i = 0; i < hashes.size(); ++i) payloads.push_back(numbered_payload(i));
+    cache.store(entries_of(hashes, payloads, 0, 8));
+    for (std::size_t i = 8; i < 12; ++i) cache.store(hashes[i], payloads[i]);
+    cache.store(entries_of(hashes, payloads, 12, 8));
+    for (std::size_t i = 20; i < 24; ++i) cache.store(hashes[i], payloads[i]);
+    // A fixed scatter over all 24 names (7 is prime to 24).
+    std::vector<std::string> names;
+    for (std::size_t k = 0; k < hashes.size(); ++k) names.push_back(hashes[(7 * k) % 24]);
+    return names;
+  });
+  EXPECT_EQ(hits, 24u);
+}
+
+TEST_F(ScenarioTest, SpanLoadWithMissingNamesMatchesOneNameLoads) {
+  const auto hits = expect_span_load_matches_one_name_loads(dir_, [](ResultCache& cache) {
+    std::vector<json::JsonValue> payloads;
+    const auto stored = store_two_packs(cache, payloads);
+    const auto absent = synthetic_hashes(6, 0xabcd);
+    // Absent names between, before and after stored ones, and one stored
+    // name asked for twice.
+    return std::vector<std::string>{absent[0], stored[0],  absent[1], stored[9], stored[1],
+                                    absent[2], absent[3],  stored[9], stored[15], absent[4],
+                                    absent[5]};
+  });
+  EXPECT_EQ(hits, 5u);
+}
+
+TEST_F(ScenarioTest, SpanLoadOfATornPackEvictsEachOfItsNames) {
+  const auto hits = expect_span_load_matches_one_name_loads(dir_, [](ResultCache& cache) {
+    std::vector<json::JsonValue> payloads;
+    const auto hashes = store_two_packs(cache, payloads);
+    const fs::path victim = entry_file(cache, hashes[0]);
+    fs::resize_file(victim, fs::file_size(victim) / 2);
+    return hashes;
+  });
+  EXPECT_EQ(hits, 8u);
+  // The torn pack's 8 names are gone; the other pack's 8 names stay.
+  EXPECT_EQ(names_under(path("spanned")).size(), 8u);
+}
+
+TEST_F(ScenarioTest, SpanLoadOfOneTamperedEnvelopeEvictsOnlyThatName) {
+  const auto hits = expect_span_load_matches_one_name_loads(dir_, [](ResultCache& cache) {
+    std::vector<json::JsonValue> payloads;
+    const auto hashes = store_two_packs(cache, payloads);
+    // Give the fourth envelope of the first pack a foreign schema version,
+    // byte for byte in place.
+    const fs::path pack = entry_file(cache, hashes[0]);
+    std::string bytes = read_bytes(pack);
+    const std::string header = "\"hash\": \"" + hashes[3] + "\",\n  \"schema_version\": ";
+    const std::size_t at = bytes.find(header);
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos) bytes[at + header.size()] = '9';
+    rewrite_in_place(pack, bytes);
+    return hashes;
+  });
+  EXPECT_EQ(hits, 15u);
+  EXPECT_EQ(names_under(path("spanned")).size(), 15u);
+}
+
+namespace {
+
+/// yield2k's shape (a fast-profile yield over seeds alone) at a test's
+/// cost: 300 dies of 512 samples, so a plan spans five chunks and a run at
+/// 4 threads stores packs of up to 32 names.
+const char* kYieldShapeSpec = R"({
+  "name": "yield_shape",
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "amplitude_fraction": 0.985,
+               "record_length": 512},
+  "measurement": {"type": "yield", "metric": "sndr_db", "limit": 60.0},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 42, "count": 300}
+})";
+
+/// scenarios/yield2k.json: hashing only, no conversion.
+const char* kYield2kSpec = R"({
+  "name": "yield2k",
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "amplitude_fraction": 0.985,
+               "record_length": 2048},
+  "measurement": {"type": "yield", "metric": "sndr_db", "limit": 63.0},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 42, "count": 2000}
+})";
+
+/// The first error plan_scenario throws for `spec`, or "".
+std::string plan_error(const ScenarioSpec& spec, unsigned threads) {
+  try {
+    (void)plan_scenario(spec, threads);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ScenarioPlanChunks, HashesAreEqualAtAnyThreadCount) {
+  const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
+  const ScenarioPlan serial = plan_scenario(spec, 1);
+  ASSERT_EQ(serial.hashes.size(), 2000u);
+  // The serial reference is the per-job hash itself.
+  for (const std::size_t i : {std::size_t{0}, kPlanChunk - 1, kPlanChunk, std::size_t{1999}}) {
+    EXPECT_EQ(serial.hashes[i], job_hash(resolve_job(spec, serial.jobs[i]))) << i;
+  }
+  for (const unsigned threads : {2u, 4u}) {
+    const ScenarioPlan plan = plan_scenario(spec, threads);
+    EXPECT_EQ(plan.hashes, serial.hashes) << "threads=" << threads;
+    EXPECT_EQ(plan.spec_hash, serial.spec_hash);
+  }
+  // Thread count 0 resolves through the override, as execute_plan's does.
+  for (const unsigned threads : {1u, 3u}) {
+    const adc::runtime::ScopedThreadOverride pin(threads);
+    EXPECT_EQ(plan_scenario(spec, 0).hashes, serial.hashes) << "override " << threads;
+  }
+}
+
+TEST(ScenarioPlanChunks, InvalidJobFailsWithTheSerialFirstError) {
+  // Parsing validates every value; a spec edited afterwards can still hold
+  // a job no hash can spell. Here the jobs of the later grid points fail,
+  // across several chunks.
+  ScenarioSpec spec = parse_spec_text(R"({
+    "name": "bad_late_jobs",
+    "stimulus": {"type": "tone", "record_length": 512},
+    "measurement": {"type": "dynamic"},
+    "die": {"fidelity": "fast"},
+    "seeds": {"first": 1, "count": 100},
+    "sweep": [{"key": "stimulus.frequency_hz", "values": [1e6, 2e6, 3e6, 4e6]}]
+  })");
+  spec.sweep[0].values[2] = std::numeric_limits<double>::infinity();
+  spec.sweep[0].values[3] = std::numeric_limits<double>::quiet_NaN();
+  const std::string serial = plan_error(spec, 1);
+  EXPECT_NE(serial.find("non-finite"), std::string::npos) << serial;
+  for (const unsigned threads : {2u, 4u}) EXPECT_EQ(plan_error(spec, threads), serial);
+
+  // An unknown axis fails every job, the first chunk's first.
+  spec.sweep[0].key = "die.oops";
+  const std::string unknown = plan_error(spec, 1);
+  EXPECT_NE(unknown.find("unknown sweep key \"die.oops\""), std::string::npos) << unknown;
+  EXPECT_EQ(plan_error(spec, 4), unknown);
+}
+
+TEST_F(ScenarioTest, OneChunkPlanAndProbeSubmitNoPoolJobs) {
+  // The 6-job plan and its probe run on the caller at the pool's own width.
+  const ScenarioSpec small = parse_spec_text(R"({
+    "name": "six",
+    "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 256},
+    "measurement": {"type": "dynamic"},
+    "seeds": {"first": 42, "count": 3},
+    "sweep": [{"key": "die.conversion_rate_hz", "values": [60e6, 110e6]}]
+  })");
+  auto& pool = adc::runtime::global_pool();
+  const unsigned width = pool.thread_count();
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  const auto before = pool.counters();
+  const ScenarioPlan plan = plan_scenario(small, width);
+  ASSERT_EQ(plan.jobs.size(), 6u);
+  std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
+  EXPECT_EQ(probe_cache(plan, cache, payloads, nullptr, width), 0u);
+  EXPECT_EQ(pool.counters().submitted, before.submitted);
+
+  // Past one chunk the passes do reach the pool (when it has workers).
+  if (width > 1) {
+    const ScenarioSpec wide = parse_spec_text(kYield2kSpec);
+    const auto start = pool.counters();
+    const ScenarioPlan big = plan_scenario(wide, width);
+    std::vector<std::optional<json::JsonValue>> misses(big.jobs.size());
+    EXPECT_EQ(probe_cache(big, cache, misses, nullptr, width), 0u);
+    EXPECT_EQ(pool.counters().submitted - start.submitted,
+              2 * ((big.jobs.size() + kPlanChunk - 1) / kPlanChunk));
+  }
+}
+
+TEST_F(ScenarioTest, ProbeFillsOnlyEmptyAdmittedSlots) {
+  const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
+  const ScenarioPlan plan = plan_scenario(spec);
+  ResultCache cache(path("cache"));
+  cache.ensure_writable();
+  // Every third job is stored, in packs of 32 names.
+  std::vector<json::JsonValue> stored;
+  std::vector<std::size_t> stored_at;
+  for (std::size_t i = 0; i < plan.jobs.size(); i += 3) {
+    stored.push_back(numbered_payload(i));
+    stored_at.push_back(i);
+  }
+  for (std::size_t first = 0; first < stored.size(); first += 32) {
+    std::vector<CacheEntry> entries;
+    for (std::size_t k = first; k < std::min(stored.size(), first + 32); ++k) {
+      entries.push_back({plan.hashes[stored_at[k]], stored[k]});
+    }
+    cache.store(entries);
+  }
+  const auto admitted = [](std::size_t i) { return i % 2 == 0; };
+  std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
+  payloads[6] = json::JsonValue("kept");  // filled already: not probed
+  const std::size_t filled = probe_cache(plan, cache, payloads, admitted, 4);
+  std::size_t want = 0;
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    if (i == 6) {
+      EXPECT_EQ(payloads[i]->as_string(), "kept");
+      continue;
+    }
+    const bool expect = i % 3 == 0 && admitted(i);
+    want += expect ? 1 : 0;
+    ASSERT_EQ(payloads[i].has_value(), expect) << i;
+    if (expect) {
+      EXPECT_EQ(payloads[i]->find("seed")->as_uint64(), i) << i;
+    }
+  }
+  EXPECT_EQ(filled, want);
+  EXPECT_EQ(cache.hits(), want);
+  EXPECT_EQ(cache.misses(), plan.jobs.size() / 2 - want - 1);
+}
+
+TEST_F(ScenarioTest, WarmYieldRunOverRaggedPacksIsEqualAtOneAndFourThreads) {
+  const ScenarioSpec spec = parse_spec_text(kYieldShapeSpec);
+  RunOptions cold;
+  cold.cache_dir = path("cache");
+  cold.threads = 4;
+  const RunResult reference = [&] {
+    RunOptions fresh = cold;
+    fresh.cache_dir = path("reference");
+    return ScenarioRunner(fresh).run(spec);
+  }();
+  ASSERT_EQ(reference.computed, 300u);
+
+  // A resumed cache: an interrupted 3-thread run, finished at 4 threads,
+  // leaves packs of several widths that do not line up with the chunks.
+  RunOptions partial = cold;
+  partial.threads = 3;
+  partial.max_jobs = 77;
+  ASSERT_EQ(ScenarioRunner(partial).run(spec).computed, 77u);
+  ASSERT_EQ(ScenarioRunner(cold).run(spec).computed, 300u - 77u);
+
+  for (const unsigned threads : {1u, 4u}) {
+    RunOptions warm = cold;
+    warm.threads = threads;
+    const RunResult run = ScenarioRunner(warm).run(spec);
+    EXPECT_EQ(run.cache_hits, 300u) << "threads=" << threads;
+    EXPECT_EQ(run.computed, 0u) << "threads=" << threads;
+    EXPECT_EQ(run.cache_evictions, 0u) << "threads=" << threads;
+    EXPECT_EQ(run.pool_after.submitted, run.pool_before.submitted) << "threads=" << threads;
+    EXPECT_EQ(json::dump(run.report), json::dump(reference.report)) << "threads=" << threads;
   }
 }
