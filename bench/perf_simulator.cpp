@@ -596,6 +596,20 @@ void BM_ReportWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_ReportWrite)->Unit(benchmark::kMillisecond);
 
+// The same report rendered as write_report_files renders it, to parts in
+// memory and without file I/O: rows in chunks of kPlanChunk on Arg threads.
+void BM_ReportRender(benchmark::State& state) {
+  const CachePayloads& fixture = yield2k_payloads();
+  const auto report = adc::scenario::build_report(fixture.spec, fixture.plan, fixture.payloads);
+  const auto threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(adc::scenario::render_report(report, threads));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fixture.plan.jobs.size()));
+}
+BENCHMARK(BM_ReportRender)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the emitted JSON must carry

@@ -41,25 +41,34 @@ FileId id_of(const struct stat& st) {
 
 bool is_tmp_name(std::string_view name) { return name.find(".tmp") != std::string_view::npos; }
 
-fs::path write_temp(const fs::path& next_to, std::string_view bytes) {
+fs::path write_temp(const fs::path& next_to, std::span<const std::string_view> parts) {
   const fs::path tmp = next_to.string() + unique_tmp_suffix();
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
   if (fd < 0) {
     throw ConfigError("cannot write " + next_to.string() + ": " + std::strerror(errno));
   }
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    done += static_cast<std::size_t>(n);
+  bool whole = true;
+  for (const std::string_view bytes : parts) {
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    whole = done == bytes.size();
+    if (!whole) break;
   }
-  if (::close(fd) != 0 || done != bytes.size()) {
+  if (::close(fd) != 0 || !whole) {
     std::error_code ec;
     fs::remove(tmp, ec);
     throw ConfigError("write failed for " + next_to.string());
   }
   return tmp;
+}
+
+fs::path write_temp(const fs::path& next_to, std::string_view bytes) {
+  return write_temp(next_to, std::span(&bytes, 1));
 }
 
 int link_name(const fs::path& from, const fs::path& to) {
@@ -92,8 +101,12 @@ void publish(const fs::path& tmp, std::span<const fs::path> names) {
   if (ec) fail("rename failed for " + names.back().string());
 }
 
+void write_file(const fs::path& path, std::span<const std::string_view> parts) {
+  publish(write_temp(path, parts), std::span(&path, 1));
+}
+
 void write_file(const fs::path& path, std::string_view bytes) {
-  publish(write_temp(path, bytes), std::span(&path, 1));
+  write_file(path, std::span(&bytes, 1));
 }
 
 std::optional<FileId> file_id(const fs::path& path) {

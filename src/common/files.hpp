@@ -27,8 +27,13 @@ namespace adc::common::files {
 /// True when a file name marks a temporary of this layer (`*.tmp*`).
 [[nodiscard]] bool is_tmp_name(std::string_view name);
 
-/// Write `bytes` to a fresh temporary named after `next_to`, in its
-/// directory, and return the temporary's path. The directory must exist.
+/// Write `parts`, in order, to a fresh temporary named after `next_to`, in
+/// its directory, and return the temporary's path. The directory must
+/// exist.
+[[nodiscard]] std::filesystem::path write_temp(const std::filesystem::path& next_to,
+                                               std::span<const std::string_view> parts);
+
+/// The one-part call: `bytes` to a fresh temporary.
 [[nodiscard]] std::filesystem::path write_temp(const std::filesystem::path& next_to,
                                                std::string_view bytes);
 
@@ -43,8 +48,12 @@ namespace adc::common::files {
 /// published keep the new file.
 void publish(const std::filesystem::path& tmp, std::span<const std::filesystem::path> names);
 
-/// Replace (or create) the file at `path` with `bytes`, whole:
-/// `publish(write_temp(path, bytes), {path})`. Creates no directories.
+/// Replace (or create) the file at `path` with `parts` joined in order,
+/// whole: `publish(write_temp(path, parts), {path})`. The parts are written
+/// one after another and never joined in memory. Creates no directories.
+void write_file(const std::filesystem::path& path, std::span<const std::string_view> parts);
+
+/// The one-part call: replace (or create) the file at `path` with `bytes`.
 void write_file(const std::filesystem::path& path, std::string_view bytes);
 
 /// What stat(2) says identifies a file's bytes: its inode (device and

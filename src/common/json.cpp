@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -35,9 +34,17 @@ bool bits_equal(double a, double b) {
   return ia == ib;
 }
 
-void append_quoted(std::string& out, const std::string& s) {
+/// Append `s` as a JSON string literal. Each run of characters that needs
+/// no escape is appended in one call.
+void append_quoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // first character not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -61,16 +68,12 @@ void append_quoted(std::string& out, const std::string& s) {
         out += "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",  // lint-ok: JSON escape, not I/O
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -89,13 +92,34 @@ struct WriteOptions {
   bool sorted = false;  ///< canonical form: object keys bytewise-sorted
 };
 
-void write_value(std::string& out, const JsonValue& v, const WriteOptions& opt, int depth) {
-  const auto newline_indent = [&out, &opt](int d) {
-    if (!opt.pretty) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(d) * 2, ' ');
-  };
+constexpr WriteOptions kPretty{/*pretty=*/true, /*sorted=*/false};
 
+void newline_indent(std::string& out, const WriteOptions& opt, int depth) {
+  if (!opt.pretty) return;
+  out += '\n';
+  out.append(static_cast<std::size_t>(depth) * 2, ' ');
+}
+
+void write_value(std::string& out, const JsonValue& v, const WriteOptions& opt, int depth);
+
+/// One array item at `depth`: its separator, its line, its value.
+void write_item(std::string& out, const JsonValue& item, const WriteOptions& opt, int depth,
+                bool first) {
+  if (!first) out += ',';
+  newline_indent(out, opt, depth);
+  write_value(out, item, opt, depth);
+}
+
+/// One object member's separator, line and key, up to its value.
+void write_key(std::string& out, const std::string& key, const WriteOptions& opt, int depth,
+               bool first) {
+  if (!first) out += ',';
+  newline_indent(out, opt, depth);
+  append_quoted(out, key);
+  out += opt.pretty ? ": " : ":";
+}
+
+void write_value(std::string& out, const JsonValue& v, const WriteOptions& opt, int depth) {
   switch (v.type()) {
     case JsonValue::Type::kNull:
       out += "null";
@@ -119,11 +143,9 @@ void write_value(std::string& out, const JsonValue& v, const WriteOptions& opt, 
       }
       out += '[';
       for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) out += ',';
-        newline_indent(depth + 1);
-        write_value(out, items[i], opt, depth + 1);
+        write_item(out, items[i], opt, depth + 1, i == 0);
       }
-      newline_indent(depth);
+      newline_indent(out, opt, depth);
       out += ']';
       return;
     }
@@ -133,22 +155,24 @@ void write_value(std::string& out, const JsonValue& v, const WriteOptions& opt, 
         out += "{}";
         return;
       }
-      std::vector<const JsonMember*> order;
-      order.reserve(members.size());
-      for (const auto& m : members) order.push_back(&m);
+      out += '{';
       if (opt.sorted) {
+        std::vector<const JsonMember*> order;
+        order.reserve(members.size());
+        for (const auto& m : members) order.push_back(&m);
         std::sort(order.begin(), order.end(),
                   [](const JsonMember* a, const JsonMember* b) { return a->key < b->key; });
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          write_key(out, order[i]->key, opt, depth + 1, i == 0);
+          write_value(out, order[i]->value, opt, depth + 1);
+        }
+      } else {
+        for (std::size_t i = 0; i < members.size(); ++i) {
+          write_key(out, members[i].key, opt, depth + 1, i == 0);
+          write_value(out, members[i].value, opt, depth + 1);
+        }
       }
-      out += '{';
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (i != 0) out += ',';
-        newline_indent(depth + 1);
-        append_quoted(out, order[i]->key);
-        out += opt.pretty ? ": " : ":";
-        write_value(out, order[i]->value, opt, depth + 1);
-      }
-      newline_indent(depth);
+      newline_indent(out, opt, depth);
       out += '}';
       return;
     }
@@ -584,9 +608,40 @@ JsonValue parse(std::string_view text) { return Parser(text).run(); }
 
 std::string dump(const JsonValue& value) {
   std::string out;
-  write_value(out, value, {/*pretty=*/true, /*sorted=*/false}, 0);
+  write_value(out, value, kPretty, 0);
   out += '\n';
   return out;
+}
+
+ArrayFrame array_frame(const JsonValue& doc, std::string_view key) {
+  const JsonValue* array = doc.find(key);
+  if (array == nullptr || !array->is_array()) {
+    throw ConfigError("json: no array member \"" + std::string(key) + "\" to frame");
+  }
+  // dump's object walk at depth 0, with the output switched from head to
+  // tail where the array's items would go.
+  ArrayFrame frame;
+  std::string* out = &frame.head;
+  *out += '{';
+  const auto& members = doc.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    write_key(*out, members[i].key, kPretty, 1, i == 0);
+    if (&members[i].value != array) {
+      write_value(*out, members[i].value, kPretty, 1);
+      continue;
+    }
+    *out += '[';
+    out = &frame.tail;
+    if (!array->items().empty()) newline_indent(*out, kPretty, 1);
+    *out += ']';
+  }
+  newline_indent(*out, kPretty, 0);
+  *out += "}\n";
+  return frame;
+}
+
+void append_item(std::string& out, const JsonValue& item, int depth, bool first) {
+  write_item(out, item, kPretty, depth, first);
 }
 
 std::string dump_compact(const JsonValue& value) {

@@ -150,6 +150,31 @@ inline bool operator!=(const JsonValue& a, const JsonValue& b) { return !a.equal
 /// the input of the scenario hasher.
 [[nodiscard]] std::string canonical(const JsonValue& value);
 
+/// dump's text of an object document, split around the items of one of its
+/// top-level array members, for a writer that renders the items apart (in
+/// chunks, on several threads) and emits the pieces in order:
+///
+///     dump(doc) == head + item(0) + item(1) + ... + item(n - 1) + tail
+///
+/// where item(i) is what `append_item(out, items[i], kMemberItemDepth,
+/// i == 0)` appends. An empty array's frame joins to its `[]`.
+struct ArrayFrame {
+  std::string head;  ///< up to and including the array's '['
+  std::string tail;  ///< from the array's closing line to the final newline
+};
+
+/// The depth dump gives the items of a top-level member's array.
+inline constexpr int kMemberItemDepth = 2;
+
+/// The frame of `doc`'s top-level array member `key`. Throws ConfigError
+/// when `doc` is not an object or has no array member `key`.
+[[nodiscard]] ArrayFrame array_frame(const JsonValue& doc, std::string_view key);
+
+/// Append one array item as dump spells it at `depth`: a ',' unless it is
+/// the array's first, then a newline, `depth` levels of indent and the
+/// pretty value.
+void append_item(std::string& out, const JsonValue& item, int depth, bool first);
+
 /// Render one double exactly as the writers do: printf's `%.*g` at the
 /// smallest precision in 15..17 that parses back bit-identically, with ".0"
 /// appended when that spelling would read as an integer.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -72,11 +73,12 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
   }
 
   // Same builder, same payload bytes, same report — the fleet's
-  // byte-identity contract falls out of sharing this code path.
-  result.report = adc::scenario::build_report(spec, plan, payloads);
+  // byte-identity contract falls out of sharing this code path. The
+  // payloads move into the report, and its rows render on the pool.
+  result.report = adc::scenario::build_report(spec, plan, std::move(payloads));
   if (!options.report_dir.empty()) {
     const auto paths =
-        adc::scenario::write_report_files(result.report, spec.name, options.report_dir);
+        adc::scenario::write_report_files(result.report, spec.name, options.report_dir, 0);
     result.report_json_path = paths.json_path;
     result.report_csv_path = paths.csv_path;
   }

@@ -6,6 +6,7 @@
 #include <exception>
 #include <filesystem>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -169,6 +170,154 @@ void for_each_chunk(std::size_t chunks, unsigned threads, Body&& body) {
   }
 }
 
+/// The yield summary of a complete yield report's rows (nullopt when the
+/// spec is no yield, or a row's metrics are null): the metric's mean, range
+/// and pass count over every row.
+std::optional<json::JsonValue> yield_summary(const ScenarioSpec& spec,
+                                             const json::JsonValue::Array& rows) {
+  if (spec.measurement.type != MeasurementSpec::Type::kYield || rows.empty()) {
+    return std::nullopt;
+  }
+  for (const auto& row : rows) {
+    if (row.find("metrics")->is_null()) return std::nullopt;
+  }
+  const std::string& metric = spec.measurement.metric;
+  double sum = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+  std::uint64_t passing = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto* value = rows[i].find("metrics")->find(metric);
+    adc::common::require(value != nullptr && value->is_number(),
+                         "build_report: payload lacks yield metric \"" + metric + "\"");
+    const double x = value->as_double();
+    if (i == 0) {
+      lo = x;
+      hi = x;
+    }
+    sum += x;
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    if (x >= spec.measurement.limit) ++passing;
+  }
+  auto summary = json::JsonValue::object();
+  summary.set("metric", metric);
+  summary.set("limit", spec.measurement.limit);
+  summary.set("mean", sum / static_cast<double>(rows.size()));
+  summary.set("min", lo);
+  summary.set("max", hi);
+  summary.set("passing", passing);
+  summary.set("yield_fraction",
+              static_cast<double>(passing) / static_cast<double>(rows.size()));
+  return summary;
+}
+
+/// A report's CSV layout: the sweep axes, then seed, then the metric keys
+/// of the first computed payload in insertion order; and the rows.
+struct CsvLayout {
+  const json::JsonValue::Array* axes = nullptr;
+  const json::JsonValue::Array* rows = nullptr;
+  std::vector<std::string> metrics;
+  const json::JsonValue* first_computed = nullptr;  ///< the row the metrics come from
+};
+
+CsvLayout csv_layout(const json::JsonValue& report) {
+  const auto* axes = report.find("axes");
+  const auto* results = report.find("results");
+  adc::common::require(axes != nullptr && axes->is_array() && results != nullptr &&
+                           results->is_array(),
+                       "report_csv: not a scenario report document");
+  CsvLayout layout;
+  layout.axes = &axes->items();
+  layout.rows = &results->items();
+  for (const auto& row : results->items()) {
+    const auto* metrics = row.find("metrics");
+    if (metrics != nullptr && metrics->is_object()) {
+      for (const auto& member : metrics->members()) layout.metrics.push_back(member.key);
+      layout.first_computed = &row;
+      break;
+    }
+  }
+  return layout;
+}
+
+std::string csv_header(const CsvLayout& layout) {
+  std::string csv;
+  for (const auto& axis : *layout.axes) csv += axis.as_string() + ",";
+  csv += "seed";
+  for (const auto& key : layout.metrics) csv += "," + key;
+  csv += "\n";
+  return csv;
+}
+
+/// The one CSV row writer: one line for a row with metrics, nothing for a
+/// row whose metrics are null (not computed).
+void append_csv_row(std::string& csv, const CsvLayout& layout, const json::JsonValue& row) {
+  const auto* metrics = row.find("metrics");
+  if (metrics == nullptr || metrics->is_null()) return;
+  const auto* point = row.find("point");
+  for (const auto& axis : *layout.axes) {
+    const auto* value = point != nullptr ? point->find(axis.as_string()) : nullptr;
+    adc::common::require(value != nullptr, "report_csv: row lacks axis value");
+    json::append_double(csv, value->as_double());
+    csv += ',';
+  }
+  char seed[24];
+  const std::uint64_t seed_value = row.find("seed")->as_uint64();
+  csv.append(seed, std::to_chars(seed, seed + sizeof seed, seed_value).ptr);
+  for (const auto& key : layout.metrics) {
+    const auto* value = metrics->find(key);
+    csv += ',';
+    if (value != nullptr) append_csv_cell(csv, *value);
+  }
+  csv += '\n';
+}
+
+/// build_report's document. A const `Payloads` is copied into the rows; a
+/// mutable one is moved into them and left holding moved-from values.
+template <typename Payloads>
+json::JsonValue report_document(const ScenarioSpec& spec, const ScenarioPlan& plan,
+                                Payloads& payloads) {
+  adc::common::require(payloads.size() == plan.jobs.size(),
+                       "build_report: payloads not aligned with the plan");
+  auto report = json::JsonValue::object();
+  report.set("scenario", spec.name);
+  if (!spec.description.empty()) report.set("description", spec.description);
+  report.set("schema_version", kScenarioSchemaVersion);
+  report.set("spec_hash", plan.spec_hash);
+  report.set("fingerprint", to_hex(golden_code_fingerprint()));
+  report.set("measurement", std::string(to_string(spec.measurement.type)));
+  report.set("fidelity", std::string(adc::common::to_string(spec.die.fidelity)));
+  auto axes = json::JsonValue::array();
+  for (const auto& axis : spec.sweep) axes.push_back(axis.key);
+  report.set("axes", std::move(axes));
+  report.set("jobs", static_cast<std::uint64_t>(plan.jobs.size()));
+
+  auto results = json::JsonValue::array();
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    auto row = json::JsonValue::object();
+    row.set("hash", plan.hashes[i]);
+    row.set("seed", plan.jobs[i].seed);
+    auto point = json::JsonValue::object();
+    for (std::size_t a = 0; a < spec.sweep.size(); ++a) {
+      point.set(spec.sweep[a].key, plan.jobs[i].axis_values[a]);
+    }
+    row.set("point", std::move(point));
+    if (!payloads[i].has_value()) {
+      row.set("metrics", json::JsonValue());
+    } else if constexpr (std::is_const_v<Payloads>) {
+      row.set("metrics", *payloads[i]);
+    } else {
+      row.set("metrics", std::move(*payloads[i]));
+    }
+    results.push_back(std::move(row));
+  }
+  std::optional<json::JsonValue> summary = yield_summary(spec, results.items());
+  report.set("results", std::move(results));
+  if (summary.has_value()) report.set("summary", std::move(*summary));
+  return report;
+}
+
 }  // namespace
 
 ScenarioPlan plan_scenario(const ScenarioSpec& spec, unsigned threads) {
@@ -221,129 +370,76 @@ std::size_t probe_cache(const ScenarioPlan& plan, ResultCache& cache,
 }
 
 json::JsonValue build_report(const ScenarioSpec& spec, const ScenarioPlan& plan,
+                             std::vector<std::optional<json::JsonValue>>&& payloads) {
+  return report_document(spec, plan, payloads);
+}
+
+json::JsonValue build_report(const ScenarioSpec& spec, const ScenarioPlan& plan,
                              const std::vector<std::optional<json::JsonValue>>& payloads) {
-  adc::common::require(payloads.size() == plan.jobs.size(),
-                       "build_report: payloads not aligned with the plan");
-  auto report = json::JsonValue::object();
-  report.set("scenario", spec.name);
-  if (!spec.description.empty()) report.set("description", spec.description);
-  report.set("schema_version", kScenarioSchemaVersion);
-  report.set("spec_hash", plan.spec_hash);
-  report.set("fingerprint", to_hex(golden_code_fingerprint()));
-  report.set("measurement", std::string(to_string(spec.measurement.type)));
-  report.set("fidelity", std::string(adc::common::to_string(spec.die.fidelity)));
-  auto axes = json::JsonValue::array();
-  for (const auto& axis : spec.sweep) axes.push_back(axis.key);
-  report.set("axes", std::move(axes));
-  report.set("jobs", static_cast<std::uint64_t>(plan.jobs.size()));
-
-  auto results = json::JsonValue::array();
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    auto row = json::JsonValue::object();
-    row.set("hash", plan.hashes[i]);
-    row.set("seed", plan.jobs[i].seed);
-    auto point = json::JsonValue::object();
-    for (std::size_t a = 0; a < spec.sweep.size(); ++a) {
-      point.set(spec.sweep[a].key, plan.jobs[i].axis_values[a]);
-    }
-    row.set("point", std::move(point));
-    row.set("metrics", payloads[i].has_value() ? *payloads[i] : json::JsonValue());
-    results.push_back(std::move(row));
-  }
-  report.set("results", std::move(results));
-
-  // Yield summary (only once every point is in).
-  bool complete = true;
-  for (const auto& payload : payloads) complete = complete && payload.has_value();
-  if (spec.measurement.type == MeasurementSpec::Type::kYield && complete &&
-      !plan.jobs.empty()) {
-    const std::string& metric = spec.measurement.metric;
-    double sum = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-    std::uint64_t passing = 0;
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-      const auto* value = payloads[i]->find(metric);
-      adc::common::require(value != nullptr && value->is_number(),
-                           "build_report: payload lacks yield metric \"" + metric + "\"");
-      const double x = value->as_double();
-      if (i == 0) {
-        lo = x;
-        hi = x;
-      }
-      sum += x;
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-      if (x >= spec.measurement.limit) ++passing;
-    }
-    auto summary = json::JsonValue::object();
-    summary.set("metric", metric);
-    summary.set("limit", spec.measurement.limit);
-    summary.set("mean", sum / static_cast<double>(plan.jobs.size()));
-    summary.set("min", lo);
-    summary.set("max", hi);
-    summary.set("passing", passing);
-    summary.set("yield_fraction",
-                static_cast<double>(passing) / static_cast<double>(plan.jobs.size()));
-    report.set("summary", std::move(summary));
-  }
-  return report;
+  return report_document(spec, plan, payloads);
 }
 
 std::string report_csv(const json::JsonValue& report) {
-  const auto* axes = report.find("axes");
-  const auto* results = report.find("results");
-  adc::common::require(axes != nullptr && axes->is_array() && results != nullptr &&
-                           results->is_array(),
-                       "report_csv: not a scenario report document");
-
-  // Metric columns come from the first computed payload, in insertion order.
-  std::vector<std::string> metric_keys;
-  for (const auto& row : results->items()) {
-    const auto* metrics = row.find("metrics");
-    if (metrics != nullptr && metrics->is_object()) {
-      for (const auto& member : metrics->members()) metric_keys.push_back(member.key);
-      break;
-    }
-  }
-  std::string csv;
-  for (const auto& axis : axes->items()) csv += axis.as_string() + ",";
-  csv += "seed";
-  for (const auto& key : metric_keys) csv += "," + key;
-  csv += "\n";
-  for (const auto& row : results->items()) {
-    const auto* metrics = row.find("metrics");
-    if (metrics == nullptr || metrics->is_null()) continue;
-    const auto* point = row.find("point");
-    for (const auto& axis : axes->items()) {
-      const auto* value = point != nullptr ? point->find(axis.as_string()) : nullptr;
-      adc::common::require(value != nullptr, "report_csv: row lacks axis value");
-      json::append_double(csv, value->as_double());
-      csv += ',';
-    }
-    char seed[24];
-    const std::uint64_t seed_value = row.find("seed")->as_uint64();
-    csv.append(seed, std::to_chars(seed, seed + sizeof seed, seed_value).ptr);
-    for (const auto& key : metric_keys) {
-      const auto* value = metrics->find(key);
-      csv += ',';
-      if (value != nullptr) append_csv_cell(csv, *value);
-    }
-    csv += '\n';
-  }
+  const CsvLayout layout = csv_layout(report);
+  std::string csv = csv_header(layout);
+  for (const auto& row : *layout.rows) append_csv_row(csv, layout, row);
   return csv;
 }
 
+ReportText render_report(const json::JsonValue& report, unsigned threads) {
+  const CsvLayout layout = csv_layout(report);
+  const json::JsonValue::Array& rows = *layout.rows;
+  json::ArrayFrame frame = json::array_frame(report, "results");
+  const std::size_t chunks = (rows.size() + kPlanChunk - 1) / kPlanChunk;
+  ReportText text;
+  text.json.resize(chunks + 2);
+  text.csv.resize(chunks + 1);
+  text.json.front() = std::move(frame.head);
+  text.json.back() = std::move(frame.tail);
+  text.csv.front() = csv_header(layout);
+  // Every part is reserved here, on the caller, for its rows at the size of
+  // a sample row plus a quarter: a buffer that a chunk job grows lands on
+  // that pool thread's own heap, which kept a warm yield2k run's peak RSS
+  // about 1.6 MB higher.
+  if (chunks != 0) {
+    const json::JsonValue& sample =
+        layout.first_computed != nullptr ? *layout.first_computed : rows.front();
+    std::string json_row;
+    std::string csv_row;
+    json::append_item(json_row, sample, json::kMemberItemDepth, false);
+    append_csv_row(csv_row, layout, sample);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t n = std::min(rows.size(), (c + 1) * kPlanChunk) - c * kPlanChunk;
+      text.json[c + 1].reserve(n * json_row.size() * 5 / 4);
+      text.csv[c + 1].reserve(n * csv_row.size() * 5 / 4);
+    }
+  }
+  for_each_chunk(chunks, threads, [&](std::size_t c) {
+    std::string& json_part = text.json[c + 1];
+    std::string& csv_part = text.csv[c + 1];
+    for (std::size_t i = c * kPlanChunk; i < std::min(rows.size(), (c + 1) * kPlanChunk); ++i) {
+      json::append_item(json_part, rows[i], json::kMemberItemDepth, i == 0);
+      append_csv_row(csv_part, layout, rows[i]);
+    }
+  });
+  return text;
+}
+
 ReportPaths write_report_files(const json::JsonValue& report, const std::string& name,
-                               const std::string& dir) {
+                               const std::string& dir, unsigned threads) {
+  const ReportText text = render_report(report, threads);
   std::error_code ec;
   fs::create_directories(dir, ec);
   adc::common::require(!ec, "write_report_files: cannot create " + dir);
+  const auto write = [](const std::string& path, const std::vector<std::string>& parts) {
+    const std::vector<std::string_view> views(parts.begin(), parts.end());
+    adc::common::files::write_file(path, views);
+  };
   ReportPaths paths;
   paths.json_path = dir + "/" + name + "_report.json";
-  adc::common::files::write_file(paths.json_path, json::dump(report));
+  write(paths.json_path, text.json);
   paths.csv_path = dir + "/" + name + "_report.csv";
-  adc::common::files::write_file(paths.csv_path, report_csv(report));
+  write(paths.csv_path, text.csv);
   return paths;
 }
 
@@ -566,11 +662,11 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   // bytes a service client receives in its terminal summary event.
   {
     auto phase = manifest.phase("report", jobs.size());
-    result.report = build_report(spec, plan, payloads);
+    result.report = build_report(spec, plan, std::move(payloads));
 
     if (!options_.report_dir.empty()) {
-      const ReportPaths paths =
-          write_report_files(result.report, spec.name, options_.report_dir);
+      const ReportPaths paths = write_report_files(result.report, spec.name,
+                                                   options_.report_dir, options_.threads);
       result.report_json_path = paths.json_path;
       result.report_csv_path = paths.csv_path;
     }

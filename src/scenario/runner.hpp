@@ -15,11 +15,16 @@
 ///     invocation probes the cache, skips them, and computes only the
 ///     remainder. Resumed results are bit-identical to an uninterrupted run.
 ///   * **Telemetry** — a RunManifest (runtime/manifest.hpp) records the
-///     expand/probe/execute phases, cache counters and pool telemetry. A
-///     fully cached run submits *zero* pool jobs in its execute phase
-///     (RunResult::pool_before/pool_after bracket it; the plan and the
-///     probe before it run as chunks of kPlanChunk jobs), which is how CI
-///     verifies the 100%-hit re-run.
+///     expand/probe/execute/report phases, cache counters and pool
+///     telemetry. A fully cached run submits *zero* pool jobs in its
+///     execute phase (RunResult::pool_before/pool_after bracket it; the
+///     plan and the probe before it, and the report render after it, run
+///     as chunks of kPlanChunk jobs), which is how CI verifies the
+///     100%-hit re-run.
+///   * **Reports** — the run moves its payloads into the report document
+///     (build_report's rvalue form) and renders the report's rows in
+///     chunks on its own thread count (render_report); each file is
+///     written from its parts in order, never joined into one string.
 #pragma once
 
 #include <cstddef>
@@ -114,10 +119,10 @@ struct ScenarioPlan {
   std::string spec_hash;
 };
 
-/// Plan positions per chunk of the two per-job passes that run before
-/// execution: hashing the plan (plan_scenario) and probing the cache
-/// (probe_cache). Each chunk is one pool job; a pass of one chunk runs on
-/// the caller and submits nothing.
+/// Plan positions per chunk of the per-job passes around execution:
+/// hashing the plan (plan_scenario), probing the cache (probe_cache) and
+/// rendering the report rows (render_report). Each chunk is one pool job;
+/// a pass of one chunk runs on the caller and submits nothing.
 inline constexpr std::size_t kPlanChunk = 64;
 
 /// Expand the sweep grid and content-address every job, hashing chunks of
@@ -145,26 +150,59 @@ std::size_t probe_cache(const ScenarioPlan& plan, ResultCache& cache,
 /// (index-aligned; nullopt = not computed, reported as null metrics). No
 /// timings or counters, so any two complete executions of the same spec —
 /// cold, warm, resumed, batch or served — emit byte-identical reports.
+/// This form copies every payload into the report; the scenario service
+/// (whose payloads stay with its run) and bench/e2e call it.
 [[nodiscard]] adc::common::json::JsonValue build_report(
     const ScenarioSpec& spec, const ScenarioPlan& plan,
     const std::vector<std::optional<adc::common::json::JsonValue>>& payloads);
 
+/// The same report, with each payload moved into its row instead of copied
+/// (`payloads` is left holding moved-from values). For a caller done with
+/// its payloads: ScenarioRunner::run and the fleet merge.
+[[nodiscard]] adc::common::json::JsonValue build_report(
+    const ScenarioSpec& spec, const ScenarioPlan& plan,
+    std::vector<std::optional<adc::common::json::JsonValue>>&& payloads);
+
 /// Render the CSV form of a report document (axis columns, seed, then the
 /// metric columns of the first computed payload; rows with null metrics are
 /// skipped). Derives everything from the report itself so remote clients
-/// reproduce the batch CLI's CSV byte-for-byte.
+/// reproduce the batch CLI's CSV byte-for-byte. The one-thread walk of the
+/// row writer render_report runs in chunks.
 [[nodiscard]] std::string report_csv(const adc::common::json::JsonValue& report);
 
+/// A report's two files as parts to write in order, never joined: `json`
+/// joins to `json::dump(report)` and `csv` to `report_csv(report)`.
+struct ReportText {
+  std::vector<std::string> json;  ///< frame head, one part per chunk, frame tail
+  std::vector<std::string> csv;   ///< header, then one part per chunk
+};
+
+/// Render a report (a build_report document) for its files. The `results`
+/// rows are cut into chunks of kPlanChunk rows, each one pool job on
+/// `threads` workers (0 = runtime default resolution, 1 = on the caller)
+/// that writes its rows' pretty JSON (json::append_item) and CSV lines.
+/// The text around the rows comes from json::array_frame. A report of one
+/// chunk renders on the caller and submits nothing. Every part is a pure
+/// function of its rows, so the bytes do not depend on the thread count.
+/// Throws ConfigError for a document that is no scenario report, with the
+/// error the lowest failing row throws.
+[[nodiscard]] ReportText render_report(const adc::common::json::JsonValue& report,
+                                       unsigned threads);
+
 /// Write `<name>_report.json` and `<name>_report.csv` into `dir` (created
-/// if needed), each whole through common/files, and return the two paths.
-/// One writer shared by the batch runner, the fleet merge and `adc_scenario
-/// client submit`, so their files are byte-identical by construction.
+/// if needed) and return the two paths. The report is rendered by
+/// render_report on `threads` workers (a caller that names no count
+/// renders on its own thread, as plan_scenario plans), and each file is
+/// written whole from its parts through common/files. One writer shared by
+/// the batch runner, the fleet merge and `adc_scenario client submit`, so
+/// their files are byte-identical by construction.
 struct ReportPaths {
   std::string json_path;
   std::string csv_path;
 };
 ReportPaths write_report_files(const adc::common::json::JsonValue& report,
-                               const std::string& name, const std::string& dir);
+                               const std::string& name, const std::string& dir,
+                               unsigned threads = 1);
 
 /// Options of the shared execute phase (see execute_plan).
 struct ExecuteOptions {

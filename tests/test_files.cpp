@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,6 +74,51 @@ TEST_F(FilesTest, WriteFileIntoMissingDirectoryThrowsAndLeavesNothing) {
     EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos) << e.what();
   }
   EXPECT_TRUE(names().empty());
+}
+
+TEST_F(FilesTest, WriteFileOfPartsWritesTheirBytesInOrder) {
+  const fs::path path = dir_ / "parts";
+  files::write_file(path, std::span<const std::string_view>{});
+  EXPECT_EQ(files::read_file(path), std::optional<std::string>(""));
+
+  const std::vector<std::string_view> empties{"", "", ""};
+  files::write_file(path, empties);
+  EXPECT_EQ(files::read_file(path), std::optional<std::string>(""));
+
+  // Many parts, empty ones among them, one past 64 KiB, every byte value.
+  std::vector<std::string> owned;
+  std::string want;
+  for (std::size_t k = 0; k < 300; ++k) {
+    std::string part(k % 3 == 0 ? 0 : (k == 7 ? 70'001 : k), '\0');
+    for (std::size_t i = 0; i < part.size(); ++i) part[i] = static_cast<char>((i + 31 * k) % 256);
+    want += part;
+    owned.push_back(std::move(part));
+  }
+  const std::vector<std::string_view> parts(owned.begin(), owned.end());
+  files::write_file(path, parts);
+  EXPECT_EQ(files::read_file(path), std::optional<std::string>(want));
+  EXPECT_EQ(names(), std::vector<std::string>{"parts"});
+}
+
+TEST_F(FilesTest, WriteFileOfPartsReplacesWholeAndLeavesNoTemporary) {
+  const fs::path path = dir_ / "doc.json";
+  files::write_file(path, "a longer first version of the document, in one part\n");
+  const std::vector<std::string_view> shorter{"short", "", "er\n"};
+  files::write_file(path, shorter);
+  EXPECT_EQ(files::read_file(path), std::optional<std::string>("shorter\n"));
+  const std::vector<std::string_view> longer{"{\n", "  \"k\": 1\n", "}\n"};
+  files::write_file(path, longer);
+  EXPECT_EQ(files::read_file(path), std::optional<std::string>("{\n  \"k\": 1\n}\n"));
+  EXPECT_EQ(names(), std::vector<std::string>{"doc.json"});
+
+  const fs::path missing = dir_ / "missing" / "doc.json";
+  try {
+    files::write_file(missing, longer);
+    FAIL() << "write_file created " << missing;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(missing.string()), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(names(), std::vector<std::string>{"doc.json"});
 }
 
 TEST_F(FilesTest, ReadFileReturnsExactBytes) {

@@ -1,6 +1,7 @@
 /// Tests for the strict minimal JSON layer (src/common/json.*): parsing,
-/// strictness diagnostics, exact number round-trip, and the canonical form
-/// the scenario hasher consumes.
+/// strictness diagnostics, exact number round-trip, string escapes, the
+/// canonical form the scenario hasher consumes, and the array frame that
+/// writes one member's items apart from the rest of a document.
 #include "common/json.hpp"
 
 #include <gtest/gtest.h>
@@ -301,4 +302,76 @@ TEST(JsonCanonical, SortsKeysAtEveryLevel) {
   // Array order is data, not presentation: reordering arrays changes the form.
   const auto c = json::parse(R"({"a": [{"p": 2, "q": 1}], "b": {"a": 2, "z": 2}})");
   EXPECT_NE(json::canonical(a), json::canonical(c));
+}
+
+TEST(JsonDump, StringEscapesAreExact) {
+  // Runs of plain text before, between and after escapes; UTF-8 and DEL
+  // pass through as they are.
+  const std::string text = std::string("say \"hi\" C:\\dir ") + '\x01' + '\x1f' +
+                           " \b\f\n\r\t é ✓ 𝄞 \x7f end";
+  EXPECT_EQ(json::dump_compact(JsonValue(text)),
+            R"("say \"hi\" C:\\dir \u0001\u001f \b\f\n\r\t é ✓ 𝄞 )"
+            "\x7f"
+            R"( end")");
+  EXPECT_EQ(json::dump_compact(JsonValue("")), R"("")");
+  EXPECT_EQ(json::dump_compact(JsonValue("\"\\")), R"("\"\\")");
+  EXPECT_EQ(json::dump_compact(JsonValue(std::string(1, '\0'))), R"("\u0000")");
+  EXPECT_EQ(json::parse(json::dump(JsonValue(text))).as_string(), text);
+  // Keys take the same escapes.
+  auto object = JsonValue::object();
+  object.set("k\"\n", 1);
+  EXPECT_EQ(json::dump_compact(object), R"({"k\"\n":1})");
+}
+
+namespace {
+
+/// A document's frame around `key` joined with every item as append_item
+/// spells it.
+std::string framed(const JsonValue& doc, std::string_view key) {
+  const json::ArrayFrame frame = json::array_frame(doc, key);
+  EXPECT_EQ(frame.head.back(), '[');
+  std::string out = frame.head;
+  const auto& items = doc.find(key)->items();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    json::append_item(out, items[i], json::kMemberItemDepth, i == 0);
+  }
+  return out + frame.tail;
+}
+
+}  // namespace
+
+TEST(JsonFrame, JoinsToDumpOnNestedDocuments) {
+  const auto doc = json::parse(R"({
+    "name": "x\"y",
+    "rows": [{"a": [1, {"b": []}], "c": {}, "d": {"e": [null, -0.0, 1e-300]}},
+             [], [[2]], 3.5, "s\"\\\u0001é", null, true, {}],
+    "after": {"k": [true, false], "o": {"p": {"q": "r"}}},
+    "tail": []
+  })");
+  EXPECT_EQ(framed(doc, "rows"), json::dump(doc));
+  EXPECT_EQ(framed(doc, "tail"), json::dump(doc));  // empty, the last member
+  const auto first = json::parse(R"({"rows": [{"x": 1}], "n": 2})");
+  EXPECT_EQ(framed(first, "rows"), json::dump(first));  // one item, the first member
+  const auto only = json::parse(R"({"rows": []})");
+  EXPECT_EQ(framed(only, "rows"), json::dump(only));
+  EXPECT_EQ(json::array_frame(only, "rows").tail, "]\n}\n");
+  // The frame holds nothing of the items.
+  EXPECT_EQ(json::array_frame(doc, "rows").head.find("\"a\""), std::string::npos);
+  EXPECT_EQ(json::array_frame(doc, "rows").tail.find("\"a\""), std::string::npos);
+}
+
+TEST(JsonFrame, AppendItemSpellsItemsAtAnyDepth) {
+  // The items of a top-level array sit at depth 1.
+  const auto doc = json::parse(R"([{"a": [1, 2]}, [], "z"])");
+  std::string out = "[";
+  for (std::size_t i = 0; i < doc.items().size(); ++i) {
+    json::append_item(out, doc.items()[i], 1, i == 0);
+  }
+  EXPECT_EQ(out + "\n]\n", json::dump(doc));
+}
+
+TEST(JsonFrame, RejectsMissingOrNonArrayMembers) {
+  EXPECT_THROW((void)json::array_frame(json::parse(R"({"rows": {}})"), "rows"), ConfigError);
+  EXPECT_THROW((void)json::array_frame(json::parse(R"({"a": []})"), "rows"), ConfigError);
+  EXPECT_THROW((void)json::array_frame(json::parse("[1]"), "rows"), ConfigError);
 }

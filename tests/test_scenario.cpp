@@ -3,8 +3,9 @@
 /// correctness (bit-identical hits, corrupt-entry eviction, env-var root,
 /// the pinned entry bytes and the pack layout, loads over many names),
 /// interrupted-run resume producing bit-identical reports, plans and cache
-/// probes identical at any thread count, and fast-profile sweeps whose
-/// execute units batch across grid points.
+/// probes identical at any thread count, fast-profile sweeps whose execute
+/// units batch across grid points, and reports rendered in chunks that
+/// join to json::dump and the CSV oracle at any thread count.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -31,6 +32,7 @@
 
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
+#include "common/files.hpp"
 #include "common/json.hpp"
 #include "runtime/heartbeat.hpp"
 #include "runtime/parallel.hpp"
@@ -1816,5 +1818,273 @@ TEST_F(ScenarioTest, WarmYieldRunOverRaggedPacksIsEqualAtOneAndFourThreads) {
     EXPECT_EQ(run.cache_evictions, 0u) << "threads=" << threads;
     EXPECT_EQ(run.pool_after.submitted, run.pool_before.submitted) << "threads=" << threads;
     EXPECT_EQ(json::dump(run.report), json::dump(reference.report)) << "threads=" << threads;
+  }
+}
+
+namespace {
+
+/// report_csv as it was written before the chunked render, kept as the
+/// oracle: axis columns, seed, then the first computed payload's metric
+/// keys; rows with null metrics skipped.
+std::string reference_csv(const json::JsonValue& report) {
+  const auto& axes = report.find("axes")->items();
+  const auto& rows = report.find("results")->items();
+  std::vector<std::string> keys;
+  for (const auto& row : rows) {
+    const auto* metrics = row.find("metrics");
+    if (metrics != nullptr && metrics->is_object()) {
+      for (const auto& member : metrics->members()) keys.push_back(member.key);
+      break;
+    }
+  }
+  std::string csv;
+  for (const auto& axis : axes) csv += axis.as_string() + ",";
+  csv += "seed";
+  for (const auto& key : keys) csv += "," + key;
+  csv += "\n";
+  for (const auto& row : rows) {
+    const auto* metrics = row.find("metrics");
+    if (metrics == nullptr || metrics->is_null()) continue;
+    for (const auto& axis : axes) {
+      csv += json::format_double(row.find("point")->find(axis.as_string())->as_double()) + ",";
+    }
+    csv += std::to_string(row.find("seed")->as_uint64());
+    for (const auto& key : keys) {
+      csv += ",";
+      const auto* value = metrics->find(key);
+      if (value == nullptr) continue;
+      if (value->is_string()) {
+        csv += value->as_string();
+      } else if (value->is_bool()) {
+        csv += value->as_bool() ? "true" : "false";
+      } else if (value->is_number()) {
+        csv += json::dump_compact(*value);
+      }
+    }
+    csv += "\n";
+  }
+  return csv;
+}
+
+std::string joined(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const auto& part : parts) out += part;
+  return out;
+}
+
+/// A dynamic payload's keys, with values that need 15 to 17 digits.
+json::JsonValue metric_payload(std::size_t i) {
+  const double x = static_cast<double>(i);
+  auto payload = json::JsonValue::object();
+  payload.set("tone_hz", 9.98046875e6 + x / 3.0);
+  payload.set("snr_db", 67.0 + x / 7.0e3);
+  payload.set("sndr_db", 62.0 + x / 1.1e3);
+  payload.set("sfdr_db", 80.0 - x / 9.0e2);
+  payload.set("thd_db", -78.5 - x / 1.3e3);
+  payload.set("enob", 10.0 + x / 3.3e3);
+  return payload;
+}
+
+/// Every job's metric payload, except where `missing(i)` holds.
+std::vector<std::optional<json::JsonValue>> metric_payloads(
+    const ScenarioPlan& plan, const std::function<bool(std::size_t)>& missing = nullptr) {
+  std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    if (!missing || !missing(i)) payloads[i] = metric_payload(i);
+  }
+  return payloads;
+}
+
+/// 120 jobs on two axes: two chunks, the second ragged.
+const char* kTwoAxisSweepSpec = R"({
+  "name": "two_axis",
+  "stimulus": {"type": "tone", "record_length": 512},
+  "measurement": {"type": "dynamic"},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 11, "count": 5},
+  "sweep": [{"key": "die.conversion_rate_hz",
+             "values": [20e6, 33e6, 47.5e6, 60e6, 90e6, 110e6, 140e6, 177.5e6]},
+            {"key": "stimulus.frequency_hz", "values": [1e6, 10.1e6, 21.3e6]}]
+})";
+
+/// The render of `report` at 1, 2 and 4 threads, and at thread count 0
+/// under an override of 1 and of 3, must join to json::dump and to the
+/// oracle CSV, and report_csv must equal the oracle.
+void expect_render_matches_dump(const json::JsonValue& report, const std::string& what) {
+  const std::string want_json = json::dump(report);
+  const std::string want_csv = reference_csv(report);
+  EXPECT_EQ(report_csv(report), want_csv) << what;
+  const std::size_t rows = report.find("results")->items().size();
+  const std::size_t chunks = (rows + kPlanChunk - 1) / kPlanChunk;
+  const auto check = [&](const ReportText& text, const std::string& how) {
+    EXPECT_EQ(text.json.size(), chunks + 2) << what << how;
+    EXPECT_EQ(text.csv.size(), chunks + 1) << what << how;
+    EXPECT_EQ(joined(text.json), want_json) << what << how;
+    EXPECT_EQ(joined(text.csv), want_csv) << what << how;
+  };
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    check(render_report(report, threads), " threads=" + std::to_string(threads));
+  }
+  for (const unsigned threads : {1u, 3u}) {
+    const adc::runtime::ScopedThreadOverride pin(threads);
+    check(render_report(report, 0), " override=" + std::to_string(threads));
+  }
+}
+
+}  // namespace
+
+TEST(ReportRender, YieldReportOfManyChunksWithSummaryMatchesDump) {
+  const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
+  const ScenarioPlan plan = plan_scenario(spec, 4);
+  const auto report = build_report(spec, plan, metric_payloads(plan));
+  ASSERT_EQ(report.find("results")->items().size(), 2000u);  // 31 chunks and a ragged one
+  ASSERT_NE(report.find("summary"), nullptr);
+  expect_render_matches_dump(report, "yield2k");
+}
+
+TEST(ReportRender, SweepWithAxisColumnsMatchesDump) {
+  const ScenarioSpec spec = parse_spec_text(kTwoAxisSweepSpec);
+  const ScenarioPlan plan = plan_scenario(spec);
+  ASSERT_EQ(plan.jobs.size(), 120u);
+  const auto report = build_report(spec, plan, metric_payloads(plan));
+  EXPECT_EQ(report_csv(report).substr(0, 47), "die.conversion_rate_hz,stimulus.frequency_hz,se");
+  expect_render_matches_dump(report, "two_axis");
+}
+
+TEST(ReportRender, PartialReportSkipsNullRowsAndHasNoSummary) {
+  const ScenarioSpec yield = parse_spec_text(kYield2kSpec);
+  const ScenarioPlan yield_plan = plan_scenario(yield, 4);
+  // The first rows are null, so the columns come from a later payload, and
+  // whole chunks (64..191) are null too.
+  const auto report =
+      build_report(yield, yield_plan, metric_payloads(yield_plan, [](std::size_t i) {
+        return i < 3 || (i >= 64 && i < 192) || i % 7 == 0;
+      }));
+  EXPECT_EQ(report.find("summary"), nullptr);
+  expect_render_matches_dump(report, "partial yield2k");
+
+  const ScenarioSpec sweep = parse_spec_text(kTwoAxisSweepSpec);
+  const ScenarioPlan sweep_plan = plan_scenario(sweep);
+  expect_render_matches_dump(
+      build_report(sweep, sweep_plan,
+                   metric_payloads(sweep_plan, [](std::size_t i) { return i >= 40; })),
+      "partial two_axis");
+  // Nothing computed: a header of axes and seed alone.
+  const auto none = build_report(sweep, sweep_plan,
+                                 metric_payloads(sweep_plan, [](std::size_t) { return true; }));
+  EXPECT_EQ(report_csv(none), "die.conversion_rate_hz,stimulus.frequency_hz,seed\n");
+  expect_render_matches_dump(none, "uncomputed two_axis");
+}
+
+TEST(ReportRender, OneRowAndEmptyReportsMatchDump) {
+  ScenarioSpec spec = parse_spec_text(kYield2kSpec);
+  spec.seed_count = 1;
+  const ScenarioPlan one = plan_scenario(spec);
+  ASSERT_EQ(one.jobs.size(), 1u);
+  const auto report = build_report(spec, one, metric_payloads(one));
+  ASSERT_NE(report.find("summary"), nullptr);
+  expect_render_matches_dump(report, "one row");
+
+  // No jobs at all: "results": [] between its neighbours, no summary.
+  ScenarioPlan empty;
+  empty.spec_hash = one.spec_hash;
+  const auto bare = build_report(spec, empty, {});
+  ASSERT_NE(json::dump(bare).find("\"results\": []"), std::string::npos);
+  expect_render_matches_dump(bare, "empty");
+}
+
+TEST(ReportRender, DescriptionNeedingEscapesMatchesDump) {
+  ScenarioSpec spec = parse_spec_text(kTwoAxisSweepSpec);
+  spec.description = "a \"quoted\" C:\\path,\x01 bell\x07 tab\t newline\n é ✓ 𝄞 end";
+  const ScenarioPlan plan = plan_scenario(spec);
+  const auto report = build_report(spec, plan, metric_payloads(plan));
+  EXPECT_NE(json::dump(report).find(
+                R"("a \"quoted\" C:\\path,\u0001 bell\u0007 tab\t newline\n é ✓ 𝄞 end")"),
+            std::string::npos);
+  expect_render_matches_dump(report, "escaped description");
+}
+
+TEST(ReportRender, MovedPayloadReportEqualsCopiedReport) {
+  const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
+  const ScenarioPlan plan = plan_scenario(spec, 4);
+  for (const bool partial : {false, true}) {
+    const auto payloads =
+        metric_payloads(plan, [&](std::size_t i) { return partial && i % 5 == 1; });
+    const auto copied = build_report(spec, plan, payloads);
+    auto owned = payloads;
+    const auto moved = build_report(spec, plan, std::move(owned));
+    EXPECT_TRUE(moved.equals(copied)) << "partial=" << partial;
+    EXPECT_EQ(json::dump(moved), json::dump(copied)) << "partial=" << partial;
+  }
+}
+
+TEST(ReportRender, OneChunkReportRendersOnTheCaller) {
+  const ScenarioSpec spec = parse_spec_text(kFastRateSweepSpec);
+  const ScenarioPlan plan = plan_scenario(spec);
+  ASSERT_LE(plan.jobs.size(), kPlanChunk);
+  const auto report = build_report(spec, plan, metric_payloads(plan));
+  auto& pool = adc::runtime::global_pool();
+  const auto before = pool.counters();
+  const ReportText text = render_report(report, pool.thread_count());
+  EXPECT_EQ(pool.counters().submitted, before.submitted);
+  EXPECT_EQ(joined(text.json), json::dump(report));
+
+  // Past one chunk the rows do reach the pool (when it has workers).
+  if (pool.thread_count() > 1) {
+    const ScenarioSpec wide = parse_spec_text(kYield2kSpec);
+    const ScenarioPlan big = plan_scenario(wide);
+    const auto big_report = build_report(wide, big, metric_payloads(big));
+    const auto start = pool.counters();
+    (void)render_report(big_report, pool.thread_count());
+    EXPECT_EQ(pool.counters().submitted - start.submitted,
+              (big.jobs.size() + kPlanChunk - 1) / kPlanChunk);
+  }
+}
+
+TEST(ReportRender, RowLackingAnAxisFailsWithTheSerialError) {
+  const ScenarioSpec spec = parse_spec_text(kTwoAxisSweepSpec);
+  const ScenarioPlan plan = plan_scenario(spec);
+  auto report = build_report(spec, plan, metric_payloads(plan));
+  EXPECT_THROW((void)render_report(json::JsonValue::object(), 4), ConfigError);
+  // A row of the second chunk loses its point.
+  json::JsonValue broken = json::JsonValue::object();
+  for (const auto& member : report.members()) {
+    if (member.key != "results") {
+      broken.set(member.key, member.value);
+      continue;
+    }
+    auto rows = json::JsonValue::array();
+    for (std::size_t i = 0; i < member.value.items().size(); ++i) {
+      auto row = member.value.items()[i];
+      if (i == 100) row.erase("point");
+      rows.push_back(std::move(row));
+    }
+    broken.set("results", std::move(rows));
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    try {
+      (void)render_report(broken, threads);
+      ADD_FAILURE() << "render_report accepted a row without its point, threads=" << threads;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("row lacks axis value"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST_F(ScenarioTest, ReportFilesAreEqualAtAnyThreadCount) {
+  const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
+  const ScenarioPlan plan = plan_scenario(spec, 4);
+  const auto report = build_report(spec, plan, metric_payloads(plan, [](std::size_t i) {
+    return i % 11 == 3;
+  }));
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = path("reports" + std::to_string(threads));
+    const ReportPaths paths = write_report_files(report, spec.name, dir, threads);
+    EXPECT_EQ(adc::common::files::read_file(paths.json_path),
+              std::optional<std::string>(json::dump(report)));
+    EXPECT_EQ(adc::common::files::read_file(paths.csv_path),
+              std::optional<std::string>(reference_csv(report)));
+    EXPECT_EQ(names_under(dir), (std::vector<std::string>{"yield2k_report.csv",
+                                                          "yield2k_report.json"}));
   }
 }

@@ -393,7 +393,8 @@ int client_submit(const std::vector<std::string>& args) {
         static_cast<unsigned long long>(computed),
         static_cast<unsigned long long>(skipped));
     if (!report_dir.empty()) {
-      const ReportPaths paths = write_report_files(*event.find("report"), spec.name, report_dir);
+      const ReportPaths paths =
+          write_report_files(*event.find("report"), spec.name, report_dir, 0);
       std::printf("  report: %s\n", paths.json_path.c_str());
     }
     if (min_hit_rate >= 0.0 && hit_rate < min_hit_rate) {
