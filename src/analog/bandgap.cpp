@@ -13,21 +13,10 @@ Bandgap::Bandgap(const BandgapSpec& spec, double process_factor)
   adc::common::require(spec.vdd_nominal > 0.0, "Bandgap: non-positive nominal VDD");
 }
 
-Bandgap Bandgap::ideal(double output_volt) {
-  BandgapSpec spec;
-  spec.nominal_output = output_volt;
-  spec.curvature = 0.0;
-  spec.supply_sensitivity = 0.0;
-  spec.sigma_process = 0.0;
-  return Bandgap(spec, 1.0);
-}
-
 double Bandgap::output(double t_kelvin, double vdd) const {
   const double dt = t_kelvin - spec_.t0_kelvin;
   return spec_.nominal_output * process_factor_ + spec_.curvature * dt * dt +
          spec_.supply_sensitivity * (vdd - spec_.vdd_nominal);
 }
-
-double Bandgap::output() const { return output(spec_.t0_kelvin, spec_.vdd_nominal); }
 
 }  // namespace adc::analog

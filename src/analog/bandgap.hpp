@@ -32,14 +32,8 @@ class Bandgap {
  public:
   Bandgap(const BandgapSpec& spec, adc::common::Rng& rng);
 
-  /// Ideal, exactly-nominal bandgap (for ideal-converter configurations).
-  static Bandgap ideal(double output_volt);
-
   /// Output voltage [V] at junction temperature `t_kelvin` and supply `vdd`.
   [[nodiscard]] double output(double t_kelvin, double vdd) const;
-
-  /// Output at nominal temperature and supply.
-  [[nodiscard]] double output() const;
 
   [[nodiscard]] const BandgapSpec& spec() const { return spec_; }
 

@@ -1,8 +1,5 @@
 #include "analog/capacitor.hpp"
 
-#include <cmath>
-
-#include "common/constants.hpp"
 #include "common/error.hpp"
 
 namespace adc::analog {
@@ -15,18 +12,6 @@ Capacitor::Capacitor(const CapacitorSpec& spec, adc::common::Rng& rng)
   const double local = rng.gaussian(spec.sigma_mismatch);
   value_ = spec.nominal_farad * (1.0 + spec.global_spread) * (1.0 + local);
   adc::common::require(value_ > 0.0, "Capacitor: realized value collapsed to <= 0");
-}
-
-Capacitor Capacitor::ideal(double farad) {
-  adc::common::require(farad > 0.0, "Capacitor::ideal: non-positive value");
-  return Capacitor(farad, farad);
-}
-
-double Capacitor::relative_error() const { return value_ / nominal_ - 1.0; }
-
-double ktc_noise_rms(double capacitance_farad) {
-  adc::common::require(capacitance_farad > 0.0, "ktc_noise_rms: non-positive capacitance");
-  return std::sqrt(adc::common::kt_nominal / capacitance_farad);
 }
 
 }  // namespace adc::analog

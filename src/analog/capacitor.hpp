@@ -33,23 +33,14 @@ class Capacitor {
   /// Draw a capacitor from `spec` using `rng` for the local mismatch.
   Capacitor(const CapacitorSpec& spec, adc::common::Rng& rng);
 
-  /// Deterministic capacitor with exactly the nominal value.
-  static Capacitor ideal(double farad);
-
   /// Realized value [F], including spread and mismatch.
   [[nodiscard]] double value() const { return value_; }
   /// Designed value [F].
   [[nodiscard]] double nominal() const { return nominal_; }
-  /// Relative error (value-nominal)/nominal.
-  [[nodiscard]] double relative_error() const;
 
  private:
-  Capacitor(double value, double nominal) : value_(value), nominal_(nominal) {}
   double value_;
   double nominal_;
 };
-
-/// Sampled thermal noise rms of a switch-capacitor sampler: sqrt(kT/C) [V].
-[[nodiscard]] double ktc_noise_rms(double capacitance_farad);
 
 }  // namespace adc::analog

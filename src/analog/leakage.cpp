@@ -13,11 +13,4 @@ HoldLeakage::HoldLeakage(const LeakageSpec& spec, double mis_p, double mis_n)
   adc::common::require(spec.i0 >= 0.0, "HoldLeakage: negative leakage");
 }
 
-HoldLeakage HoldLeakage::none() {
-  LeakageSpec spec;
-  spec.i0 = 0.0;
-  spec.sigma_mismatch = 0.0;
-  return HoldLeakage(spec, 1.0, 1.0);
-}
-
 }  // namespace adc::analog

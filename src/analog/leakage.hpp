@@ -36,9 +36,6 @@ class HoldLeakage {
  public:
   HoldLeakage(const LeakageSpec& spec, adc::common::Rng& rng);
 
-  /// No leakage (ideal configuration).
-  static HoldLeakage none();
-
   /// Differential droop [V] accumulated over `t_hold` seconds on per-side
   /// hold capacitance `c_hold` [F] while holding differential value `v_diff`
   /// around common mode u0. In the header: one call per stage per sample,

@@ -45,23 +45,6 @@ double Mos::vth(double vsb) const {
          params_.gamma * (std::sqrt(params_.two_phi_f + vsb) - sqrt_two_phi_f_);
 }
 
-double Mos::id_sat(double vov) const {
-  if (vov <= 0.0) return 0.0;
-  const double mob = 1.0 + params_.theta * vov;
-  return 0.5 * params_.kp * params_.w_over_l * vov * vov / mob;
-}
-
-double Mos::gm_at_id(double id) const {
-  if (id <= 0.0) return 0.0;
-  // Invert id(vov) approximately ignoring theta, then correct once.
-  double vov = std::sqrt(2.0 * id / (params_.kp * params_.w_over_l));
-  const double mob = 1.0 + params_.theta * vov;
-  vov *= std::sqrt(mob);
-  // gm = d(id)/d(vov) of the degraded square law.
-  const double m2 = 1.0 + params_.theta * vov;
-  return params_.kp * params_.w_over_l * vov * (1.0 + 0.5 * params_.theta * vov) / (m2 * m2);
-}
-
 double Mos::g_on(double vov) const {
   // Subthreshold softening: conductance tails off smoothly over ~2-3 kT/q
   // instead of kinking at vov = 0 (softplus with a 50 mV scale). The smooth

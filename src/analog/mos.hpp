@@ -38,14 +38,6 @@ class Mos {
   /// `vsb` >= 0 (magnitude).
   [[nodiscard]] double vth(double vsb) const;
 
-  /// Drain current in saturation for gate overdrive `vov` = |Vgs| - Vth > 0,
-  /// including mobility degradation. Returns 0 for vov <= 0.
-  [[nodiscard]] double id_sat(double vov) const;
-
-  /// Small-signal transconductance at drain current `id` (saturation):
-  /// gm = sqrt(2 * kp * W/L * id) with first-order mobility correction.
-  [[nodiscard]] double gm_at_id(double id) const;
-
   /// Deep-triode on-conductance for overdrive `vov` = |Vgs| - Vth:
   /// g_on = kp * W/L * vov / (1 + theta*vov). Returns 0 for vov <= 0.
   [[nodiscard]] double g_on(double vov) const;

@@ -17,16 +17,6 @@ ReferenceBuffer::ReferenceBuffer(const RefBufferSpec& spec, double level_error)
   adc::common::require(spec.output_resistance >= 0.0, "ReferenceBuffer: negative Rout");
 }
 
-ReferenceBuffer ReferenceBuffer::ideal(double vref, double common_mode) {
-  RefBufferSpec spec;
-  spec.nominal_vref = vref;
-  spec.common_mode = common_mode;
-  spec.charge_per_event = 0.0;
-  spec.sigma_level = 0.0;
-  spec.output_resistance = 0.0;
-  return ReferenceBuffer(spec, 0.0);
-}
-
 double ReferenceBuffer::vref() const {
   return spec_.nominal_vref + level_error_ - droop_;
 }

@@ -38,9 +38,6 @@ class ReferenceBuffer {
  public:
   ReferenceBuffer(const RefBufferSpec& spec, adc::common::Rng& rng);
 
-  /// Ideal reference (no droop, no error).
-  static ReferenceBuffer ideal(double vref, double common_mode);
-
   /// Effective differential reference for the current sample [V].
   [[nodiscard]] double vref() const;
 

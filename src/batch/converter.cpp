@@ -178,15 +178,6 @@ bool BatchConverter::shares_block(const adc::pipeline::AdcConfig& a,
   return aligned == b;
 }
 
-bool BatchConverter::supports_signal(const adc::dsp::Signal& signal) {
-  return signal.tone_table().count > 0;
-}
-
-bool BatchConverter::supports(const adc::pipeline::AdcConfig& config,
-                              const adc::dsp::Signal& signal) {
-  return supports_config(config) && supports_signal(signal);
-}
-
 void BatchConverter::extract_die(adc::pipeline::PipelineAdc& adc, DieBlock& block,
                                  std::size_t lane) {
   // A die's one-lane view is one row per field; scatter each row into this
@@ -277,7 +268,7 @@ std::vector<std::vector<int>> BatchConverter::run(std::span<const adc::dsp::Sign
   tables.reserve(signals.size());
   for (const adc::dsp::Signal* signal : signals) tables.push_back(signal->tone_table());
   const adc::dsp::ToneTable& first = tables[0];
-  require(first.count > 0, "BatchConverter::convert: unsupported stimulus (see supports_signal)");
+  require(first.count > 0, "BatchConverter::convert: unsupported stimulus (not a tone table)");
   for (const adc::dsp::ToneTable& t : tables) {
     require(t.count == first.count && same_bits(t.offset, first.offset) &&
                 same_bits(t.slope_start, first.slope_start),

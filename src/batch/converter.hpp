@@ -76,14 +76,6 @@ class BatchConverter {
   [[nodiscard]] static bool shares_block(const adc::pipeline::AdcConfig& a,
                                          const adc::pipeline::AdcConfig& b);
 
-  /// True when the stimulus is a tone table (SineSignal or
-  /// MultiToneSignal; PipelineAdc converts everything else die by die).
-  [[nodiscard]] static bool supports_signal(const adc::dsp::Signal& signal);
-
-  /// supports_config && supports_signal.
-  [[nodiscard]] static bool supports(const adc::pipeline::AdcConfig& config,
-                                     const adc::dsp::Signal& signal);
-
   /// One capture of `n` samples for every die, die d driven by
   /// `*signals[d]`. result[d][k] is byte-identical to what
   /// `PipelineAdc::convert(*signals[d], n)[k]` returns on a fresh die

@@ -14,12 +14,6 @@ MirrorBank::MirrorBank(const MirrorBankSpec& spec, adc::common::Rng& rng) {
   }
 }
 
-std::vector<double> MirrorBank::currents(double master_current) const {
-  std::vector<double> out(gains_.size());
-  for (std::size_t i = 0; i < gains_.size(); ++i) out[i] = gains_[i] * master_current;
-  return out;
-}
-
 double MirrorBank::total_current(double master_current) const {
   double total = 0.0;
   for (double g : gains_) total += g * master_current;

@@ -39,9 +39,6 @@ class MirrorBank {
     return gains_[i] * master_current;
   }
 
-  /// All leg currents [A].
-  [[nodiscard]] std::vector<double> currents(double master_current) const;
-
   /// Total current drawn by all legs [A].
   [[nodiscard]] double total_current(double master_current) const;
 

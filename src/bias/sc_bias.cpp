@@ -25,12 +25,4 @@ double ScBiasGenerator::master_current(double f_cr) const {
   return i_bias;
 }
 
-double ScBiasGenerator::sampled_current(double f_cr, adc::common::Rng& rng) const {
-  const double mean = master_current(f_cr);
-  if (spec_.ripple_sigma <= 0.0) return mean;
-  const double sampled = mean * (1.0 + rng.gaussian(spec_.ripple_sigma));
-  ADC_ENSURE(std::isfinite(sampled), "ScBiasGenerator::sampled_current: non-finite current");
-  return sampled;
-}
-
 }  // namespace adc::bias

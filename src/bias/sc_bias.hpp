@@ -59,10 +59,6 @@ class ScBiasGenerator final : public BiasSource {
   /// The realized C_B value [F].
   [[nodiscard]] double realized_cb() const { return cb_.value(); }
 
-  /// Instantaneous current including switching ripple; consumes a random
-  /// draw. The pipeline uses this per sample; the power model uses the mean.
-  [[nodiscard]] double sampled_current(double f_cr, adc::common::Rng& rng) const;
-
   [[nodiscard]] const ScBiasSpec& spec() const { return spec_; }
 
  private:

@@ -122,20 +122,4 @@ double CalibratedReconstructor::reconstruct(const RawConversion& raw) const {
   return acc;
 }
 
-int CalibratedReconstructor::code(const RawConversion& raw) const {
-  const double max_code = std::ldexp(1.0, table_.resolution_bits()) - 1.0;
-  double d = std::round(reconstruct(raw));
-  if (d < 0.0) d = 0.0;
-  if (d > max_code) d = max_code;
-  return static_cast<int>(d);
-}
-
-std::vector<int> CalibratedReconstructor::codes(
-    std::span<const RawConversion> raws) const {
-  std::vector<int> out;
-  out.reserve(raws.size());
-  for (const auto& raw : raws) out.push_back(code(raw));
-  return out;
-}
-
 }  // namespace adc::calibration

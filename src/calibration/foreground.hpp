@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "digital/codes.hpp"
@@ -86,13 +85,6 @@ class CalibratedReconstructor {
   /// good die). Use this fractional value — or a wider output word — where
   /// the downstream DSP can take it, as production calibrated ADCs do.
   [[nodiscard]] double reconstruct(const adc::digital::RawConversion& raw) const;
-
-  /// Rounded and clamped integer code.
-  [[nodiscard]] int code(const adc::digital::RawConversion& raw) const;
-
-  /// Batch conversion of a raw record.
-  [[nodiscard]] std::vector<int> codes(
-      std::span<const adc::digital::RawConversion> raws) const;
 
   [[nodiscard]] const CalibrationTable& table() const { return table_; }
 

@@ -23,10 +23,4 @@ double SamplingClock::sample_instant(std::size_t n) {
   return t;
 }
 
-std::vector<double> SamplingClock::instants(std::size_t count) {
-  std::vector<double> t(count);
-  for (std::size_t n = 0; n < count; ++n) t[n] = sample_instant(n);
-  return t;
-}
-
 }  // namespace adc::clocking

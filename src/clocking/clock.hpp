@@ -7,7 +7,6 @@
 /// calibrated sigma reproduces that corner.
 #pragma once
 
-#include <vector>
 
 #include "common/random.hpp"
 #include "common/units.hpp"
@@ -48,9 +47,6 @@ class SamplingClock {
   /// Reset the accumulated random-walk phase (a new capture after re-locking
   /// the source).
   void reset_walk() { walk_s_ = 0.0; }
-
-  /// Generate `count` consecutive jittered instants starting at sample 0.
-  [[nodiscard]] std::vector<double> instants(std::size_t count);
 
  private:
   ClockSpec spec_;

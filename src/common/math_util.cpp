@@ -11,13 +11,7 @@ double db_from_power_ratio(double ratio) { return 10.0 * std::log10(ratio); }
 
 double db_from_amplitude_ratio(double ratio) { return 20.0 * std::log10(ratio); }
 
-double power_ratio_from_db(double db) { return std::pow(10.0, db / 10.0); }
-
-double amplitude_ratio_from_db(double db) { return std::pow(10.0, db / 20.0); }
-
 double enob_from_sndr_db(double sndr_db) { return (sndr_db - 1.76) / 6.02; }
-
-double sndr_db_from_enob(double enob) { return 6.02 * enob + 1.76; }
 
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
@@ -74,37 +68,6 @@ LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
   fit.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
   (void)n;
   return fit;
-}
-
-std::size_t gcd(std::size_t a, std::size_t b) {
-  while (b != 0) {
-    const std::size_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  require(n >= 1, "linspace: need at least one point");
-  if (n == 1) return {lo};
-  std::vector<double> out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) out[i] = lo + step * static_cast<double>(i);
-  return out;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t n) {
-  require(lo > 0.0 && hi > 0.0, "logspace: bounds must be positive");
-  auto exps = linspace(std::log10(lo), std::log10(hi), n);
-  for (auto& e : exps) e = std::pow(10.0, e);
-  return exps;
-}
-
-double sum_db_powers(std::span<const double> levels_db) {
-  double p = 0.0;
-  for (double l : levels_db) p += power_ratio_from_db(l);
-  return db_from_power_ratio(p);
 }
 
 }  // namespace adc::common

@@ -81,17 +81,8 @@ class Chebyshev {
 /// Amplitude ratio to decibels: 20*log10(ratio). `ratio` must be > 0.
 [[nodiscard]] double db_from_amplitude_ratio(double ratio);
 
-/// Decibels to power ratio: 10^(db/10).
-[[nodiscard]] double power_ratio_from_db(double db);
-
-/// Decibels to amplitude ratio: 10^(db/20).
-[[nodiscard]] double amplitude_ratio_from_db(double db);
-
 /// SNDR in dB to effective number of bits: (SNDR - 1.76) / 6.02.
 [[nodiscard]] double enob_from_sndr_db(double sndr_db);
-
-/// ENOB to the SNDR of an ideal converter of that resolution.
-[[nodiscard]] double sndr_db_from_enob(double enob);
 
 /// True when n is a power of two (n >= 1).
 [[nodiscard]] bool is_power_of_two(std::size_t n);
@@ -129,20 +120,5 @@ struct LinearFit {
 [[nodiscard]] constexpr double clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);
 }
-
-/// Greatest common divisor (for coherent-sampling bin selection).
-[[nodiscard]] std::size_t gcd(std::size_t a, std::size_t b);
-
-/// Linearly spaced vector of n points from lo to hi inclusive (n >= 2),
-/// or {lo} when n == 1.
-[[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t n);
-
-/// Logarithmically spaced vector of n points from lo to hi inclusive.
-/// Requires lo > 0 and hi > 0.
-[[nodiscard]] std::vector<double> logspace(double lo, double hi, std::size_t n);
-
-/// Combine independent noise/distortion contributions expressed in dBc into a
-/// single dBc figure (power sum). Example: sum_db_powers({-67.0, -70.0}).
-[[nodiscard]] double sum_db_powers(std::span<const double> levels_db);
 
 }  // namespace adc::common

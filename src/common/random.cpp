@@ -29,11 +29,6 @@ Rng Rng::child(std::string_view tag, std::uint64_t index) const {
   return Rng(h);
 }
 
-double Rng::uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
 bool Rng::bernoulli(double p) {
   std::bernoulli_distribution dist(p);
   return dist(engine_);
@@ -42,16 +37,6 @@ bool Rng::bernoulli(double p) {
 std::uint64_t Rng::index(std::uint64_t n) {
   std::uniform_int_distribution<std::uint64_t> dist(0, n - 1);
   return dist(engine_);
-}
-
-void Rng::gaussian_fill(std::span<double> out, double sigma) {
-  for (auto& x : out) x = gaussian(sigma);
-}
-
-std::vector<double> Rng::gaussian_vector(std::size_t n, double sigma) {
-  std::vector<double> out(n);
-  gaussian_fill(out, sigma);
-  return out;
 }
 
 }  // namespace adc::common

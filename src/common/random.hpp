@@ -11,9 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <span>
 #include <string_view>
-#include <vector>
 
 namespace adc::common {
 
@@ -40,21 +38,11 @@ class Rng {
   /// draws per sample make the RNG roughly half the per-sample cost.
   double gaussian(double sigma) { return sigma * next_normal(); }
 
-  /// Uniform draw in [lo, hi).
-  double uniform(double lo, double hi);
-
   /// Bernoulli draw with probability `p` of true.
   bool bernoulli(double p);
 
   /// Uniform integer in [0, n).
   std::uint64_t index(std::uint64_t n);
-
-  /// Fill `out` with independent gaussian(sigma) draws, no allocation.
-  /// Buffer-reuse form of `gaussian_vector` for batched callers.
-  void gaussian_fill(std::span<double> out, double sigma);
-
-  /// A vector of n independent gaussian(sigma) draws.
-  [[nodiscard]] std::vector<double> gaussian_vector(std::size_t n, double sigma);
 
   /// The seed this generator was constructed with.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }

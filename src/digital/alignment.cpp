@@ -17,16 +17,6 @@ int DelayAlignment::latency_cycles() const {
   return (num_stages_ + 2 + 1) / 2;
 }
 
-int DelayAlignment::register_bit_count() const {
-  // Stage i (1-based) passes through (S + 1 - i) half-clock registers of
-  // 2 bits each; the flash code needs none; the output word adds
-  // (S + 2) bits of final register.
-  int regs = 0;
-  for (int i = 1; i <= num_stages_; ++i) regs += 2 * (num_stages_ + 1 - i);
-  regs += num_stages_ + 2;
-  return regs;
-}
-
 std::optional<RawConversion> DelayAlignment::push(RawConversion raw) {
   adc::common::require(static_cast<int>(raw.stage_codes.size()) == num_stages_,
                        "DelayAlignment: stage-code count mismatch");

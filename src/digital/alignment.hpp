@@ -27,10 +27,6 @@ class DelayAlignment {
   /// corrected word appearing at DOUT.
   [[nodiscard]] int latency_cycles() const;
 
-  /// Total 1.5-bit code registers in the alignment fabric (2 bits each);
-  /// used by the digital power model.
-  [[nodiscard]] int register_bit_count() const;
-
   /// Push the raw conversion whose front-end sample was taken this cycle;
   /// returns the conversion that completes alignment this cycle, or nullopt
   /// during the initial pipeline fill.

@@ -36,6 +36,4 @@ int ErrorCorrection::correct(const RawConversion& raw) const {
   return word[0];
 }
 
-int ErrorCorrection::mid_code() const { return 1 << (resolution_bits() - 1); }
-
 }  // namespace adc::digital

@@ -69,9 +69,6 @@ class ErrorCorrection {
   /// adder does).
   [[nodiscard]] int correct(const RawConversion& raw) const;
 
-  /// Mid-scale output code (all stage decisions zero, flash at half).
-  [[nodiscard]] int mid_code() const;
-
   /// The adder's constants for correct_lanes; points into this object.
   [[nodiscard]] CorrectionView view() const {
     return {offset_, max_code_, weights_.data(), static_cast<std::size_t>(num_stages_)};

@@ -132,10 +132,6 @@ void FftPlan::forward_real(std::span<const double> x, std::span<Complex> out) co
   }
 }
 
-void fft_in_place(std::vector<Complex>& data) { FftPlan::shared(data.size())->forward(data); }
-
-void ifft_in_place(std::vector<Complex>& data) { FftPlan::shared(data.size())->inverse(data); }
-
 std::vector<Complex> fft_real(std::span<const double> x) {
   ADC_EXPECT(adc::common::all_finite(x), "fft_real: non-finite sample in input record");
   const auto plan = FftPlan::shared(x.size());

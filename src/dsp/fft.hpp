@@ -6,7 +6,7 @@
 /// metrics) are single-tone coherent captures; a power-of-two radix-2
 /// transform with double precision is exactly what an ADC characterization
 /// bench uses. Forward transform is unnormalized; the inverse divides by N so
-/// that ifft(fft(x)) == x.
+/// that inverse(forward(x)) == x.
 ///
 /// A sweep reruns the same record length ~15 times (one capture per rate or
 /// input-frequency point), so the setup work — bit-reversal permutation and
@@ -67,13 +67,6 @@ class FftPlan {
   /// The half-length plan backing `forward_real` (null for n < 2).
   std::shared_ptr<const FftPlan> half_;
 };
-
-/// In-place forward FFT. `data.size()` must be a power of two (>= 1).
-/// Uses the cached plan for that length.
-void fft_in_place(std::vector<Complex>& data);
-
-/// In-place inverse FFT (normalized by 1/N).
-void ifft_in_place(std::vector<Complex>& data);
 
 /// Forward FFT of a real sequence. Returns the full complex spectrum of
 /// length n (power of two required).

@@ -42,7 +42,8 @@ struct LinearityResult {
 
 /// DNL/INL from an explicitly measured transfer function: `edges[k]` is the
 /// input voltage of the transition between code k and k+1 (size 2^bits - 1).
-/// Used by the fast ramp-based extraction in the test bench.
+/// The tests' exact reference for the histogram method, fed by
+/// testbench::extract_transfer_edges.
 [[nodiscard]] LinearityResult edges_linearity(std::span<const double> edges, int bits);
 
 /// True when the code sequence produced by a monotonically increasing input

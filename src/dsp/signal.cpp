@@ -84,22 +84,6 @@ ToneTable MultiToneSignal::tone_table() const {
   return {r, r + n, r + 2 * n, r + 3 * n, n, 0.0, 0.0};
 }
 
-RampSignal::RampSignal(double start, double stop, double duration_s)
-    : start_(start), stop_(stop), duration_(duration_s) {
-  adc::common::require(duration_s > 0.0, "RampSignal: non-positive duration");
-}
-
-double RampSignal::value(double t) const {
-  if (t <= 0.0) return start_;
-  if (t >= duration_) return stop_;
-  return start_ + (stop_ - start_) * (t / duration_);
-}
-
-double RampSignal::slope(double t) const {
-  if (t <= 0.0 || t >= duration_) return 0.0;
-  return (stop_ - start_) / duration_;
-}
-
 CoherentTone coherent_frequency(double target_hz, double fs, std::size_t n) {
   adc::common::require(n >= 4, "coherent_frequency: record too short");
   adc::common::require(target_hz > 0.0 && target_hz < fs / 2.0,

@@ -88,21 +88,6 @@ class MultiToneSignal final : public Signal {
   std::vector<double> rows_;
 };
 
-/// Slow linear ramp from `start` to `stop` over `duration`; used for fast
-/// static-transfer extraction. Values saturate outside [0, duration].
-class RampSignal final : public Signal {
- public:
-  RampSignal(double start, double stop, double duration_s);
-
-  [[nodiscard]] double value(double t) const override;
-  [[nodiscard]] double slope(double t) const override;
-
- private:
-  double start_;
-  double stop_;
-  double duration_;
-};
-
 /// Constant DC level (slope 0); used for code-boundary probing.
 class DcSignal final : public Signal {
  public:

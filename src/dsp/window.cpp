@@ -10,15 +10,6 @@
 
 namespace adc::dsp {
 
-std::string to_string(WindowType type) {
-  switch (type) {
-    case WindowType::kRectangular: return "rectangular";
-    case WindowType::kHann: return "hann";
-    case WindowType::kBlackmanHarris4: return "blackman-harris-4";
-  }
-  return "unknown";
-}
-
 std::vector<double> make_window(WindowType type, std::size_t n) {
   adc::common::require(n >= 1, "make_window: length must be >= 1");
   std::vector<double> w(n, 1.0);

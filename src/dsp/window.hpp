@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace adc::dsp {
@@ -20,9 +19,6 @@ enum class WindowType {
   kHann,
   kBlackmanHarris4,  ///< 4-term Blackman-Harris, -92 dB sidelobes.
 };
-
-/// Human-readable window name (for reports).
-[[nodiscard]] std::string to_string(WindowType type);
 
 /// Generate the window coefficients of length n (n >= 1).
 [[nodiscard]] std::vector<double> make_window(WindowType type, std::size_t n);

@@ -217,13 +217,7 @@ PipelineAdc::PipelineAdc(const AdcConfig& config)
   }
 }
 
-double PipelineAdc::lsb() const {
-  return config_.full_scale_vpp / std::ldexp(1.0, resolution_bits());
-}
-
 int PipelineAdc::latency_cycles() const { return alignment_.latency_cycles(); }
-
-adc::clocking::PhaseWindows PipelineAdc::phase_windows() const { return windows_; }
 
 void PipelineAdc::reset_state() {
   refs_.reset();
@@ -489,12 +483,6 @@ double PipelineAdc::master_bias_current() const {
 
 double PipelineAdc::pipeline_bias_current(double f_cr) const {
   return mirrors_.total_current(bias_->master_current(f_cr));
-}
-
-double PipelineAdc::total_analog_current() const {
-  const double master = bias_->master_current(config_.conversion_rate);
-  return mirrors_.total_current(master) + bias_->overhead_current() +
-         refs_.spec().quiescent_current;
 }
 
 }  // namespace adc::pipeline

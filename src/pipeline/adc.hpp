@@ -171,7 +171,6 @@ class PipelineAdc {
 
   [[nodiscard]] int resolution_bits() const { return correction_.resolution_bits(); }
   [[nodiscard]] double vref() const { return refs_.vref(); }
-  [[nodiscard]] double lsb() const;
   [[nodiscard]] double full_scale_vpp() const { return config_.full_scale_vpp; }
   [[nodiscard]] double conversion_rate() const { return config_.conversion_rate; }
   [[nodiscard]] int latency_cycles() const;
@@ -195,14 +194,9 @@ class PipelineAdc {
   [[nodiscard]] double stage_bias_current(std::size_t i) const;
   /// Master generator current at the configured rate [A].
   [[nodiscard]] double master_bias_current() const;
-  /// Total analog supply current of the pipeline + bias + references [A].
-  [[nodiscard]] double total_analog_current() const;
   /// Total stage bias current at an arbitrary conversion rate [A]
   /// (realized mirror gains applied to the generator's output at `f_cr`).
   [[nodiscard]] double pipeline_bias_current(double f_cr) const;
-
-  /// Phase windows at the configured rate.
-  [[nodiscard]] adc::clocking::PhaseWindows phase_windows() const;
 
   [[nodiscard]] const AdcConfig& config() const { return config_; }
   [[nodiscard]] const adc::bias::BiasSource& bias_source() const { return *bias_; }

@@ -44,12 +44,4 @@ void FlashConverter::write_fast_fields(double* out, std::size_t stride) const {
   }
 }
 
-adc::digital::FlashCode FlashConverter::ideal_quantize(double v) const {
-  unsigned count = 0;
-  for (double frac : threshold_fractions_) {
-    if (v > frac * vref_nominal_) ++count;
-  }
-  return static_cast<adc::digital::FlashCode>(count);
-}
-
 }  // namespace adc::pipeline

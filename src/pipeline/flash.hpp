@@ -31,9 +31,6 @@ class FlashConverter {
   /// the MDACs in silicon.
   [[nodiscard]] adc::digital::FlashCode quantize(double v, double vref);
 
-  /// Noise-free decision at nominal thresholds.
-  [[nodiscard]] adc::digital::FlashCode ideal_quantize(double v) const;
-
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] std::size_t comparator_count() const { return comparators_.size(); }
   /// Ladder taps as fractions of the live reference (the chain computes

@@ -34,24 +34,8 @@ ScalingPolicy ScalingPolicy::geometric(double ratio, double floor) {
   return ScalingPolicy(std::move(profile), "geometric");
 }
 
-ScalingPolicy ScalingPolicy::custom(std::vector<double> factors, std::string name) {
-  return ScalingPolicy(std::move(factors), std::move(name));
-}
-
 double ScalingPolicy::factor(std::size_t i) const {
   return i < profile_.size() ? profile_[i] : profile_.back();
-}
-
-std::vector<double> ScalingPolicy::factors(std::size_t n) const {
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = factor(i);
-  return out;
-}
-
-double ScalingPolicy::total(std::size_t n) const {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += factor(i);
-  return s;
 }
 
 }  // namespace adc::pipeline

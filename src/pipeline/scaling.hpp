@@ -27,19 +27,9 @@ class ScalingPolicy {
   /// typically ratio = 0.5, the noise-optimal limit).
   static ScalingPolicy geometric(double ratio, double floor);
 
-  /// Custom profile.
-  static ScalingPolicy custom(std::vector<double> factors, std::string name);
-
   /// Scaling factor for stage `i` (0-based). Profiles shorter than the chain
   /// repeat their last entry.
   [[nodiscard]] double factor(std::size_t i) const;
-
-  /// The factors for a chain of `n` stages.
-  [[nodiscard]] std::vector<double> factors(std::size_t n) const;
-
-  /// Sum of factors over `n` stages — proportional to the pipeline's total
-  /// capacitor area and analog bias current.
-  [[nodiscard]] double total(std::size_t n) const;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 

@@ -28,8 +28,6 @@ void RunManifest::set_text(const std::string& key, const std::string& value) {
   fields_.set(key, value);
 }
 
-void RunManifest::set_number(const std::string& key, double value) { fields_.set(key, value); }
-
 void RunManifest::set_count(const std::string& key, std::uint64_t value) {
   fields_.set(key, value);
 }

@@ -37,9 +37,8 @@ class RunManifest {
  public:
   explicit RunManifest(std::string run_name);
 
-  /// Set a free-form string/number/count field (last set wins per key).
+  /// Set a free-form string or count field (last set wins per key).
   void set_text(const std::string& key, const std::string& value);
-  void set_number(const std::string& key, double value);
   void set_count(const std::string& key, std::uint64_t value);
   /// Convenience for the determinism contract: records first seed and count.
   void set_seed_range(std::uint64_t first_seed, std::uint64_t count);

@@ -58,24 +58,6 @@ void ThreadPool::submit(Job job) {
   work_available_.notify_one();
 }
 
-bool ThreadPool::try_submit(Job job) {
-  adc::common::require(static_cast<bool>(job), "ThreadPool::try_submit: empty job");
-  const std::size_t target =
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (queued_ >= capacity_ || stopping_) return false;
-    ++queued_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->jobs.push_back(std::move(job));
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  work_available_.notify_one();
-  return true;
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(state_mutex_);
   idle_.wait(lock, [this] { return queued_ == 0 && running_ == 0; });
@@ -89,11 +71,6 @@ PoolCounters ThreadPool::counters() const {
   c.failed = failed_.load(std::memory_order_relaxed);
   c.backpressure_waits = backpressure_waits_.load(std::memory_order_relaxed);
   return c;
-}
-
-std::exception_ptr ThreadPool::first_job_error() const {
-  std::lock_guard<std::mutex> lock(error_mutex_);
-  return first_error_;
 }
 
 bool ThreadPool::pop_local(std::size_t self, Job& out) {
@@ -125,8 +102,6 @@ void ThreadPool::run_job(Job& job) {
     job();
   } catch (...) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
   }
   latency_.record(std::chrono::steady_clock::now() - start);
   executed_.fetch_add(1, std::memory_order_relaxed);

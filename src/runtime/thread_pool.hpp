@@ -11,8 +11,8 @@
 /// queued, giving producers backpressure instead of unbounded memory growth.
 ///
 /// The pool itself runs opaque `void()` jobs and never throws across the
-/// worker boundary: a throwing job is counted in `counters().failed` and its
-/// first exception is retained for inspection. Callers that need per-job
+/// worker boundary: a throwing job is counted in `counters().failed`, and
+/// its exception goes no further. Callers that need per-job
 /// exception *propagation* (rethrow on the calling thread) should use the
 /// batch API in parallel.hpp, which wraps jobs with capture/rethrow plumbing.
 #pragma once
@@ -78,8 +78,6 @@ class ThreadPool {
 
   /// Queue `job`; blocks while the pending queue is at capacity.
   void submit(Job job);
-  /// Queue `job` only if capacity allows; returns false when full.
-  [[nodiscard]] bool try_submit(Job job);
 
   /// Block until every submitted job has finished executing.
   void wait_idle();
@@ -93,9 +91,6 @@ class ThreadPool {
   [[nodiscard]] HistogramSnapshot latency_histogram() const {
     return latency_.snapshot();
   }
-  /// First exception a raw-submitted job exited with, if any. Batch jobs
-  /// from parallel.hpp capture their own exceptions and never surface here.
-  [[nodiscard]] std::exception_ptr first_job_error() const;
 
   /// True when the calling thread is a worker of *any* ThreadPool. The batch
   /// API uses this to run nested parallel sections inline instead of
@@ -135,8 +130,6 @@ class ThreadPool {
   std::atomic<std::uint64_t> backpressure_waits_{0};
   LatencyHistogram latency_;
 
-  mutable std::mutex error_mutex_;
-  std::exception_ptr first_error_;
 };
 
 }  // namespace adc::runtime

@@ -330,11 +330,6 @@ std::string claim_text(const ClaimInfo& info) {
 
 }  // namespace
 
-ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& owner,
-                                    std::uint64_t now_ms, std::uint64_t lease_ms) {
-  return try_claim(std::span(&hash, 1), owner, now_ms, lease_ms).front();
-}
-
 std::vector<ClaimOutcome> ResultCache::try_claim(std::span<const std::string> hashes,
                                                  const std::string& owner,
                                                  std::uint64_t now_ms, std::uint64_t lease_ms) {
@@ -402,11 +397,6 @@ bool ResultCache::link_claim(const std::string& source, const std::string& hash)
   return link_name(claim_path(source), claim_path(hash)) == 0;
 }
 
-bool ResultCache::refresh_claim(const std::string& hash, const std::string& owner,
-                                std::uint64_t now_ms) {
-  return refresh_claim(std::span(&hash, 1), owner, now_ms) == 1;
-}
-
 std::size_t ResultCache::refresh_claim(std::span<const std::string> hashes,
                                        const std::string& owner, std::uint64_t now_ms) {
   std::vector<fs::path> held;
@@ -417,10 +407,6 @@ std::size_t ResultCache::refresh_claim(std::span<const std::string> hashes,
   if (held.empty()) return 0;
   publish(write_temp(held.front(), claim_text({owner, now_ms})), held);
   return held.size();
-}
-
-void ResultCache::release_claim(const std::string& hash, const std::string& owner) {
-  release_claim(std::span(&hash, 1), owner);
 }
 
 void ResultCache::release_claim(std::span<const std::string> hashes, const std::string& owner) {

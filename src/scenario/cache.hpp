@@ -198,10 +198,6 @@ class ResultCache {
                                       const std::string& owner, std::uint64_t now_ms,
                                       std::uint64_t lease_ms);
 
-  /// The one-hash claim: the one-element call above.
-  ClaimOutcome try_claim(const std::string& hash, const std::string& owner,
-                         std::uint64_t now_ms, std::uint64_t lease_ms);
-
   /// Claim `hash` by linking its claim name to the claim file of `source`,
   /// creating no inode: the new claim carries `source`'s owner and
   /// heartbeat. False when the name is already claimed or cannot be linked
@@ -217,16 +213,9 @@ class ResultCache {
   std::size_t refresh_claim(std::span<const std::string> hashes, const std::string& owner,
                             std::uint64_t now_ms);
 
-  /// The one-hash refresh; false when the claim is not `owner`'s.
-  bool refresh_claim(const std::string& hash, const std::string& owner,
-                     std::uint64_t now_ms);
-
   /// Delete each claim in `hashes` that `owner` holds (the others are left
   /// alone).
   void release_claim(std::span<const std::string> hashes, const std::string& owner);
-
-  /// The one-hash release.
-  void release_claim(const std::string& hash, const std::string& owner);
 
   /// Decode the claim sidecar for `hash`; nullopt when absent or corrupt
   /// (try_claim treats a corrupt claim as stale).

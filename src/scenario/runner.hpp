@@ -150,15 +150,16 @@ std::size_t probe_cache(const ScenarioPlan& plan, ResultCache& cache,
 /// (index-aligned; nullopt = not computed, reported as null metrics). No
 /// timings or counters, so any two complete executions of the same spec —
 /// cold, warm, resumed, batch or served — emit byte-identical reports.
-/// This form copies every payload into the report; the scenario service
-/// (whose payloads stay with its run) and bench/e2e call it.
+/// This form copies every payload into the report; only bench/e2e (its
+/// traced replay and served-report check) calls it.
 [[nodiscard]] adc::common::json::JsonValue build_report(
     const ScenarioSpec& spec, const ScenarioPlan& plan,
     const std::vector<std::optional<adc::common::json::JsonValue>>& payloads);
 
 /// The same report, with each payload moved into its row instead of copied
 /// (`payloads` is left holding moved-from values). For a caller done with
-/// its payloads: ScenarioRunner::run and the fleet merge.
+/// its payloads: ScenarioRunner::run, the fleet merge and the scenario
+/// service.
 [[nodiscard]] adc::common::json::JsonValue build_report(
     const ScenarioSpec& spec, const ScenarioPlan& plan,
     std::vector<std::optional<adc::common::json::JsonValue>>&& payloads);

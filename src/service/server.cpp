@@ -599,8 +599,10 @@ void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run
   if (!cancelled && !complete) return;
 
   if (!cancelled && complete) {
+    // The run is finished below, and a finished run's payloads are never
+    // read again, so the report takes them by move.
     auto report =
-        adc::scenario::build_report(run->spec, run->plan, run->payloads);
+        adc::scenario::build_report(run->spec, run->plan, std::move(run->payloads));
     if (run->conn->open) {
       send_line(run->conn,
                 encode_event(summary_event(run->id, run->plan.jobs.size(),

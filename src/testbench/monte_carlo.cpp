@@ -16,13 +16,6 @@ double MonteCarloResult::yield_at_least(double limit) const {
   return static_cast<double>(pass) / static_cast<double>(values.size());
 }
 
-double MonteCarloResult::yield_at_most(double limit) const {
-  if (values.empty()) return 0.0;
-  const auto pass = std::count_if(values.begin(), values.end(),
-                                  [limit](double v) { return v <= limit; });
-  return static_cast<double>(pass) / static_cast<double>(values.size());
-}
-
 MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const DieMetric& metric,
                                  const MonteCarloOptions& options) {
   adc::common::require(options.num_dies >= 1, "run_monte_carlo: need at least one die");

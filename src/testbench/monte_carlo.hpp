@@ -38,8 +38,6 @@ struct MonteCarloResult {
 
   /// Fraction of dies with value >= limit (for lower-is-fail specs).
   [[nodiscard]] double yield_at_least(double limit) const;
-  /// Fraction of dies with value <= limit (for upper-is-fail specs).
-  [[nodiscard]] double yield_at_most(double limit) const;
 };
 
 /// Metric evaluated on one fabricated die.

@@ -11,17 +11,6 @@ namespace adc::twostep {
 
 using adc::common::require;
 
-TwoStepNonIdealities TwoStepNonIdealities::all_off() {
-  TwoStepNonIdealities f;
-  f.thermal_noise = false;
-  f.aperture_jitter = false;
-  f.ladder_mismatch = false;
-  f.comparator_imperfections = false;
-  f.incomplete_settling = false;
-  f.tracking_nonlinearity = false;
-  return f;
-}
-
 TwoStepConfig TwoStepAdc::normalize(TwoStepConfig c) {
   require(c.coarse_bits >= 3 && c.coarse_bits <= 8, "TwoStepConfig: coarse bits 3..8");
   require(c.fine_bits >= 3 && c.fine_bits <= 9, "TwoStepConfig: fine bits 3..9");

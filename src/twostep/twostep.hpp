@@ -43,8 +43,6 @@ struct TwoStepNonIdealities {
   bool comparator_imperfections = true;
   bool incomplete_settling = true;
   bool tracking_nonlinearity = true;
-
-  static TwoStepNonIdealities all_off();
 };
 
 /// Full configuration of the two-step converter.

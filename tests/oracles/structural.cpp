@@ -1,4 +1,4 @@
-#include "digital/structural.hpp"
+#include "oracles/structural.hpp"
 
 #include <array>
 
@@ -100,7 +100,7 @@ GateCount StructuralCorrection::gates() const {
   // One ripple pass per stage plus the flash merge.
   g.full_adders = (num_stages_ + 1) * width;
   // Alignment registers (2 bits per stage per remaining half-clock) plus the
-  // output register — same accounting as DelayAlignment::register_bit_count.
+  // output register.
   int regs = 0;
   for (int i = 1; i <= num_stages_; ++i) regs += 2 * (num_stages_ + 1 - i);
   regs += resolution_bits();

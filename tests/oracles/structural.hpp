@@ -1,5 +1,7 @@
 /// \file structural.hpp
-/// Bit-true structural model of the delay-and-correction logic.
+/// Test oracle: a bit-true structural model of the delay-and-correction
+/// logic. Only test_structural links it; the product corrects with
+/// digital::ErrorCorrection.
 ///
 /// `ErrorCorrection` computes the corrected word arithmetically; this model
 /// computes it the way the silicon does — as an unsigned shift-add of the
@@ -7,8 +9,9 @@
 /// and counts the hardware while doing it. Two uses:
 ///  * a bit-true cross-check of the arithmetic model (the tests require
 ///    exact agreement on every input);
-///  * a structural gate/flip-flop inventory that grounds the digital power
-///    model's switched capacitance in actual logic, instead of a lump.
+///  * a gate/flip-flop inventory whose switched capacitance the tests bound
+///    to 0.5-5 pF. The power model does not call it: its digital term is a
+///    36 pF lump (`digital_switched_cap`, power/power_model.hpp).
 ///
 /// The identity that makes the hardware an unsigned adder: with stage weight
 /// w_i = 2^(bits-2-i), the correction offset 2^(bits-1) - 2^(F-1) equals
@@ -42,8 +45,8 @@ class StructuralCorrection {
   /// every input (saturation included).
   [[nodiscard]] int correct(const RawConversion& raw) const;
 
-  /// Full adders actually toggled by the last `correct` call (activity
-  /// measurement for the power model). Reset per call.
+  /// Full adders actually toggled by the last `correct` call (an activity
+  /// measurement). Reset per call.
   [[nodiscard]] int last_adder_activity() const { return last_activity_; }
 
   /// Static hardware inventory.

@@ -1,4 +1,4 @@
-#include "analog/transient.hpp"
+#include "oracles/transient.hpp"
 
 #include <cmath>
 

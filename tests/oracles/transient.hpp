@@ -1,6 +1,6 @@
 /// \file transient.hpp
-/// Numerical transient engine for cross-validating the closed-form circuit
-/// models.
+/// Test oracle: a numerical transient engine for cross-validating the
+/// closed-form circuit models. Only test_transient links it.
 ///
 /// The stage model uses closed-form settling (exponential + slew regions).
 /// This module solves the same amplification-phase circuit — a single-pole

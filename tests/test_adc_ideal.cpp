@@ -24,7 +24,7 @@ TEST(IdealAdc, Geometry) {
   EXPECT_EQ(adc.resolution_bits(), 12);
   EXPECT_EQ(adc.stage_count(), 10u);
   EXPECT_EQ(adc.flash().bits(), 2);
-  EXPECT_NEAR(adc.lsb(), 2.0 / 4096.0, 1e-12);
+  EXPECT_DOUBLE_EQ(adc.full_scale_vpp(), 2.0);
   EXPECT_EQ(adc.latency_cycles(), 6);
 }
 

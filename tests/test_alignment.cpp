@@ -75,13 +75,6 @@ TEST(DelayAlignment, ResetClearsRegisters) {
   EXPECT_FALSE(align.push(tagged(10, 0)).has_value());
 }
 
-TEST(DelayAlignment, RegisterBitCount) {
-  ad::DelayAlignment align(10);
-  // Stage i passes through (11-i) half-clock registers of 2 bits, i=1..10:
-  // 2*(10+9+...+1) = 110, plus the 12-bit output register.
-  EXPECT_EQ(align.register_bit_count(), 2 * 55 + 12);
-}
-
 TEST(DelayAlignment, ShortPipeline) {
   ad::DelayAlignment align(2);
   EXPECT_EQ(align.latency_cycles(), (2 + 2 + 1) / 2);

@@ -9,8 +9,14 @@
 namespace aa = adc::analog;
 
 TEST(Bandgap, IdealIsExactEverywhere) {
-  const auto bg = aa::Bandgap::ideal(1.2);
-  EXPECT_DOUBLE_EQ(bg.output(), 1.2);
+  aa::BandgapSpec spec;
+  spec.nominal_output = 1.2;
+  spec.curvature = 0.0;
+  spec.supply_sensitivity = 0.0;
+  spec.sigma_process = 0.0;
+  adc::common::Rng rng(4);
+  const aa::Bandgap bg(spec, rng);
+  EXPECT_DOUBLE_EQ(bg.output(spec.t0_kelvin, spec.vdd_nominal), 1.2);
   EXPECT_DOUBLE_EQ(bg.output(233.0, 1.6), 1.2);
   EXPECT_DOUBLE_EQ(bg.output(398.0, 2.0), 1.2);
 }
@@ -42,12 +48,15 @@ TEST(Bandgap, SupplySensitivity) {
 TEST(Bandgap, ProcessSpreadReproducible) {
   aa::BandgapSpec spec;
   spec.sigma_process = 5e-3;
+  const auto nominal = [&spec](adc::common::Rng& rng) {
+    return aa::Bandgap(spec, rng).output(spec.t0_kelvin, spec.vdd_nominal);
+  };
   adc::common::Rng a(9);
   adc::common::Rng b(9);
-  EXPECT_DOUBLE_EQ(aa::Bandgap(spec, a).output(), aa::Bandgap(spec, b).output());
+  EXPECT_DOUBLE_EQ(nominal(a), nominal(b));
   adc::common::Rng c = a.child("x");
   adc::common::Rng d = a.child("y");
-  EXPECT_NE(aa::Bandgap(spec, c).output(), aa::Bandgap(spec, d).output());
+  EXPECT_NE(nominal(c), nominal(d));
 }
 
 TEST(Bandgap, InvalidSpecThrows) {

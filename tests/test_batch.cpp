@@ -347,17 +347,16 @@ TEST(Batch, SoAMathPortsBitIdenticalAcrossTiers) {
 }
 
 TEST(Batch, SupportGatesAndErrors) {
-  EXPECT_TRUE(BatchConverter::supports(fast_nominal(), golden_tone()));
+  EXPECT_TRUE(BatchConverter::supports_config(fast_nominal()));
   EXPECT_FALSE(BatchConverter::supports_config(adc::pipeline::nominal_design()));  // exact
-  const adc::dsp::RampSignal ramp(-1.0, 1.0, 1e-6);
-  EXPECT_FALSE(BatchConverter::supports_signal(ramp));
+  const adc::dsp::DcSignal dc(0.25);  // not a tone table
 
   EXPECT_THROW(BatchConverter(adc::pipeline::nominal_design(), make_seeds(1)),
                adc::common::ConfigError);
   EXPECT_THROW(BatchConverter(fast_nominal(), std::span<const std::uint64_t>{}),
                adc::common::ConfigError);
   BatchConverter batch(fast_nominal(), make_seeds(1));
-  EXPECT_THROW((void)batch.convert(ramp, 8), adc::common::ConfigError);
+  EXPECT_THROW((void)batch.convert(dc, 8), adc::common::ConfigError);
 }
 
 /// `count` fast dies at distinct seeds and rates spread from 2 to 180 MHz,

@@ -2,7 +2,9 @@
 /// measures realized stage weights and reconstructs with them.
 #include "calibration/foreground.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,13 @@ namespace ac = adc::calibration;
 namespace ap = adc::pipeline;
 
 namespace {
+
+/// The reconstructed code rounded and clamped to the core's 12-bit word.
+int rounded_code(const ac::CalibratedReconstructor& recon,
+                 const adc::digital::RawConversion& raw) {
+  const double max_code = std::ldexp(1.0, recon.table().resolution_bits()) - 1.0;
+  return static_cast<int>(std::clamp(std::round(recon.reconstruct(raw)), 0.0, max_code));
+}
 
 /// A converter with exaggerated static errors and no noise: the worst case
 /// for raw linearity, the best case for observing what calibration fixes.
@@ -45,8 +54,10 @@ adc::dsp::SpectrumMetrics metrics_with(ap::PipelineAdc& adc,
     volts.reserve(raws.size());
     for (const auto& raw : raws) volts.push_back((recon.reconstruct(raw) - 2047.5) * lsb);
   } else {
-    volts = adc::dsp::codes_to_volts(recon.codes(raws), adc.resolution_bits(),
-                                     adc.full_scale_vpp());
+    std::vector<int> codes;
+    codes.reserve(raws.size());
+    for (const auto& raw : raws) codes.push_back(rounded_code(recon, raw));
+    volts = adc::dsp::codes_to_volts(codes, adc.resolution_bits(), adc.full_scale_vpp());
   }
   adc::dsp::SpectrumOptions opt;
   opt.fundamental_bin = tone.cycles;
@@ -146,7 +157,7 @@ TEST(CalibratedReconstructor, MatchesBuiltInCorrectionWithNominalTable) {
   const ac::CalibratedReconstructor recon(ac::CalibrationTable::nominal(10, 2));
   for (double v : {-0.9, -0.31, 0.0, 0.123, 0.77}) {
     const auto raw = adc.convert_dc_raw(v);
-    EXPECT_EQ(recon.code(raw), adc.convert_dc(v)) << v;
+    EXPECT_EQ(rounded_code(recon, raw), adc.convert_dc(v)) << v;
   }
 }
 
@@ -156,10 +167,10 @@ TEST(CalibratedReconstructor, ClampsOutOfRange) {
   adc::digital::RawConversion raw;
   raw.stage_codes.assign(10, adc::digital::StageCode::kPlus);
   raw.flash_code = 3;
-  EXPECT_EQ(recon.code(raw), 4095);
+  EXPECT_EQ(rounded_code(recon, raw), 4095);
   raw.stage_codes.assign(10, adc::digital::StageCode::kMinus);
   raw.flash_code = 0;
-  EXPECT_EQ(recon.code(raw), 0);
+  EXPECT_EQ(rounded_code(recon, raw), 0);
 }
 
 TEST(CalibratedReconstructor, RejectsGeometryMismatch) {

@@ -1,4 +1,4 @@
-/// Unit tests for capacitors with mismatch and kT/C noise helper.
+/// Unit tests for capacitors with mismatch.
 #include "analog/capacitor.hpp"
 
 #include <cmath>
@@ -6,26 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include "common/constants.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/random.hpp"
 
 namespace aa = adc::analog;
 
-TEST(Capacitor, IdealIsExact) {
-  const auto c = aa::Capacitor::ideal(1e-12);
-  EXPECT_DOUBLE_EQ(c.value(), 1e-12);
-  EXPECT_DOUBLE_EQ(c.nominal(), 1e-12);
-  EXPECT_DOUBLE_EQ(c.relative_error(), 0.0);
-}
-
 TEST(Capacitor, GlobalSpreadShiftsValue) {
   adc::common::Rng rng(1);
   const aa::CapacitorSpec spec{1e-12, 0.0, 0.15};
   const aa::Capacitor c(spec, rng);
   EXPECT_NEAR(c.value(), 1.15e-12, 1e-18);
-  EXPECT_NEAR(c.relative_error(), 0.15, 1e-9);
+  EXPECT_NEAR(c.value() / c.nominal() - 1.0, 0.15, 1e-9);
 }
 
 TEST(Capacitor, MismatchStatistics) {
@@ -34,7 +26,7 @@ TEST(Capacitor, MismatchStatistics) {
   std::vector<double> errors;
   for (int i = 0; i < 20000; ++i) {
     const aa::Capacitor c(spec, rng);
-    errors.push_back(c.relative_error());
+    errors.push_back(c.value() / c.nominal() - 1.0);
   }
   EXPECT_NEAR(adc::common::mean(errors), 0.0, 5e-4);
   EXPECT_NEAR(adc::common::std_dev(errors), 0.01, 5e-4);
@@ -53,16 +45,4 @@ TEST(Capacitor, InvalidSpecsThrow) {
                adc::common::ConfigError);
   EXPECT_THROW(aa::Capacitor(aa::CapacitorSpec{1e-12, 0.9, 0.0}, rng),
                adc::common::ConfigError);
-  EXPECT_THROW(aa::Capacitor::ideal(0.0), adc::common::ConfigError);
-}
-
-TEST(KtcNoise, TextbookValue) {
-  // kT/C at 300 K, 1 pF: sqrt(4.14e-21 / 1e-12) = 64.3 uV.
-  EXPECT_NEAR(aa::ktc_noise_rms(1e-12), 64.3e-6, 0.5e-6);
-  // Scales as 1/sqrt(C).
-  EXPECT_NEAR(aa::ktc_noise_rms(0.25e-12) / aa::ktc_noise_rms(1e-12), 2.0, 1e-9);
-}
-
-TEST(KtcNoise, RejectsNonPositive) {
-  EXPECT_THROW((void)aa::ktc_noise_rms(0.0), adc::common::ConfigError);
 }

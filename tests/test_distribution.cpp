@@ -20,19 +20,6 @@ TEST(MirrorBank, ExactRatiosWithoutMismatch) {
   EXPECT_NEAR(bank.total_current(1e-3), 20e-3, 1e-6);
 }
 
-TEST(MirrorBank, CurrentsVectorMatchesLegs) {
-  ab::MirrorBankSpec spec;
-  spec.ratios = {1.0, 0.5, 0.25};
-  spec.sigma_mismatch = 0.02;
-  adc::common::Rng rng(2);
-  const ab::MirrorBank bank(spec, rng);
-  const auto v = bank.currents(2e-3);
-  ASSERT_EQ(v.size(), 3u);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_DOUBLE_EQ(v[i], bank.leg_current(i, 2e-3));
-  }
-}
-
 TEST(MirrorBank, MismatchSmallAndReproducible) {
   ab::MirrorBankSpec spec;
   spec.ratios = {1.0};

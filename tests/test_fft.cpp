@@ -30,7 +30,7 @@ std::vector<double> sine(std::size_t n, std::size_t cycles, double amplitude,
 TEST(Fft, ImpulseIsFlat) {
   std::vector<Complex> data(16, Complex(0.0, 0.0));
   data[0] = Complex(1.0, 0.0);
-  adc::dsp::fft_in_place(data);
+  adc::dsp::FftPlan::shared(data.size())->forward(data);
   for (const auto& v : data) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
@@ -39,7 +39,7 @@ TEST(Fft, ImpulseIsFlat) {
 
 TEST(Fft, DcConcentratesInBinZero) {
   std::vector<Complex> data(32, Complex(2.0, 0.0));
-  adc::dsp::fft_in_place(data);
+  adc::dsp::FftPlan::shared(data.size())->forward(data);
   EXPECT_NEAR(data[0].real(), 64.0, 1e-9);
   for (std::size_t k = 1; k < data.size(); ++k) {
     EXPECT_NEAR(std::abs(data[k]), 0.0, 1e-9);
@@ -62,8 +62,8 @@ TEST(Fft, RoundTripRestoresInput) {
   std::vector<Complex> data(128);
   for (auto& v : data) v = Complex(rng.gaussian(1.0), rng.gaussian(1.0));
   const auto original = data;
-  adc::dsp::fft_in_place(data);
-  adc::dsp::ifft_in_place(data);
+  adc::dsp::FftPlan::shared(data.size())->forward(data);
+  adc::dsp::FftPlan::shared(data.size())->inverse(data);
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_NEAR(data[i].real(), original[i].real(), 1e-10);
     EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-10);
@@ -105,8 +105,7 @@ TEST(Fft, Linearity) {
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<Complex> data(100, Complex(0.0, 0.0));
-  EXPECT_THROW(adc::dsp::fft_in_place(data), adc::common::ConfigError);
+  EXPECT_THROW((void)adc::dsp::FftPlan::shared(100), adc::common::ConfigError);
 }
 
 TEST(PowerSpectrum, ToneAmplitudeNormalization) {

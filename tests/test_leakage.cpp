@@ -23,7 +23,8 @@ aa::LeakageSpec matched_spec(double i0, double kv) {
 }  // namespace
 
 TEST(HoldLeakage, NoneIsZero) {
-  const auto leak = aa::HoldLeakage::none();
+  adc::common::Rng rng(3);
+  const aa::HoldLeakage leak(matched_spec(0.0, 1.0), rng);
   EXPECT_DOUBLE_EQ(leak.differential_droop(0.7, 1e-7, 1e-12), 0.0);
 }
 

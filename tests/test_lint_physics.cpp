@@ -116,13 +116,6 @@ TEST(LintPhysics, ProfileMathRuleFiresInModelLayers) {
   EXPECT_EQ(count_rule(lint_file("tests/bad_cmath.cpp", contents), "profile-math"), 0u);
 }
 
-TEST(LintPhysics, ProfileMathRuleAllowlistsExactOnlyFiles) {
-  // The transient solver has no fast variant; direct libm is its contract.
-  const std::string text = "double v = std::tanh(x);\n";
-  EXPECT_EQ(count_rule(lint_file("src/analog/transient.cpp", text), "profile-math"), 0u);
-  EXPECT_EQ(count_rule(lint_file("src/analog/opamp.cpp", text), "profile-math"), 1u);
-}
-
 TEST(LintPhysics, ProfileMathRuleCoversDrawPipeline) {
   const auto contents = read_fixture("common/counter_rng_bad.hpp");
   // sqrt + log on the radius line, cos, and hypot: four findings. The

@@ -21,25 +21,11 @@ TEST(MathUtil, DbFromAmplitudeRatio) {
   EXPECT_NEAR(ac::db_from_amplitude_ratio(2.0), 6.0206, 1e-3);
 }
 
-TEST(MathUtil, DbRoundTrips) {
-  for (double db : {-80.0, -12.5, 0.0, 3.0, 40.0}) {
-    EXPECT_NEAR(ac::db_from_power_ratio(ac::power_ratio_from_db(db)), db, 1e-12);
-    EXPECT_NEAR(ac::db_from_amplitude_ratio(ac::amplitude_ratio_from_db(db)), db, 1e-12);
-  }
-}
-
 TEST(MathUtil, EnobConventions) {
   // The classic identity: a perfect 12-bit converter has SNDR 74.0 dB.
-  EXPECT_NEAR(ac::sndr_db_from_enob(12.0), 74.0, 0.1);
   EXPECT_NEAR(ac::enob_from_sndr_db(74.0), 12.0, 0.01);
   // Paper Table I: SNDR 64.2 dB <-> ENOB 10.4.
   EXPECT_NEAR(ac::enob_from_sndr_db(64.2), 10.37, 0.01);
-}
-
-TEST(MathUtil, EnobRoundTrip) {
-  for (double enob : {6.0, 10.4, 12.0, 14.0}) {
-    EXPECT_NEAR(ac::enob_from_sndr_db(ac::sndr_db_from_enob(enob)), enob, 1e-12);
-  }
 }
 
 TEST(MathUtil, IsPowerOfTwo) {
@@ -101,61 +87,8 @@ TEST(MathUtil, LinearFitErrors) {
   EXPECT_THROW((void)ac::linear_fit(x, y), ac::ConfigError);
 }
 
-TEST(MathUtil, Gcd) {
-  EXPECT_EQ(ac::gcd(12, 18), 6u);
-  EXPECT_EQ(ac::gcd(17, 4096), 1u);
-  EXPECT_EQ(ac::gcd(0, 5), 5u);
-}
-
-TEST(MathUtil, Linspace) {
-  const auto v = ac::linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
-  EXPECT_EQ(ac::linspace(3.0, 9.0, 1).size(), 1u);
-}
-
-TEST(MathUtil, Logspace) {
-  const auto v = ac::logspace(1.0, 1000.0, 4);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_NEAR(v[0], 1.0, 1e-9);
-  EXPECT_NEAR(v[1], 10.0, 1e-9);
-  EXPECT_NEAR(v[3], 1000.0, 1e-9);
-  EXPECT_THROW((void)ac::logspace(0.0, 1.0, 3), ac::ConfigError);
-}
-
 TEST(MathUtil, Clamp) {
   EXPECT_DOUBLE_EQ(ac::clamp(0.5, 0.0, 1.0), 0.5);
   EXPECT_DOUBLE_EQ(ac::clamp(-2.0, 0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(ac::clamp(9.0, 0.0, 1.0), 1.0);
 }
-
-TEST(MathUtil, SumDbPowers) {
-  // Two equal contributions add 3 dB.
-  const std::vector<double> two{-70.0, -70.0};
-  EXPECT_NEAR(ac::sum_db_powers(two), -66.99, 0.02);
-  // A much smaller contribution barely moves the total.
-  const std::vector<double> skewed{-60.0, -90.0};
-  EXPECT_NEAR(ac::sum_db_powers(skewed), -60.0, 0.01);
-}
-
-/// SNR/THD decomposition identity used throughout the calibration:
-/// combining the paper's SNR (67.1) and THD (-67.3 dBc) must give SNDR 64.2.
-TEST(MathUtil, PaperSndrDecomposition) {
-  const std::vector<double> parts{-67.1, -67.3};
-  EXPECT_NEAR(ac::sum_db_powers(parts), -64.2, 0.1);
-}
-
-class DbPowerSumSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(DbPowerSumSweep, DominantTermBoundsTheSum) {
-  const double a = GetParam();
-  const std::vector<double> parts{a, a - 20.0};
-  const double total = ac::sum_db_powers(parts);
-  EXPECT_GT(total, a);          // adding power always increases it
-  EXPECT_LT(total, a + 0.05);   // a -20 dB contribution adds < 0.05 dB
-}
-
-INSTANTIATE_TEST_SUITE_P(Levels, DbPowerSumSweep,
-                         ::testing::Values(-90.0, -70.0, -64.2, -40.0, -10.0));

@@ -52,7 +52,6 @@ TEST(MonteCarlo, YieldAccounting) {
   r.values = {60.0, 62.0, 64.0, 66.0};
   EXPECT_DOUBLE_EQ(r.yield_at_least(63.0), 0.5);
   EXPECT_DOUBLE_EQ(r.yield_at_least(59.0), 1.0);
-  EXPECT_DOUBLE_EQ(r.yield_at_most(61.0), 0.25);
   EXPECT_DOUBLE_EQ(tb::MonteCarloResult{}.yield_at_least(0.0), 0.0);
 }
 

@@ -27,29 +27,6 @@ TEST(Mos, BodyEffectRaisesVth) {
   EXPECT_DOUBLE_EQ(m.vth(-0.3), m.params().vth0);
 }
 
-TEST(Mos, SaturationCurrent) {
-  const aa::Mos m(aa::MosParams::nmos_018(20.0));
-  EXPECT_DOUBLE_EQ(m.id_sat(-0.1), 0.0);
-  EXPECT_DOUBLE_EQ(m.id_sat(0.0), 0.0);
-  const double i1 = m.id_sat(0.2);
-  const double i2 = m.id_sat(0.4);
-  EXPECT_GT(i1, 0.0);
-  // Mobility degradation: less than the pure square-law 4x.
-  EXPECT_GT(i2, 3.0 * i1);
-  EXPECT_LT(i2, 4.0 * i1);
-}
-
-TEST(Mos, GmSquareRootLaw) {
-  const aa::Mos m(aa::MosParams::nmos_018(50.0));
-  const double g1 = m.gm_at_id(1e-3);
-  const double g4 = m.gm_at_id(4e-3);
-  EXPECT_GT(g1, 0.0);
-  // gm ~ sqrt(Id): 4x current gives ~2x gm (within the mobility correction).
-  EXPECT_NEAR(g4 / g1, 2.0, 0.25);
-  EXPECT_DOUBLE_EQ(m.gm_at_id(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.gm_at_id(-1e-3), 0.0);
-}
-
 TEST(Mos, TriodeConductanceMonotoneInOverdrive) {
   const aa::Mos m(aa::MosParams::nmos_018(10.0));
   double prev = 0.0;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,7 +89,8 @@ TEST(Rng, GaussianSigmaScalingMatchesStd) {
 
 TEST(Rng, GaussianMoments) {
   ac::Rng rng(2024);
-  const auto draws = rng.gaussian_vector(200000, 3.0);
+  std::vector<double> draws(200000);
+  for (auto& x : draws) x = rng.gaussian(3.0);
   EXPECT_NEAR(ac::mean(draws), 0.0, 0.05);
   EXPECT_NEAR(ac::std_dev(draws), 3.0, 0.05);
 }
@@ -96,15 +98,6 @@ TEST(Rng, GaussianMoments) {
 TEST(Rng, GaussianZeroSigma) {
   ac::Rng rng(5);
   EXPECT_DOUBLE_EQ(rng.gaussian(0.0), 0.0);
-}
-
-TEST(Rng, UniformRange) {
-  ac::Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(-2.0, 5.0);
-    EXPECT_GE(v, -2.0);
-    EXPECT_LT(v, 5.0);
-  }
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -129,10 +122,4 @@ TEST(Rng, IndexBounds) {
   }
   EXPECT_TRUE(saw_zero);
   EXPECT_TRUE(saw_max);
-}
-
-TEST(Rng, GaussianVectorLength) {
-  ac::Rng rng(14);
-  EXPECT_EQ(rng.gaussian_vector(17, 1.0).size(), 17u);
-  EXPECT_TRUE(rng.gaussian_vector(0, 1.0).empty());
 }

@@ -26,7 +26,11 @@ aa::RefBufferSpec clean_spec() {
 }  // namespace
 
 TEST(ReferenceBuffer, IdealHasNoErrors) {
-  auto buf = aa::ReferenceBuffer::ideal(1.0, 0.9);
+  auto spec = clean_spec();
+  spec.charge_per_event = 0.0;
+  spec.output_resistance = 0.0;
+  adc::common::Rng rng(2);
+  aa::ReferenceBuffer buf(spec, rng);
   EXPECT_DOUBLE_EQ(buf.vref(), 1.0);
   EXPECT_DOUBLE_EQ(buf.common_mode(), 0.9);
   buf.consume(10.0, 9e-9);

@@ -97,41 +97,6 @@ TEST(ThreadPool, StealPathMovesJobsOffABlockedWorker) {
   pool.wait_idle();
 }
 
-TEST(ThreadPool, TrySubmitReportsBackpressure) {
-  // One worker parked on a gate; capacity 2. The parked job has been *popped*
-  // (running, not queued), so two try_submits fill the queue and the third
-  // must be rejected.
-  rt::ThreadPool pool({1, 2});
-  Gate gate;
-  std::atomic<bool> gate_running{false};
-  pool.submit([&gate, &gate_running] {
-    gate_running.store(true);
-    gate.wait();
-  });
-  // Wait until the gate job has left the queue and is running.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!gate_running.load()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::atomic<int> done{0};
-  auto quick = [&done] { done.fetch_add(1); };
-  bool accepted_all = true;
-  int accepted = 0;
-  for (int i = 0; i < 3; ++i) {
-    if (pool.try_submit(quick)) {
-      ++accepted;
-    } else {
-      accepted_all = false;
-    }
-  }
-  EXPECT_FALSE(accepted_all);
-  EXPECT_LE(accepted, 2);
-  gate.open();
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), accepted);
-}
-
 TEST(ThreadPool, BlockingSubmitWaitsForSpaceInsteadOfFailing) {
   rt::ThreadPool pool({1, 1});
   Gate gate;
@@ -160,9 +125,6 @@ TEST(ThreadPool, RawJobExceptionIsCapturedNotFatal) {
   pool.submit([] { throw adc::common::MeasurementError("raw job boom"); });
   pool.wait_idle();
   EXPECT_EQ(pool.counters().failed, 1u);
-  const auto error = pool.first_job_error();
-  ASSERT_TRUE(error);
-  EXPECT_THROW(std::rethrow_exception(error), adc::common::MeasurementError);
 }
 
 TEST(ParallelMap, ReturnsResultsInIndexOrder) {
@@ -341,7 +303,6 @@ TEST(Manifest, JsonCarriesProvenancePhasesAndTelemetry) {
   rt::RunManifest manifest("unit_test_run");
   manifest.set_seed_range(42, 25);
   manifest.set_count("threads", 8);
-  manifest.set_number("speedup", 3.5);
   manifest.set_text("note", "quote \" backslash \\ done");
   {
     auto scope = manifest.phase("simulate", 25);
@@ -381,7 +342,6 @@ TEST(Manifest, JsonCarriesProvenancePhasesAndTelemetry) {
 TEST(Manifest, JsonParseEmitRoundTripIsExact) {
   rt::RunManifest manifest("roundtrip_run");
   manifest.set_seed_range(7, 3);
-  manifest.set_number("wall_speedup", 0.69999999999999996);  // 17-digit double
   manifest.set_text("note", "tab\there \"quoted\" \\slash");
   {
     auto scope = manifest.phase("measure", 3);

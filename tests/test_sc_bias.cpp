@@ -74,19 +74,6 @@ TEST(ScBias, FiniteOtaGainLeavesSmallDeficit) {
   EXPECT_NEAR(actual / ideal, 1000.0 / 1001.0, 1e-9);
 }
 
-TEST(ScBias, RippleStatistics) {
-  auto spec = clean_spec();
-  spec.ripple_sigma = 0.01;
-  adc::common::Rng rng(5);
-  const ab::ScBiasGenerator gen(spec, rng);
-  adc::common::Rng noise(6);
-  const double mean_i = gen.master_current(110e6);
-  std::vector<double> draws;
-  for (int k = 0; k < 20000; ++k) draws.push_back(gen.sampled_current(110e6, noise));
-  EXPECT_NEAR(adc::common::mean(draws), mean_i, 0.002 * mean_i);
-  EXPECT_NEAR(adc::common::std_dev(draws), 0.01 * mean_i, 0.001 * mean_i);
-}
-
 TEST(ScBias, CapacitorMismatchIsReproducible) {
   auto spec = clean_spec();
   spec.cb.sigma_mismatch = 0.01;

@@ -95,6 +95,21 @@ class ScenarioTest : public ::testing::Test {
   fs::path dir_;
 };
 
+// One-hash forms of the cache's claim calls, which take a span of hashes.
+ClaimOutcome claim_one(ResultCache& cache, const std::string& hash, const std::string& owner,
+                       std::uint64_t now_ms, std::uint64_t lease_ms) {
+  return cache.try_claim(std::span(&hash, 1), owner, now_ms, lease_ms).front();
+}
+
+bool refresh_one(ResultCache& cache, const std::string& hash, const std::string& owner,
+                 std::uint64_t now_ms) {
+  return cache.refresh_claim(std::span(&hash, 1), owner, now_ms) == 1;
+}
+
+void release_one(ResultCache& cache, const std::string& hash, const std::string& owner) {
+  cache.release_claim(std::span(&hash, 1), owner);
+}
+
 }  // namespace
 
 TEST(ScenarioSpec, ValidationErrorsNameTheOffendingKey) {
@@ -513,11 +528,11 @@ TEST_F(ScenarioTest, ClaimLifecycleAndStaleSteal) {
 
   // Fresh acquisition; a second owner inside the lease is busy; the holder
   // re-acquires (re-entrant) and refreshes.
-  EXPECT_EQ(cache.try_claim(hash, "a", 1000, 500), ClaimOutcome::kAcquired);
-  EXPECT_EQ(cache.try_claim(hash, "b", 1200, 500), ClaimOutcome::kBusy);
-  EXPECT_EQ(cache.try_claim(hash, "a", 1300, 500), ClaimOutcome::kAcquired);
-  EXPECT_TRUE(cache.refresh_claim(hash, "a", 1400));
-  EXPECT_FALSE(cache.refresh_claim(hash, "b", 1400));
+  EXPECT_EQ(claim_one(cache, hash, "a", 1000, 500), ClaimOutcome::kAcquired);
+  EXPECT_EQ(claim_one(cache, hash, "b", 1200, 500), ClaimOutcome::kBusy);
+  EXPECT_EQ(claim_one(cache, hash, "a", 1300, 500), ClaimOutcome::kAcquired);
+  EXPECT_TRUE(refresh_one(cache, hash, "a", 1400));
+  EXPECT_FALSE(refresh_one(cache, hash, "b", 1400));
   const auto info = cache.read_claim(hash);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->owner, "a");
@@ -525,14 +540,14 @@ TEST_F(ScenarioTest, ClaimLifecycleAndStaleSteal) {
 
   // Past the lease the claim is stale: a new owner steals it, and the old
   // owner's refresh fails (it has forfeited the job).
-  EXPECT_EQ(cache.try_claim(hash, "b", 2000, 500), ClaimOutcome::kAcquired);
-  EXPECT_FALSE(cache.refresh_claim(hash, "a", 2100));
-  EXPECT_TRUE(cache.refresh_claim(hash, "b", 2100));
+  EXPECT_EQ(claim_one(cache, hash, "b", 2000, 500), ClaimOutcome::kAcquired);
+  EXPECT_FALSE(refresh_one(cache, hash, "a", 2100));
+  EXPECT_TRUE(refresh_one(cache, hash, "b", 2100));
 
   // Release by a non-owner is a no-op; release by the owner removes it.
-  cache.release_claim(hash, "a");
+  release_one(cache, hash, "a");
   EXPECT_TRUE(cache.read_claim(hash).has_value());
-  cache.release_claim(hash, "b");
+  release_one(cache, hash, "b");
   EXPECT_FALSE(cache.read_claim(hash).has_value());
 }
 
@@ -556,7 +571,7 @@ TEST_F(ScenarioTest, ClaimContentionHasExactlyOneWinner) {
     for (int r = 0; r < kRacers; ++r) {
       racers.emplace_back([&cache, &go, &winners, key = hash.str(), r] {
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        if (cache.try_claim(key, "owner" + std::to_string(r), 1000, 60000) ==
+        if (claim_one(cache, key, "owner" + std::to_string(r), 1000, 60000) ==
             ClaimOutcome::kAcquired) {
           winners.fetch_add(1);
         }
@@ -719,9 +734,9 @@ TEST_F(ScenarioTest, OrphanedSidecarsAreCountedAndSweptStale) {
   fs::create_directories(fs::path(cache.root()) / "ab");
   std::ofstream((fs::path(cache.root()) / "ab" / "abcd000000000000.json.tmp99").string())
       << "{partial";
-  ASSERT_EQ(cache.try_claim("00000000000000aa", "dead", 1000, 60000),
+  ASSERT_EQ(claim_one(cache, "00000000000000aa", "dead", 1000, 60000),
             ClaimOutcome::kAcquired);
-  ASSERT_EQ(cache.try_claim("00000000000000bb", "live", 100000, 60000),
+  ASSERT_EQ(claim_one(cache, "00000000000000bb", "live", 100000, 60000),
             ClaimOutcome::kAcquired);
 
   const auto stats = cache.stats();
@@ -1155,7 +1170,7 @@ TEST_F(ScenarioTest, UnitClaimLinksEveryNameToOneInode) {
 
   // The claim document is the one-hash claim's, byte for byte.
   ResultCache single(path("single"));
-  ASSERT_EQ(single.try_claim(hashes[0], "unit", 1000, 60000), ClaimOutcome::kAcquired);
+  ASSERT_EQ(claim_one(single, hashes[0], "unit", 1000, 60000), ClaimOutcome::kAcquired);
   EXPECT_EQ(read_bytes(claim_file(cache, hashes[0])), read_bytes(claim_file(single, hashes[0])));
   EXPECT_EQ(single.stats().tmp_files, 0u);
 
@@ -1182,9 +1197,9 @@ TEST_F(ScenarioTest, MixedUnitClaimGivesOneOutcomePerHashInOrder) {
   // 0 and 5 fresh; 1 our own live claim; 2 another owner's live claim; 3
   // another owner's stale claim; 4 a corrupt claim.
   const auto hashes = synthetic_hashes(6, 0x3117);
-  ASSERT_EQ(cache.try_claim(hashes[1], "me", 1000, 500), ClaimOutcome::kAcquired);
-  ASSERT_EQ(cache.try_claim(hashes[2], "other", 1000, 500), ClaimOutcome::kAcquired);
-  ASSERT_EQ(cache.try_claim(hashes[3], "other", 100, 500), ClaimOutcome::kAcquired);
+  ASSERT_EQ(claim_one(cache, hashes[1], "me", 1000, 500), ClaimOutcome::kAcquired);
+  ASSERT_EQ(claim_one(cache, hashes[2], "other", 1000, 500), ClaimOutcome::kAcquired);
+  ASSERT_EQ(claim_one(cache, hashes[3], "other", 100, 500), ClaimOutcome::kAcquired);
   fs::create_directories(claim_file(cache, hashes[4]).parent_path());
   std::ofstream(claim_file(cache, hashes[4])) << "{\"owner\": ";
 
@@ -1262,7 +1277,7 @@ TEST_F(ScenarioTest, UnitReleaseDeletesOnlyTheNamesStillHeld) {
     EXPECT_EQ(outcome, ClaimOutcome::kAcquired);
   }
   // Past the lease, "b" steals one name of the unit.
-  ASSERT_EQ(cache.try_claim(hashes[3], "b", 2000, 500), ClaimOutcome::kAcquired);
+  ASSERT_EQ(claim_one(cache, hashes[3], "b", 2000, 500), ClaimOutcome::kAcquired);
 
   // "a"'s heartbeat round re-stamps the seven names it still holds.
   EXPECT_EQ(cache.refresh_claim(hashes, "a", 2100), hashes.size() - 1);
@@ -1288,7 +1303,7 @@ TEST_F(ScenarioTest, PartialUnitClaimReleasesCleanly) {
                                         "3000000000000003", "4000000000000004",
                                         "5000000000000005"};
   constexpr std::size_t kFailing = 3;
-  ASSERT_EQ(cache.try_claim(hashes[1], "other", 1000, 60000), ClaimOutcome::kAcquired);
+  ASSERT_EQ(claim_one(cache, hashes[1], "other", 1000, 60000), ClaimOutcome::kAcquired);
   std::ofstream(fs::path(cache.root()) / hashes[kFailing].substr(0, 2)) << "not a directory";
 
   std::string error;
@@ -1316,7 +1331,7 @@ TEST_F(ScenarioTest, ClaimHolderGateDeclinesHeldStoredAndBusyJobsAndLinksTheRest
   cache.ensure_writable();
   const auto hashes = synthetic_hashes(6, 0x601d);
   // hashes[4] is another owner's live claim; hashes[5] is stored.
-  ASSERT_EQ(cache.try_claim(hashes[4], "other", adc::runtime::wall_clock_ms(), kClaimLeaseMs),
+  ASSERT_EQ(claim_one(cache, hashes[4], "other", adc::runtime::wall_clock_ms(), kClaimLeaseMs),
             ClaimOutcome::kAcquired);
   auto payload = json::JsonValue::object();
   payload.set("x", 1.0);

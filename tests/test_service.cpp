@@ -14,9 +14,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +177,18 @@ class ServiceTest : public ::testing::Test {
   fs::path dir_;
   std::unique_ptr<ScenarioService> service_;
 };
+
+// One-hash forms of the cache's claim calls, which take a span of hashes.
+adc::scenario::ClaimOutcome claim_one(adc::scenario::ResultCache& cache,
+                                      const std::string& hash, const std::string& owner,
+                                      std::uint64_t now_ms, std::uint64_t lease_ms) {
+  return cache.try_claim(std::span(&hash, 1), owner, now_ms, lease_ms).front();
+}
+
+void release_one(adc::scenario::ResultCache& cache, const std::string& hash,
+                 const std::string& owner) {
+  cache.release_claim(std::span(&hash, 1), owner);
+}
 
 }  // namespace
 
@@ -474,7 +488,7 @@ TEST_F(ServiceTest, LiveForeignClaimParksItsCellUntilTheOwnerStores) {
   const std::string& hash = plan.hashes[0];
   adc::scenario::ResultCache cache(path("cache"));
   cache.ensure_writable();
-  ASSERT_EQ(cache.try_claim(hash, "foreign", adc::runtime::wall_clock_ms(),
+  ASSERT_EQ(claim_one(cache, hash, "foreign", adc::runtime::wall_clock_ms(),
                             adc::scenario::kClaimLeaseMs),
             adc::scenario::ClaimOutcome::kAcquired);
 
@@ -493,7 +507,7 @@ TEST_F(ServiceTest, LiveForeignClaimParksItsCellUntilTheOwnerStores) {
   // The foreign owner finishes its job: store, then release.
   cache.store(hash, adc::scenario::ScenarioRunner::execute_job(
                         adc::scenario::resolve_job(spec, plan.jobs[0])));
-  cache.release_claim(hash, "foreign");
+  release_one(cache, hash, "foreign");
 
   const auto summary = client.await("summary", &cells);
   ASSERT_EQ(cells.size(), 4u);
@@ -512,7 +526,7 @@ TEST_F(ServiceTest, StaleForeignClaimIsStolenAndComputed) {
   const auto plan = adc::scenario::plan_scenario(adc::scenario::parse_spec_text(kSmallSpec));
   adc::scenario::ResultCache cache(path("cache"));
   cache.ensure_writable();
-  ASSERT_EQ(cache.try_claim(plan.hashes[0], "crashed", 1000, adc::scenario::kClaimLeaseMs),
+  ASSERT_EQ(claim_one(cache, plan.hashes[0], "crashed", 1000, adc::scenario::kClaimLeaseMs),
             adc::scenario::ClaimOutcome::kAcquired);
 
   auto& service = start_service();

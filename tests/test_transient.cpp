@@ -1,6 +1,6 @@
 /// Cross-validation of the closed-form settling model against a numerical
 /// (RK4) transient solution of the same amplifier.
-#include "analog/transient.hpp"
+#include "oracles/transient.hpp"
 
 #include <cmath>
 

@@ -16,7 +16,12 @@ namespace {
 
 ats::TwoStepConfig ideal_config() {
   auto cfg = ats::reference_design();
-  cfg.enable = ats::TwoStepNonIdealities::all_off();
+  cfg.enable.thermal_noise = false;
+  cfg.enable.aperture_jitter = false;
+  cfg.enable.ladder_mismatch = false;
+  cfg.enable.comparator_imperfections = false;
+  cfg.enable.incomplete_settling = false;
+  cfg.enable.tracking_nonlinearity = false;
   return cfg;
 }
 

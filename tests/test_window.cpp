@@ -68,12 +68,6 @@ TEST(Window, LeakageSpans) {
   EXPECT_EQ(adc::dsp::leakage_span_bins(WindowType::kBlackmanHarris4), 4u);
 }
 
-TEST(Window, Names) {
-  EXPECT_EQ(adc::dsp::to_string(WindowType::kRectangular), "rectangular");
-  EXPECT_EQ(adc::dsp::to_string(WindowType::kHann), "hann");
-  EXPECT_EQ(adc::dsp::to_string(WindowType::kBlackmanHarris4), "blackman-harris-4");
-}
-
 TEST(Window, ZeroLengthThrows) {
   EXPECT_THROW((void)adc::dsp::make_window(WindowType::kHann, 0), adc::common::ConfigError);
 }

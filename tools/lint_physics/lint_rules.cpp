@@ -205,7 +205,6 @@ struct FileContext {
   bool in_draw_pipeline = false;  // common/counter_rng* | common/noise_plane:
                                   // fast contract v2 is division/sqrt-free, so
                                   // even std::sqrt is a finding there
-  bool is_exact_profile = false;  // transient solver: direct libm is the contract
   bool in_alloc_layer = false;    // src/analog | src/pipeline | src/batch | src/digital
   bool in_clock_exempt = false;   // src/runtime (telemetry), src/service
                                   // (socket/poll deadlines) and src/fleet
@@ -225,7 +224,6 @@ FileContext make_context(const fs::path& path) {
   ctx.in_math_layer = in_analog || in_pipeline || in_batch;
   ctx.in_draw_pipeline = path_contains(path, "common/counter_rng") ||
                          path_contains(path, "common/noise_plane");
-  ctx.is_exact_profile = path_contains(path, "analog/transient.");
   ctx.in_alloc_layer =
       in_analog || in_pipeline || in_batch || path_contains(path, "src/digital/");
   ctx.in_clock_exempt = path_contains(path, "src/runtime/") ||
@@ -332,7 +330,7 @@ class TokenScanner {
   }
 
   void scan_profile_math(std::size_t i) {
-    if ((!ctx_.in_math_layer && !ctx_.in_draw_pipeline) || ctx_.is_exact_profile) return;
+    if (!ctx_.in_math_layer && !ctx_.in_draw_pipeline) return;
     if (!id_at(i, "std") || !punct_at(i + 1, "::")) return;
     if (!ident(i + 2) || !punct_at(i + 3, "(")) return;
     const std::string& callee = tokens_[i + 2].text;
