@@ -330,7 +330,8 @@ void BM_RuntimeFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeFanout)->Arg(64)->Arg(512);
 
-// The mc_yield workload shape at thread count = state.range(0) (0 = default).
+// A Monte-Carlo SNDR yield (one dynamic test per die, seeds from 42) at thread
+// count = state.range(0) (0 = default).
 // Comparing threads=1 against the default count measures the real speedup.
 void BM_MonteCarloSndr(benchmark::State& state) {
   adc::testbench::MonteCarloOptions mc;

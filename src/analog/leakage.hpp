@@ -61,10 +61,9 @@ class HoldLeakage {
   [[nodiscard]] double scale_n() const { return scale_n_; }
 
  private:
-  HoldLeakage(const LeakageSpec& spec, double mis_p, double mis_n);
   LeakageSpec spec_;
-  double scale_p_;
-  double scale_n_;
+  double scale_p_ = 1.0;
+  double scale_n_ = 1.0;
 };
 
 }  // namespace adc::analog

@@ -45,29 +45,4 @@ MinMax min_max(std::span<const double> x) {
   return {*lo, *hi};
 }
 
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  require(x.size() == y.size(), "linear_fit: size mismatch");
-  require(x.size() >= 2, "linear_fit: need at least two points");
-  const auto n = static_cast<double>(x.size());
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  require(sxx > 0.0, "linear_fit: degenerate x values");
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
-  (void)n;
-  return fit;
-}
-
 }  // namespace adc::common

@@ -106,16 +106,6 @@ struct MinMax {
 };
 [[nodiscard]] MinMax min_max(std::span<const double> x);
 
-/// Least-squares straight-line fit y = slope*x + intercept.
-/// Requires at least two points.
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  /// Coefficient of determination R^2 of the fit.
-  double r_squared = 0.0;
-};
-[[nodiscard]] LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
-
 /// Clamp x into [lo, hi].
 [[nodiscard]] constexpr double clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);

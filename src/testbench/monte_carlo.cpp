@@ -1,6 +1,5 @@
 #include "testbench/monte_carlo.hpp"
 
-#include <algorithm>
 #include <cstddef>
 
 #include "common/error.hpp"
@@ -8,13 +7,6 @@
 #include "runtime/parallel.hpp"
 
 namespace adc::testbench {
-
-double MonteCarloResult::yield_at_least(double limit) const {
-  if (values.empty()) return 0.0;
-  const auto pass = std::count_if(values.begin(), values.end(),
-                                  [limit](double v) { return v >= limit; });
-  return static_cast<double>(pass) / static_cast<double>(values.size());
-}
 
 MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const DieMetric& metric,
                                  const MonteCarloOptions& options) {

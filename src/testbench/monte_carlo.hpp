@@ -35,9 +35,6 @@ struct MonteCarloResult {
   double std_dev = 0.0;
   double min = 0.0;
   double max = 0.0;
-
-  /// Fraction of dies with value >= limit (for lower-is-fail specs).
-  [[nodiscard]] double yield_at_least(double limit) const;
 };
 
 /// Metric evaluated on one fabricated die.

@@ -78,3 +78,18 @@ TEST(HoldLeakage, NegativeLeakageThrows) {
   adc::common::Rng rng(6);
   EXPECT_THROW(aa::HoldLeakage(s, rng), adc::common::ConfigError);
 }
+
+TEST(HoldLeakage, DrawsTheNSideFirst) {
+  // The exact profile's golden codes pin the draw order: the n side's
+  // mismatch scale takes the first deviate, the p side's the second.
+  aa::LeakageSpec s = matched_spec(1e-9, 0.9);
+  s.sigma_mismatch = 0.1;
+  adc::common::Rng rng(7);
+  adc::common::Rng reference(7);
+  const aa::HoldLeakage leak(s, rng);
+  const double first = 1.0 + reference.gaussian(0.1);
+  const double second = 1.0 + reference.gaussian(0.1);
+  EXPECT_DOUBLE_EQ(leak.scale_n(), first);
+  EXPECT_DOUBLE_EQ(leak.scale_p(), second);
+  EXPECT_NE(leak.scale_n(), leak.scale_p());
+}

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "oracles/linear_fit.hpp"
 
 namespace ac = adc::common;
 

@@ -47,14 +47,6 @@ TEST(MonteCarlo, DiesActuallyDiffer) {
   EXPECT_LT(r.max - r.min, 5.0);   // but the design is production-worthy
 }
 
-TEST(MonteCarlo, YieldAccounting) {
-  tb::MonteCarloResult r;
-  r.values = {60.0, 62.0, 64.0, 66.0};
-  EXPECT_DOUBLE_EQ(r.yield_at_least(63.0), 0.5);
-  EXPECT_DOUBLE_EQ(r.yield_at_least(59.0), 1.0);
-  EXPECT_DOUBLE_EQ(tb::MonteCarloResult{}.yield_at_least(0.0), 0.0);
-}
-
 TEST(MonteCarlo, SingleThreadMatchesParallel) {
   tb::MonteCarloOptions serial;
   serial.num_dies = 5;

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
+#include "oracles/linear_fit.hpp"
 #include "pipeline/design.hpp"
 
 namespace pw = adc::power;

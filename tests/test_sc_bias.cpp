@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 #include "common/random.hpp"
+#include "oracles/linear_fit.hpp"
 
 namespace ab = adc::bias;
 
