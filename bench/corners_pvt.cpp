@@ -40,8 +40,8 @@ int main() {
   };
 
   runtime::RunManifest manifest("corners_pvt");
-  manifest.set_count("threads", runtime::effective_thread_count(0));
-  manifest.set_count("corner_count", corners.size());
+  manifest.set("threads", std::uint64_t{runtime::effective_thread_count(0)});
+  manifest.set("corner_count", std::uint64_t{corners.size()});
 
   // Every corner is an independent re-instantiation of the same die, so the
   // whole matrix is one batch on the runtime; results come back corner-ordered.

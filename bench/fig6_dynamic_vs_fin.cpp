@@ -31,9 +31,10 @@ int main() {
                                  70e6, 85e6, 100e6, 120e6, 135e6, 150e6};
 
   runtime::RunManifest manifest("fig6_dynamic_vs_fin");
-  manifest.set_seed_range(cfg.seed, 1);
-  manifest.set_count("threads", runtime::effective_thread_count(0));
-  manifest.set_count("sweep_points", fins.size());
+  manifest.set("first_seed", cfg.seed);
+  manifest.set("seed_count", 1);
+  manifest.set("threads", std::uint64_t{runtime::effective_thread_count(0)});
+  manifest.set("sweep_points", std::uint64_t{fins.size()});
   std::vector<testbench::SweepPoint> points;
   {
     const auto scope = manifest.phase("fin_sweep", fins.size());

@@ -1,6 +1,7 @@
 #include "fleet/worker.hpp"
 
 #include <chrono>
+#include <filesystem>
 #include <optional>
 #include <span>
 #include <thread>
@@ -8,10 +9,10 @@
 
 #include "common/error.hpp"
 #include "fleet/plan.hpp"
+#include "runtime/manifest.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario/cache.hpp"
 #include "scenario/claims.hpp"
-#include "scenario/hash.hpp"
 #include "scenario/runner.hpp"
 
 namespace adc::fleet {
@@ -29,7 +30,15 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
                            " shards");
   adc::common::require(options.lease_ms > 0, "fleet worker: lease must be positive");
 
-  const FleetPlan fleet = plan_fleet(spec, options.shards, options.threads);
+  const std::string filename = manifest_filename(spec.name, options.shard, options.shards);
+  // The run name is the file's stem: <scenario>_shard_<k>_of_<W>.
+  adc::runtime::RunManifest manifest(filename.substr(0, filename.size() - 5));
+  FleetPlan fleet;
+  {
+    auto phase = manifest.phase("expand");
+    fleet = plan_fleet(spec, options.shards, options.threads);
+    phase.set_jobs(fleet.scenario.jobs.size());
+  }
   const adc::scenario::ScenarioPlan& plan = fleet.scenario;
   ResultCache cache(options.cache_dir);
   cache.ensure_writable();
@@ -37,15 +46,9 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
       options.owner.empty() ? adc::scenario::default_claim_owner() : options.owner;
 
   WorkerResult result;
-  ShardManifest& m = result.manifest;
-  m.scenario = spec.name;
-  m.spec_hash = plan.spec_hash;
-  m.fingerprint = adc::scenario::to_hex(adc::scenario::golden_code_fingerprint());
-  m.shard = options.shard;
-  m.shards = options.shards;
-  m.owner = owner;
-  m.jobs_total = plan.jobs.size();
-  m.shard_jobs = fleet.shard_sizes[options.shard];
+  adc::scenario::RunTally tally;
+  tally.jobs_total = plan.jobs.size();
+  std::size_t scavenged = 0;
 
   std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
   const auto done_count = [&] {
@@ -60,19 +63,16 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   // cache — previous runs, other machines — is a warm hit. The pool
   // counters start after it, as the runner's do after its probe, so a warm
   // worker reports zero pool jobs.
-  m.cache_hits = adc::scenario::probe_cache(plan, cache, payloads, nullptr, options.threads);
+  {
+    auto phase = manifest.phase("cache_probe", plan.jobs.size());
+    tally.cache_hits =
+        adc::scenario::probe_cache(plan, cache, payloads, nullptr, options.threads);
+  }
   result.pool_before = adc::runtime::global_pool().counters();
 
   const auto report_progress = [&](bool scavenging) {
     if (!options.progress) return;
-    WorkerProgress p;
-    p.scavenging = scavenging;
-    p.done = done_count();
-    p.total = m.jobs_total;
-    p.cache_hits = m.cache_hits;
-    p.computed = m.computed;
-    p.elsewhere = m.elsewhere;
-    options.progress(p);
+    options.progress({scavenging, done_count(), tally});
   };
   report_progress(false);
 
@@ -90,21 +90,24 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
       while (true) {
         // Re-probe the candidates still missing: another worker may have
         // stored them since we last looked.
-        m.elsewhere +=
-            adc::scenario::probe_cache(plan, cache, payloads, candidate, options.threads);
+        {
+          auto phase = manifest.phase("cache_probe");
+          tally.elsewhere +=
+              adc::scenario::probe_cache(plan, cache, payloads, candidate, options.threads);
+        }
         std::size_t missing = 0;
         for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
           if (!payloads[i].has_value() && candidate(i)) ++missing;
         }
         if (missing == 0) break;
-        if (options.max_jobs != 0 && m.computed >= options.max_jobs) {
+        if (options.max_jobs != 0 && tally.computed >= options.max_jobs) {
           budget_exhausted = true;
           break;
         }
 
         adc::scenario::ExecuteOptions execute;
         execute.threads = options.threads;
-        execute.max_jobs = options.max_jobs != 0 ? options.max_jobs - m.computed : 0;
+        execute.max_jobs = options.max_jobs != 0 ? options.max_jobs - tally.computed : 0;
         execute.cache = &cache;
         execute.candidate = candidate;
         const auto unit_hashes = [&](std::span<const std::size_t> indices) {
@@ -121,10 +124,15 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
         execute.hooks.stored = [&](std::span<const std::size_t> indices) {
           holder.release(unit_hashes(indices));
         };
-        const auto outcome = adc::scenario::execute_plan(spec, plan, payloads, execute);
+        adc::scenario::ExecuteOutcome outcome;
+        {
+          auto phase = manifest.phase("execute");
+          outcome = adc::scenario::execute_plan(spec, plan, payloads, execute);
+          phase.set_jobs(outcome.computed);
+        }
         holder.check_heartbeat();
-        m.computed += outcome.computed;
-        if (scavenging) m.scavenged += outcome.computed;
+        tally.computed += outcome.computed;
+        if (scavenging) scavenged += outcome.computed;
         report_progress(scavenging);
         if (outcome.skipped > 0) {
           budget_exhausted = true;
@@ -133,6 +141,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
         // Everything left is claimed by other live workers: wait one poll
         // interval for their stores to land, then probe again.
         if (outcome.computed == 0 && outcome.claimed_elsewhere > 0) {
+          auto phase = manifest.phase("claim_wait");
           std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
         }
       }
@@ -140,14 +149,31 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   }
 
   result.pool_after = adc::runtime::global_pool().counters();
-  m.pool_jobs = result.pool_after.submitted - result.pool_before.submitted;
   const std::size_t done = done_count();
-  m.skipped = m.jobs_total - done;
-  m.complete = done == m.jobs_total;
-  adc::common::require(m.complete || budget_exhausted,
+  tally.skipped = tally.jobs_total - done;
+  const bool complete = done == tally.jobs_total;
+  adc::common::require(complete || budget_exhausted,
                        "fleet worker: exited with missing payloads but no budget stop");
 
-  result.manifest_path = write_manifest(m, manifest_dir_for_cache(cache.root()));
+  adc::scenario::stamp_manifest(manifest, spec, plan.spec_hash, cache.root(), tally);
+  manifest.set("threads", std::uint64_t{adc::runtime::effective_thread_count(options.threads)});
+  manifest.set("shard", std::uint64_t{options.shard});
+  manifest.set("shards", std::uint64_t{options.shards});
+  manifest.set("owner", owner);
+  manifest.set("shard_jobs", std::uint64_t{fleet.shard_sizes[options.shard]});
+  manifest.set("scavenged", std::uint64_t{scavenged});
+  manifest.set("pool_jobs", result.pool_after.submitted - result.pool_before.submitted);
+  manifest.set("complete", complete);
+  manifest.set_pool_telemetry(result.pool_after,
+                              adc::runtime::global_pool().latency_histogram());
+
+  const std::string dir = manifest_dir_for_cache(cache.root());
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  adc::common::require(!ec, "fleet worker: cannot create " + dir);
+  result.manifest_path = dir + "/" + filename;
+  manifest.write(result.manifest_path);
+  result.manifest = parse_manifest(manifest.to_json_value());
   return result;
 }
 

@@ -22,10 +22,11 @@
 #include <functional>
 #include <string>
 
-#include "fleet/manifest.hpp"
+#include "fleet/merge.hpp"
 #include "runtime/heartbeat.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scenario/claims.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
 namespace adc::fleet {
@@ -33,12 +34,9 @@ namespace adc::fleet {
 /// Snapshot handed to the progress callback after the initial probe and
 /// after every execute round.
 struct WorkerProgress {
-  bool scavenging = false;      ///< past its own shard, sweeping leftovers
-  std::size_t done = 0;         ///< grid payloads present so far
-  std::size_t total = 0;        ///< jobs in the full grid
-  std::size_t cache_hits = 0;   ///< payloads warm at worker start
-  std::size_t computed = 0;     ///< computed by this worker so far
-  std::size_t elsewhere = 0;    ///< payloads other workers landed mid-run
+  bool scavenging = false;  ///< past its own shard, sweeping leftovers
+  std::size_t done = 0;     ///< grid payloads present so far
+  adc::scenario::RunTally tally;  ///< so far; `skipped` stays 0 until exit
 };
 
 /// Options for one worker process.
@@ -66,6 +64,7 @@ struct WorkerOptions {
 
 /// Outcome of one worker run.
 struct WorkerResult {
+  /// The shard manifest the worker wrote, read back (parse_manifest).
   ShardManifest manifest;
   std::string manifest_path;
   /// Global pool counters from the end of the initial cache probe to the
@@ -76,7 +75,7 @@ struct WorkerResult {
 };
 
 /// Run one worker to completion: probe/execute rounds over its shard, then
-/// scavenging, then write the shard manifest. Returns when every grid
+/// scavenging, then write the shard manifest (docs/FLEET.md). Returns when every grid
 /// payload exists (complete=true) or the max_jobs budget ran out
 /// (complete=false). Throws ConfigError/MeasurementError on invalid
 /// options, specs, or I/O failure.

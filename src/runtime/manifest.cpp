@@ -16,28 +16,38 @@ namespace json = adc::common::json;
 
 const char* git_describe() { return ADC_GIT_DESCRIBE; }
 
+json::JsonValue pool_document(const PoolCounters& counters) {
+  auto pool = json::JsonValue::object();
+  pool.set("submitted", counters.submitted);
+  pool.set("executed", counters.executed);
+  pool.set("stolen", counters.stolen);
+  pool.set("failed", counters.failed);
+  pool.set("backpressure_waits", counters.backpressure_waits);
+  return pool;
+}
+
 RunManifest::RunManifest(std::string run_name) : run_name_(std::move(run_name)) {
-  set_text("run", run_name_);
-  set_count("schema_version", 2);
-  set_text("git_describe", git_describe());
-  set_count("default_threads", default_thread_count());
-  set_count("hardware_concurrency", std::thread::hardware_concurrency());
+  set("run", run_name_);
+  set("schema_version", kManifestSchemaVersion);
+  set("git_describe", git_describe());
+  set("default_threads", std::uint64_t{default_thread_count()});
+  set("hardware_concurrency", std::uint64_t{std::thread::hardware_concurrency()});
 }
 
-void RunManifest::set_text(const std::string& key, const std::string& value) {
-  fields_.set(key, value);
+void RunManifest::set(const std::string& key, json::JsonValue value) {
+  fields_.set(key, std::move(value));
 }
 
-void RunManifest::set_count(const std::string& key, std::uint64_t value) {
-  fields_.set(key, value);
+void RunManifest::add_phase(const PhaseTiming& phase) {
+  for (auto& recorded : phases_) {
+    if (recorded.name != phase.name) continue;
+    recorded.wall_seconds += phase.wall_seconds;
+    recorded.cpu_seconds += phase.cpu_seconds;
+    recorded.jobs += phase.jobs;
+    return;
+  }
+  phases_.push_back(phase);
 }
-
-void RunManifest::set_seed_range(std::uint64_t first_seed, std::uint64_t count) {
-  set_count("first_seed", first_seed);
-  set_count("seed_count", count);
-}
-
-void RunManifest::add_phase(const PhaseTiming& phase) { phases_.push_back(phase); }
 
 RunManifest::PhaseScope::PhaseScope(RunManifest& manifest, std::string name,
                                     std::uint64_t jobs)
@@ -69,13 +79,7 @@ json::JsonValue RunManifest::to_json_value() const {
   doc.set("phases", std::move(phases));
 
   if (has_pool_telemetry_) {
-    auto pool = json::JsonValue::object();
-    pool.set("submitted", pool_counters_.submitted);
-    pool.set("executed", pool_counters_.executed);
-    pool.set("stolen", pool_counters_.stolen);
-    pool.set("failed", pool_counters_.failed);
-    pool.set("backpressure_waits", pool_counters_.backpressure_waits);
-    doc.set("pool", std::move(pool));
+    doc.set("pool", pool_document(pool_counters_));
 
     auto latency = json::JsonValue::object();
     latency.set("total", pool_latency_.total());

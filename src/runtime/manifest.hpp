@@ -1,18 +1,14 @@
 /// \file manifest.hpp
-/// JSON run manifests: the provenance record of one parallel run.
+/// JSON run manifests: the one telemetry format of the repo.
 ///
-/// Every heavy bench can export *what* it ran (seed range, operating points),
-/// *how* (thread count, git revision, hardware concurrency) and *how fast*
-/// (per-phase wall/CPU timings, pool counters, job latency histogram) as a
-/// machine-readable JSON file. Schema documented in docs/RUNTIME.md.
-///
-/// Writing is opt-in, mirroring ADC_BENCH_CSV_DIR: manifests are written only
-/// when ADC_RUNTIME_MANIFEST_DIR names a directory.
-///
-/// Schema version 2: serialization moved onto the shared strict JSON layer
-/// (common/json.hpp) — same key set and semantics as v1, but every object
-/// member is pretty-printed on its own line and consumers can round-trip the
-/// document through `common::json::parse`. See docs/RUNTIME.md for the diff.
+/// A manifest records *what* a run did (seed range, job tallies), *how*
+/// (thread count, git revision, hardware concurrency) and *how fast*
+/// (per-phase wall/CPU timings, pool counters, job latency histogram).
+/// `adc_scenario run`, every `adc_fleet` worker and merge, each
+/// `adc_scenariod` request and the instrumented benches write one; the
+/// scenario front ends stamp their shared keys through
+/// scenario::stamp_manifest. Schema version 3, documented in
+/// docs/RUNTIME.md.
 #pragma once
 
 #include <cstdint>
@@ -26,28 +22,34 @@
 
 namespace adc::runtime {
 
+/// The manifest schema version stamped into every manifest.
+inline constexpr std::uint64_t kManifestSchemaVersion = 3;
+
 /// The `git describe --always --dirty` of the tree this binary was built
 /// from ("unknown" when the build was not configured inside a git checkout).
 [[nodiscard]] const char* git_describe();
 
+/// Pool counters as the JSON object a manifest's `pool` member holds; the
+/// scenario service's `status` event carries the same object.
+[[nodiscard]] adc::common::json::JsonValue pool_document(const PoolCounters& counters);
+
 /// Accumulates one run's provenance and telemetry, then serializes to JSON.
-/// Construction stamps the standard fields: run name, git revision, schema
-/// version, default thread count, and hardware concurrency.
+/// Construction stamps the standard fields: run name, schema version, git
+/// revision, default thread count, and hardware concurrency.
 class RunManifest {
  public:
   explicit RunManifest(std::string run_name);
 
-  /// Set a free-form string or count field (last set wins per key).
-  void set_text(const std::string& key, const std::string& value);
-  void set_count(const std::string& key, std::uint64_t value);
-  /// Convenience for the determinism contract: records first seed and count.
-  void set_seed_range(std::uint64_t first_seed, std::uint64_t count);
+  /// Set a top-level field (last set wins per key; a new key goes last).
+  void set(const std::string& key, adc::common::json::JsonValue value);
 
-  /// Record a completed phase (appended in call order).
+  /// Record a completed phase. The first phase of a name is appended; a
+  /// later one of the same name adds its wall, CPU and jobs to it, so a
+  /// loop that re-enters a phase keeps one entry per name.
   void add_phase(const PhaseTiming& phase);
 
-  /// RAII phase timer: times construction-to-destruction and appends the
-  /// phase on destruction.
+  /// RAII phase timer: times construction-to-destruction and records the
+  /// phase (add_phase) on destruction.
   class PhaseScope {
    public:
     PhaseScope(RunManifest& manifest, std::string name, std::uint64_t jobs = 0);

@@ -1,7 +1,7 @@
 #include "runtime/parallel.hpp"
 
+#include <charconv>
 #include <cstdlib>
-#include <string>
 #include <thread>
 
 namespace adc::runtime {
@@ -11,20 +11,21 @@ namespace {
 // Innermost ScopedThreadOverride for this thread (0 = none active).
 thread_local unsigned tl_thread_override = 0;
 
-unsigned parse_env_threads() {
-  const char* raw = std::getenv("ADC_RUNTIME_THREADS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0' || value == 0 || value > 1024) return 0;
-  return static_cast<unsigned>(value);
-}
-
 }  // namespace
 
+std::optional<unsigned> parse_thread_count(std::string_view text) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value == 0 || value > kMaxThreads) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 unsigned default_thread_count() {
-  const unsigned from_env = parse_env_threads();
-  if (from_env > 0) return from_env;
+  const char* env = std::getenv("ADC_RUNTIME_THREADS");
+  if (const auto from_env = parse_thread_count(env != nullptr ? env : "")) return *from_env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -30,6 +30,7 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,8 +39,15 @@
 
 namespace adc::runtime {
 
-/// Worker-thread default: the ADC_RUNTIME_THREADS environment variable when
-/// set to a positive integer, otherwise std::thread::hardware_concurrency().
+/// The most threads a caller may ask for (parse_thread_count).
+inline constexpr unsigned kMaxThreads = 1024;
+
+/// `text` as a thread count: a whole decimal in 1..kMaxThreads, else
+/// nullopt. The one rule for ADC_RUNTIME_THREADS and the CLIs' `--threads`.
+[[nodiscard]] std::optional<unsigned> parse_thread_count(std::string_view text);
+
+/// Worker-thread default: ADC_RUNTIME_THREADS when it parses
+/// (parse_thread_count), otherwise std::thread::hardware_concurrency().
 [[nodiscard]] unsigned default_thread_count();
 
 /// The process-wide shared pool, created on first use with

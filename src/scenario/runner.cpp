@@ -603,18 +603,28 @@ json::JsonValue ScenarioRunner::execute_job(const ResolvedJob& job) {
   throw adc::common::ConfigError("ScenarioRunner: unknown measurement type");
 }
 
+void stamp_manifest(adc::runtime::RunManifest& manifest, const ScenarioSpec& spec,
+                    const std::string& spec_hash, const std::string& cache_root,
+                    const RunTally& tally) {
+  manifest.set("scenario", spec.name);
+  manifest.set("spec_hash", spec_hash);
+  manifest.set("fingerprint", to_hex(golden_code_fingerprint()));
+  manifest.set("fidelity", std::string(adc::common::to_string(spec.die.fidelity)));
+  manifest.set("cache_dir", cache_root);
+  manifest.set("first_seed", spec.first_seed);
+  manifest.set("seed_count", spec.seed_count);
+  manifest.set("jobs_total", std::uint64_t{tally.jobs_total});
+  manifest.set("cache_hits", std::uint64_t{tally.cache_hits});
+  manifest.set("computed", std::uint64_t{tally.computed});
+  manifest.set("skipped", std::uint64_t{tally.skipped});
+  manifest.set("elsewhere", std::uint64_t{tally.elsewhere});
+}
+
 RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   RunResult result;
   adc::runtime::RunManifest manifest("scenario_" + spec.name);
   ResultCache cache(options_.cache_dir);
   if (options_.use_cache) cache.ensure_writable();
-  manifest.set_text("scenario", spec.name);
-  manifest.set_text("spec_hash", spec_hash(spec));
-  manifest.set_text("fingerprint", to_hex(golden_code_fingerprint()));
-  manifest.set_text("cache_dir", cache.root());
-  manifest.set_text("fidelity", std::string(adc::common::to_string(spec.die.fidelity)));
-  manifest.set_count("threads", adc::runtime::effective_thread_count(options_.threads));
-  manifest.set_seed_range(spec.first_seed, spec.seed_count);
 
   // Expand the sweep grid and content-address every job — through the same
   // planner entry point the scenario service schedules from.
@@ -672,13 +682,12 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
     }
   }
 
-  manifest.set_count("jobs_total", result.jobs_total);
-  manifest.set_count("cache_hits", result.cache_hits);
-  manifest.set_count("cache_misses", result.jobs_total - result.cache_hits);
-  manifest.set_count("computed", result.computed);
-  manifest.set_count("skipped", result.skipped);
-  manifest.set_count("cache_evictions", result.cache_evictions);
-  manifest.set_count("cache_stores", cache.stores());
+  stamp_manifest(manifest, spec, plan.spec_hash, cache.root(),
+                 {result.jobs_total, result.cache_hits, result.computed, result.skipped, 0});
+  manifest.set("threads",
+               std::uint64_t{adc::runtime::effective_thread_count(options_.threads)});
+  manifest.set("cache_evictions", result.cache_evictions);
+  manifest.set("cache_stores", cache.stores());
   manifest.set_pool_telemetry(adc::runtime::global_pool().counters(),
                               adc::runtime::global_pool().latency_histogram());
   result.manifest_path = manifest.write_to_env_dir();

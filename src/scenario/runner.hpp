@@ -15,8 +15,9 @@
 ///     invocation probes the cache, skips them, and computes only the
 ///     remainder. Resumed results are bit-identical to an uninterrupted run.
 ///   * **Telemetry** — a RunManifest (runtime/manifest.hpp) records the
-///     expand/probe/execute/report phases, cache counters and pool
-///     telemetry. A fully cached run submits *zero* pool jobs in its
+///     expand/cache_probe/execute/report phases, the keys every front end
+///     shares (stamp_manifest), cache counters and pool telemetry. A fully
+///     cached run submits *zero* pool jobs in its
 ///     execute phase (RunResult::pool_before/pool_after bracket it; the
 ///     plan and the probe before it, and the report render after it, run
 ///     as chunks of kPlanChunk jobs), which is how CI verifies the
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "runtime/manifest.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scenario/cache.hpp"
 #include "scenario/spec.hpp"
@@ -104,6 +106,26 @@ struct RunResult {
   /// Session cache counters (hits/misses/evictions/stores) for this run.
   std::uint64_t cache_evictions = 0;
 };
+
+/// Where a run's payloads came from; each job is counted once, so
+/// `jobs_total = cache_hits + computed + elsewhere + skipped`.
+struct RunTally {
+  std::size_t jobs_total = 0;
+  std::size_t cache_hits = 0;  ///< in the cache when the run first looked
+  std::size_t computed = 0;    ///< computed by this run
+  std::size_t skipped = 0;     ///< left uncomputed (max_jobs budget)
+  /// Computed meanwhile by another fleet worker or process on the cache
+  /// root, or for an identical cell of another service request.
+  std::size_t elsewhere = 0;
+};
+
+/// Stamp the identity keys (`scenario`, `spec_hash`, `fingerprint`,
+/// `fidelity`, `cache_dir`, `first_seed`, `seed_count`) and the tally keys
+/// every scenario front end's manifest shares: the one builder of them for
+/// the runner, the fleet worker and merge, and the scenario service.
+void stamp_manifest(adc::runtime::RunManifest& manifest, const ScenarioSpec& spec,
+                    const std::string& spec_hash, const std::string& cache_root,
+                    const RunTally& tally);
 
 /// One scenario expanded to its executable shape: the grid points, one
 /// content-address per point, and the spec identity. This is the single

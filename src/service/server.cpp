@@ -89,12 +89,8 @@ struct ScenarioService::RunState {
   std::deque<std::size_t> parked;
   std::size_t retry = 0;
 
-  std::uint64_t processed = 0;  ///< hits + computed + deduped + skipped
   std::uint64_t delivered = 0;  ///< cells streamed (payload recorded)
-  std::uint64_t hits = 0;
-  std::uint64_t deduped = 0;
-  std::uint64_t computed = 0;
-  std::uint64_t skipped = 0;
+  adc::scenario::RunTally tally;  ///< `elsewhere` counts the `dedup` cells
 
   bool cancel_requested = false;  ///< explicit cancel (gets a terminal event)
   bool failed = false;            ///< terminal error event already sent
@@ -276,6 +272,7 @@ void ScenarioService::handle_run(const std::shared_ptr<Connection>& conn,
     return;
   }
   run->payloads.resize(run->plan.jobs.size());
+  run->tally.jobs_total = run->plan.jobs.size();
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -367,14 +364,9 @@ void ScenarioService::handle_status(const std::shared_ptr<Connection>& conn) {
   totals.set("cells_deduped", counters.cells_deduped);
   totals.set("cells_computed", counters.cells_computed);
 
-  const auto pool_counters = adc::runtime::global_pool().counters();
-  auto pool = json::JsonValue::object();
+  auto pool = adc::runtime::pool_document(adc::runtime::global_pool().counters());
   pool.set("threads",
            static_cast<std::uint64_t>(adc::runtime::global_pool().thread_count()));
-  pool.set("submitted", pool_counters.submitted);
-  pool.set("executed", pool_counters.executed);
-  pool.set("stolen", pool_counters.stolen);
-  pool.set("failed", pool_counters.failed);
 
   auto event = json::JsonValue::object();
   event.set("event", "status");
@@ -483,8 +475,7 @@ void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
       return;
     }
     if (run->max_jobs != 0 && run->scheduled_misses >= run->max_jobs) {
-      ++run->skipped;  // hits are still served, misses skipped
-      ++run->processed;
+      ++run->tally.skipped;  // hits are still served, misses skipped
       maybe_finalize_locked(run);
       return;
     }
@@ -561,18 +552,17 @@ void ScenarioService::record_payload_locked(const std::shared_ptr<RunState>& run
                                             CellOrigin origin) {
   if (run->finished) return;
   run->payloads[index] = payload;
-  ++run->processed;
   switch (origin) {
     case CellOrigin::kHit:
-      ++run->hits;
+      ++run->tally.cache_hits;
       ++counters_.cells_hit;
       break;
     case CellOrigin::kMiss:
-      ++run->computed;
+      ++run->tally.computed;
       ++counters_.cells_computed;
       break;
     case CellOrigin::kDedup:
-      ++run->deduped;
+      ++run->tally.elsewhere;
       ++counters_.cells_deduped;
       break;
   }
@@ -595,10 +585,22 @@ void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run
   if (run->inflight != 0) return;
 
   const bool cancelled = run->cancel.cancelled();
-  const bool complete = run->processed == run->plan.jobs.size();
+  const auto& t = run->tally;
+  const bool complete = t.cache_hits + t.computed + t.elsewhere + t.skipped == t.jobs_total;
   if (!cancelled && !complete) return;
 
   if (!cancelled && complete) {
+    // Per-request provenance, opt-in via ADC_RUNTIME_MANIFEST_DIR; written
+    // before the summary is queued, so a client holding the summary finds it.
+    adc::runtime::RunManifest manifest("service_" + run->spec.name + "_" +
+                                       std::to_string(run->seq));
+    adc::scenario::stamp_manifest(manifest, run->spec, run->plan.spec_hash, cache_.root(),
+                                  run->tally);
+    manifest.set("connection", run->conn->id);
+    manifest.set_pool_telemetry(adc::runtime::global_pool().counters(),
+                                adc::runtime::global_pool().latency_histogram());
+    (void)manifest.write_to_env_dir();
+
     // The run is finished below, and a finished run's payloads are never
     // read again, so the report takes them by move.
     auto report =
@@ -606,26 +608,11 @@ void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run
     if (run->conn->open) {
       send_line(run->conn,
                 encode_event(summary_event(run->id, run->plan.jobs.size(),
-                                           run->hits, run->deduped, run->computed,
-                                           run->skipped, std::move(report))));
+                                           run->tally.cache_hits, run->tally.elsewhere,
+                                           run->tally.computed, run->tally.skipped,
+                                           std::move(report))));
     }
     ++counters_.requests_completed;
-
-    // Per-request provenance, opt-in via ADC_RUNTIME_MANIFEST_DIR.
-    adc::runtime::RunManifest manifest("service_" + run->spec.name + "_" +
-                                       std::to_string(run->seq));
-    manifest.set_text("scenario", run->spec.name);
-    manifest.set_text("spec_hash", run->plan.spec_hash);
-    manifest.set_text("cache_dir", cache_.root());
-    manifest.set_count("connection", run->conn->id);
-    manifest.set_count("jobs_total", run->plan.jobs.size());
-    manifest.set_count("cache_hits", run->hits);
-    manifest.set_count("deduped", run->deduped);
-    manifest.set_count("computed", run->computed);
-    manifest.set_count("skipped", run->skipped);
-    manifest.set_pool_telemetry(adc::runtime::global_pool().counters(),
-                                adc::runtime::global_pool().latency_histogram());
-    (void)manifest.write_to_env_dir();
   } else if (run->cancel_requested && !run->failed) {
     if (run->conn->open) {
       send_line(run->conn, encode_event(cancelled_event(run->id, run->delivered)));

@@ -52,8 +52,10 @@
 /// Completed requests emit a terminal `summary` event whose embedded report
 /// document is byte-identical to the batch CLI's report for the same spec
 /// (both are scenario::build_report output). When ADC_RUNTIME_MANIFEST_DIR
-/// is set, each completed request also writes a RunManifest
-/// (`service_<scenario>_<seq>_manifest.json`).
+/// is set, each completed request also writes a run manifest
+/// (`service_<scenario>_<seq>_manifest.json`, the schema of
+/// runtime/manifest.hpp; its `elsewhere` counts the request's `dedup`
+/// cells) before its summary is queued.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,8 @@
 /// Tests for the one file layer (common/files.hpp) and the writers and
 /// readers built on it: whole-or-absent writes that leave no temporary
 /// behind, exact whole-file reads, file identities shared by links, and
-/// spec-file errors that name the file.
+/// spec-file errors that name the file; and the usage errors the
+/// `adc_scenario` and `adc_scenariod` binaries exit 2 with.
 #include "common/files.hpp"
 
 #include <sys/wait.h>
@@ -218,26 +219,60 @@ TEST_F(FilesTest, SpecFileErrorsNameTheFile) {
                ConfigError);
 }
 
+/// Run `command` through the shell; its exit status and its stdout and
+/// stderr, interleaved.
+struct CommandResult {
+  int exit_code = -1;
+  std::string output;
+};
+
+CommandResult run_command(const std::string& command) {
+  CommandResult result;
+  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return result;
+  std::array<char, 256> chunk{};
+  while (std::fgets(chunk.data(), static_cast<int>(chunk.size()), pipe) != nullptr) {
+    result.output += chunk.data();
+  }
+  const int status = ::pclose(pipe);
+  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  return result;
+}
+
 /// `adc_scenario client submit` validates the spec through load_spec_file
 /// before it connects, so a malformed spec fails with exit 1 and the file's
 /// name, whether or not a server is listening.
 TEST_F(FilesTest, ClientSubmitMalformedSpecNamesTheFile) {
   const fs::path spec = dir_ / "malformed.json";
   files::write_file(spec, R"({"name": "malformed", "measurement": )");
-  const std::string command = std::string("'") + ADC_SCENARIO_CLI + "' client submit '" +
-                              spec.string() + "' --socket '" + (dir_ / "none.sock").string() +
-                              "' 2>&1";
-  FILE* pipe = ::popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  std::array<char, 256> chunk{};
-  while (std::fgets(chunk.data(), static_cast<int>(chunk.size()), pipe) != nullptr) {
-    output += chunk.data();
-  }
-  const int status = ::pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status)) << output;
-  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
-  EXPECT_NE(output.find(spec.string()), std::string::npos) << output;
+  const auto run = run_command(std::string("'") + ADC_SCENARIO_CLI + "' client submit '" +
+                               spec.string() + "' --socket '" +
+                               (dir_ / "none.sock").string() + "'");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find(spec.string()), std::string::npos) << run.output;
+}
+
+/// A numeric option that does not parse whole is a usage error (exit 2)
+/// before anything runs: `O.9` (a letter O) once read as a 0 hit-rate gate.
+TEST_F(FilesTest, UnparsableNumericOptionIsAUsageError) {
+  const auto run = run_command(std::string("'") + ADC_SCENARIO_CLI + "' run '" +
+                               (dir_ / "absent.json").string() + "' --min-hit-rate O.9");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("--min-hit-rate"), std::string::npos) << run.output;
+  EXPECT_TRUE(names().empty());
+}
+
+/// The daemon rejects admission bounds of zero with exit 2 and the reason,
+/// before it binds its socket. `timeout` ends a daemon that wrongly starts.
+TEST_F(FilesTest, DaemonZeroAdmissionBoundIsAUsageError) {
+  const fs::path socket = dir_ / "d.sock";
+  const auto run = run_command(std::string("timeout 30 '") + ADC_SCENARIOD + "' --socket '" +
+                               socket.string() + "' --cache-dir '" +
+                               (dir_ / "cache").string() + "' --max-inflight 0");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("admission bounds must be positive"), std::string::npos)
+      << run.output;
+  EXPECT_FALSE(fs::exists(socket));
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "fleet/manifest.hpp"
 #include "fleet/merge.hpp"
 #include "fleet/plan.hpp"
 #include "fleet/worker.hpp"
@@ -153,19 +152,8 @@ TEST_F(FleetTest, CrashResumeWithKilledWorkerStaysByteIdentical) {
   EXPECT_TRUE(result.manifest.complete);
   EXPECT_GT(result.manifest.computed, 0u);
 
-  // The merged report matches the single-process reference byte for byte
-  // (shard 0's manifest died with the victim, so merge on the cache alone).
-  MergeOptions merge;
-  merge.cache_dir = cache_dir;
-  merge.report_dir = path("reports");
-  merge.shards = 2;
-  merge.require_manifests = false;
-  const auto merged = merge_fleet(spec, merge);
-  const auto reference = reference_report(spec, path("cache-ref"));
-  EXPECT_EQ(json::dump(merged.report), json::dump(reference));
-
   // A re-issued worker for the dead shard finds everything warm: zero
-  // computation, zero pool jobs, full manifest for a clean merge.
+  // computation, zero pool jobs, and the shard manifest the merge requires.
   WorkerOptions reissue;
   reissue.cache_dir = cache_dir;
   reissue.shards = 2;
@@ -176,6 +164,16 @@ TEST_F(FleetTest, CrashResumeWithKilledWorkerStaysByteIdentical) {
   EXPECT_EQ(rerun.manifest.computed, 0u);
   EXPECT_EQ(rerun.manifest.cache_hits, rerun.manifest.jobs_total);
   EXPECT_EQ(rerun.pool_after.submitted, rerun.pool_before.submitted);
+
+  // The merged report matches the single-process reference byte for byte,
+  // with and without report files.
+  MergeOptions merge;
+  merge.cache_dir = cache_dir;
+  merge.report_dir = path("reports");
+  merge.shards = 2;
+  const auto merged = merge_fleet(spec, merge);
+  const auto reference = reference_report(spec, path("cache-ref"));
+  EXPECT_EQ(json::dump(merged.report), json::dump(reference));
 
   MergeOptions full;
   full.cache_dir = cache_dir;
@@ -409,42 +407,61 @@ TEST_F(FleetTest, ConcurrentMergesOfOneFleetAllSucceed) {
 }
 
 TEST_F(FleetTest, ManifestRoundTripsAndRejectsMismatch) {
-  ShardManifest m;
-  m.scenario = "demo";
-  m.spec_hash = "0123456789abcdef";
-  m.fingerprint = "fedcba9876543210";
-  m.shard = 1;
-  m.shards = 3;
-  m.owner = "host:123";
-  m.jobs_total = 48;
-  m.shard_jobs = 17;
-  m.cache_hits = 5;
-  m.computed = 12;
-  m.scavenged = 2;
-  m.elsewhere = 31;
-  m.skipped = 0;
-  m.pool_jobs = 7;
-  m.complete = true;
+  // A worker's shard manifest is a schema-v3 run manifest: the shared
+  // identity and tally keys, its shard keys, its phases and pool telemetry.
+  const auto spec = parse_spec_text(kFleetYieldSpec);
+  WorkerOptions worker;
+  worker.cache_dir = path("cache");
+  worker.shards = 3;
+  worker.shard = 1;
+  worker.owner = "host:123";
+  worker.max_jobs = 4;
+  const auto result = run_worker(spec, worker);
+  const ShardManifest& m = result.manifest;
+  const json::JsonValue& doc = m.document;
+  EXPECT_EQ(doc.find("schema_version")->as_uint64(), 3u);
+  for (const char* key :
+       {"run", "git_describe", "scenario", "spec_hash", "fingerprint", "fidelity", "cache_dir",
+        "first_seed", "seed_count", "jobs_total", "cache_hits", "computed", "skipped",
+        "elsewhere", "shard", "shards", "owner", "shard_jobs", "scavenged", "pool_jobs",
+        "complete", "phases", "pool", "job_latency_us"}) {
+    EXPECT_TRUE(doc.contains(key)) << key;
+  }
+  std::vector<std::string> phases;
+  for (const auto& phase : doc.find("phases")->items()) {
+    phases.push_back(phase.find("name")->as_string());
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"expand", "cache_probe", "execute"}));
+  EXPECT_EQ(m.scenario, spec.name);
+  EXPECT_EQ(m.owner, "host:123");
+  EXPECT_EQ(m.computed, 4u);
+  EXPECT_EQ(m.skipped, m.jobs_total - 4u);
+  EXPECT_FALSE(m.complete);
 
-  const auto doc = manifest_document(m);
-  const auto back = parse_manifest(json::parse(json::dump(doc)));
-  EXPECT_EQ(json::dump(manifest_document(back)), json::dump(doc));
-
-  const std::string dir = (fs::temp_directory_path() /
-                           ("adc_fleet_manifest_" + std::to_string(::getpid())))
-                              .string();
-  fs::remove_all(dir);
-  const std::string written = write_manifest(m, dir);
-  EXPECT_EQ(written, dir + "/" + manifest_filename("demo", 1, 3));
-  const auto loaded = load_manifest(dir, "demo", 1, 3);
-  EXPECT_EQ(json::dump(manifest_document(loaded)), json::dump(doc));
+  // The file holds the document, and loads back to the same view.
+  const std::string dir = manifest_dir_for_cache(doc.find("cache_dir")->as_string());
+  EXPECT_EQ(result.manifest_path, dir + "/" + manifest_filename(spec.name, 1, 3));
+  std::ifstream in(result.manifest_path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), json::dump(doc));
+  const auto loaded = load_manifest(dir, spec.name, 1, 3);
+  EXPECT_EQ(json::dump(loaded.document), json::dump(doc));
+  EXPECT_EQ(loaded.shard, 1u);
+  EXPECT_EQ(loaded.shards, 3u);
+  EXPECT_EQ(loaded.computed, m.computed);
+  EXPECT_EQ(loaded.scavenged, m.scavenged);
+  EXPECT_EQ(loaded.elsewhere, m.elsewhere);
   // Wrong coordinates are a hard error, not a silent mismatch.
-  EXPECT_THROW((void)load_manifest(dir, "demo", 2, 3), adc::common::ConfigError);
-  fs::remove_all(dir);
+  EXPECT_THROW((void)load_manifest(dir, spec.name, 2, 3), adc::common::ConfigError);
 
-  auto corrupt = json::parse(json::dump(doc));
+  auto corrupt = doc;
   corrupt.set("shards", std::uint64_t{0});
   EXPECT_THROW((void)parse_manifest(corrupt), adc::common::ConfigError);
+  auto other_schema = doc;
+  other_schema.set("schema_version", std::uint64_t{2});
+  EXPECT_THROW((void)parse_manifest(other_schema), adc::common::ConfigError);
+  auto missing = doc;
+  missing.erase("elsewhere");
+  EXPECT_THROW((void)parse_manifest(missing), adc::common::ConfigError);
 }
 
 TEST_F(FleetTest, WorkerStealsEveryNameOfAStaleUnitClaim) {

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -283,6 +284,16 @@ TEST(RuntimeConfig, EnvThreadOverrideParses) {
   ASSERT_EQ(unsetenv("ADC_RUNTIME_THREADS"), 0);
 }
 
+// One rule for ADC_RUNTIME_THREADS and the CLIs' --threads: a whole decimal
+// in 1..1024.
+TEST(RuntimeConfig, ThreadCountParserTakesOnlyWholeCountsInRange) {
+  EXPECT_EQ(rt::parse_thread_count("1"), std::optional<unsigned>(1));
+  EXPECT_EQ(rt::parse_thread_count("1024"), std::optional<unsigned>(1024));
+  for (const char* bad : {"0", "1025", "-1", "4x", "", " 4", "+4", "99999999999"}) {
+    EXPECT_FALSE(rt::parse_thread_count(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
 TEST(Metrics, HistogramBucketsAndQuantiles) {
   rt::LatencyHistogram hist;
   hist.record(std::chrono::microseconds(1));    // bucket 0
@@ -301,9 +312,10 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
 
 TEST(Manifest, JsonCarriesProvenancePhasesAndTelemetry) {
   rt::RunManifest manifest("unit_test_run");
-  manifest.set_seed_range(42, 25);
-  manifest.set_count("threads", 8);
-  manifest.set_text("note", "quote \" backslash \\ done");
+  manifest.set("first_seed", 42);
+  manifest.set("seed_count", 25);
+  manifest.set("threads", 8);
+  manifest.set("note", "quote \" backslash \\ done");
   {
     auto scope = manifest.phase("simulate", 25);
     scope.set_jobs(25);
@@ -318,7 +330,7 @@ TEST(Manifest, JsonCarriesProvenancePhasesAndTelemetry) {
 
   const auto json = manifest.to_json();
   for (const char* needle :
-       {"\"run\": \"unit_test_run\"", "\"git_describe\"", "\"schema_version\": 2",
+       {"\"run\": \"unit_test_run\"", "\"git_describe\"", "\"schema_version\": 3",
         "\"first_seed\": 42", "\"seed_count\": 25", "\"threads\": 8",
         "\"name\": \"simulate\"", "\"jobs\": 25", "\"name\": \"analyze\"",
         "\"pool\"", "\"executed\": 10", "\"job_latency_us\"",
@@ -336,13 +348,14 @@ TEST(Manifest, JsonCarriesProvenancePhasesAndTelemetry) {
   EXPECT_EQ(brackets, 0);
 }
 
-// Schema v2 contract: the emitted manifest is a valid strict-JSON document
+// Schema v3 contract: the emitted manifest is a valid strict-JSON document
 // that round-trips through the shared parser with nothing lost — parse it,
 // re-emit it, and the bytes match.
 TEST(Manifest, JsonParseEmitRoundTripIsExact) {
   rt::RunManifest manifest("roundtrip_run");
-  manifest.set_seed_range(7, 3);
-  manifest.set_text("note", "tab\there \"quoted\" \\slash");
+  manifest.set("first_seed", 7);
+  manifest.set("seed_count", 3);
+  manifest.set("note", "tab\there \"quoted\" \\slash");
   {
     auto scope = manifest.phase("measure", 3);
   }
@@ -357,11 +370,28 @@ TEST(Manifest, JsonParseEmitRoundTripIsExact) {
   EXPECT_TRUE(parsed == manifest.to_json_value());
 
   // Spot-check typed access through the parsed tree.
-  EXPECT_EQ(parsed.find("schema_version")->as_uint64(), 2u);
+  EXPECT_EQ(parsed.find("schema_version")->as_uint64(), 3u);
   EXPECT_EQ(parsed.find("first_seed")->as_uint64(), 7u);
   ASSERT_EQ(parsed.find("phases")->items().size(), 1u);
   EXPECT_EQ(parsed.find("phases")->items()[0].find("name")->as_string(), "measure");
   EXPECT_EQ(parsed.find("pool")->find("executed")->as_uint64(), 4u);
+}
+
+// A loop that re-enters a phase (a fleet worker's probe/execute rounds)
+// keeps one entry per name, holding the sums.
+TEST(Manifest, RepeatedPhaseAccumulatesIntoItsFirstEntry) {
+  rt::RunManifest manifest("phase_sums");
+  manifest.add_phase({"execute", 0.25, 0.5, 3});
+  manifest.add_phase({"cache_probe", 0.125, 0.125, 0});
+  manifest.add_phase({"execute", 0.5, 1.0, 2});
+  const auto doc = manifest.to_json_value();
+  const auto& phases = doc.find("phases")->items();
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_EQ(phases[0].find("name")->as_string(), "execute");
+  EXPECT_EQ(phases[0].find("wall_seconds")->as_double(), 0.75);
+  EXPECT_EQ(phases[0].find("cpu_seconds")->as_double(), 1.5);
+  EXPECT_EQ(phases[0].find("jobs")->as_uint64(), 5u);
+  EXPECT_EQ(phases[1].find("name")->as_string(), "cache_probe");
 }
 
 TEST(Manifest, WritesToEnvDirWhenSet) {

@@ -15,9 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
@@ -25,10 +27,12 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "fleet/worker.hpp"
 #include "runtime/heartbeat.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario/cache.hpp"
 #include "scenario/claims.hpp"
+#include "scenario/hash.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "service/protocol.hpp"
@@ -664,7 +668,72 @@ TEST_F(ServiceTest, StatusReportsRequestsCacheAndPool) {
   EXPECT_EQ(status.find("counters")->find("cells_computed")->as_uint64(), 4u);
   EXPECT_EQ(status.find("cache")->find("entries")->as_uint64(), 4u);
   EXPECT_TRUE(status.find("pool")->find("submitted")->is_integer());
+  // The manifests' pool block, plus the pool's width.
+  EXPECT_TRUE(status.find("pool")->find("backpressure_waits")->is_integer());
+  EXPECT_TRUE(status.find("pool")->find("threads")->is_integer());
   EXPECT_TRUE(status.find("requests")->is_array());
+}
+
+// The batch runner, a fleet worker and the service describe a finished run
+// in one vocabulary: schema-v3 run manifests carrying the same identity and
+// tally keys, and agreeing on what was run.
+TEST_F(ServiceTest, RunnerFleetWorkerAndServiceWriteOneManifestSchema) {
+  const auto spec = adc::scenario::parse_spec_text(kSmallSpec);
+  const std::string manifest_dir = path("manifests");
+  fs::create_directories(manifest_dir);
+  ASSERT_EQ(setenv("ADC_RUNTIME_MANIFEST_DIR", manifest_dir.c_str(), 1), 0);
+
+  adc::scenario::RunOptions run_options;
+  run_options.cache_dir = path("runner_cache");
+  const auto run = adc::scenario::ScenarioRunner(run_options).run(spec);
+
+  adc::fleet::WorkerOptions worker;
+  worker.cache_dir = path("fleet_cache");
+  const auto shard = adc::fleet::run_worker(spec, worker);
+
+  auto& service = start_service();
+  {
+    TestClient client(service.socket_path());
+    client.send(run_request(kSmallSpec, "r1"));
+    (void)client.await("summary");
+  }
+  ASSERT_EQ(unsetenv("ADC_RUNTIME_MANIFEST_DIR"), 0);
+
+  // The service writes its manifest before it queues the summary.
+  ASSERT_TRUE(run.manifest_path.has_value());
+  const auto read = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    EXPECT_TRUE(in.good()) << file;
+    return json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
+  };
+  const std::vector<json::JsonValue> manifests{
+      read(*run.manifest_path), read(shard.manifest_path),
+      read(manifest_dir + "/service_small_1_manifest.json")};
+
+  const auto plan = adc::scenario::plan_scenario(spec);
+  const std::string fingerprint =
+      adc::scenario::to_hex(adc::scenario::golden_code_fingerprint());
+  for (const auto& m : manifests) {
+    const std::string run_name = m.find("run")->as_string();
+    EXPECT_EQ(m.find("schema_version")->as_uint64(), 3u) << run_name;
+    for (const char* key : {"scenario", "spec_hash", "fingerprint", "fidelity", "cache_dir",
+                            "first_seed", "seed_count", "jobs_total", "cache_hits",
+                            "computed", "skipped", "elsewhere"}) {
+      ASSERT_TRUE(m.contains(key)) << run_name << " lacks " << key;
+    }
+    EXPECT_EQ(m.find("scenario")->as_string(), spec.name) << run_name;
+    EXPECT_EQ(m.find("spec_hash")->as_string(), plan.spec_hash) << run_name;
+    EXPECT_EQ(m.find("fingerprint")->as_string(), fingerprint) << run_name;
+    EXPECT_EQ(m.find("jobs_total")->as_uint64(), plan.jobs.size()) << run_name;
+    EXPECT_EQ(m.find("first_seed")->as_uint64(), spec.first_seed) << run_name;
+    EXPECT_EQ(m.find("seed_count")->as_uint64(), spec.seed_count) << run_name;
+    // Every job is counted once, whichever front end ran it.
+    EXPECT_EQ(m.find("cache_hits")->as_uint64() + m.find("computed")->as_uint64() +
+                  m.find("elsewhere")->as_uint64() + m.find("skipped")->as_uint64(),
+              plan.jobs.size())
+        << run_name;
+    EXPECT_TRUE(m.find("pool")->is_object()) << run_name;
+  }
 }
 
 TEST_F(ServiceTest, ShutdownRequestDrainsAndRejectsNewWork) {

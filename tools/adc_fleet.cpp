@@ -18,7 +18,8 @@
 ///
 /// The merged report is byte-identical to `adc_scenario run` of the same
 /// spec (docs/FLEET.md). Exit status: 0 on success, 1 on failure (worker
-/// died, merge incomplete, --min-hit-rate unmet), 2 on usage errors.
+/// died, merge incomplete, --min-hit-rate unmet), 2 on usage errors (a
+/// numeric option that does not parse whole, a --threads outside 1..1024).
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,11 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "fleet/manifest.hpp"
 #include "fleet/merge.hpp"
-#include "fleet/plan.hpp"
 #include "fleet/worker.hpp"
 #include "scenario/claims.hpp"
 #include "scenario/spec.hpp"
@@ -55,7 +55,7 @@ void print_usage() {
       "  --report-dir D    run/merge: write <name>_report.{json,csv} into D\n"
       "  --lease-ms N      claim lease; staler claims are stolen (default %llu)\n"
       "  --poll-ms N       sleep between probes while blocked (default 50)\n"
-      "  --threads N       worker threads per process (default: runtime)\n"
+      "  --threads N       worker threads per process, 1..1024 (default: runtime)\n"
       "  --max-jobs N      worker computes at most N jobs (budget)\n"
       "  --owner ID        claim owner id (default <host>:<pid>)\n"
       "  --min-hit-rate F  run/merge: fail when any worker's warm-hit\n"
@@ -64,20 +64,10 @@ void print_usage() {
       static_cast<unsigned long long>(adc::scenario::kClaimLeaseMs));
 }
 
-struct CliError {
-  int exit_code;
-};
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "adc_fleet: %s\n", message.c_str());
-  print_usage();
-  throw CliError{2};
-}
-
-std::string take_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size()) usage_error("missing value for " + args[i]);
-  return args[++i];
-}
+using adc::tools::number;
+using adc::tools::take_value;
+using adc::tools::thread_count;
+using adc::tools::usage_error;
 
 /// Shared option bag for every subcommand; each ignores what it doesn't use.
 struct FleetCli {
@@ -106,33 +96,28 @@ FleetCli parse_cli(const std::vector<std::string>& args) {
     } else if (arg == "--report-dir") {
       cli.report_dir = take_value(args, i);
     } else if (arg == "--workers") {
-      cli.workers = static_cast<unsigned>(
-          std::strtoul(take_value(args, i).c_str(), nullptr, 10));
+      cli.workers = number<unsigned>(arg, take_value(args, i));
     } else if (arg == "--shards") {
-      cli.shards = static_cast<unsigned>(
-          std::strtoul(take_value(args, i).c_str(), nullptr, 10));
+      cli.shards = number<unsigned>(arg, take_value(args, i));
     } else if (arg == "--shard") {
       const std::string value = take_value(args, i);
       const auto slash = value.find('/');
       if (slash == std::string::npos) usage_error("--shard expects k/W, got " + value);
-      cli.shard = static_cast<unsigned>(
-          std::strtoul(value.substr(0, slash).c_str(), nullptr, 10));
-      cli.shards = static_cast<unsigned>(
-          std::strtoul(value.substr(slash + 1).c_str(), nullptr, 10));
+      cli.shard = number<unsigned>(arg, value.substr(0, slash));
+      cli.shards = number<unsigned>(arg, value.substr(slash + 1));
       cli.shard_given = true;
     } else if (arg == "--owner") {
       cli.owner = take_value(args, i);
     } else if (arg == "--lease-ms") {
-      cli.lease_ms = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
+      cli.lease_ms = number<std::uint64_t>(arg, take_value(args, i));
     } else if (arg == "--poll-ms") {
-      cli.poll_ms = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
+      cli.poll_ms = number<std::uint64_t>(arg, take_value(args, i));
     } else if (arg == "--threads") {
-      cli.threads = static_cast<unsigned>(
-          std::strtoul(take_value(args, i).c_str(), nullptr, 10));
+      cli.threads = thread_count(take_value(args, i));
     } else if (arg == "--max-jobs") {
-      cli.max_jobs = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
+      cli.max_jobs = number<std::size_t>(arg, take_value(args, i));
     } else if (arg == "--min-hit-rate") {
-      cli.min_hit_rate = std::strtod(take_value(args, i).c_str(), nullptr);
+      cli.min_hit_rate = number<double>(arg, take_value(args, i));
     } else if (arg == "--quiet") {
       cli.quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -147,19 +132,6 @@ FleetCli parse_cli(const std::vector<std::string>& args) {
   return cli;
 }
 
-adc::fleet::WorkerOptions worker_options(const FleetCli& cli) {
-  adc::fleet::WorkerOptions options;
-  options.cache_dir = cli.cache_dir;
-  options.shards = cli.shards;
-  options.shard = cli.shard;
-  options.owner = cli.owner;
-  options.lease_ms = cli.lease_ms;
-  options.poll_ms = cli.poll_ms;
-  options.threads = cli.threads;
-  options.max_jobs = cli.max_jobs;
-  return options;
-}
-
 /// Per-round progress printer with a simple throughput-based ETA.
 class ProgressPrinter {
  public:
@@ -171,11 +143,12 @@ class ProgressPrinter {
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - start_)
                              .count();
+    const adc::scenario::RunTally& t = p.tally;
     std::string eta = "--";
-    const std::size_t remaining = p.total - p.done;
-    if (p.computed > 0 && remaining > 0 && elapsed > 0) {
+    const std::size_t remaining = t.jobs_total - p.done;
+    if (t.computed > 0 && remaining > 0 && elapsed > 0) {
       const double per_job = static_cast<double>(elapsed) /
-                             static_cast<double>(p.computed);
+                             static_cast<double>(t.computed);
       eta = std::to_string(
                 static_cast<long long>(per_job * static_cast<double>(remaining) /
                                        1000.0)) +
@@ -185,7 +158,7 @@ class ProgressPrinter {
                  "shard %u/%u%s: %zu/%zu done (%zu hit, %zu computed, %zu "
                  "elsewhere) eta %s\n",
                  shard_, shards_, p.scavenging ? " [scavenge]" : "", p.done,
-                 p.total, p.cache_hits, p.computed, p.elsewhere, eta.c_str());
+                 t.jobs_total, t.cache_hits, t.computed, t.elsewhere, eta.c_str());
   }
 
  private:
@@ -206,21 +179,35 @@ void print_worker_summary(const adc::fleet::WorkerResult& result) {
   std::printf("  manifest: %s\n", result.manifest_path.c_str());
 }
 
-int check_hit_rate(double min_hit_rate, const adc::fleet::MergeResult& merged) {
-  if (min_hit_rate >= 0.0 && merged.min_hit_rate < min_hit_rate) {
-    std::fprintf(stderr,
-                 "adc_fleet: worker warm-hit rate %.3f below required %.3f\n",
-                 merged.min_hit_rate, min_hit_rate);
-    return 1;
-  }
-  return 0;
+/// Run shard k/W as the CLI options say, and print its summary.
+adc::fleet::WorkerResult run_shard(const adc::scenario::ScenarioSpec& spec,
+                                   const FleetCli& cli, unsigned shard, unsigned shards) {
+  adc::fleet::WorkerOptions options;
+  options.cache_dir = cli.cache_dir;
+  options.shards = shards;
+  options.shard = shard;
+  options.owner = cli.owner;
+  options.lease_ms = cli.lease_ms;
+  options.poll_ms = cli.poll_ms;
+  options.threads = cli.threads;
+  options.max_jobs = cli.max_jobs;
+  if (!cli.quiet) options.progress = ProgressPrinter(shard, shards);
+  auto result = adc::fleet::run_worker(spec, options);
+  print_worker_summary(result);
+  return result;
 }
 
-void print_merge_summary(const adc::fleet::MergeResult& merged,
-                         const std::string& scenario) {
+/// Merge the W-shard fleet, print its summary, and apply --min-hit-rate.
+int merge_and_check(const adc::scenario::ScenarioSpec& spec, const FleetCli& cli,
+                    unsigned shards) {
+  adc::fleet::MergeOptions merge;
+  merge.cache_dir = cli.cache_dir;
+  merge.report_dir = cli.report_dir;
+  merge.shards = shards;
+  const auto merged = adc::fleet::merge_fleet(spec, merge);
   std::printf("fleet %s: %zu jobs merged from %zu shard manifests, min warm-hit "
               "rate %.3f\n",
-              scenario.c_str(), merged.jobs_total, merged.manifests.size(),
+              spec.name.c_str(), merged.jobs_total, merged.manifests.size(),
               merged.min_hit_rate);
   if (!merged.report_json_path.empty()) {
     std::printf("  report: %s\n", merged.report_json_path.c_str());
@@ -229,16 +216,19 @@ void print_merge_summary(const adc::fleet::MergeResult& merged,
   if (const auto* summary = merged.report.find("summary")) {
     std::printf("  summary: %s\n", json::dump_compact(*summary).c_str());
   }
+  if (cli.min_hit_rate >= 0.0 && merged.min_hit_rate < cli.min_hit_rate) {
+    std::fprintf(stderr,
+                 "adc_fleet: worker warm-hit rate %.3f below required %.3f\n",
+                 merged.min_hit_rate, cli.min_hit_rate);
+    return 1;
+  }
+  return 0;
 }
 
 int worker_command(const FleetCli& cli) {
   if (!cli.shard_given) usage_error("worker: --shard k/W is required");
   const auto spec = adc::scenario::load_spec_file(cli.spec_path);
-  auto options = worker_options(cli);
-  ProgressPrinter printer(cli.shard, cli.shards);
-  if (!cli.quiet) options.progress = printer;
-  const auto result = adc::fleet::run_worker(spec, options);
-  print_worker_summary(result);
+  const auto result = run_shard(spec, cli, cli.shard, cli.shards);
   return result.manifest.complete || cli.max_jobs != 0 ? 0 : 1;
 }
 
@@ -263,14 +253,7 @@ int run_command(const FleetCli& cli) {
       // CLI state.
       int code = 1;
       try {
-        auto options = worker_options(cli);
-        options.shards = cli.workers;
-        options.shard = k;
-        ProgressPrinter printer(k, cli.workers);
-        if (!cli.quiet) options.progress = printer;
-        const auto result = adc::fleet::run_worker(spec, options);
-        print_worker_summary(result);
-        code = result.manifest.complete ? 0 : 1;
+        code = run_shard(spec, cli, k, cli.workers).manifest.complete ? 0 : 1;
       } catch (const adc::common::AdcError& e) {
         std::fprintf(stderr, "adc_fleet worker %u: %s\n", k, e.what());
       }
@@ -289,26 +272,12 @@ int run_command(const FleetCli& cli) {
     }
   }
   if (!workers_ok && cli.max_jobs == 0) return 1;
-
-  adc::fleet::MergeOptions merge;
-  merge.cache_dir = cli.cache_dir;
-  merge.report_dir = cli.report_dir;
-  merge.shards = cli.workers;
-  const auto merged = adc::fleet::merge_fleet(spec, merge);
-  print_merge_summary(merged, spec.name);
-  return check_hit_rate(cli.min_hit_rate, merged);
+  return merge_and_check(spec, cli, cli.workers);
 }
 
 int merge_command(const FleetCli& cli) {
   if (cli.shards == 0) usage_error("merge: --shards W is required");
-  const auto spec = adc::scenario::load_spec_file(cli.spec_path);
-  adc::fleet::MergeOptions merge;
-  merge.cache_dir = cli.cache_dir;
-  merge.report_dir = cli.report_dir;
-  merge.shards = cli.shards;
-  const auto merged = adc::fleet::merge_fleet(spec, merge);
-  print_merge_summary(merged, spec.name);
-  return check_hit_rate(cli.min_hit_rate, merged);
+  return merge_and_check(adc::scenario::load_spec_file(cli.spec_path), cli, cli.shards);
 }
 
 int status_command(const FleetCli& cli) {
@@ -346,8 +315,10 @@ int main(int argc, char** argv) {
     if (command == "merge") return merge_command(cli);
     if (command == "status") return status_command(cli);
     usage_error("unknown command " + command);
-  } catch (const CliError& e) {
-    return e.exit_code;
+  } catch (const adc::tools::UsageError& e) {
+    std::fprintf(stderr, "adc_fleet: %s\n", e.message.c_str());
+    print_usage();
+    return 2;
   } catch (const adc::common::AdcError& e) {
     std::fprintf(stderr, "adc_fleet: %s\n", e.what());
     return 1;

@@ -16,13 +16,15 @@
 /// the same report files as `run` — byte-identical for the same spec.
 ///
 /// Exit status: 0 on success, 1 on any validation/run failure (including an
-/// unmet --min-hit-rate), 2 on usage errors.
+/// unmet --min-hit-rate), 2 on usage errors (a numeric option that does not
+/// parse whole, a --threads outside 1..1024).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "cli.hpp"
 #include "common/json.hpp"
 #include "runtime/heartbeat.hpp"
 #include "scenario/cache.hpp"
@@ -44,7 +46,7 @@ void print_usage() {
       "  run <spec.json>...       expand, execute (cache-aware) and report\n"
       "      --cache-dir D        cache root (default: ADC_SCENARIO_CACHE_DIR or .adc-cache)\n"
       "      --report-dir D       write <name>_report.{json,csv} into D\n"
-      "      --threads N          worker threads (default: runtime resolution)\n"
+      "      --threads N          worker threads, 1..1024 (default: runtime resolution)\n"
       "      --max-jobs N         compute at most N cache misses (interruption budget)\n"
       "      --no-cache           force recomputation; nothing read or stored\n"
       "      --min-hit-rate F     fail (exit 1) when cache hits / jobs < F\n"
@@ -67,20 +69,10 @@ void print_usage() {
       static_cast<unsigned long long>(kClaimLeaseMs));
 }
 
-struct CliError {
-  int exit_code;
-};
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "adc_scenario: %s\n", message.c_str());
-  print_usage();
-  throw CliError{2};
-}
-
-std::string take_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size()) usage_error("missing value for " + args[i]);
-  return args[++i];
-}
+using adc::tools::number;
+using adc::tools::take_value;
+using adc::tools::thread_count;
+using adc::tools::usage_error;
 
 int run_command(const std::vector<std::string>& args) {
   RunOptions options;
@@ -94,14 +86,13 @@ int run_command(const std::vector<std::string>& args) {
     } else if (arg == "--report-dir") {
       options.report_dir = take_value(args, i);
     } else if (arg == "--threads") {
-      options.threads = static_cast<unsigned>(std::strtoul(take_value(args, i).c_str(),
-                                                           nullptr, 10));
+      options.threads = thread_count(take_value(args, i));
     } else if (arg == "--max-jobs") {
-      options.max_jobs = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
+      options.max_jobs = number<std::size_t>(arg, take_value(args, i));
     } else if (arg == "--no-cache") {
       options.use_cache = false;
     } else if (arg == "--min-hit-rate") {
-      min_hit_rate = std::strtod(take_value(args, i).c_str(), nullptr);
+      min_hit_rate = number<double>(arg, take_value(args, i));
     } else if (arg == "--print-metrics") {
       print_metrics = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -193,21 +184,15 @@ int cache_command(const std::vector<std::string>& args) {
   std::uint64_t lease_ms = kClaimLeaseMs;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--cache-dir") {
-      std::size_t j = i;
-      root = take_value(args, j);
-      ++i;
+      root = take_value(args, i);
     } else if (args[i] == "--format") {
-      std::size_t j = i;
-      format = take_value(args, j);
-      ++i;
+      format = take_value(args, i);
     } else if (args[i].rfind("--format=", 0) == 0) {
       format = args[i].substr(std::string("--format=").size());
     } else if (args[i] == "--stale") {
       stale_only = true;
     } else if (args[i] == "--lease-ms") {
-      std::size_t j = i;
-      lease_ms = std::strtoull(take_value(args, j).c_str(), nullptr, 10);
-      ++i;
+      lease_ms = number<std::uint64_t>("--lease-ms", take_value(args, i));
     } else {
       usage_error("unknown option " + args[i]);
     }
@@ -256,24 +241,20 @@ int cache_command(const std::vector<std::string>& args) {
 
 namespace service = adc::service;
 
-/// Read server events until one of type `wanted` arrives; error events are
-/// fatal (printed, CliError{1}). A closed connection is fatal too.
+/// Read server events until one of type `wanted` arrives; an error event
+/// or a closed connection throws AdcError (exit 1).
 json::JsonValue await_event(service::UnixStream& stream, const std::string& wanted) {
   std::string line;
   for (;;) {
-    const auto status = stream.read_line(line, -1);
-    if (status != service::UnixStream::ReadStatus::kLine) {
-      std::fprintf(stderr, "adc_scenario: server closed the connection\n");
-      throw CliError{1};
+    if (stream.read_line(line, -1) != service::UnixStream::ReadStatus::kLine) {
+      throw adc::common::AdcError("server closed the connection");
     }
     const auto event = json::parse(line);
     const std::string type = service::event_type(event);
     if (type == wanted) return event;
     if (type == "error") {
-      std::fprintf(stderr, "adc_scenario: server error [%s]: %s\n",
-                   event.find("code")->as_string().c_str(),
-                   event.find("message")->as_string().c_str());
-      throw CliError{1};
+      throw adc::common::AdcError("server error [" + event.find("code")->as_string() +
+                                  "]: " + event.find("message")->as_string());
     }
   }
 }
@@ -297,12 +278,12 @@ int client_submit(const std::vector<std::string>& args) {
     } else if (arg == "--id") {
       request_id = take_value(args, i);
     } else if (arg == "--max-jobs") {
-      max_jobs = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
+      max_jobs = number<std::uint64_t>(arg, take_value(args, i));
     } else if (arg == "--cancel-after") {
-      cancel_after = std::strtoull(take_value(args, i).c_str(), nullptr, 10);
+      cancel_after = number<std::uint64_t>(arg, take_value(args, i));
       cancel_requested = true;
     } else if (arg == "--min-hit-rate") {
-      min_hit_rate = std::strtod(take_value(args, i).c_str(), nullptr);
+      min_hit_rate = number<double>(arg, take_value(args, i));
     } else if (arg == "--print-events") {
       print_events = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -461,8 +442,10 @@ int main(int argc, char** argv) {
       return 0;
     }
     usage_error("unknown command " + command);
-  } catch (const CliError& e) {
-    return e.exit_code;
+  } catch (const adc::tools::UsageError& e) {
+    std::fprintf(stderr, "adc_scenario: %s\n", e.message.c_str());
+    print_usage();
+    return 2;
   } catch (const adc::common::AdcError& e) {
     std::fprintf(stderr, "adc_scenario: %s\n", e.what());
     return 1;

@@ -7,15 +7,17 @@
 /// Binds PATH as a Unix-domain socket and serves the newline-delimited JSON
 /// protocol of docs/SERVICE.md until SIGINT/SIGTERM or a client `shutdown`
 /// request. Exit status: 0 on a clean shutdown, 1 on a startup failure
-/// (unwritable cache root, unbindable socket), 2 on usage errors.
+/// (unwritable cache root, unbindable socket), 2 on usage errors (a count
+/// that does not parse whole, an admission bound of 0).
 #include <poll.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/error.hpp"
 #include "service/server.hpp"
 
@@ -37,61 +39,61 @@ void on_signal(int) { g_signalled = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
+  using adc::tools::take_value;
   const std::vector<std::string> args(argv + 1, argv + argc);
   adc::service::ServiceOptions options;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "adc_scenariod: missing value for %s\n", arg.c_str());
+  std::optional<adc::service::ScenarioService> service;
+  std::string usage_failure;
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& arg = args[i];
+      if (arg == "--socket") {
+        options.socket_path = take_value(args, i);
+      } else if (arg == "--cache-dir") {
+        options.cache_dir = take_value(args, i);
+      } else if (arg == "--max-inflight") {
+        options.max_inflight_per_connection =
+            adc::tools::number<std::size_t>(arg, take_value(args, i));
+      } else if (arg == "--max-requests") {
+        options.max_requests_per_connection =
+            adc::tools::number<std::size_t>(arg, take_value(args, i));
+      } else if (arg == "--help") {
         print_usage();
-        std::exit(2);
+        return 0;
+      } else {
+        adc::tools::usage_error("unknown option " + arg);
       }
-      return args[++i];
-    };
-    if (arg == "--socket") {
-      options.socket_path = value();
-    } else if (arg == "--cache-dir") {
-      options.cache_dir = value();
-    } else if (arg == "--max-inflight") {
-      options.max_inflight_per_connection =
-          static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
-    } else if (arg == "--max-requests") {
-      options.max_requests_per_connection =
-          static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
-    } else if (arg == "--help") {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "adc_scenariod: unknown option %s\n", arg.c_str());
-      print_usage();
-      return 2;
     }
+    if (options.socket_path.empty()) adc::tools::usage_error("--socket is required");
+    service.emplace(std::move(options));
+  } catch (const adc::tools::UsageError& e) {
+    usage_failure = e.message;
+  } catch (const adc::common::ConfigError& e) {
+    // The constructor rejects unusable options (admission bounds of 0).
+    usage_failure = e.what();
   }
-  if (options.socket_path.empty()) {
-    std::fprintf(stderr, "adc_scenariod: --socket is required\n");
+  if (!service) {
+    std::fprintf(stderr, "adc_scenariod: %s\n", usage_failure.c_str());
     print_usage();
     return 2;
   }
-
-  adc::service::ScenarioService server(std::move(options));
   try {
-    server.start();
+    service->start();
   } catch (const adc::common::AdcError& e) {
     std::fprintf(stderr, "adc_scenariod: %s\n", e.what());
     return 1;
   }
   std::printf("adc_scenariod: listening on %s (cache %s)\n",
-              server.socket_path().c_str(), server.cache_root().c_str());
+              service->socket_path().c_str(), service->cache_root().c_str());
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  while (g_signalled == 0 && !server.shutdown_requested()) {
+  while (g_signalled == 0 && !service->shutdown_requested()) {
     // Sleep via poll so signals interrupt the wait immediately.
     ::poll(nullptr, 0, 200);
   }
   std::printf("adc_scenariod: shutting down\n");
-  server.stop();
+  service->stop();
   return 0;
 }
