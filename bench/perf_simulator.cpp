@@ -1,7 +1,8 @@
 /// \file perf_simulator.cpp
 /// google-benchmark micro-benchmarks for the simulator kernels: conversion
 /// throughput (one die, one-rate batch blocks and mixed-rate ones, and the
-/// batch kernel split into its noise fill and its stage chain), FFT,
+/// batch kernel split into its noise fill and its stage chain), die
+/// fabrication, the exact profile's Gaussian draws, FFT,
 /// and the full dynamic-test loop. These guard the cost of
 /// the Monte-Carlo sweeps (a Fig. 5 sweep runs ~15 captures of 8k samples),
 /// plus the parallel runtime itself: pool fan-out overhead and the
@@ -33,6 +34,7 @@
 #include "common/counter_rng_tile.hpp"
 #include "common/isa_dispatch.hpp"
 #include "common/json.hpp"
+#include "common/random.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/signal.hpp"
 #include "dsp/spectrum.hpp"
@@ -101,6 +103,24 @@ void BM_ConvertNominalFastBatch(benchmark::State& state) {
 }
 constexpr std::int64_t kWidestBlock = adc::batch::kLanes;
 BENCHMARK(BM_ConvertNominalFastBatch)->ArgsProduct({{1 << 10, 1 << 13}, {8, kWidestBlock}});
+
+// Die fabrication alone: BatchConverter's constructor over kLanes = 32
+// nominal fast-profile seeds, which builds each die's PipelineAdc (every
+// mismatch draw and about 45 child Rng streams per die) and hoists its
+// plan. Items = dies.
+void BM_Fabricate(benchmark::State& state) {
+  auto config = adc::pipeline::nominal_design();
+  config.fidelity = adc::common::FidelityProfile::kFast;
+  std::vector<std::uint64_t> seeds(adc::batch::kLanes);
+  std::iota(seeds.begin(), seeds.end(), adc::pipeline::kNominalSeed);
+  for (auto _ : state) {
+    adc::batch::BatchConverter converter(config, seeds);
+    benchmark::DoNotOptimize(converter);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(seeds.size()));
+}
+BENCHMARK(BM_Fabricate)->Unit(benchmark::kMicrosecond);
 
 /// A fast rate sweep's dies: `count` dies at distinct seeds and at rates
 /// 20, 25, ... MHz, each with a 10 MHz tone (capped at 0.9 f_CR/2) snapped
@@ -177,6 +197,21 @@ void BM_NoiseFill(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_NoiseFill)->Arg(1 << 13)->Arg(1 << 16);
+
+// The exact profile's draw: steady-state Gaussians from one seeded Rng (the
+// Marsaglia polar method over MT19937-64), the generator every exact
+// conversion and every die's mismatch draws go through. Items = deviates.
+void BM_RngDraws(benchmark::State& state) {
+  adc::common::Rng rng(adc::pipeline::kNominalSeed);
+  constexpr int kDraws = 4096;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int i = 0; i < kDraws; ++i) sum += rng.gaussian(1.0);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kDraws);
+}
+BENCHMARK(BM_RngDraws);
 
 // The same fill through the batch engine's runtime-dispatched kernel (the
 // widest tier the CPU executes — see the batch_isa context key). The ratio

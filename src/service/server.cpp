@@ -97,6 +97,14 @@ struct ScenarioService::RunState {
   bool finished = false;          ///< removed from scheduling
 };
 
+/// A request that completed under mutex_. Its manifest is built there;
+/// publish_completions writes it and then queues the summary, off the lock.
+struct ScenarioService::Completion {
+  std::shared_ptr<RunState> run;
+  adc::runtime::RunManifest manifest;
+  bool deliver = false;  ///< the connection was open at completion
+};
+
 ScenarioService::ScenarioService(ServiceOptions options)
     : options_(std::move(options)), cache_(options_.cache_dir) {
   adc::common::require(!options_.socket_path.empty(),
@@ -467,16 +475,18 @@ void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
   // now hits was served by the computation it was parked behind.
   const auto payload = cache_.load(hash);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (run->finished || run->cancel.cancelled()) return;
     if (payload.has_value()) {
       record_payload_locked(run, index, *payload,
                             retry ? CellOrigin::kDedup : CellOrigin::kHit);
+      publish_completions(lock);
       return;
     }
     if (run->max_jobs != 0 && run->scheduled_misses >= run->max_jobs) {
       ++run->tally.skipped;  // hits are still served, misses skipped
       maybe_finalize_locked(run);
+      publish_completions(lock);
       return;
     }
   }
@@ -524,17 +534,23 @@ void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
       if (error.empty()) error = current_failure();
     }
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    --run->inflight;
-    --run->conn->inflight;
-    if (error.empty()) {
-      record_payload_locked(run, index, computed, CellOrigin::kMiss);
-    } else {
-      fail_request_locked(run, error);
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      --run->inflight;
+      --run->conn->inflight;
+      if (error.empty()) {
+        record_payload_locked(run, index, computed, CellOrigin::kMiss);
+      } else {
+        fail_request_locked(run, error);
+      }
+      // Parked duplicates retry on their own: a hit now, or a claim of their
+      // own after a failure.
+      retry_parked_ = true;
+      // This job is still counted in pending_pool_jobs_, so stop() waits
+      // for the publish.
+      publish_completions(lock);
     }
-    // Parked duplicates retry on their own: a hit now, or a claim of their
-    // own after a failure.
-    retry_parked_ = true;
+    std::lock_guard<std::mutex> lock(mutex_);
     --pending_pool_jobs_;
     // Notify *inside* the critical section: pool workers are not joined by
     // stop() (only drained via pending_pool_jobs_), so a notify after the
@@ -590,28 +606,19 @@ void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run
   if (!cancelled && !complete) return;
 
   if (!cancelled && complete) {
-    // Per-request provenance, opt-in via ADC_RUNTIME_MANIFEST_DIR; written
-    // before the summary is queued, so a client holding the summary finds it.
-    adc::runtime::RunManifest manifest("service_" + run->spec.name + "_" +
-                                       std::to_string(run->seq));
-    adc::scenario::stamp_manifest(manifest, run->spec, run->plan.spec_hash, cache_.root(),
-                                  run->tally);
-    manifest.set("connection", run->conn->id);
-    manifest.set_pool_telemetry(adc::runtime::global_pool().counters(),
-                                adc::runtime::global_pool().latency_histogram());
-    (void)manifest.write_to_env_dir();
-
-    // The run is finished below, and a finished run's payloads are never
-    // read again, so the report takes them by move.
-    auto report =
-        adc::scenario::build_report(run->spec, run->plan, std::move(run->payloads));
-    if (run->conn->open) {
-      send_line(run->conn,
-                encode_event(summary_event(run->id, run->plan.jobs.size(),
-                                           run->tally.cache_hits, run->tally.elsewhere,
-                                           run->tally.computed, run->tally.skipped,
-                                           std::move(report))));
-    }
+    // Per-request provenance, opt-in via ADC_RUNTIME_MANIFEST_DIR. The
+    // manifest is built here; publish_completions writes it before it
+    // queues the summary, so a client holding the summary finds it.
+    Completion done{run,
+                    adc::runtime::RunManifest("service_" + run->spec.name + "_" +
+                                              std::to_string(run->seq)),
+                    run->conn->open};
+    adc::scenario::stamp_manifest(done.manifest, run->spec, run->plan.spec_hash,
+                                  cache_.root(), run->tally);
+    done.manifest.set("connection", run->conn->id);
+    done.manifest.set_pool_telemetry(adc::runtime::global_pool().counters(),
+                                     adc::runtime::global_pool().latency_histogram());
+    completions_.push_back(std::move(done));
     ++counters_.requests_completed;
   } else if (run->cancel_requested && !run->failed) {
     if (run->conn->open) {
@@ -641,6 +648,23 @@ void ScenarioService::fail_request_locked(const std::shared_ptr<RunState>& run,
     }
   }
   maybe_finalize_locked(run);
+}
+
+void ScenarioService::publish_completions(std::unique_lock<std::mutex>& lock) {
+  const auto done = std::exchange(completions_, {});
+  lock.unlock();
+  for (const auto& c : done) {
+    (void)c.manifest.write_to_env_dir();
+    if (!c.deliver) continue;
+    // A finished run is never written again, and its payloads are never
+    // read again, so the report takes them by move.
+    RunState& run = *c.run;
+    auto report = adc::scenario::build_report(run.spec, run.plan, std::move(run.payloads));
+    send_line(run.conn, encode_event(summary_event(
+                            run.id, run.plan.jobs.size(), run.tally.cache_hits,
+                            run.tally.elsewhere, run.tally.computed, run.tally.skipped,
+                            std::move(report))));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -133,6 +133,7 @@ class ScenarioService {
  private:
   struct Connection;
   struct RunState;
+  struct Completion;
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
@@ -162,7 +163,14 @@ class ScenarioService {
   void record_payload_locked(const std::shared_ptr<RunState>& run, std::size_t index,
                              const adc::common::json::JsonValue& payload,
                              CellOrigin origin);
+  /// Finish a request that is complete or cancelled with nothing in
+  /// flight. A complete one is queued on completions_ for
+  /// publish_completions.
   void maybe_finalize_locked(const std::shared_ptr<RunState>& run);
+  /// Release `lock` (held on mutex_), then write the manifest and queue the
+  /// summary of each request completed under it. No event of a finished
+  /// request can follow its summary, so the summary needs no lock.
+  void publish_completions(std::unique_lock<std::mutex>& lock);
   void fail_request_locked(const std::shared_ptr<RunState>& run,
                            const std::string& message);
 
@@ -197,6 +205,9 @@ class ScenarioService {
   /// Set when one of this service's cells stored: parked cells are due.
   bool retry_parked_ = false;
   std::size_t pending_pool_jobs_ = 0;  ///< cells this service is computing
+  /// Requests completed under mutex_ and not yet published. A caller that
+  /// can complete one releases the lock through publish_completions.
+  std::vector<Completion> completions_;
   ServiceCounters counters_;
   std::uint64_t next_connection_id_ = 1;
   std::uint64_t next_run_seq_ = 1;

@@ -3,7 +3,8 @@
 /// across worker counts, exactly-once computation under concurrent workers,
 /// the zero-pool-jobs warm-run guarantee, concurrent merges of one fleet,
 /// the steal of a stale unit claim (one claim file behind many job names),
-/// and merge and status probes over a resumed cache of ragged packs.
+/// merge and status probes over a resumed cache of ragged packs, and the
+/// bound on `adc_fleet run --workers`.
 ///
 /// NOTE: CrashResume MUST be the first test in this binary. It forks a real
 /// worker process, and fork() is only safe before this process has spawned
@@ -28,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "fleet/merge.hpp"
@@ -556,4 +558,15 @@ TEST_F(FleetTest, MergeAndStatusOverARaggedPackCacheMatchOneNameLoads) {
   EXPECT_EQ(json::dump(merge_fleet(spec, merge).report),
             json::dump(reference_report(spec, path("cache-ref"))));
   EXPECT_EQ(cached_one_by_one(), 300u);
+}
+
+// `adc_fleet run --workers N` forks N processes, so N is bounded: the rule is
+// checked here on its text, never by launching a fleet.
+TEST(FleetCliTest, WorkerCountIsAWholeNumberUpToTheBound) {
+  EXPECT_EQ(adc::tools::worker_count("1"), 1u);
+  EXPECT_EQ(adc::tools::worker_count("64"), adc::tools::kMaxWorkers);
+  for (const char* bad : {"0", "65", "100000", "4294967296", "", "4x", "-1", " 2"}) {
+    EXPECT_THROW((void)adc::tools::worker_count(bad), adc::tools::UsageError)
+        << '"' << bad << '"';
+  }
 }

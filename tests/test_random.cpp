@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,4 +123,120 @@ TEST(Rng, IndexBounds) {
   }
   EXPECT_TRUE(saw_zero);
   EXPECT_TRUE(saw_max);
+}
+
+// --- The in-house MT19937-64 ------------------------------------------------
+
+constexpr std::uint64_t kParitySeeds[] = {0, 1, 42, 0x5EED2004, 0xFFFFFFFFFFFFFFFFull};
+
+TEST(MersenneTwister64, WordsEqualStdMt19937_64OverThreeGenerations) {
+  for (const auto seed : kParitySeeds) {
+    ac::MersenneTwister64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 3 * 312 + 100; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(Rng, CopyContinuesLikeTheOriginal) {
+  // Copies taken before any draw, inside the on-demand first generation, at
+  // its completion (word 156) and around the first full twist (word 312).
+  // index(2^20) takes one engine word per draw (the rejection chance is
+  // 2^-44), so `drawn` counts engine words. A copy, and an assignment over
+  // a generator holding a spare deviate, continue the original's stream.
+  for (const int drawn : {0, 1, 155, 156, 157, 311, 312, 313}) {
+    ac::Rng rng(0x5EED2004);
+    std::mt19937_64 engine(0x5EED2004);
+    std::uniform_int_distribution<std::uint64_t> uniform(0, (1u << 20) - 1);
+    for (int i = 0; i < drawn; ++i) ASSERT_EQ(rng.index(1u << 20), uniform(engine));
+    ac::Rng copy = rng;
+    ac::Rng assigned(7);
+    (void)assigned.gaussian(1.0);
+    assigned = rng;
+    for (int i = 0; i < 700; ++i) {
+      const auto want = std::bit_cast<std::uint64_t>(rng.gaussian(1.0));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(copy.gaussian(1.0)), want)
+          << "copy after " << drawn << " draws, deviate " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(assigned.gaussian(1.0)), want)
+          << "assignment after " << drawn << " draws, deviate " << i;
+    }
+  }
+}
+
+TEST(Rng, IndexAndBernoulliEqualStdDistributions) {
+  for (const auto seed : kParitySeeds) {
+    ac::Rng rng(seed);
+    std::mt19937_64 engine(seed);
+    for (int i = 0; i < 2000; ++i) {
+      // Ranges that take the library's one-word, rejection and full-width
+      // paths, interleaved with Bernoulli draws that read one word each.
+      const std::uint64_t n = (i % 3 == 0)   ? 7
+                              : (i % 3 == 1) ? (std::uint64_t{1} << 63) + 12345
+                                             : 1000003;
+      std::uniform_int_distribution<std::uint64_t> uniform(0, n - 1);
+      ASSERT_EQ(rng.index(n), uniform(engine)) << "seed " << seed << " draw " << i;
+      const double p = 0.05 + 0.9 * static_cast<double>(i % 10) / 9.0;
+      std::bernoulli_distribution coin(p);
+      ASSERT_EQ(rng.bernoulli(p), coin(engine)) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Rng, ChildThatNeverDrawsReportsItsSeed) {
+  // The fast profile keys its Philox noise on a child's seed and never
+  // draws from that child's engine; the seed must not need a draw.
+  const ac::Rng parent(2004);
+  const ac::Rng child = parent.child("conversion-noise");
+  const ac::Rng copy = child;
+  EXPECT_EQ(copy.seed(), child.seed());
+  ac::Rng drawn = parent.child("conversion-noise");
+  (void)drawn.gaussian(1.0);
+  EXPECT_EQ(drawn.seed(), child.seed());
+  ac::Rng fresh(child.seed());
+  ac::Rng from_copy = copy;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(from_copy.gaussian(1.0)),
+            std::bit_cast<std::uint64_t>(fresh.gaussian(1.0)));
+}
+
+/// A URBG that returns one fixed word: std::generate_canonical's reference
+/// result for that word.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+TEST(Rng, CanonicalDoubleEqualsGenerateCanonicalOnRoundingEdges) {
+  // Words that round exactly, ties to even both ways at the top half's
+  // 2^11 spacing, round-ups into the next binade, and the clamp below 1.0.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  std::vector<std::uint64_t> words = {0,
+                                      1,
+                                      0xFFFFFFFFull,
+                                      0x100000000ull,
+                                      (std::uint64_t{1} << 53) - 1,
+                                      (std::uint64_t{1} << 53) + 1,
+                                      (std::uint64_t{1} << 54) + 2,
+                                      (std::uint64_t{1} << 54) + 6,
+                                      kTop - 1,
+                                      kTop,
+                                      kTop + (1u << 10),
+                                      kTop + (1u << 10) + 1,
+                                      kTop + 3 * (1u << 10),
+                                      kTop + (1u << 11) - 1,
+                                      0xFFFFFFFFFFFFF3FFull,
+                                      0xFFFFFFFFFFFFFBFFull,
+                                      0xFFFFFFFFFFFFFC00ull,
+                                      0xFFFFFFFFFFFFFFFFull};
+  std::mt19937_64 engine(0x5EED2004);
+  for (int i = 0; i < 100000; ++i) words.push_back(engine());
+  for (const auto word : words) {
+    FixedWord fixed{word};
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ac::canonical_double(word)),
+              std::bit_cast<std::uint64_t>(std::generate_canonical<double, 53>(fixed)))
+        << "word " << word;
+  }
 }

@@ -45,7 +45,7 @@ namespace json = adc::common::json;
 void print_usage() {
   std::printf(
       "usage: adc_fleet <command> <spec.json> ...\n"
-      "  run     --workers N       fork N local workers, wait, merge\n"
+      "  run     --workers N       fork N local workers (1..64), wait, merge\n"
       "  worker  --shard k/W       run one worker (shard k of W)\n"
       "  merge   --shards W        merge manifests + cache into one report\n"
       "  status                    show completion and outstanding claims\n"
@@ -68,6 +68,7 @@ using adc::tools::number;
 using adc::tools::take_value;
 using adc::tools::thread_count;
 using adc::tools::usage_error;
+using adc::tools::worker_count;
 
 /// Shared option bag for every subcommand; each ignores what it doesn't use.
 struct FleetCli {
@@ -96,7 +97,7 @@ FleetCli parse_cli(const std::vector<std::string>& args) {
     } else if (arg == "--report-dir") {
       cli.report_dir = take_value(args, i);
     } else if (arg == "--workers") {
-      cli.workers = number<unsigned>(arg, take_value(args, i));
+      cli.workers = worker_count(take_value(args, i));
     } else if (arg == "--shards") {
       cli.shards = number<unsigned>(arg, take_value(args, i));
     } else if (arg == "--shard") {

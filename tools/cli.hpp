@@ -47,4 +47,20 @@ inline unsigned thread_count(std::string_view text) {
               ", got \"" + std::string(text) + "\"");
 }
 
+/// The most worker processes `adc_fleet run --workers` forks at once. Each
+/// worker is a whole simulator process with its own thread pool, so past a
+/// host's cores more workers only contend; the bound stops a mistyped count
+/// from forking thousands.
+inline constexpr unsigned kMaxWorkers = 64;
+
+/// `text`, the value of `--workers`: a whole decimal in 1..kMaxWorkers.
+inline unsigned worker_count(std::string_view text) {
+  const auto workers = number<unsigned>("--workers", text);
+  if (workers < 1 || workers > kMaxWorkers) {
+    usage_error("--workers expects 1.." + std::to_string(kMaxWorkers) + ", got " +
+                std::string(text));
+  }
+  return workers;
+}
+
 }  // namespace adc::tools
