@@ -4,7 +4,7 @@
 ///
 /// Prints the stage-1 residue curve for: the ideal stage, a capacitor-
 /// mismatched stage, and a gain-starved stage — the plots that make the
-/// redundancy and calibration discussions concrete.
+/// redundancy and capacitor-matching discussions concrete.
 #include <cstdio>
 #include <vector>
 
@@ -60,7 +60,7 @@ int main() {
 
   // Exaggerated capacitor mismatch: the jumps no longer span exactly V_REF,
   // and the slope is no longer exactly 2 — the error the digital correction
-  // cannot see but foreground calibration can measure.
+  // cannot see, and the source of the converter's static DNL/INL.
   auto bad_spec = spec;
   bad_spec.c1.sigma_mismatch = 0.05;
   bad_spec.c2.sigma_mismatch = 0.05;

@@ -91,8 +91,7 @@ struct PlanView {
 
   /// The stage chain at width `lanes` (pipeline/fast_chain.hpp): ripple,
   /// reference, per-(stage, lane) and per-(flash comparator, lane)
-  /// invariants. `chain.num_stages` <= kMaxBatchStages; `chain.forced`
-  /// stays null (no stage of a batch die is forced).
+  /// invariants. `chain.num_stages` <= kMaxBatchStages.
   adc::pipeline::fast_chain::ChainView chain;
   /// The front end (pipeline/fast_front.hpp): the block's per-lane clock
   /// periods, and the reference die's jitter and sampler, which every die

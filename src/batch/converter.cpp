@@ -236,7 +236,6 @@ PlanView BatchConverter::block_view(const DieBlock& block) const {
   p.chain.ripple_sigma = block.ripple_sigma.data();
   p.chain.stage = block.stage_lane.data();
   p.chain.flash = block.flash_lane.data();
-  p.chain.forced = nullptr;
   return p;
 }
 

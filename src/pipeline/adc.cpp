@@ -225,13 +225,6 @@ void PipelineAdc::reset_state() {
   fast_droop_ = 0.0;
 }
 
-void PipelineAdc::force_stage_code(std::size_t i, std::optional<adc::digital::StageCode> code) {
-  stages_.at(i).force_code(code);
-  if (!fast_plan_stale_) {
-    fast_forced_[i] = code ? adc::digital::value(*code) : fast_chain::kNotForced;
-  }
-}
-
 adc::digital::RawConversion PipelineAdc::quantize_sample(double sampled) {
   const double settle_s = settle_s_;
   const double hold_s = windows_.hold_s;
@@ -265,12 +258,10 @@ void PipelineAdc::refresh_fast_plan() {
   const std::size_t n = stages_.size();
   const std::size_t nf = flash_.comparator_count();
   fast_stage_.assign(kStageFields * n, 0.0);
-  fast_forced_.assign(n, kNotForced);
   bool thermal = false;
   for (std::size_t i = 0; i < n; ++i) {
     stages_[i].write_fast_fields(fast_stage_.data() + i, n);
     thermal = thermal || fast_stage_[kSigmaSample * n + i] > 0.0;
-    if (const auto code = stages_[i].forced_code()) fast_forced_[i] = adc::digital::value(*code);
   }
   fast_flash_.assign(kFlashFields * nf, 0.0);
   flash_.write_fast_fields(fast_flash_.data(), nf);
@@ -307,9 +298,6 @@ fast_chain::ChainView PipelineAdc::fast_chain_view() {
   v.ripple_sigma = &ripple_sigma_;
   v.stage = fast_stage_.data();
   v.flash = fast_flash_.data();
-  const bool forced = std::any_of(fast_forced_.begin(), fast_forced_.end(),
-                                  [](int c) { return c != fast_chain::kNotForced; });
-  v.forced = forced ? fast_forced_.data() : nullptr;
   return v;
 }
 
@@ -440,17 +428,15 @@ std::vector<int> PipelineAdc::convert_samples(std::span<const double> voltages) 
   return codes;
 }
 
-int PipelineAdc::convert_dc(double v_diff) { return correction_.correct(convert_dc_raw(v_diff)); }
-
-adc::digital::RawConversion PipelineAdc::convert_dc_raw(double v_diff) {
+int PipelineAdc::convert_dc(double v_diff) {
   // A DC conversion is its own one-sample capture (under the fast profile
   // an epoch bump, so repeated calls see fresh noise exactly like repeated
   // exact-profile calls do). No reset: the reference droop carries across
   // DC calls.
-  adc::digital::RawConversion raw;
+  int code = 0;
   capture_held(std::span<const double>(&v_diff, 1),
-               [&](const adc::digital::RawConversion& r) { raw = r; });
-  return raw;
+               [&](const adc::digital::RawConversion& raw) { code = correction_.correct(raw); });
+  return code;
 }
 
 std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw(

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -154,18 +153,10 @@ class PipelineAdc {
   /// One DC conversion (includes noise if enabled).
   [[nodiscard]] int convert_dc(double v_diff);
 
-  /// One DC conversion returning the *raw* (uncorrected) stage codes —
-  /// the input of the digital correction/calibration logic.
-  [[nodiscard]] adc::digital::RawConversion convert_dc_raw(double v_diff);
-
-  /// Raw conversions of a continuous-time signal (calibrated reconstruction
-  /// consumes these instead of the built-in shift-and-add correction).
+  /// Raw conversions of a continuous-time signal: the uncorrected stage
+  /// and flash codes that convert() feeds the shift-and-add correction.
   [[nodiscard]] std::vector<adc::digital::RawConversion> convert_raw(
       const adc::dsp::Signal& signal, std::size_t n);
-
-  /// Force stage `i`'s ADSC decision (foreground calibration); nullopt
-  /// restores normal operation.
-  void force_stage_code(std::size_t i, std::optional<adc::digital::StageCode> code);
 
   // --- introspection ---
 
@@ -308,7 +299,6 @@ class PipelineAdc {
   fast_chain::ChainView fast_view_{};
   std::vector<double> fast_stage_;
   std::vector<double> fast_flash_;
-  std::vector<int> fast_forced_;  ///< [stage] forced code or kNotForced
   double fast_level_error_ = 0.0;
   double fast_recharge_factor_ = 0.0;  ///< exp(-T/(Rout·C)); 0 when recharge is off
   bool fast_plan_stale_ = true;

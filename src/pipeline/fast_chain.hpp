@@ -99,9 +99,6 @@ enum FlashField : std::size_t {
   kFlashFields,
 };
 
-/// ChainView::forced entry of a stage that decides normally.
-inline constexpr int kNotForced = 2;
-
 /// Everything the chain reads and never writes, for W lanes.
 struct ChainView {
   std::size_t num_stages = 0;   ///< 1.5b stages (<= kMaxStages)
@@ -128,11 +125,6 @@ struct ChainView {
   // --- per-(stage|comparator, lane) invariants ---
   const double* stage = nullptr;  ///< [kStageFields][num_stages][W]
   const double* flash = nullptr;  ///< [kFlashFields][flash_count][W]
-
-  /// [num_stages] forced ADSC codes (-1/0/+1, or kNotForced), applied to
-  /// every lane; null when no stage is forced (foreground calibration
-  /// drives the DSB directly through this).
-  const int* forced = nullptr;
 };
 
 /// Bound on |deviate| for the certainty test: the largest deviate the v2
@@ -257,7 +249,6 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
   const double* rt = dr.row + thermal_slot * W;
   const double* rh = hi_elided ? zero : rt + W;
   const double* rl = lo_elided ? zero : rt + 2 * W;
-  const bool forced = v.forced != nullptr && v.forced[i] != kNotForced;
 
   for (std::size_t l = 0; l < W; ++l) {
     ADC_EXPECT(__builtin_isfinite(x[l]), "fast_chain::stage_step: non-finite input voltage");
@@ -281,7 +272,7 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
     // hi ? +1 : (lo ? 0 : -1), as branch-free integer arithmetic.
     d[l] = static_cast<int>(hi) + static_cast<int>(hi | lo) - 1;
   }
-  if ((hi_elided || lo_elided) && !forced) {
+  if (hi_elided || lo_elided) {
     int uncertain = 0;
     for (std::size_t l = 0; l < W; ++l) {
       const double thr = vref[l] / 4.0;
@@ -293,9 +284,6 @@ ADC_ALWAYS_INLINE inline void stage_step(const ChainView& v, std::size_t i, cons
       redecide_stage<W>(dr, thermal_slot + 1, hi_elided, lo_elided, sampled, vref, ohi, nhi, mhi,
                         olo, nlo, mlo, d);
     }
-  }
-  if (forced) {
-    for (std::size_t l = 0; l < W; ++l) d[l] = v.forced[i];  // the DSB driven directly
   }
 
   // Hold droop (affine in the sampled voltage), then the residue target

@@ -96,9 +96,7 @@ StageResult PipelineStage::process(double v_in, double vref, double ibias, doubl
   //    comparator models add their own offset/noise (absorbed by the
   //    redundancy).
   StageCode d = StageCode::kZero;
-  if (forced_code_) {
-    d = *forced_code_;  // calibration mode: the DSB is driven directly
-  } else if (cmp_high_.decide_with_threshold(sampled, vref / 4.0)) {
+  if (cmp_high_.decide_with_threshold(sampled, vref / 4.0)) {
     d = StageCode::kPlus;
   } else if (!cmp_low_.decide_with_threshold(sampled, -vref / 4.0)) {
     d = StageCode::kMinus;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 #include "analog/capacitor.hpp"
 #include "analog/comparator.hpp"
@@ -135,14 +134,6 @@ class PipelineStage {
     return comparator_index == 0 ? cmp_low_.offset() : cmp_high_.offset();
   }
 
-  /// Force the ADSC decision to a fixed code (foreground-calibration mode:
-  /// the DSB is driven directly while the backend measures the DAC step).
-  /// Pass std::nullopt to restore normal operation.
-  void force_code(std::optional<adc::digital::StageCode> forced) { forced_code_ = forced; }
-  [[nodiscard]] std::optional<adc::digital::StageCode> forced_code() const {
-    return forced_code_;
-  }
-
  private:
   double scale_;
   adc::analog::Capacitor c1_;
@@ -156,7 +147,6 @@ class PipelineStage {
   adc::analog::Comparator cmp_low_;   ///< threshold -V_REF/4
   adc::analog::Comparator cmp_high_;  ///< threshold +V_REF/4
   adc::analog::HoldLeakage leakage_;
-  std::optional<adc::digital::StageCode> forced_code_;
   /// Fast-profile settle constants at the ripple-free bias (prepare_fast).
   adc::analog::Opamp::SettleCoeffs fast_settle_;
   /// Fast-profile hold droop, affine in the sampled voltage: d0 + d1*v at

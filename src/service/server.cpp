@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <optional>
 #include <span>
@@ -516,6 +517,22 @@ void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
     ++pending_pool_jobs_;
   }
   adc::runtime::global_pool().submit([this, run, index] {
+    // Releases this job's count in pending_pool_jobs_ on every exit, a throw
+    // included: stop() waits for the count to reach zero. Notify *inside*
+    // the critical section: pool workers are not joined by stop() (only
+    // drained via pending_pool_jobs_), so a notify after the unlock could
+    // touch condition variables of an already-destroyed service. Under the
+    // lock, stop() cannot observe the zero count until the notify has
+    // happened.
+    struct PendingJob {
+      ScenarioService& service;
+      ~PendingJob() {
+        std::lock_guard<std::mutex> lock(service.mutex_);
+        --service.pending_pool_jobs_;
+        service.drain_cv_.notify_all();
+        service.work_cv_.notify_all();
+      }
+    } pending{*this};
     json::JsonValue computed;
     std::string error;
     try {
@@ -534,31 +551,20 @@ void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
       if (error.empty()) error = current_failure();
     }
 
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --run->inflight;
-      --run->conn->inflight;
-      if (error.empty()) {
-        record_payload_locked(run, index, computed, CellOrigin::kMiss);
-      } else {
-        fail_request_locked(run, error);
-      }
-      // Parked duplicates retry on their own: a hit now, or a claim of their
-      // own after a failure.
-      retry_parked_ = true;
-      // This job is still counted in pending_pool_jobs_, so stop() waits
-      // for the publish.
-      publish_completions(lock);
+    std::unique_lock<std::mutex> lock(mutex_);
+    --run->inflight;
+    --run->conn->inflight;
+    if (error.empty()) {
+      record_payload_locked(run, index, computed, CellOrigin::kMiss);
+    } else {
+      fail_request_locked(run, error);
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    --pending_pool_jobs_;
-    // Notify *inside* the critical section: pool workers are not joined by
-    // stop() (only drained via pending_pool_jobs_), so a notify after the
-    // unlock could touch condition variables of an already-destroyed
-    // service. Under the lock, stop() cannot observe the zero count until
-    // the notify has happened.
-    drain_cv_.notify_all();
-    work_cv_.notify_all();
+    // Parked duplicates retry on their own: a hit now, or a claim of their
+    // own after a failure.
+    retry_parked_ = true;
+    // This job is still counted in pending_pool_jobs_, so stop() waits
+    // for the publish.
+    publish_completions(lock);
   });
 }
 
@@ -654,7 +660,15 @@ void ScenarioService::publish_completions(std::unique_lock<std::mutex>& lock) {
   const auto done = std::exchange(completions_, {});
   lock.unlock();
   for (const auto& c : done) {
-    (void)c.manifest.write_to_env_dir();
+    // Telemetry never decides a request's outcome: a manifest that cannot
+    // be written is reported here, and the summary still goes out.
+    try {
+      (void)c.manifest.write_to_env_dir();
+    } catch (...) {
+      std::fprintf(stderr,  // lint-ok: telemetry failure must not fail the request
+                   "adc_scenariod: request %s: manifest not written: %s\n", c.run->id.c_str(),
+                   current_failure().c_str());
+    }
     if (!c.deliver) continue;
     // A finished run is never written again, and its payloads are never
     // read again, so the report takes them by move.

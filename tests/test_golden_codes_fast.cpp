@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,11 +108,6 @@ const std::vector<int> kFastSamples25 = {
     0, 0, 0, 182, 388, 596, 804, 1010, 1217, 1426, 1632, 1840, 2047, 2255, 2464, 2669, 2878,
     3084, 3291, 3500, 3706, 3913, 4095, 4095, 4095};
 
-const std::vector<std::string> kFastForced7 = {
-    "000+00000+:1", "00+-00000+:1", "00+00000+0:1", "0+-0000+-0:2",
-    "0+00000+00:1", "+-00000+-+:1", "+-00000+-+:1",
-};
-
 const std::vector<int> kFastInjected32 = {
     2039, 3071, 3902, 4069, 3596, 2631, 1479, 507, 28, 189, 939, 2044, 3071, 3904, 4068, 3593,
     2626, 1473, 504, 27, 190, 944, 2049, 3071, 3906, 4067, 3589, 2621, 1469, 501, 26, 193};
@@ -161,8 +155,7 @@ const std::vector<int> kFastNoInjection48 = {
 // blocks straddle rows) and 8 stages with a 3-bit flash (34 slots, 7 flash
 // comparators); then each geometry with 30 mV rms comparator noise and a
 // 2 mV metastability window, so many decisions fall inside the band where
-// the chain must fetch the elided draw; then forced stage codes on the
-// noisy nominal die.
+// the chain must fetch the elided draw.
 const std::vector<int> kFastOdd33Convert64 = {
     1019, 1572, 1951, 2034, 1797, 1314, 739, 253, 14, 94, 469, 1022, 1574, 1952, 2034, 1796,
     1312, 737, 252, 13, 95, 472, 1024, 1576, 1952, 2033, 1794, 1310, 735, 250, 13, 96, 473,
@@ -225,22 +218,6 @@ const std::vector<std::string> kFastNoisy34Raw16 = {
     "+00+-0+0:2", "++++-000:4", "++++++0+:2", "++0000+-:4",
 };
 
-const std::vector<std::string> kFastNoisyForcedStage4Raw12 = {
-    "0000+-----:0", "+00++-----:0", "+++0+0000-:1", "++++++0+-+:0", "++00+---+0:1",
-    "+-0++-----:0", "-+0-+00+00:1", "--00+-----:0", "----+-----:0", "----+000-+:1",
-    "-00-+-+-+0:2", "0000+-----:0",
-};
-
-const std::vector<std::string> kFastNoisyForcedStage1Raw12 = {
-    "0+--------:0", "++---0+-0+:1", "++++-0000-:2", "++++++0+-+:1", "++0000+-+0:2",
-    "++--------:0", "-+00-00+00:1", "-+--------:0", "-+--------:0", "-+--------:0",
-    "-+--------:0", "0+--------:0",
-};
-
-const std::vector<std::string> kFastNoisyForcedDc5 = {
-    "-+000-0+-+:1", "-+00000-+-:2", "-++0++++++:3", "-++0++++++:3", "-++0++++++:3",
-};
-
 TEST(GoldenCodesFast, NominalDieSequence) {
   PipelineAdc converter(fast_nominal());
 
@@ -291,25 +268,6 @@ TEST(GoldenCodesFast, ConvertSamplesOverRange) {
   std::vector<double> ramp;
   for (int k = 0; k <= 24; ++k) ramp.push_back(1.2 * half * (k - 12) / 12.0);
   EXPECT_EQ(converter.convert_samples(ramp), kFastSamples25);
-}
-
-/// The foreground-calibration sequence: force_stage_code() then
-/// convert_dc_raw(), stage by stage from the deepest, then one normal DC
-/// conversion after every stage is released.
-TEST(GoldenCodesFast, ForcedStageCodesThroughConvertDcRaw) {
-  PipelineAdc converter(fast_nominal());
-  std::vector<std::string> seen;
-  for (std::size_t i = 3; i-- > 0;) {
-    const double v_test = 0.25 / static_cast<double>(1u << i);
-    for (std::size_t j = 0; j < i; ++j) converter.force_stage_code(j, StageCode::kZero);
-    converter.force_stage_code(i, StageCode::kZero);
-    seen.push_back(raw_text(converter.convert_dc_raw(v_test)));
-    converter.force_stage_code(i, StageCode::kPlus);
-    seen.push_back(raw_text(converter.convert_dc_raw(v_test)));
-    for (std::size_t j = 0; j <= i; ++j) converter.force_stage_code(j, std::nullopt);
-  }
-  seen.push_back(raw_text(converter.convert_dc_raw(0.25)));
-  EXPECT_EQ(seen, kFastForced7);
 }
 
 /// A comparator offset injected through stage_mutable() between two
@@ -482,26 +440,6 @@ TEST(GoldenCodesFast, NoisyComparatorsEveryGeometry) {
     EXPECT_EQ(converter.convert(golden_tone(), 48), c.codes);
     expect_raws(converter.convert_raw(golden_tone(), 16), c.raws);
   }
-}
-
-/// Forced stage codes on the noisy nominal die: a forced stage skips its
-/// own decision, and the stages after it decide on residues the force
-/// moved.
-TEST(GoldenCodesFast, ForcedStageCodesOnNoisyComparators) {
-  PipelineAdc converter(fast_geometry(10, 2, true));
-  converter.force_stage_code(4, StageCode::kPlus);
-  expect_raws(converter.convert_raw(golden_tone(), 12), kFastNoisyForcedStage4Raw12);
-  converter.force_stage_code(4, std::nullopt);
-  converter.force_stage_code(1, StageCode::kPlus);
-  expect_raws(converter.convert_raw(golden_tone(), 12), kFastNoisyForcedStage1Raw12);
-  converter.force_stage_code(1, std::nullopt);
-  converter.force_stage_code(0, StageCode::kMinus);
-  converter.force_stage_code(3, StageCode::kZero);
-  std::vector<std::string> dc;
-  for (const double v : {-0.26, -0.25, 0.0, 0.249, 0.251}) {
-    dc.push_back(raw_text(converter.convert_dc_raw(v)));
-  }
-  EXPECT_EQ(dc, kFastNoisyForcedDc5);
 }
 
 }  // namespace

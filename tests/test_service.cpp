@@ -19,7 +19,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -169,6 +171,25 @@ class ServiceTest : public ::testing::Test {
 
   [[nodiscard]] std::string path(const std::string& leaf) const {
     return (dir_ / leaf).string();
+  }
+
+  /// stop() returns within a deadline. A wedged stop fails the test instead
+  /// of hanging it: its thread is detached and the service leaked, since
+  /// the service's destructor would wait again.
+  void expect_clean_stop() {
+    auto stopped = std::make_shared<std::promise<void>>();
+    auto done = stopped->get_future();
+    std::thread stopper([service = service_.get(), stopped] {
+      service->stop();
+      stopped->set_value();
+    });
+    if (done.wait_for(std::chrono::seconds(30)) == std::future_status::ready) {
+      stopper.join();
+      return;
+    }
+    ADD_FAILURE() << "stop() did not return within 30 s";
+    stopper.detach();
+    (void)service_.release();
   }
 
   /// The service's cache root holds no claim and no store temporary.
@@ -734,6 +755,60 @@ TEST_F(ServiceTest, RunnerFleetWorkerAndServiceWriteOneManifestSchema) {
         << run_name;
     EXPECT_TRUE(m.find("pool")->is_object()) << run_name;
   }
+}
+
+/// Points ADC_RUNTIME_MANIFEST_DIR at `dir` for one scope.
+class ScopedManifestDir {
+ public:
+  explicit ScopedManifestDir(const std::string& dir) {
+    EXPECT_EQ(setenv("ADC_RUNTIME_MANIFEST_DIR", dir.c_str(), 1), 0);
+  }
+  ~ScopedManifestDir() { unsetenv("ADC_RUNTIME_MANIFEST_DIR"); }
+  ScopedManifestDir(const ScopedManifestDir&) = delete;
+  ScopedManifestDir& operator=(const ScopedManifestDir&) = delete;
+};
+
+// A manifest that cannot be written (its directory does not exist) is
+// telemetry lost, not a failed request: the summary still arrives, and
+// stop() still drains. A cold request publishes from a pool job, a warm one
+// from the scheduler thread.
+TEST_F(ServiceTest, MissingManifestDirStillSummarizesAColdRequest) {
+  auto& service = start_service();
+  const ScopedManifestDir manifests(path("no_such_dir"));
+  {
+    TestClient client(service.socket_path());
+    client.send(run_request(kSmallSpec, "cold"));
+    const auto summary = client.await("summary");
+    // No ASSERT before expect_clean_stop(): TearDown would wait on a wedged
+    // service forever.
+    if (!summary.is_null()) {
+      EXPECT_EQ(summary.find("computed")->as_uint64(), 4u);
+    }
+  }
+  EXPECT_FALSE(fs::exists(path("no_such_dir")));
+  expect_clean_stop();
+  expect_no_litter();
+}
+
+TEST_F(ServiceTest, MissingManifestDirStillSummarizesAWarmRequest) {
+  auto& service = start_service();
+  {
+    TestClient client(service.socket_path());
+    client.send(run_request(kSmallSpec, "fill"));
+    (void)client.await("summary");
+  }
+  const ScopedManifestDir manifests(path("no_such_dir"));
+  {
+    TestClient client(service.socket_path());
+    client.send(run_request(kSmallSpec, "warm"));
+    const auto summary = client.await("summary");
+    if (!summary.is_null()) {
+      EXPECT_EQ(summary.find("cache_hits")->as_uint64(), 4u);
+    }
+  }
+  EXPECT_FALSE(fs::exists(path("no_such_dir")));
+  expect_clean_stop();
+  expect_no_litter();
 }
 
 TEST_F(ServiceTest, ShutdownRequestDrainsAndRejectsNewWork) {

@@ -28,9 +28,9 @@ bool any_of_ids(const std::array<std::string_view, N>& set, std::string_view tex
 
 const std::vector<std::string>& known_layers() {
   static const std::vector<std::string> layers{
-      "common",  "analog",      "clocking", "dsp",    "digital",  "runtime", "bias",
-      "pipeline", "batch",      "power",    "twostep", "survey", "calibration", "testbench",
-      "scenario", "fleet", "service"};
+      "common",   "analog", "clocking", "dsp",     "digital", "runtime",   "bias",
+      "pipeline", "batch",  "power",    "twostep", "survey",  "testbench", "scenario",
+      "fleet",    "service"};
   return layers;
 }
 
@@ -91,7 +91,6 @@ const LayerDag& default_layer_dag() {
       {"batch", {"common", "analog", "dsp", "pipeline"}},
       {"power", {"common", "pipeline"}},
       {"twostep", {"common", "analog", "clocking", "dsp"}},
-      {"calibration", {"common", "digital", "pipeline"}},
       {"survey", {"common", "power"}},
       {"testbench", {"common", "batch", "dsp", "pipeline", "runtime"}},
       {"scenario", {"common", "batch", "pipeline", "power", "runtime", "testbench"}},

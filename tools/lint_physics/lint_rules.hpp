@@ -96,8 +96,8 @@ struct LayerDag {
 ///     ├── clocking ───────┤
 ///     ├── digital ────────┼── pipeline ── power ── survey
 ///     ├── dsp ────────────┘      │          │
-///     │     └────────────────────┤          │
-///     ├── runtime ─┐       calibration   twostep*
+///     │     └────────────────────┘          │
+///     ├── runtime ─┐                    twostep*
 ///     └──────── testbench ───┐
 ///                        scenario
 ///
