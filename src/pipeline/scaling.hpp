@@ -6,7 +6,8 @@
 /// paper (after [1], [2]) scales the sampling capacitors and bias currents:
 /// stage 1 at full size, stage 2 at 2/3, stages 3..10 at 1/3 — "lower area
 /// and lower power consumption with only small degradation in converter
-/// performance". Alternative policies exist for the ablation bench A1.
+/// performance". The unscaled policy is the baseline that claim is measured
+/// against (Paper.A1StageScaling in tests/test_paper.cpp).
 #pragma once
 
 #include <string>
@@ -22,10 +23,6 @@ class ScalingPolicy {
 
   /// No scaling: every stage at full size (the conservative baseline).
   static ScalingPolicy uniform();
-
-  /// Geometric scaling by `ratio` per stage with a floor (aggressive;
-  /// typically ratio = 0.5, the noise-optimal limit).
-  static ScalingPolicy geometric(double ratio, double floor);
 
   /// Scaling factor for stage `i` (0-based). Profiles shorter than the chain
   /// repeat their last entry.

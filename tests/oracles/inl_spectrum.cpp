@@ -1,4 +1,4 @@
-#include "dsp/inl_spectrum.hpp"
+#include "oracles/inl_spectrum.hpp"
 
 #include <cmath>
 #include <numbers>

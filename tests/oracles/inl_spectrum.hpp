@@ -1,5 +1,6 @@
 /// \file inl_spectrum.hpp
-/// Harmonic prediction from static linearity.
+/// Test oracle: harmonic prediction from static linearity. Only
+/// test_inl_spectrum links it.
 ///
 /// A converter's INL curve *is* its static transfer error; driving a sine
 /// through it predicts the static part of the measured harmonics (the

@@ -1,5 +1,5 @@
 /// Tests for static-to-dynamic harmonic prediction from the INL curve.
-#include "dsp/inl_spectrum.hpp"
+#include "oracles/inl_spectrum.hpp"
 
 #include <cmath>
 #include <vector>

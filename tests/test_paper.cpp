@@ -1,11 +1,14 @@
-/// The paper's claims, checked on the scenario specs that reproduce them.
+/// The paper's claims, checked on the scenario specs that reproduce them
+/// and on the design-technique arms no spec expresses.
 ///
-/// Each test runs one spec under scenarios/ through ScenarioRunner on a
-/// temporary cache and asserts the rows EXPERIMENTS.md lists for it: a
+/// A figure's test runs one spec under scenarios/ through ScenarioRunner on
+/// a temporary cache and asserts the rows EXPERIMENTS.md lists for it: a
 /// number against the paper's within the tolerance EXPERIMENTS.md states,
-/// or a shape (linear, flat, falling) with the threshold stated there. A
-/// model change that moves a reproduced figure out of its tolerance fails
-/// here, not in a table someone has to read.
+/// or a shape (linear, flat, falling) with the threshold stated there. An
+/// ablation test (A1-A4) flips one configuration arm of the nominal design,
+/// runs the dynamic test, the power model or the area model on each arm, and
+/// pins the simulated values inside two-sided bands. A model change that moves a reproduced figure out
+/// of its tolerance fails here, not in a table someone has to read.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,16 +18,27 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analog/switches.hpp"
+#include "clocking/two_phase.hpp"
 #include "common/json.hpp"
 #include "common/math_util.hpp"
 #include "oracles/linear_fit.hpp"
+#include "pipeline/design.hpp"
+#include "power/area.hpp"
+#include "power/fom.hpp"
+#include "power/power_model.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "testbench/dynamic_test.hpp"
+#include "testbench/sweep.hpp"
 
 namespace fs = std::filesystem;
 namespace json = adc::common::json;
+namespace ap = adc::pipeline;
+namespace tb = adc::testbench;
 
 namespace {
 
@@ -175,6 +189,158 @@ TEST(Paper, TwoToneImd) {
     EXPECT_LT(imd3(row) - first, 6.0) << "IMD3 flat across centres, at " << row.x;
     EXPECT_LE(row.at("imd2_dbc"), imd3(row) - 10.0) << "IMD2 below IMD3, at " << row.x;
   }
+}
+
+// --- Design techniques: one configuration arm each, two-sided bands --------
+//
+// A dB value may move 0.5 dB, a power or an area 3 %, the FM 5 % and the GBW
+// factor one search step (EXPERIMENTS.md, Tolerance column).
+
+constexpr double kDb = 0.5;
+constexpr double kShare = 0.03;
+
+/// Relative band: `actual` within `fraction` of `expected`.
+void expect_within(double actual, double expected, double fraction, const char* what) {
+  EXPECT_NEAR(actual, expected, fraction * expected) << what;
+}
+
+/// Table I's dynamic test (10 MHz, 8k points) on a die built from `config`.
+adc::dsp::SpectrumMetrics measure(const ap::AdcConfig& config) {
+  ap::PipelineAdc converter(config);
+  return tb::run_dynamic_test(converter).metrics;
+}
+
+/// Pipeline (stage opamp) power of a die built from `config` at `f_cr` [mW].
+double pipeline_mw(const ap::AdcConfig& config, double f_cr) {
+  const adc::power::PowerModel model(ap::nominal_power_spec());
+  return model.estimate(ap::PipelineAdc(config), f_cr).pipeline_analog * 1e3;
+}
+
+/// Die area under `scaling` [mm^2].
+double area_mm2(const ap::ScalingPolicy& scaling) {
+  const adc::power::AreaModel model(ap::nominal_area_spec());
+  return model.estimate(scaling, static_cast<std::size_t>(ap::nominal_design().num_stages))
+             .total() *
+         1e6;
+}
+
+// A1 (section 2): scaling the stages 1 : 2/3 : 1/3 gives "lower area and
+// lower power consumption with only small degradation" against no scaling.
+TEST(Paper, A1StageScaling) {
+  auto unscaled = ap::nominal_design();
+  unscaled.scaling = ap::ScalingPolicy::uniform();
+  const auto scaled = ap::nominal_design();
+
+  expect_within(pipeline_mw(unscaled, 110e6), 142.1, kShare, "unscaled pipeline power");
+  expect_within(pipeline_mw(scaled, 110e6), 61.6, kShare, "scaled pipeline power");
+  expect_within(area_mm2(unscaled.scaling), 1.21, kShare, "unscaled area");
+  expect_within(area_mm2(scaled.scaling), 0.87, kShare, "scaled area");
+
+  const double sndr_unscaled = measure(unscaled).sndr_db;
+  const double sndr_scaled = measure(scaled).sndr_db;
+  EXPECT_NEAR(sndr_unscaled, 65.67, kDb);
+  EXPECT_NEAR(sndr_scaled, 64.95, kDb);
+  EXPECT_NEAR(sndr_unscaled - sndr_scaled, 0.72, kDb) << "the SNDR scaling costs";
+}
+
+// A2 (section 3): removing the non-overlap guard leaves the stage longer to
+// settle. Putting the conventional 700 ps guard back costs SNDR at high rates,
+// none at 40 MS/s, and matching the local scheme at 110 MS/s takes x1.15 GBW,
+// which is x1.32 bias current (gm ~ sqrt(I)).
+TEST(Paper, A2NonOverlapRemoval) {
+  const auto local = ap::nominal_design();
+  auto guarded = ap::nominal_design();
+  guarded.phases.scheme = adc::clocking::ClockingScheme::kConventionalNonOverlap;
+
+  const std::vector<double> rates{40e6, 110e6, 130e6, 140e6};
+  const std::vector<double> penalty_db{0.0, 0.75, 1.97, 2.82};
+  const auto local_points = tb::sweep_conversion_rate(local, rates, {});
+  const auto guarded_points = tb::sweep_conversion_rate(guarded, rates, {});
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    EXPECT_NEAR(local_points[i].result.metrics.sndr_db -
+                    guarded_points[i].result.metrics.sndr_db,
+                penalty_db[i], kDb)
+        << "non-overlap SNDR penalty at " << rates[i];
+  }
+
+  // The first GBW factor on a 0.05 grid at which the guarded scheme comes
+  // within 0.1 dB of the local scheme's SNDR at 110 MS/s.
+  const double target = local_points[1].result.metrics.sndr_db - 0.1;
+  double gbw_factor = 0.0;
+  for (int step = 0; step <= 12; ++step) {
+    const double factor = 1.0 + 0.05 * step;
+    auto cfg = guarded;
+    cfg.stage.opamp.gbw_hz *= factor;
+    cfg.stage.opamp.slew_rate *= factor;
+    if (measure(cfg).sndr_db >= target) {
+      gbw_factor = factor;
+      break;
+    }
+  }
+  EXPECT_NEAR(gbw_factor, 1.15, 0.05 + 1e-9) << "GBW the guarded scheme needs";
+}
+
+// A3 (section 3): bulk switching lowers the TG's distortion, and the
+// bootstrap the paper rejects for lifetime reasons would remove the Fig. 6
+// SFDR fall. SFDR at 100 MHz (under-sampled at 110 MS/s) per switch family.
+TEST(Paper, A3BulkSwitchedInputSwitch) {
+  const std::vector<std::pair<adc::analog::SwitchType, double>> families{
+      {adc::analog::SwitchType::kTransmissionGate, 53.3},
+      {adc::analog::SwitchType::kBulkSwitchedTg, 56.0},
+      {adc::analog::SwitchType::kBootstrapped, 77.2},
+  };
+  for (const auto& [type, sfdr_db] : families) {
+    auto cfg = ap::nominal_design();
+    cfg.input_switch.type = type;
+    const auto point = tb::sweep_input_frequency(cfg, {100e6}, {}).front();
+    EXPECT_NEAR(point.result.metrics.sfdr_db, sfdr_db, kDb)
+        << "SFDR at 100 MHz, switch type " << static_cast<int>(type);
+  }
+}
+
+/// The nominal design at a global capacitor corner: the stage capacitors and
+/// the SC generator's C_B move together, as they do on one die, and the
+/// opamp's GBW at its nominal bias falls with the load it drives.
+ap::AdcConfig at_cap_corner(double spread) {
+  auto cfg = ap::nominal_design();
+  cfg.stage.c1.global_spread = spread;
+  cfg.stage.c2.global_spread = spread;
+  cfg.sc_bias.cb.global_spread = spread;
+  cfg.stage.opamp.gbw_hz /= 1.0 + spread;
+  return cfg;
+}
+
+// A4 (section 3, eq. 1): the SC bias current tracks the capacitor corner, so
+// SNDR holds across +/-20 % caps while the power follows the load. A fixed
+// generator sized for the worst corner burns that current at every corner
+// and every rate.
+TEST(Paper, A4ScBiasTracksCapacitorCorner) {
+  const std::vector<double> corners{-0.2, 0.0, 0.2};
+  const std::vector<double> sc_sndr_db{64.84, 64.95, 64.91};
+  const std::vector<double> sc_mw{49.3, 61.6, 73.9};
+  for (std::size_t i = 0; i < corners.size(); ++i) {
+    const auto sc = at_cap_corner(corners[i]);
+    auto fixed = sc;
+    fixed.bias_scheme = ap::BiasScheme::kFixed;
+    EXPECT_NEAR(measure(sc).sndr_db, sc_sndr_db[i], kDb) << "SC SNDR at " << corners[i];
+    expect_within(pipeline_mw(sc, 110e6), sc_mw[i], kShare, "SC pipeline power");
+    expect_within(pipeline_mw(fixed, 110e6), 89.5, kShare, "fixed pipeline power");
+  }
+  expect_within(pipeline_mw(ap::nominal_design(), 20e6), 11.2, kShare,
+                "SC pipeline power at 20 MS/s");
+  auto fixed = ap::nominal_design();
+  fixed.bias_scheme = ap::BiasScheme::kFixed;
+  expect_within(pipeline_mw(fixed, 20e6), 89.5, kShare, "fixed pipeline power at 20 MS/s");
+}
+
+// Table I's area and the paper's figure of merit (eq. 2) from Table I's ENOB,
+// Fig. 4's power at 110 MS/s and the area model.
+TEST(Paper, Table1AreaAndFm) {
+  const double area = area_mm2(ap::ScalingPolicy::paper());
+  expect_within(area, 0.87, kShare, "area [mm^2]");
+  const double enob = rows(report("table1")).front().at("enob");
+  const double power_w = row_at(rows(report("fig4")), 110e6).at("total_w");
+  expect_within(adc::power::paper_fm(enob, 110e6, area * 1e-6, power_w), 1886.0, 0.05, "FM");
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
-
 namespace ap = adc::pipeline;
 
 namespace {
@@ -40,18 +38,4 @@ TEST(ScalingPolicy, UniformIsAllOnes) {
   const auto p = ap::ScalingPolicy::uniform();
   for (std::size_t i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(p.factor(i), 1.0);
   EXPECT_DOUBLE_EQ(total(p, 10), 10.0);
-}
-
-TEST(ScalingPolicy, GeometricDecaysToFloor) {
-  const auto p = ap::ScalingPolicy::geometric(0.5, 0.25);
-  EXPECT_DOUBLE_EQ(p.factor(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.factor(1), 0.5);
-  EXPECT_DOUBLE_EQ(p.factor(2), 0.25);
-  EXPECT_DOUBLE_EQ(p.factor(9), 0.25);  // floor holds
-}
-
-TEST(ScalingPolicy, RejectsBadFactors) {
-  EXPECT_THROW((void)ap::ScalingPolicy::geometric(1.0, 0.5), adc::common::ConfigError);
-  EXPECT_THROW((void)ap::ScalingPolicy::geometric(0.5, 0.0), adc::common::ConfigError);
-  EXPECT_THROW((void)ap::ScalingPolicy::geometric(0.5, 1.5), adc::common::ConfigError);
 }

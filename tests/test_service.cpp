@@ -695,6 +695,17 @@ TEST_F(ServiceTest, StatusReportsRequestsCacheAndPool) {
   EXPECT_TRUE(status.find("requests")->is_array());
 }
 
+/// Points ADC_RUNTIME_MANIFEST_DIR at `dir` for one scope.
+class ScopedManifestDir {
+ public:
+  explicit ScopedManifestDir(const std::string& dir) {
+    EXPECT_EQ(setenv("ADC_RUNTIME_MANIFEST_DIR", dir.c_str(), 1), 0);
+  }
+  ~ScopedManifestDir() { unsetenv("ADC_RUNTIME_MANIFEST_DIR"); }
+  ScopedManifestDir(const ScopedManifestDir&) = delete;
+  ScopedManifestDir& operator=(const ScopedManifestDir&) = delete;
+};
+
 // The batch runner, a fleet worker and the service describe a finished run
 // in one vocabulary: schema-v3 run manifests carrying the same identity and
 // tally keys, and agreeing on what was run.
@@ -702,7 +713,7 @@ TEST_F(ServiceTest, RunnerFleetWorkerAndServiceWriteOneManifestSchema) {
   const auto spec = adc::scenario::parse_spec_text(kSmallSpec);
   const std::string manifest_dir = path("manifests");
   fs::create_directories(manifest_dir);
-  ASSERT_EQ(setenv("ADC_RUNTIME_MANIFEST_DIR", manifest_dir.c_str(), 1), 0);
+  const ScopedManifestDir manifest_env(manifest_dir);
 
   adc::scenario::RunOptions run_options;
   run_options.cache_dir = path("runner_cache");
@@ -718,7 +729,6 @@ TEST_F(ServiceTest, RunnerFleetWorkerAndServiceWriteOneManifestSchema) {
     client.send(run_request(kSmallSpec, "r1"));
     (void)client.await("summary");
   }
-  ASSERT_EQ(unsetenv("ADC_RUNTIME_MANIFEST_DIR"), 0);
 
   // The service writes its manifest before it queues the summary.
   ASSERT_TRUE(run.manifest_path.has_value());
@@ -756,17 +766,6 @@ TEST_F(ServiceTest, RunnerFleetWorkerAndServiceWriteOneManifestSchema) {
     EXPECT_TRUE(m.find("pool")->is_object()) << run_name;
   }
 }
-
-/// Points ADC_RUNTIME_MANIFEST_DIR at `dir` for one scope.
-class ScopedManifestDir {
- public:
-  explicit ScopedManifestDir(const std::string& dir) {
-    EXPECT_EQ(setenv("ADC_RUNTIME_MANIFEST_DIR", dir.c_str(), 1), 0);
-  }
-  ~ScopedManifestDir() { unsetenv("ADC_RUNTIME_MANIFEST_DIR"); }
-  ScopedManifestDir(const ScopedManifestDir&) = delete;
-  ScopedManifestDir& operator=(const ScopedManifestDir&) = delete;
-};
 
 // A manifest that cannot be written (its directory does not exist) is
 // telemetry lost, not a failed request: the summary still arrives, and

@@ -3,10 +3,12 @@
 #
 #   tools/check_docs.sh
 #
-# The docs are every tracked Markdown file below the root, and the root's
-# README, DESIGN, EXPERIMENTS and ROADMAP. The root's other Markdown files are
-# records (the change log, the paper's abstract, related work and code from
-# other repositories): they cite deleted code and other trees by design.
+# The docs are every tracked Markdown file below the root, the root's
+# README, DESIGN, EXPERIMENTS and ROADMAP, and the `description` string of
+# every scenario spec under scenarios/ (a report carries it verbatim). The
+# root's other Markdown files are records (the change log, the paper's
+# abstract, related work and code from other repositories): they cite deleted
+# code and other trees by design.
 #
 # A citation is a token that starts with one of the tree's top-level
 # directories (src/, tests/, bench/, ...), or a bare root file in capitals
@@ -107,12 +109,26 @@ resolves() {
 mapfile -t docs < <({
   printf '%s\n' "${!tracked[@]}" | grep -E '/.*\.md$'
   for f in "${ROOT_DOCS[@]}"; do [[ -n ${tracked[$f]:-} ]] && echo "$f"; done
+  printf '%s\n' "${!tracked[@]}" | grep -E '^scenarios/[^/]*\.json$'
 } | sort)
 
 dirs='src|tests|bench|examples|tools|docs|scenarios|build|\.github|\.claude'
+
+# The text of a doc that may cite paths: all of a Markdown file; of a
+# scenario spec, its description line, with every other line blanked so that
+# line numbers still point into the file.
+citing_text() {
+  if [[ $1 == *.json ]]; then
+    awk '{ print (/^[[:space:]]*"description"[[:space:]]*:/ ? $0 : "") }' "$1"
+  else
+    cat "$1"
+  fi
+}
+
 checked=0
 stale=0
 for doc in "${docs[@]}"; do
+  text=$(citing_text "$doc")
   while IFS=: read -r line cite; do
     cite=$(sed -E 's/^[^a-zA-Z.]+//; s/[.,;:)]+$//; s:/$::' <<<"$cite")
     [[ -z $cite ]] && continue
@@ -121,9 +137,9 @@ for doc in "${docs[@]}"; do
       echo "$doc:$line: cites $cite, which does not exist" >&2
       stale=$((stale + 1))
     fi
-  done < <(grep -o -n -E "(^|[^A-Za-z0-9_./-])(${dirs})/([A-Za-z0-9_./*<>-]|\{[^}]*\})*" "$doc" ||
+  done < <(grep -o -n -E "(^|[^A-Za-z0-9_./-])(${dirs})/([A-Za-z0-9_./*<>-]|\{[^}]*\})*" <<<"$text" ||
              true
-           grep -o -n -E '`[A-Z][A-Z_]*\.(md|json)`' "$doc" | tr -d '`' || true)
+           grep -o -n -E '`[A-Z][A-Z_]*\.(md|json)`' <<<"$text" | tr -d '`' || true)
 done
 
 if ((stale > 0)); then

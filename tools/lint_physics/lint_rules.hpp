@@ -89,19 +89,27 @@ struct LayerDag {
   std::vector<std::pair<std::string, std::vector<std::string>>> deps;
 };
 
-/// The repo's layer DAG:
+/// The repo's layer DAG, one row per layer in dependency order, as
+/// default_layer_dag() declares it:
 ///
-///   common
-///     ├── analog ── bias ─┐
-///     ├── clocking ───────┤
-///     ├── digital ────────┼── pipeline ── power ── survey
-///     ├── dsp ────────────┘      │          │
-///     │     └────────────────────┘          │
-///     ├── runtime ─┐                    twostep*
-///     └──────── testbench ───┐
-///                        scenario
+///   layer       directly includes (every layer also includes common)
+///   common      -
+///   analog      -
+///   clocking    -
+///   digital     -
+///   dsp         -
+///   runtime     -
+///   bias        analog
+///   twostep     analog, clocking, dsp
+///   pipeline    analog, bias, clocking, digital, dsp
+///   batch       analog, dsp, pipeline
+///   power       pipeline
+///   survey      power
+///   testbench   batch, dsp, pipeline, runtime
+///   scenario    batch, pipeline, power, runtime, testbench
+///   fleet       runtime, scenario
+///   service     runtime, scenario
 ///
-/// (*twostep depends on analog/clocking/dsp directly, not on pipeline.)
 /// tests/, bench/, examples/, and tools/ sit above everything.
 [[nodiscard]] const LayerDag& default_layer_dag();
 
