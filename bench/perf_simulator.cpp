@@ -553,15 +553,13 @@ void BM_CacheClaim(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheClaim)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
 
-// yield2k's 2000 job hashes, at Arg threads (plan_scenario hashes chunks of
-// kPlanChunk jobs on the pool; 1 hashes them on the caller).
+// yield2k's 2000 job hashes: one grid point, one job text, on the caller.
 void BM_PlanScenario(benchmark::State& state) {
   const auto spec = adc::scenario::parse_spec_text(kYield2k);
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) benchmark::DoNotOptimize(adc::scenario::plan_scenario(spec, threads));
+  for (auto _ : state) benchmark::DoNotOptimize(adc::scenario::plan_scenario(spec));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
 }
-BENCHMARK(BM_PlanScenario)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanScenario)->Unit(benchmark::kMillisecond);
 
 // yield2k's 2000 names loaded from a cache of 32-name packs (a 4-thread
 // cold run's layout), Arg names per load call on one thread: 1 reads the

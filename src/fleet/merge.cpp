@@ -90,7 +90,7 @@ ShardManifest load_manifest(const std::string& dir, const std::string& scenario,
 MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
                         const MergeOptions& options) {
   adc::common::require(options.shards != 0, "fleet merge: shard count must be positive");
-  const FleetPlan fleet = plan_fleet(spec, options.shards, 0);
+  const FleetPlan fleet = plan_fleet(spec, options.shards);
   const adc::scenario::ScenarioPlan& plan = fleet.scenario;
   adc::scenario::ResultCache cache(options.cache_dir);
 
@@ -172,7 +172,7 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
 FleetStatus fleet_status(const adc::scenario::ScenarioSpec& spec,
                          const std::string& cache_dir) {
   adc::scenario::ResultCache cache(cache_dir);
-  const adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec, 0);
+  const adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec);
   FleetStatus status;
   status.jobs_total = plan.jobs.size();
   std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());

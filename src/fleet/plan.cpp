@@ -26,11 +26,10 @@ unsigned shard_of_hash(const std::string& hash, unsigned shards) {
   return static_cast<unsigned>(scaled >> 64);
 }
 
-FleetPlan plan_fleet(const adc::scenario::ScenarioSpec& spec, unsigned shards,
-                     unsigned threads) {
+FleetPlan plan_fleet(const adc::scenario::ScenarioSpec& spec, unsigned shards) {
   adc::common::require(shards != 0, "fleet: shard count must be positive");
   FleetPlan fleet;
-  fleet.scenario = adc::scenario::plan_scenario(spec, threads);
+  fleet.scenario = adc::scenario::plan_scenario(spec);
   fleet.shards = shards;
   fleet.shard_of.reserve(fleet.scenario.hashes.size());
   fleet.shard_sizes.assign(shards, 0);

@@ -40,11 +40,10 @@ struct FleetPlan {
   std::vector<std::size_t> shard_sizes;
 };
 
-/// Expand `spec` through the shared planner (hashing on `threads` workers
-/// as plan_scenario does) and assign every job to its shard.
-/// Every process that plans the same spec with the same W gets the
-/// identical partition, at any thread count.
+/// Expand `spec` through the shared planner (plan_scenario) and assign
+/// every job to its shard. Every process that plans the same spec with the
+/// same W gets the identical partition.
 [[nodiscard]] FleetPlan plan_fleet(const adc::scenario::ScenarioSpec& spec,
-                                   unsigned shards, unsigned threads = 1);
+                                   unsigned shards);
 
 }  // namespace adc::fleet

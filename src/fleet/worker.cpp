@@ -36,7 +36,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   FleetPlan fleet;
   {
     auto phase = manifest.phase("expand");
-    fleet = plan_fleet(spec, options.shards, options.threads);
+    fleet = plan_fleet(spec, options.shards);
     phase.set_jobs(fleet.scenario.jobs.size());
   }
   const adc::scenario::ScenarioPlan& plan = fleet.scenario;

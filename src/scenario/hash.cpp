@@ -1,10 +1,13 @@
 #include "scenario/hash.hpp"
 
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <numbers>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/fidelity.hpp"
 #include "pipeline/design.hpp"
 #include "power/power_model.hpp"
@@ -24,6 +27,11 @@ std::string to_hex(std::uint64_t value) {
 }
 
 namespace {
+
+/// `value` in decimal, as the canonical writer writes an unsigned integer.
+std::string_view decimal(std::uint64_t value, std::array<char, 20>& digits) {
+  return {digits.data(), std::to_chars(digits.data(), digits.data() + digits.size(), value).ptr};
+}
 
 void update_double_bits(Fnv1a& hash, double value) {
   std::uint64_t bits = 0;
@@ -136,6 +144,35 @@ std::string job_hash_with_fingerprint(const ResolvedJob& job, std::uint64_t fing
 
 std::string job_hash(const ResolvedJob& job) {
   return job_hash_with_fingerprint(job, golden_code_fingerprint());
+}
+
+JobHashTemplate::JobHashTemplate(const ResolvedJob& job)
+    : fingerprint_(golden_code_fingerprint()) {
+  const std::string text = json::canonical(job_document(job));
+  // Object keys are quoted and string values escape their quotes, so the
+  // key token occurs only where a member named "seed" is written.
+  constexpr std::string_view kKey = "\"seed\":";
+  const std::size_t key = text.find(kKey);
+  adc::common::require(
+      key != std::string::npos && text.find(kKey, key + 1) == std::string::npos,
+      "JobHashTemplate: the job text must hold one \"seed\" member");
+  const std::size_t value = key + kKey.size();
+  std::array<char, 20> digits{};
+  const std::string_view seed = decimal(job.seed, digits);
+  adc::common::require(text.compare(value, seed.size(), seed) == 0,
+                       "JobHashTemplate: the \"seed\" member must hold the job's seed");
+  prefix_.update(std::string_view(text).substr(0, value));
+  suffix_ = text.substr(value + seed.size());
+}
+
+std::string JobHashTemplate::hash(std::uint64_t seed) const {
+  std::array<char, 20> digits{};
+  Fnv1a hash = prefix_;
+  hash.update(decimal(seed, digits));
+  hash.update(suffix_);
+  hash.update_u64(kScenarioSchemaVersion);
+  hash.update_u64(fingerprint_);
+  return to_hex(hash.digest());
 }
 
 std::string spec_hash(const ScenarioSpec& spec) {

@@ -89,6 +89,28 @@ class Fnv1a {
 [[nodiscard]] std::string job_hash_with_fingerprint(const ResolvedJob& job,
                                                     std::uint64_t fingerprint);
 
+/// The cache keys of one grid point's jobs, which differ only in their seed.
+/// The constructor renders `canonical(job_document(job))` once and splits it
+/// at the value of the die's `"seed"` member, the one place the seed occurs:
+/// it keeps the FNV-1a state after the text before the value and the bytes
+/// after it. `hash(s)` continues that state over the decimal digits of `s`
+/// (as the canonical writer writes an unsigned integer), the kept bytes, the
+/// schema version and the fingerprint, so it equals `job_hash` of `job` with
+/// its seed set to `s` — at a byte-at-a-time hash of the text instead of a
+/// document built, sorted and formatted per job. plan_scenario keys every
+/// job through one of these per grid point; `job_hash` stays the per-job
+/// definition it is tested against.
+class JobHashTemplate {
+ public:
+  explicit JobHashTemplate(const ResolvedJob& job);
+  [[nodiscard]] std::string hash(std::uint64_t seed) const;
+
+ private:
+  Fnv1a prefix_;        ///< state after the text up to the seed's value
+  std::string suffix_;  ///< the text after the seed's value
+  std::uint64_t fingerprint_ = 0;
+};
+
 /// Identity hash of a whole spec (name/description excluded): hex FNV-1a
 /// over the canonical spec document + schema version + fingerprint. Stable
 /// under key reordering in the spec file.

@@ -320,17 +320,19 @@ json::JsonValue report_document(const ScenarioSpec& spec, const ScenarioPlan& pl
 
 }  // namespace
 
-ScenarioPlan plan_scenario(const ScenarioSpec& spec, unsigned threads) {
+ScenarioPlan plan_scenario(const ScenarioSpec& spec) {
   ScenarioPlan plan;
   plan.spec_hash = spec_hash(spec);
   plan.jobs = expand_jobs(spec);
-  const std::size_t n = plan.jobs.size();
-  plan.hashes.resize(n);
-  for_each_chunk((n + kPlanChunk - 1) / kPlanChunk, threads, [&](std::size_t c) {
-    for (std::size_t i = c * kPlanChunk; i < std::min(n, (c + 1) * kPlanChunk); ++i) {
-      plan.hashes[i] = job_hash(resolve_job(spec, plan.jobs[i]));
+  plan.hashes.reserve(plan.jobs.size());
+  // expand_jobs puts a grid point's seeds at seed_count consecutive
+  // positions: one job text per point keys them all.
+  for (std::size_t first = 0; first < plan.jobs.size(); first += spec.seed_count) {
+    const JobHashTemplate point(resolve_job(spec, plan.jobs[first]));
+    for (std::size_t i = first; i < first + spec.seed_count; ++i) {
+      plan.hashes.push_back(point.hash(plan.jobs[i].seed));
     }
-  });
+  }
   return plan;
 }
 
@@ -631,7 +633,7 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   ScenarioPlan plan;
   {
     auto phase = manifest.phase("expand");
-    plan = plan_scenario(spec, options_.threads);
+    plan = plan_scenario(spec);
     phase.set_jobs(plan.jobs.size());
   }
   const std::vector<JobPoint>& jobs = plan.jobs;

@@ -19,9 +19,9 @@
 ///     shares (stamp_manifest), cache counters and pool telemetry. A fully
 ///     cached run submits *zero* pool jobs in its
 ///     execute phase (RunResult::pool_before/pool_after bracket it; the
-///     plan and the probe before it, and the report render after it, run
-///     as chunks of kPlanChunk jobs), which is how CI verifies the
-///     100%-hit re-run.
+///     plan runs on the caller, and the probe before it and the report
+///     render after it run as chunks of kPlanChunk jobs), which is how CI
+///     verifies the 100%-hit re-run.
 ///   * **Reports** — the run moves its payloads into the report document
 ///     (build_report's rvalue form) and renders the report's rows in
 ///     chunks on its own thread count (render_report); each file is
@@ -142,19 +142,18 @@ struct ScenarioPlan {
 };
 
 /// Plan positions per chunk of the per-job passes around execution:
-/// hashing the plan (plan_scenario), probing the cache (probe_cache) and
-/// rendering the report rows (render_report). Each chunk is one pool job;
-/// a pass of one chunk runs on the caller and submits nothing.
+/// probing the cache (probe_cache) and rendering the report rows
+/// (render_report). Each chunk is one pool job; a pass of one chunk runs on
+/// the caller and submits nothing.
 inline constexpr std::size_t kPlanChunk = 64;
 
-/// Expand the sweep grid and content-address every job, hashing chunks of
-/// kPlanChunk consecutive jobs on `threads` workers (0 = runtime default
-/// resolution, 1 = on the caller). A caller that names no thread count
-/// plans on its own thread: the front ends pass theirs. Every hash is a
-/// pure function of its job, so the plan is identical at any thread count.
-/// Throws ConfigError on invalid specs (the same validation surface as
-/// expand_jobs), with the error the lowest failing job throws.
-[[nodiscard]] ScenarioPlan plan_scenario(const ScenarioSpec& spec, unsigned threads = 1);
+/// Expand the sweep grid and content-address every job, on the caller's
+/// thread. Each grid point's jobs differ only in their seed, so the point's
+/// job text is rendered once and its jobs are keyed through one
+/// JobHashTemplate (hash.hpp): each hash equals job_hash(resolve_job(spec,
+/// job)). Throws ConfigError on invalid specs (the same validation surface
+/// as expand_jobs), with the error the lowest failing job throws.
+[[nodiscard]] ScenarioPlan plan_scenario(const ScenarioSpec& spec);
 
 /// Fill every empty slot of `payloads` that `candidate` admits (null =
 /// every slot) from `cache`, and return how many were filled. The slots
@@ -215,10 +214,10 @@ struct ReportText {
 /// Write `<name>_report.json` and `<name>_report.csv` into `dir` (created
 /// if needed) and return the two paths. The report is rendered by
 /// render_report on `threads` workers (a caller that names no count
-/// renders on its own thread, as plan_scenario plans), and each file is
-/// written whole from its parts through common/files. One writer shared by
-/// the batch runner, the fleet merge and `adc_scenario client submit`, so
-/// their files are byte-identical by construction.
+/// renders on its own thread), and each file is written whole from its
+/// parts through common/files. One writer shared by the batch runner, the
+/// fleet merge and `adc_scenario client submit`, so their files are
+/// byte-identical by construction.
 struct ReportPaths {
   std::string json_path;
   std::string csv_path;

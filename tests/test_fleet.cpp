@@ -525,7 +525,7 @@ TEST_F(FleetTest, MergeAndStatusOverARaggedPackCacheMatchOneNameLoads) {
     "die": {"fidelity": "fast"},
     "seeds": {"first": 7, "count": 300}
   })");
-  const auto plan = adc::scenario::plan_scenario(spec, 1);
+  const auto plan = adc::scenario::plan_scenario(spec);
   const std::string cache_dir = path("cache");
   const auto cached_one_by_one = [&] {
     ResultCache cache(cache_dir);

@@ -1675,41 +1675,93 @@ const char* kYield2kSpec = R"({
 })";
 
 /// The first error plan_scenario throws for `spec`, or "".
-std::string plan_error(const ScenarioSpec& spec, unsigned threads) {
+std::string plan_error(const ScenarioSpec& spec) {
   try {
-    (void)plan_scenario(spec, threads);
+    (void)plan_scenario(spec);
   } catch (const ConfigError& e) {
     return e.what();
   }
   return "";
 }
 
-}  // namespace
-
-TEST(ScenarioPlanChunks, HashesAreEqualAtAnyThreadCount) {
-  const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
-  const ScenarioPlan serial = plan_scenario(spec, 1);
-  ASSERT_EQ(serial.hashes.size(), 2000u);
-  // The serial reference is the per-job hash itself.
-  for (const std::size_t i : {std::size_t{0}, kPlanChunk - 1, kPlanChunk, std::size_t{1999}}) {
-    EXPECT_EQ(serial.hashes[i], job_hash(resolve_job(spec, serial.jobs[i]))) << i;
-  }
-  for (const unsigned threads : {2u, 4u}) {
-    const ScenarioPlan plan = plan_scenario(spec, threads);
-    EXPECT_EQ(plan.hashes, serial.hashes) << "threads=" << threads;
-    EXPECT_EQ(plan.spec_hash, serial.spec_hash);
-  }
-  // Thread count 0 resolves through the override, as execute_plan's does.
-  for (const unsigned threads : {1u, 3u}) {
-    const adc::runtime::ScopedThreadOverride pin(threads);
-    EXPECT_EQ(plan_scenario(spec, 0).hashes, serial.hashes) << "override " << threads;
+/// Every plan hash must equal the per-job definition, job_hash of the
+/// resolved job, which renders the job's own document.
+void expect_plan_hashes_are_job_hashes(const ScenarioSpec& spec) {
+  const ScenarioPlan plan = plan_scenario(spec);
+  ASSERT_EQ(plan.hashes.size(), plan.jobs.size()) << spec.name;
+  ASSERT_FALSE(plan.jobs.empty()) << spec.name;
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    ASSERT_EQ(plan.hashes[i], job_hash(resolve_job(spec, plan.jobs[i])))
+        << spec.name << " job " << i << " seed " << plan.jobs[i].seed;
   }
 }
 
-TEST(ScenarioPlanChunks, InvalidJobFailsWithTheSerialFirstError) {
+}  // namespace
+
+TEST(ScenarioPlanKeys, HashesEqualThePerJobDefinition) {
+  // Every bundled spec.
+  std::size_t bundled = 0;
+  for (const auto& entry : fs::directory_iterator(ADC_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    expect_plan_hashes_are_job_hashes(load_spec_file(entry.path().string()));
+    ++bundled;
+  }
+  EXPECT_GE(bundled, 10u);
+
+  // A three-axis grid, an ideal die, and seed ranges whose decimal length
+  // changes inside one grid point.
+  expect_plan_hashes_are_job_hashes(parse_spec_text(R"({
+    "name": "three_axis",
+    "stimulus": {"type": "tone", "record_length": 512},
+    "measurement": {"type": "dynamic"},
+    "die": {"fidelity": "fast"},
+    "seeds": {"first": 95, "count": 10},
+    "sweep": [{"key": "die.conversion_rate_hz", "values": [20e6, 110e6, 177.5e6]},
+              {"key": "stimulus.frequency_hz", "values": [1e6, 10.1e6]},
+              {"key": "die.temperature_k", "values": [233.15, 300, 398.15]}]
+  })"));
+  expect_plan_hashes_are_job_hashes(parse_spec_text(R"({
+    "name": "ideal_static",
+    "measurement": {"type": "static", "samples": 4096},
+    "die": {"ideal": true},
+    "seeds": {"first": 995, "count": 10}
+  })"));
+  expect_plan_hashes_are_job_hashes(parse_spec_text(R"({
+    "name": "ideal_rates",
+    "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 512},
+    "measurement": {"type": "dynamic"},
+    "die": {"ideal": true, "fidelity": "fast"},
+    "seeds": {"first": 9, "count": 2},
+    "sweep": [{"key": "die.conversion_rate_hz", "values": [60e6, 110e6]}]
+  })"));
+
+  // The largest first seeds the grammar admits: a die seed of 2^64 - 1,
+  // and a range that ends one below it.
+  const ScenarioSpec top = parse_spec_text(R"({
+    "name": "top_seed",
+    "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 512},
+    "measurement": {"type": "dynamic"},
+    "die": {"seed": 18446744073709551615, "fidelity": "fast"}
+  })");
+  ASSERT_EQ(top.first_seed, std::numeric_limits<std::uint64_t>::max());
+  expect_plan_hashes_are_job_hashes(top);
+  expect_plan_hashes_are_job_hashes(parse_spec_text(R"({
+    "name": "top_range",
+    "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 512},
+    "measurement": {"type": "yield", "metric": "sndr_db", "limit": 60.0},
+    "seeds": {"first": 18446744073709551612, "count": 3}
+  })"));
+  EXPECT_THROW((void)parse_spec_text(R"({
+    "name": "past_top",
+    "measurement": {"type": "dynamic"},
+    "seeds": {"first": 18446744073709551613, "count": 3}
+  })"),
+               ConfigError);
+}
+
+TEST(ScenarioPlanKeys, InvalidJobFailsWithTheSerialFirstError) {
   // Parsing validates every value; a spec edited afterwards can still hold
-  // a job no hash can spell. Here the jobs of the later grid points fail,
-  // across several chunks.
+  // a job no hash can spell. Here the jobs of the later grid points fail.
   ScenarioSpec spec = parse_spec_text(R"({
     "name": "bad_late_jobs",
     "stimulus": {"type": "tone", "record_length": 512},
@@ -1720,19 +1772,33 @@ TEST(ScenarioPlanChunks, InvalidJobFailsWithTheSerialFirstError) {
   })");
   spec.sweep[0].values[2] = std::numeric_limits<double>::infinity();
   spec.sweep[0].values[3] = std::numeric_limits<double>::quiet_NaN();
-  const std::string serial = plan_error(spec, 1);
-  EXPECT_NE(serial.find("non-finite"), std::string::npos) << serial;
-  for (const unsigned threads : {2u, 4u}) EXPECT_EQ(plan_error(spec, threads), serial);
+  const std::string first = plan_error(spec);
+  EXPECT_NE(first.find("non-finite"), std::string::npos) << first;
+  // The lowest failing job is the first of grid point 2: its error is the
+  // one a walk over the per-job definition meets first.
+  const std::vector<JobPoint> jobs = expand_jobs(spec);
+  std::size_t failing = 0;
+  std::string serial;
+  while (serial.empty() && failing < jobs.size()) {
+    try {
+      (void)job_hash(resolve_job(spec, jobs[failing]));
+      ++failing;
+    } catch (const ConfigError& e) {
+      serial = e.what();
+    }
+  }
+  EXPECT_EQ(failing, 200u);  // the first job of grid point 2
+  EXPECT_EQ(first, serial);
 
-  // An unknown axis fails every job, the first chunk's first.
+  // An unknown axis fails every job, the first one first.
   spec.sweep[0].key = "die.oops";
-  const std::string unknown = plan_error(spec, 1);
+  const std::string unknown = plan_error(spec);
   EXPECT_NE(unknown.find("unknown sweep key \"die.oops\""), std::string::npos) << unknown;
-  EXPECT_EQ(plan_error(spec, 4), unknown);
 }
 
 TEST_F(ScenarioTest, OneChunkPlanAndProbeSubmitNoPoolJobs) {
-  // The 6-job plan and its probe run on the caller at the pool's own width.
+  // The plan always runs on the caller; a 6-job probe does too, at the
+  // pool's own width.
   const ScenarioSpec small = parse_spec_text(R"({
     "name": "six",
     "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 256},
@@ -1745,21 +1811,23 @@ TEST_F(ScenarioTest, OneChunkPlanAndProbeSubmitNoPoolJobs) {
   ResultCache cache(path("cache"));
   cache.ensure_writable();
   const auto before = pool.counters();
-  const ScenarioPlan plan = plan_scenario(small, width);
+  const ScenarioPlan plan = plan_scenario(small);
   ASSERT_EQ(plan.jobs.size(), 6u);
   std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
   EXPECT_EQ(probe_cache(plan, cache, payloads, nullptr, width), 0u);
   EXPECT_EQ(pool.counters().submitted, before.submitted);
 
-  // Past one chunk the passes do reach the pool (when it has workers).
+  // A 2000-job plan submits nothing either; past one chunk the probe does
+  // reach the pool (when it has workers).
+  const ScenarioSpec wide = parse_spec_text(kYield2kSpec);
+  const auto start = pool.counters();
+  const ScenarioPlan big = plan_scenario(wide);
+  EXPECT_EQ(pool.counters().submitted, start.submitted);
   if (width > 1) {
-    const ScenarioSpec wide = parse_spec_text(kYield2kSpec);
-    const auto start = pool.counters();
-    const ScenarioPlan big = plan_scenario(wide, width);
     std::vector<std::optional<json::JsonValue>> misses(big.jobs.size());
     EXPECT_EQ(probe_cache(big, cache, misses, nullptr, width), 0u);
     EXPECT_EQ(pool.counters().submitted - start.submitted,
-              2 * ((big.jobs.size() + kPlanChunk - 1) / kPlanChunk));
+              (big.jobs.size() + kPlanChunk - 1) / kPlanChunk);
   }
 }
 
@@ -1950,7 +2018,7 @@ void expect_render_matches_dump(const json::JsonValue& report, const std::string
 
 TEST(ReportRender, YieldReportOfManyChunksWithSummaryMatchesDump) {
   const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
-  const ScenarioPlan plan = plan_scenario(spec, 4);
+  const ScenarioPlan plan = plan_scenario(spec);
   const auto report = build_report(spec, plan, metric_payloads(plan));
   ASSERT_EQ(report.find("results")->items().size(), 2000u);  // 31 chunks and a ragged one
   ASSERT_NE(report.find("summary"), nullptr);
@@ -1968,7 +2036,7 @@ TEST(ReportRender, SweepWithAxisColumnsMatchesDump) {
 
 TEST(ReportRender, PartialReportSkipsNullRowsAndHasNoSummary) {
   const ScenarioSpec yield = parse_spec_text(kYield2kSpec);
-  const ScenarioPlan yield_plan = plan_scenario(yield, 4);
+  const ScenarioPlan yield_plan = plan_scenario(yield);
   // The first rows are null, so the columns come from a later payload, and
   // whole chunks (64..191) are null too.
   const auto report =
@@ -2021,7 +2089,7 @@ TEST(ReportRender, DescriptionNeedingEscapesMatchesDump) {
 
 TEST(ReportRender, MovedPayloadReportEqualsCopiedReport) {
   const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
-  const ScenarioPlan plan = plan_scenario(spec, 4);
+  const ScenarioPlan plan = plan_scenario(spec);
   for (const bool partial : {false, true}) {
     const auto payloads =
         metric_payloads(plan, [&](std::size_t i) { return partial && i % 5 == 1; });
@@ -2088,7 +2156,7 @@ TEST(ReportRender, RowLackingAnAxisFailsWithTheSerialError) {
 
 TEST_F(ScenarioTest, ReportFilesAreEqualAtAnyThreadCount) {
   const ScenarioSpec spec = parse_spec_text(kYield2kSpec);
-  const ScenarioPlan plan = plan_scenario(spec, 4);
+  const ScenarioPlan plan = plan_scenario(spec);
   const auto report = build_report(spec, plan, metric_payloads(plan, [](std::size_t i) {
     return i % 11 == 3;
   }));
