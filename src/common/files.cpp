@@ -1,13 +1,17 @@
 #include "common/files.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/inotify.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -149,6 +153,91 @@ std::optional<std::string> read_file(const fs::path& path) {
   auto file = read_file_with_id(path);
   if (!file.has_value()) return std::nullopt;
   return std::move(file->bytes);
+}
+
+NameWatch::NameWatch() : fd_(::inotify_init1(IN_CLOEXEC | IN_NONBLOCK)) {}
+
+NameWatch::~NameWatch() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool NameWatch::arm(std::span<const fs::path> appear, std::span<const fs::path> vanish) {
+  disarm();
+  appear_.assign(appear.begin(), appear.end());
+  vanish_.assign(vanish.begin(), vanish.end());
+  if (fd_ < 0) return false;
+  constexpr std::uint32_t kMask =
+      IN_CREATE | IN_MOVED_TO | IN_DELETE | IN_DELETE_SELF | IN_ONLYDIR;
+  std::map<fs::path, int> dirs;
+  const auto add = [&](const fs::path& name, std::set<std::pair<int, std::string>>& events) {
+    const fs::path dir = name.parent_path();
+    auto it = dirs.find(dir);
+    if (it == dirs.end()) {
+      it = dirs.emplace(dir, ::inotify_add_watch(fd_, dir.c_str(), kMask)).first;
+      if (it->second >= 0) dirs_.insert(it->second);
+    }
+    if (it->second < 0) return false;
+    events.emplace(it->second, name.filename().string());
+    return true;
+  };
+  const bool all_watched =
+      std::all_of(appear_.begin(), appear_.end(),
+                  [&](const fs::path& name) { return add(name, appear_events_); }) &&
+      std::all_of(vanish_.begin(), vanish_.end(),
+                  [&](const fs::path& name) { return add(name, vanish_events_); });
+  if (!all_watched) disarm();
+  drain();
+  return all_watched;
+}
+
+void NameWatch::disarm() {
+  for (const int wd : dirs_) ::inotify_rm_watch(fd_, wd);
+  dirs_.clear();
+  appear_events_.clear();
+  vanish_events_.clear();
+}
+
+bool NameWatch::done() const {
+  std::error_code ec;
+  const auto present = [&](const fs::path& name) { return fs::exists(name, ec); };
+  return std::any_of(appear_.begin(), appear_.end(), present) ||
+         !std::all_of(vanish_.begin(), vanish_.end(), present);
+}
+
+bool NameWatch::wait(int timeout_ms) {
+  const bool armed = !dirs_.empty();
+  struct pollfd pfd {fd_, POLLIN, 0};
+  if (::poll(&pfd, armed ? 1 : 0, timeout_ms) <= 0 || !armed) return false;
+  return drain();
+}
+
+bool NameWatch::drain() {
+  if (fd_ < 0) return false;
+  char buffer[4096];
+  bool woken = false;
+  for (;;) {
+    const ssize_t n = ::read(fd_, buffer, sizeof buffer);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    for (ssize_t at = 0; at < n;) {
+      struct inotify_event event {};
+      std::memcpy(&event, buffer + at, sizeof event);
+      const char* name = buffer + at + sizeof event;
+      at += static_cast<ssize_t>(sizeof event + event.len);
+      if ((event.mask & IN_Q_OVERFLOW) != 0) {
+        woken = true;
+      } else if ((event.mask & (IN_DELETE_SELF | IN_IGNORED)) != 0) {
+        // A removed watch of an earlier arm reports IN_IGNORED too.
+        woken = woken || dirs_.contains(event.wd);
+      } else if (event.len != 0) {
+        const std::pair<int, std::string> key{event.wd,
+                                              std::string(name, ::strnlen(name, event.len))};
+        const auto& names = (event.mask & IN_DELETE) != 0 ? vanish_events_ : appear_events_;
+        woken = woken || names.contains(key);
+      }
+    }
+  }
+  return woken;
 }
 
 }  // namespace adc::common::files

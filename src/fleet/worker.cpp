@@ -1,10 +1,12 @@
 #include "fleet/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,6 +23,24 @@ namespace json = adc::common::json;
 using adc::scenario::ClaimHolder;
 using adc::scenario::ResultCache;
 
+bool wait_for_jobs(ResultCache& cache, adc::common::files::NameWatch& watch,
+                   std::span<const std::string> hashes, std::uint64_t bound_ms) {
+  using Clock = std::chrono::steady_clock;
+  cache.arm_watch(watch, hashes);
+  bool woken = watch.done();
+  // poll(2) takes an int timeout; no wait is longer than INT_MAX ms.
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(std::min<std::uint64_t>(bound_ms, INT_MAX));
+  while (!woken) {
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    if (left <= 0) break;
+    woken = watch.wait(static_cast<int>(left));
+  }
+  watch.disarm();
+  return woken;
+}
+
 WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
                         const WorkerOptions& options) {
   adc::common::require(options.shards != 0, "fleet worker: shard count must be positive");
@@ -29,6 +49,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
                            " out of range for " + std::to_string(options.shards) +
                            " shards");
   adc::common::require(options.lease_ms > 0, "fleet worker: lease must be positive");
+  adc::common::require(options.poll_ms > 0, "fleet worker: poll bound must be positive");
 
   const std::string filename = manifest_filename(spec.name, options.shard, options.shards);
   // The run name is the file's stem: <scenario>_shard_<k>_of_<W>.
@@ -79,6 +100,7 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   bool budget_exhausted = false;
   {
     ClaimHolder holder(cache, owner, options.lease_ms);
+    adc::common::files::NameWatch watch;
 
     // Pass 0: our shard. Pass 1 (scavenge): everyone else's leftovers, so
     // a dead worker's shard is finished by the survivors.
@@ -138,11 +160,16 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
           budget_exhausted = true;
           break;
         }
-        // Everything left is claimed by other live workers: wait one poll
-        // interval for their stores to land, then probe again.
+        // Everything left is claimed by other live workers: wait until one
+        // of those jobs is stored or released (at most one poll interval),
+        // then probe again. The phase's jobs count the waits.
         if (outcome.computed == 0 && outcome.claimed_elsewhere > 0) {
-          auto phase = manifest.phase("claim_wait");
-          std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
+          auto phase = manifest.phase("claim_wait", 1);
+          std::vector<std::string> waiting;
+          for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+            if (!payloads[i].has_value() && candidate(i)) waiting.push_back(plan.hashes[i]);
+          }
+          wait_for_jobs(cache, watch, waiting, options.poll_ms);
         }
       }
     }

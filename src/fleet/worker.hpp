@@ -6,25 +6,29 @@
 /// remaining misses through the shared execute phase (scenario/runner.hpp)
 /// with the claim gate of scenario/claims.hpp (one `ClaimHolder` per
 /// worker), and — when every remaining miss is claimed by someone else —
-/// sleep one poll interval and probe again. The holder's heartbeat
-/// re-stamps every held claim well inside the lease, so only a crashed or
-/// stalled worker's claims ever go stale. After its own shard is
-/// done the worker scavenges: it sweeps the rest of the grid the same way,
-/// so a killed worker's leftovers are finished by the survivors and a
-/// re-issued fleet run starts ~fully warm.
+/// wait until one of them is done (its entry stored or its claim released,
+/// `wait_for_jobs`), at most one poll interval, and probe again. The
+/// holder's heartbeat re-stamps every held claim well inside the lease, so
+/// only a crashed or stalled worker's claims ever go stale. After its own
+/// shard is done the worker scavenges: it sweeps the rest of the grid the
+/// same way, so a killed worker's leftovers are finished by the survivors
+/// and a re-issued fleet run starts ~fully warm.
 ///
-/// This layer owns the polling sleeps; the heartbeat clock lives in
-/// src/runtime. Everything below stays deterministic.
+/// This layer owns the deadline of those waits; the heartbeat clock lives
+/// in src/runtime. Everything below stays deterministic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
+#include "common/files.hpp"
 #include "fleet/merge.hpp"
 #include "runtime/heartbeat.hpp"
 #include "runtime/thread_pool.hpp"
+#include "scenario/cache.hpp"
 #include "scenario/claims.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -50,7 +54,10 @@ struct WorkerOptions {
   /// A claim whose heartbeat is older than this is considered abandoned
   /// and stolen. Must comfortably exceed the heartbeat interval (lease/3).
   std::uint64_t lease_ms = adc::scenario::kClaimLeaseMs;
-  /// Sleep between probes while every remaining miss is claimed elsewhere.
+  /// The bound on one wait while every remaining miss is claimed
+  /// elsewhere: the wait ends early when one of them is stored or released
+  /// on this host, and only the bound sees another host's writes to a
+  /// shared filesystem. Must be positive.
   std::uint64_t poll_ms = 50;
   /// Worker threads for the plan, the cache probes and the execute phase
   /// (0 = runtime default).
@@ -81,6 +88,14 @@ struct WorkerResult {
 /// options, specs, or I/O failure.
 WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
                         const WorkerOptions& options);
+
+/// Wait until one of `hashes` is done on `cache` — its entry name appears
+/// or its claim name is removed — or `bound_ms` passes. `watch` is armed on
+/// the names before they are checked, so a job done before the call
+/// returns at once, and disarmed on return. True when a done job (or a lost
+/// event) ended the wait, false when the bound did.
+bool wait_for_jobs(adc::scenario::ResultCache& cache, adc::common::files::NameWatch& watch,
+                   std::span<const std::string> hashes, std::uint64_t bound_ms);
 
 /// The claim heartbeat clock (runtime/heartbeat.hpp), for status views and
 /// stale sweeps next to the worker.

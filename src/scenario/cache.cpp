@@ -417,6 +417,19 @@ void ResultCache::release_claim(std::span<const std::string> hashes, const std::
   }
 }
 
+bool ResultCache::arm_watch(adc::common::files::NameWatch& watch,
+                            std::span<const std::string> hashes) const {
+  std::vector<fs::path> entries;
+  std::vector<fs::path> claims;
+  entries.reserve(hashes.size());
+  claims.reserve(hashes.size());
+  for (const auto& hash : hashes) {
+    entries.emplace_back(entry_path(hash));
+    claims.emplace_back(claim_path(hash));
+  }
+  return watch.arm(entries, claims);
+}
+
 std::optional<ClaimInfo> ResultCache::read_claim(const std::string& hash) const {
   const auto text = read_file(claim_path(hash));
   if (!text.has_value()) return std::nullopt;

@@ -91,6 +91,7 @@
 #include <string>
 #include <vector>
 
+#include "common/files.hpp"
 #include "common/json.hpp"
 
 namespace adc::scenario {
@@ -216,6 +217,13 @@ class ResultCache {
   /// Delete each claim in `hashes` that `owner` holds (the others are left
   /// alone).
   void release_claim(std::span<const std::string> hashes, const std::string& owner);
+
+  /// Arm `watch` (common/files `NameWatch`) to end a wait when one of
+  /// `hashes` is done: its entry name `<xx>/<hash>.json` appears (a store)
+  /// or its claim name `<xx>/<hash>.claim` is removed (a release). False
+  /// when the watch cannot be armed.
+  bool arm_watch(adc::common::files::NameWatch& watch,
+                 std::span<const std::string> hashes) const;
 
   /// Decode the claim sidecar for `hash`; nullopt when absent or corrupt
   /// (try_claim treats a corrupt claim as stale).

@@ -3,8 +3,10 @@
 /// across worker counts, exactly-once computation under concurrent workers,
 /// the zero-pool-jobs warm-run guarantee, concurrent merges of one fleet,
 /// the steal of a stale unit claim (one claim file behind many job names),
-/// merge and status probes over a resumed cache of ragged packs, and the
-/// bound on `adc_fleet run --workers`.
+/// merge and status probes over a resumed cache of ragged packs, the wait
+/// of a blocked worker (woken by a release or a store of a job it was
+/// declined, not by events for other names), and the bounds on
+/// `adc_fleet run --workers` and `--poll-ms`.
 ///
 /// NOTE: CrashResume MUST be the first test in this binary. It forks a real
 /// worker process, and fork() is only safe before this process has spawned
@@ -19,18 +21,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cli.hpp"
 #include "common/error.hpp"
+#include "common/files.hpp"
 #include "common/json.hpp"
 #include "fleet/merge.hpp"
 #include "fleet/plan.hpp"
@@ -558,6 +563,152 @@ TEST_F(FleetTest, MergeAndStatusOverARaggedPackCacheMatchOneNameLoads) {
   EXPECT_EQ(json::dump(merge_fleet(spec, merge).report),
             json::dump(reference_report(spec, path("cache-ref"))));
   EXPECT_EQ(cached_one_by_one(), 300u);
+}
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+/// Job hashes in one fan-out directory (`ab/`): the watched job and two
+/// neighbours whose names share its directory.
+const std::vector<std::string> kWatched{"ab00000000000001"};
+const std::vector<std::string> kNeighbours{"ab00000000000002", "ab00000000000003"};
+
+/// Let another owner claim the watched job on a fresh cache root.
+void claim_watched(ResultCache& cache) {
+  cache.ensure_writable();
+  ASSERT_EQ(cache.try_claim(kWatched, "other", wall_clock_ms(), 60000).front(),
+            ClaimOutcome::kAcquired);
+}
+
+/// Run `act` on another thread 100 ms into a `wait_for_jobs` with a 10 s
+/// bound on the watched job; the wait must end within 1 s of the act.
+/// Returns the act-to-wake latency in ms.
+template <typename Act>
+double wake_latency_ms(ResultCache& cache, Act act) {
+  std::atomic<Clock::rep> acted{0};
+  std::thread other([&] {
+    std::this_thread::sleep_for(milliseconds(100));
+    acted.store(Clock::now().time_since_epoch().count());
+    act();
+  });
+  adc::common::files::NameWatch watch;
+  const bool woken = wait_for_jobs(cache, watch, kWatched, 10000);
+  const auto woke = Clock::now();
+  other.join();
+  EXPECT_TRUE(woken);
+  const double latency =
+      ms_between(Clock::time_point(Clock::duration(acted.load())), woke);
+  EXPECT_LT(latency, 1000.0);
+  return latency;
+}
+
+}  // namespace
+
+TEST_F(FleetTest, WaitForJobsWakesOnTheReleaseOfAForeignClaim) {
+  ResultCache cache(path("cache"));
+  claim_watched(cache);
+  const double latency =
+      wake_latency_ms(cache, [&] { cache.release_claim(kWatched, "other"); });
+  std::printf("release-to-wake latency: %.3f ms\n", latency);
+}
+
+TEST_F(FleetTest, WaitForJobsWakesOnAPackStoreOfTheName) {
+  ResultCache cache(path("cache"));
+  claim_watched(cache);
+  const json::JsonValue payload = json::JsonValue::object();
+  const double latency = wake_latency_ms(cache, [&] {
+    // The watched name sits inside a three-entry pack: linked under a
+    // temporary, then renamed into place.
+    const adc::scenario::CacheEntry pack[] = {
+        {kNeighbours[0], payload}, {kWatched[0], payload}, {kNeighbours[1], payload}};
+    cache.store(pack);
+  });
+  std::printf("store-to-wake latency: %.3f ms\n", latency);
+  // The claim is still held: the entry alone ended the wait.
+  EXPECT_TRUE(cache.read_claim(kWatched[0]).has_value());
+}
+
+TEST_F(FleetTest, WaitForJobsReturnsAtOnceForAJobDoneBeforeTheWatch) {
+  ResultCache released(path("released"));
+  claim_watched(released);
+  released.release_claim(kWatched, "other");
+  ResultCache stored(path("stored"));
+  claim_watched(stored);
+  stored.store(kWatched[0], json::JsonValue::object());
+  adc::common::files::NameWatch watch;
+  for (ResultCache* cache : {&released, &stored}) {
+    const auto start = Clock::now();
+    EXPECT_TRUE(wait_for_jobs(*cache, watch, kWatched, 10000));
+    EXPECT_LT(ms_between(start, Clock::now()), 1000.0) << cache->root();
+  }
+}
+
+TEST_F(FleetTest, WaitForJobsSleepsThroughEventsForOtherNames) {
+  ResultCache cache(path("cache"));
+  claim_watched(cache);
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0};
+  std::thread other([&] {
+    const json::JsonValue payload = json::JsonValue::object();
+    while (!stop.load()) {
+      // Neighbours are stored, claimed and released, and the watched claim
+      // gets a heartbeat (renamed over in place): none ends the wait.
+      for (const auto& hash : kNeighbours) {
+        cache.store(hash, payload);
+        (void)cache.try_claim(std::span(&hash, 1), "other", wall_clock_ms(), 60000);
+        cache.release_claim(std::span(&hash, 1), "other");
+      }
+      EXPECT_EQ(cache.refresh_claim(kWatched, "other", wall_clock_ms()), 1u);
+      rounds.fetch_add(1);
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+  });
+  adc::common::files::NameWatch watch;
+  const auto start = Clock::now();
+  const bool woken = wait_for_jobs(cache, watch, kWatched, 200);
+  const double waited = ms_between(start, Clock::now());
+  const int seen = rounds.load();
+  stop.store(true);
+  other.join();
+  EXPECT_FALSE(woken);
+  EXPECT_GE(waited, 200.0);
+  EXPECT_GT(seen, 1) << "no foreign events landed during the wait";
+}
+
+TEST_F(FleetTest, AWatchThatCannotBeArmedSleepsItsBound) {
+  // The fan-out directory does not exist, so no watch can be set on it.
+  ResultCache cache(path("missing"));
+  adc::common::files::NameWatch watch;
+  EXPECT_FALSE(cache.arm_watch(watch, kWatched));
+  const auto start = Clock::now();
+  EXPECT_FALSE(watch.wait(200));
+  EXPECT_GE(ms_between(start, Clock::now()), 200.0);
+}
+
+TEST_F(FleetTest, WorkerRejectsAZeroPollBound) {
+  WorkerOptions options;
+  options.cache_dir = path("cache");
+  options.poll_ms = 0;
+  EXPECT_THROW((void)run_worker(parse_spec_text(kFleetYieldSpec), options),
+               adc::common::ConfigError);
+}
+
+// A blocked worker waits at most `--poll-ms`; 0 would spin on probes and the
+// bound is an int timeout of poll(2), so the option takes 1..kMaxPollMs.
+TEST(FleetCliTest, PollBoundIsAWholeNumberUpToTheBound) {
+  EXPECT_EQ(adc::tools::poll_bound("1"), 1u);
+  EXPECT_EQ(adc::tools::poll_bound("600000"), adc::tools::kMaxPollMs);
+  for (const char* bad : {"0", "600001", "4294967296", "18446744073709551616", "", "50ms",
+                          "-1", " 5"}) {
+    EXPECT_THROW((void)adc::tools::poll_bound(bad), adc::tools::UsageError)
+        << '"' << bad << '"';
+  }
 }
 
 // `adc_fleet run --workers N` forks N processes, so N is bounded: the rule is

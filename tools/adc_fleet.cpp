@@ -19,7 +19,8 @@
 /// The merged report is byte-identical to `adc_scenario run` of the same
 /// spec (docs/FLEET.md). Exit status: 0 on success, 1 on failure (worker
 /// died, merge incomplete, --min-hit-rate unmet), 2 on usage errors (a
-/// numeric option that does not parse whole, a --threads outside 1..1024).
+/// numeric option that does not parse whole, a --threads outside 1..1024,
+/// a --poll-ms outside 1..600000).
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -54,7 +55,9 @@ void print_usage() {
       "                    or .adc-cache)\n"
       "  --report-dir D    run/merge: write <name>_report.{json,csv} into D\n"
       "  --lease-ms N      claim lease; staler claims are stolen (default %llu)\n"
-      "  --poll-ms N       sleep between probes while blocked (default 50)\n"
+      "  --poll-ms N       while every job left is claimed elsewhere, wait for one\n"
+      "                    to be stored or released, at most N ms, 1..600000\n"
+      "                    (default 50; only the bound sees other hosts)\n"
       "  --threads N       worker threads per process, 1..1024 (default: runtime)\n"
       "  --max-jobs N      worker computes at most N jobs (budget)\n"
       "  --owner ID        claim owner id (default <host>:<pid>)\n"
@@ -65,6 +68,7 @@ void print_usage() {
 }
 
 using adc::tools::number;
+using adc::tools::poll_bound;
 using adc::tools::take_value;
 using adc::tools::thread_count;
 using adc::tools::usage_error;
@@ -112,7 +116,7 @@ FleetCli parse_cli(const std::vector<std::string>& args) {
     } else if (arg == "--lease-ms") {
       cli.lease_ms = number<std::uint64_t>(arg, take_value(args, i));
     } else if (arg == "--poll-ms") {
-      cli.poll_ms = number<std::uint64_t>(arg, take_value(args, i));
+      cli.poll_ms = poll_bound(take_value(args, i));
     } else if (arg == "--threads") {
       cli.threads = thread_count(take_value(args, i));
     } else if (arg == "--max-jobs") {

@@ -4,6 +4,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -61,6 +62,21 @@ inline unsigned worker_count(std::string_view text) {
                 std::string(text));
   }
   return workers;
+}
+
+/// The longest `--poll-ms` bound on a fleet worker's wait (ten minutes).
+/// The bound is an int timeout of poll(2), and a blocked worker with a zero
+/// bound would spin on probes.
+inline constexpr std::uint64_t kMaxPollMs = 600000;
+
+/// `text`, the value of `--poll-ms`: a whole decimal in 1..kMaxPollMs.
+inline std::uint64_t poll_bound(std::string_view text) {
+  const auto poll_ms = number<std::uint64_t>("--poll-ms", text);
+  if (poll_ms < 1 || poll_ms > kMaxPollMs) {
+    usage_error("--poll-ms expects 1.." + std::to_string(kMaxPollMs) + ", got " +
+                std::string(text));
+  }
+  return poll_ms;
 }
 
 }  // namespace adc::tools
